@@ -72,6 +72,7 @@ from .lindblad import (
     MasterTrajectory,
     NoiseRates,
     PositivityError,
+    corrected_fidelity_mixed,
     dressed_dissipators,
     evolve_master,
     fidelity_mixed,
@@ -90,7 +91,6 @@ from .protocols import (
     cell_entropy,
     prepare_two_cell,
     run_experiment,
-    two_cell_retrieval,
     two_cell_return_fidelity,
     two_cell_storage,
     two_cell_target_fidelity,

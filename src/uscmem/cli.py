@@ -57,7 +57,6 @@ _KEYS = {
     "k_levels": ("int", lambda v: v >= 2, ">= 2"),
     "refresh_every": ("int", lambda v: v >= 1, ">= 1"),
     "omega_points": ("int", lambda v: v >= 2, ">= 2"),
-    "seed": ("int", lambda v: v >= 0, ">= 0"),
     "verbosity": ("int", lambda v: v >= 0, ">= 0"),
 }
 
@@ -79,60 +78,50 @@ def _convert(kind: str, raw: str):
     raise AssertionError(kind)
 
 
-def _validate_pair(key: str, raw: str, where: str, violations: list[str]):
-    if key not in _KEYS:
-        violations.append(f"{where}: unknown key {key!r}")
-        return None
-    kind, check, requirement = _KEYS[key]
-    try:
-        value = _convert(kind, raw)
-    except ValueError as exc:
-        violations.append(f"{where}: {key} = {raw!r} is not a valid {kind} ({exc})")
-        return None
-    if not check(value):
-        violations.append(f"{where}: {key} = {raw!r} violates {key} {requirement}")
-        return None
-    return value
+def _parse_entries(entries: list[tuple[str, str, str]]) -> dict:
+    """Validate (where, "key=value" body, expected form) entries.
 
-
-def parse_config(text: str) -> dict:
-    """Parse a config document into validated override values.
-
-    Collects every problem before raising, so a bad file reports all of its
-    mistakes at once.
+    Collects every problem before raising, so a bad input reports all of
+    its mistakes at once.
     """
     overrides: dict = {}
     violations: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+    for where, body, expected in entries:
+        key, eq, raw = body.partition("=")
+        if not eq:
+            violations.append(f"{where}: expected {expected}")
             continue
-        if "=" not in body:
-            violations.append(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+        key, raw = key.strip(), raw.strip()
+        if key not in _KEYS:
+            violations.append(f"{where}: unknown key {key!r}")
             continue
-        key, raw = (part.strip() for part in body.split("=", 1))
-        value = _validate_pair(key, raw, f"line {lineno}", violations)
-        if value is not None or (key == "theta" and raw == "optimize"):
-            overrides[key] = value
+        kind, check, requirement = _KEYS[key]
+        try:
+            value = _convert(kind, raw)
+        except ValueError as exc:
+            violations.append(f"{where}: {key} = {raw!r} is not a valid {kind} ({exc})")
+            continue
+        if not check(value):
+            violations.append(f"{where}: {key} = {raw!r} violates {key} {requirement}")
+            continue
+        overrides[key] = value
     if violations:
         raise ConfigError(violations)
     return overrides
+
+
+def parse_config(text: str) -> dict:
+    """Parse a config document into validated override values."""
+    entries = [
+        (f"line {lineno}", line.split("#", 1)[0].strip(),
+         f"'key = value', got {line.strip()!r}")
+        for lineno, line in enumerate(text.splitlines(), start=1)
+    ]
+    return _parse_entries([entry for entry in entries if entry[1]])
 
 
 def parse_set_flags(pairs: list[str]) -> dict:
-    overrides: dict = {}
-    violations: list[str] = []
-    for pair in pairs:
-        if "=" not in pair:
-            violations.append(f"--set {pair!r}: expected KEY=VALUE")
-            continue
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        value = _validate_pair(key, raw, f"--set {pair!r}", violations)
-        if value is not None or (key == "theta" and raw == "optimize"):
-            overrides[key] = value
-    if violations:
-        raise ConfigError(violations)
-    return overrides
+    return _parse_entries([(f"--set {pair!r}", pair, "KEY=VALUE") for pair in pairs])
 
 
 @dataclass(frozen=True)
@@ -142,7 +131,6 @@ class RunConfig:
     experiment: str
     overrides: dict = field(default_factory=dict)
     out_dir: str = "out"
-    seed: int = 0
     verbosity: int = 1
 
 
@@ -317,7 +305,6 @@ def main(argv: list[str] | None = None) -> int:
             experiment=args.experiment,
             overrides=overrides,
             out_dir=args.out,
-            seed=overrides.get("seed", 0),
             verbosity=overrides.get("verbosity", 1),
         )
         spec = build_spec(run)

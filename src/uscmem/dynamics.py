@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .model import (
     CouplingSchedule,
     ModelParams,
     build_rabi,
-    retrieval_schedule,
     storage_schedule,
 )
 from .spectral import build_gauge_chain
@@ -82,9 +82,6 @@ class Trajectory:
     def n_recorded(self) -> int:
         return len(self.times)
 
-    def state(self, i: int) -> State:
-        return State(self.dims, self.amplitudes[i])
-
     @property
     def final(self) -> State:
         return State(self.dims, self.amplitudes[-1])
@@ -100,6 +97,39 @@ def _step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
     return n
 
 
+def _sweep(
+    params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
+    x0: np.ndarray, step: Callable, check: Callable | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drive x across a schedule with the exact midpoint eigensystem.
+
+    Each step diagonalizes H at the step midpoint and calls
+    step(x, evals, evecs, dt, i) for the state after step i + 1. The state
+    is sampled at step 0, every cfg.record_every steps and the last step;
+    check(x, n), if given, runs on each sample after step n. Returns the
+    sample times, their couplings and the stacked samples.
+    """
+    n_steps = _step_count(schedule, cfg)
+    dt = schedule.total_time / n_steps
+    rec_idx = [0]
+    samples = [x0.copy()]
+    x = x0
+    for i in range(n_steps):
+        h = build_rabi(params, schedule.coupling_at((i + 0.5) * dt))
+        evals, evecs = np.linalg.eigh(h)
+        x = step(x, evals, evecs, dt, i)
+        if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
+            if check is not None:
+                check(x, i + 1)
+            rec_idx.append(i + 1)
+            samples.append(x.copy())
+
+    times = np.array(rec_idx, dtype=np.float64) * dt
+    times[-1] = schedule.total_time
+    couplings = np.array([schedule.coupling_at(t) for t in times])
+    return times, couplings, np.array(samples)
+
+
 def propagate(
     params: ModelParams,
     schedule: CouplingSchedule,
@@ -110,44 +140,24 @@ def propagate(
     dims = psi0.dims
     if dims.n_fock != params.n_fock:
         raise ValueError("state truncation does not match params.n_fock")
-    n_steps = _step_count(schedule, cfg)
-    dt = schedule.total_time / n_steps
-    record = cfg.record_every
-
-    rec_idx = [0]
-    rec_amps = [psi0.amplitudes.copy()]
-    two_cell = dims.n_cells == 2
     cell_dim = dims.cell_dim
-    psi = psi0.amplitudes.copy()
-    if two_cell:
-        psi = psi.reshape(cell_dim, cell_dim)
 
-    for i in range(n_steps):
-        omega = schedule.coupling_at((i + 0.5) * dt)
-        h = build_rabi(params, omega)
-        evals, evecs = np.linalg.eigh(h)
+    def step(psi, evals, evecs, dt, i):
         phases = np.exp(-1j * evals * dt)
-        if two_cell:
+        if dims.n_cells == 2:
             u = (evecs * phases) @ evecs.conj().T
-            psi = u @ psi @ u.T
+            psi = (u @ psi.reshape(cell_dim, cell_dim) @ u.T).reshape(-1)
         else:
             psi = evecs @ (phases * (evecs.conj().T @ psi))
-
-        flat = psi.reshape(-1) if two_cell else psi
-        nrm = np.linalg.norm(flat)
+        nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > cfg.norm_tol:
             raise NormDriftError(
                 f"norm drifted to {nrm!r} at step {i + 1} (tol {cfg.norm_tol})"
             )
-        flat /= nrm
-        if (i + 1) % record == 0 or i + 1 == n_steps:
-            rec_idx.append(i + 1)
-            rec_amps.append(flat.copy())
+        psi /= nrm
+        return psi
 
-    times = np.array(rec_idx, dtype=np.float64) * dt
-    times[-1] = schedule.total_time
-    couplings = np.array([schedule.coupling_at(t) for t in times])
-    return Trajectory(dims, times, couplings, np.array(rec_amps))
+    return Trajectory(dims, *_sweep(params, schedule, cfg, psi0.amplitudes, step))
 
 
 # --------------------------------------------------------------------------
@@ -193,14 +203,27 @@ def branch_phase_correction(dims: HilbertDims, theta: float) -> np.ndarray:
     return np.diag(d)
 
 
+def _branch_overlaps(
+    amps: np.ndarray, dims: HilbertDims, alpha_f: complex, beta_f: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ground and excited branch overlaps u, v of state rows with the input."""
+    return (np.conj(alpha_f) * amps[..., dims.index(0, 0)],
+            np.conj(beta_f) * amps[..., dims.index(1, 0)])
+
+
+def _corrected_rows(
+    amps: np.ndarray, dims: HilbertDims, theta: float, alpha_f: complex, beta_f: complex
+) -> np.ndarray:
+    """|u + exp(-i theta) v|^2 for every state row of amps."""
+    u, v = _branch_overlaps(amps, dims, alpha_f, beta_f)
+    return np.abs(u + np.exp(-1j * theta) * v) ** 2
+
+
 def corrected_fidelity(
     state: State, theta: float, alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2
 ) -> float:
     """|<psi_s| C(theta) |state>|^2 with the excited-branch phase correction."""
-    dims = state.dims
-    u = np.conj(alpha_f) * state.amplitudes[dims.index(0, 0)]
-    v = np.conj(beta_f) * state.amplitudes[dims.index(1, 0)]
-    return float(abs(u + np.exp(-1j * theta) * v) ** 2)
+    return float(_corrected_rows(state.amplitudes, state.dims, theta, alpha_f, beta_f))
 
 
 def optimize_retrieval_phase(
@@ -212,9 +235,7 @@ def optimize_retrieval_phase(
     overlap amplitudes, so the maximum is closed form: theta aligns v with u.
     Returns (theta_opt in [0, 2 pi), F at the optimum).
     """
-    dims = state.dims
-    u = np.conj(alpha_f) * state.amplitudes[dims.index(0, 0)]
-    v = np.conj(beta_f) * state.amplitudes[dims.index(1, 0)]
+    u, v = _branch_overlaps(state.amplitudes, state.dims, alpha_f, beta_f)
     theta = float(np.angle(v) - np.angle(u)) % (2 * pi)
     fmax = float((abs(u) + abs(v)) ** 2)
     return theta, fmax
@@ -238,11 +259,7 @@ def retrieval_run(
     if schedule.omega_end != 0.0:
         raise ValueError("retrieval schedule must end at zero coupling")
     traj = propagate(params, schedule, stored, cfg)
-    fs = np.array(
-        [corrected_fidelity(traj.state(i), theta_correction, alpha_f, beta_f)
-         for i in range(traj.n_recorded)]
-    )
-    return traj, fs
+    return traj, _corrected_rows(traj.amplitudes, traj.dims, theta_correction, alpha_f, beta_f)
 
 
 @dataclass(frozen=True)
@@ -258,6 +275,36 @@ class RoundTrip:
     retrieval_fs: np.ndarray
 
 
+def _roundtrip(
+    params: ModelParams,
+    schedule: CouplingSchedule,
+    cfg: PropagatorConfig,
+    alpha_f: complex,
+    beta_f: complex,
+    theta: float | None,
+) -> RoundTrip:
+    """Write along schedule, read along its reverse, then correct the phase.
+
+    The read propagation itself does not depend on theta, so it runs once
+    and the correction (closed-form optimum when theta is None) is fixed
+    afterwards from the final state.
+    """
+    traj_s, fs_s = storage_run(params, alpha_f, beta_f, schedule, cfg)
+    traj_r = propagate(params, schedule.reversed(), traj_s.final, cfg)
+    if theta is None:
+        theta, _ = optimize_retrieval_phase(traj_r.final, alpha_f, beta_f)
+    fs_r = _corrected_rows(traj_r.amplitudes, traj_r.dims, theta, alpha_f, beta_f)
+    return RoundTrip(
+        total_time=schedule.total_time,
+        theta_opt=theta,
+        fidelity=float(fs_r[-1]),
+        storage=traj_s,
+        storage_fs=fs_s,
+        retrieval=traj_r,
+        retrieval_fs=fs_r,
+    )
+
+
 def roundtrip_run(
     params: ModelParams,
     total_time: float,
@@ -266,34 +313,11 @@ def roundtrip_run(
     beta_f: complex = RSQRT2,
     theta: float | None = None,
 ) -> RoundTrip:
-    """Full write-then-read cycle; theta None means optimize the correction.
-
-    The read propagation itself does not depend on theta, so it runs once
-    and the correction is fixed afterwards from the final state.
-    """
+    """Full write-then-read cycle from zero coupling to omega0 and back;
+    theta None means optimize the correction."""
     if cfg is None:
         cfg = PropagatorConfig.for_total_time(total_time)
-    traj_s, fs_s = storage_run(
-        params, alpha_f, beta_f, storage_schedule(params, total_time), cfg
-    )
-    traj_r = propagate(params, retrieval_schedule(params, total_time), traj_s.final, cfg)
-    if theta is None:
-        theta_used, _ = optimize_retrieval_phase(traj_r.final, alpha_f, beta_f)
-    else:
-        theta_used = theta
-    fs_r = np.array(
-        [corrected_fidelity(traj_r.state(i), theta_used, alpha_f, beta_f)
-         for i in range(traj_r.n_recorded)]
-    )
-    return RoundTrip(
-        total_time=total_time,
-        theta_opt=theta_used,
-        fidelity=float(fs_r[-1]),
-        storage=traj_s,
-        storage_fs=fs_s,
-        retrieval=traj_r,
-        retrieval_fs=fs_r,
-    )
+    return _roundtrip(params, storage_schedule(params, total_time), cfg, alpha_f, beta_f, theta)
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,8 @@ s in {sigma_x, sigma_y, sigma_z, a + a^dag}, with rate
     gamma = Gamma_s |<j| s |k>|^2
 
 (optionally reweighted by a spectral-density model). During a sweep the
-dressed basis is refreshed quasi-statically every few steps; the unitary
-part still uses the exact midpoint exponential of each step.
+dressed basis is refreshed quasi-statically every few steps, taken from the
+midpoint eigensystem that the exact unitary step has just computed.
 """
 from __future__ import annotations
 
@@ -20,14 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import PropagatorConfig, _step_count
+from .dynamics import PropagatorConfig, _sweep
 from .hilbert import HilbertDims, State, annihilation_op, pauli_op
-from .model import CouplingSchedule, ModelParams, build_rabi
+# build_rabi stays importable from here; the sweep loop builds the Hamiltonians.
+from .model import CouplingSchedule, ModelParams, build_rabi  # noqa: F401
 
 _RATE_FLOOR = 1e-14
 _TRACE_TOL = 1e-8
 _HERM_TOL = 1e-10
-_EIG_FLOOR_WARN = -1e-8
 _EIG_FLOOR_HARD = -1e-6
 
 
@@ -100,21 +100,21 @@ def _channel_ops(dims: HilbertDims) -> list[tuple[str, np.ndarray]]:
 
 
 def _rate_table(
-    h: np.ndarray,
+    energies: np.ndarray,
+    vectors: np.ndarray,
     rates: NoiseRates,
     dims: HilbertDims,
     k_levels: int,
     rate_model: RateModel | None,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, float]]]:
-    """Eigenbasis plus downward transition rates among the lowest levels.
+) -> list[tuple[int, int, float]]:
+    """Downward transition rates among the lowest levels of an eigensystem.
 
-    Returns (energies, eigenvectors, [(j, k, rate), ...]) with channels
-    sharing the same (j, k) already merged.
+    Returns [(j, k, rate), ...] with channels sharing the same (j, k)
+    already merged.
     """
     if k_levels < 2 or k_levels > dims.total_dim:
         raise ValueError(f"k_levels must be in [2, {dims.total_dim}], got {k_levels}")
     model = rate_model or flat_rate
-    energies, vectors = np.linalg.eigh(h)
     low = vectors[:, :k_levels]
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
     merged: dict[tuple[int, int], float] = {}
@@ -130,8 +130,7 @@ def _rate_table(
                 rate = model(gamma, float(delta)) * float(abs(elem[j, k]) ** 2)
                 if rate >= _RATE_FLOOR:
                     merged[(j, k)] = merged.get((j, k), 0.0) + rate
-    table = [(j, k, r) for (j, k), r in sorted(merged.items())]
-    return energies, vectors, table
+    return [(j, k, r) for (j, k), r in sorted(merged.items())]
 
 
 def dressed_dissipators(
@@ -146,9 +145,9 @@ def dressed_dissipators(
     Only downward transitions among the lowest k_levels dressed states are
     kept; rates below 1e-14 are dropped.
     """
-    _, vectors, table = _rate_table(h, rates, dims, k_levels, rate_model)
+    energies, vectors = np.linalg.eigh(h)
     out = []
-    for j, k, rate in table:
+    for j, k, rate in _rate_table(energies, vectors, rates, dims, k_levels, rate_model):
         op = np.outer(vectors[:, j], vectors[:, k].conj())
         out.append((op, rate))
     return out
@@ -217,8 +216,8 @@ def evolve_master(
     """Sweep a cell under the dressed-basis master equation.
 
     Each step applies the exact midpoint unitary followed by a first-order
-    dissipator update. The jump table is rebuilt from the instantaneous
-    Hamiltonian every refresh_every steps (quasi-static approximation).
+    dissipator update. The jump table is rebuilt from the step's midpoint
+    eigensystem every refresh_every steps (quasi-static approximation).
     Trace, Hermiticity, and positivity are checked at every recorded sample.
     """
     dims = params.dims
@@ -228,47 +227,60 @@ def evolve_master(
         raise ValueError("refresh_every must be >= 1")
     validate_density(rho0, "rho0")
 
-    n_steps = _step_count(schedule, cfg)
-    dt = schedule.total_time / n_steps
-    record = cfg.record_every
-
-    rho = np.array(rho0, dtype=np.complex128)
-    rec_idx = [0]
-    rec_rho = [rho.copy()]
-
     basis = None          # dressed eigenvectors of the last refresh
     out_rate = None       # total decay rate per dressed level
     gain = None           # gain[j, k] = rate of |k> feeding |j>
-    for i in range(n_steps):
-        omega = schedule.coupling_at((i + 0.5) * dt)
-        h = build_rabi(params, omega)
-        evals, evecs = np.linalg.eigh(h)
+
+    def step(rho, evals, evecs, dt, i):
+        nonlocal basis, out_rate, gain
         u = (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
         rho = u @ rho @ u.conj().T
+        if rates.all_zero:
+            return rho
+        if i % refresh_every == 0:
+            basis = evecs
+            table = _rate_table(evals, evecs, rates, dims, k_levels, rate_model)
+            gain = np.zeros((dims.total_dim, dims.total_dim))
+            for j, k, rate in table:
+                gain[j, k] = rate
+            out_rate = gain.sum(axis=0)
+        # work in the dressed basis where every jump is |j><k|
+        rho_d = basis.conj().T @ rho @ basis
+        decay = -0.5 * (out_rate[:, None] + out_rate[None, :]) * rho_d
+        feed = gain @ np.real(np.diag(rho_d))
+        np.fill_diagonal(decay, np.diagonal(decay) + feed)
+        return rho + dt * (basis @ decay @ basis.conj().T)
 
-        if not rates.all_zero:
-            if i % refresh_every == 0:
-                _, basis, table = _rate_table(h, rates, dims, k_levels, rate_model)
-                gain = np.zeros((dims.total_dim, dims.total_dim))
-                for j, k, rate in table:
-                    gain[j, k] = rate
-                out_rate = gain.sum(axis=0)
-            # work in the dressed basis where every jump is |j><k|
-            rho_d = basis.conj().T @ rho @ basis
-            decay = -0.5 * (out_rate[:, None] + out_rate[None, :]) * rho_d
-            feed = gain @ np.real(np.diag(rho_d))
-            np.fill_diagonal(decay, np.diagonal(decay) + feed)
-            rho = rho + dt * (basis @ decay @ basis.conj().T)
+    def check(rho, n):
+        validate_density(rho, f"rho at step {n}")
 
-        if (i + 1) % record == 0 or i + 1 == n_steps:
-            validate_density(rho, f"rho at step {i + 1}")
-            rec_idx.append(i + 1)
-            rec_rho.append(rho.copy())
+    rho = np.array(rho0, dtype=np.complex128)
+    return MasterTrajectory(dims, *_sweep(params, schedule, cfg, rho, step, check))
 
-    times = np.array(rec_idx, dtype=np.float64) * dt
-    times[-1] = schedule.total_time
-    couplings = np.array([schedule.coupling_at(t) for t in times])
-    return MasterTrajectory(dims, times, couplings, np.array(rec_rho))
+
+def _branch_terms(
+    rho: np.ndarray, dims: HilbertDims, alpha_f: complex, beta_f: complex
+) -> tuple[float, complex]:
+    """Branch populations w and coherence z of a retrieved density matrix,
+    weighted by the input amplitudes: F(theta) = w + 2 Re(e^{i theta} z)."""
+    i_g = dims.index(0, 0)
+    i_e = dims.index(1, 0)
+    w = (abs(alpha_f) ** 2 * float(np.real(rho[i_g, i_g]))
+         + abs(beta_f) ** 2 * float(np.real(rho[i_e, i_e])))
+    z = complex(np.conj(alpha_f) * beta_f * rho[i_g, i_e])
+    return w, z
+
+
+def corrected_fidelity_mixed(
+    rho: np.ndarray,
+    dims: HilbertDims,
+    theta: float,
+    alpha_f: complex = 2 ** -0.5,
+    beta_f: complex = 2 ** -0.5,
+) -> float:
+    """<psi_s| C(theta) rho C(theta)^dag |psi_s> for a fixed correction."""
+    w, z = _branch_terms(rho, dims, alpha_f, beta_f)
+    return w + 2 * float(np.real(np.exp(1j * theta) * z))
 
 
 def optimize_retrieval_phase_mixed(
@@ -282,10 +294,6 @@ def optimize_retrieval_phase_mixed(
     F(theta) = w + 2 Re(e^{i theta} z) with w the branch populations and z
     the relevant coherence, so theta_opt = -arg(z).
     """
-    i_g = dims.index(0, 0)
-    i_e = dims.index(1, 0)
-    w = (abs(alpha_f) ** 2 * float(np.real(rho[i_g, i_g]))
-         + abs(beta_f) ** 2 * float(np.real(rho[i_e, i_e])))
-    z = complex(np.conj(alpha_f) * beta_f * rho[i_g, i_e])
+    w, z = _branch_terms(rho, dims, alpha_f, beta_f)
     theta = (-float(np.angle(z))) % (2 * pi) if z != 0 else 0.0
     return theta, w + 2 * abs(z)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import acos, sqrt
 
 import numpy as np
@@ -20,11 +20,9 @@ from .dynamics import (
     PropagatorConfig,
     RSQRT2,
     Trajectory,
-    corrected_fidelity,
-    optimize_retrieval_phase,
+    _roundtrip,
     phase_landscape,
     propagate,
-    roundtrip_run,
     storage_input,
     storage_run,
 )
@@ -38,6 +36,7 @@ from .hilbert import (
 )
 from .lindblad import (
     NoiseRates,
+    corrected_fidelity_mixed,
     evolve_master,
     fidelity_mixed,
     flat_rate,
@@ -118,16 +117,6 @@ def two_cell_storage(
     ref = prepare_two_cell(params).amplitudes
     fbar = np.abs(traj.amplitudes @ ref.conj()) ** 2
     return traj, fbar
-
-
-def two_cell_retrieval(
-    state: State,
-    params: ModelParams,
-    schedule: CouplingSchedule,
-    cfg: PropagatorConfig,
-) -> tuple[Trajectory, np.ndarray]:
-    """Reverse sweep of the register; same curve convention as storage."""
-    return two_cell_storage(state, params, schedule, cfg)
 
 
 def _symmetric_pair_fidelity(
@@ -235,43 +224,10 @@ class ExperimentSpec:
 
     def resolved(self) -> dict:
         """Canonical plain-data view used for hashing and the manifest."""
-        noise = self.noise
-        return {
-            "name": self.name,
-            "params": {
-                "omega_cav": self.params.omega_cav,
-                "omega_eg": self.params.omega_eg,
-                "omega0": self.params.omega0,
-                "n_fock": self.params.n_fock,
-            },
-            "schedule": {
-                "omega_start": self.schedule.omega_start,
-                "omega_end": self.schedule.omega_end,
-                "total_time": self.schedule.total_time,
-                "shape": self.schedule.shape,
-            },
-            "cfg": {
-                "dt": self.cfg.dt,
-                "record_every": self.cfg.record_every,
-                "norm_tol": self.cfg.norm_tol,
-                "method": self.cfg.method,
-            },
-            "alpha_f": [self.alpha_f.real, self.alpha_f.imag],
-            "beta_f": [self.beta_f.real, self.beta_f.imag],
-            "theta": self.theta,
-            "theta_points": self.theta_points,
-            "noise": None if noise is None else {
-                "gamma_x": noise.gamma_x,
-                "gamma_y": noise.gamma_y,
-                "gamma_z": noise.gamma_z,
-                "gamma_r": noise.gamma_r,
-            },
-            "k_levels": self.k_levels,
-            "refresh_every": self.refresh_every,
-            "rate_model": self.rate_model,
-            "omega_points": self.omega_points,
-            "n_fock_alt": self.n_fock_alt,
-        }
+        out = asdict(self)
+        for key in ("alpha_f", "beta_f"):
+            out[key] = [out[key].real, out[key].imag]
+        return out
 
     @property
     def spec_hash(self) -> str:
@@ -317,22 +273,24 @@ def run_experiment(spec: ExperimentSpec) -> ResultBundle:
     return handler(spec)
 
 
+def _cat_overlaps(params: ModelParams, couplings, spectra) -> list[np.ndarray]:
+    """|<cat_G|state 0>|^2 and |<cat_E|state 1>|^2 of each spectrum's doublet."""
+    return [
+        np.array([abs(np.vdot(cat_approximant(params, float(om), label).amplitudes,
+                              sp.states[:, col])) ** 2
+                  for om, sp in zip(couplings, spectra)])
+        for col, label in enumerate("GE")
+    ]
+
+
 def _run_spectrum(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     omegas = np.linspace(0.0, params.omega0, spec.omega_points)
-    rows_e = np.empty((len(omegas), 4))
-    rows_p = np.empty((len(omegas), 4))
-    f_g = np.empty(len(omegas))
-    f_e = np.empty(len(omegas))
-    for i, om in enumerate(omegas):
-        sp = _stage("eigendecompose", eigendecompose,
-                    build_rabi(params, float(om)), 4, params.dims)
-        rows_e[i] = sp.energies
-        rows_p[i] = sp.parities
-        cat_g = cat_approximant(params, float(om), "G")
-        cat_e = cat_approximant(params, float(om), "E")
-        f_g[i] = abs(np.vdot(cat_g.amplitudes, sp.states[:, 0])) ** 2
-        f_e[i] = abs(np.vdot(cat_e.amplitudes, sp.states[:, 1])) ** 2
+    spectra = [_stage("eigendecompose", eigendecompose,
+                      build_rabi(params, float(om)), 4, params.dims) for om in omegas]
+    rows_e = np.array([sp.energies for sp in spectra], dtype=np.float64)
+    rows_p = np.array([sp.parities for sp in spectra], dtype=np.float64)
+    f_g, f_e = _cat_overlaps(params, omegas, spectra)
     curves = {
         "spectrum": {
             "omega": omegas,
@@ -351,18 +309,14 @@ def _run_spectrum(spec: ExperimentSpec) -> ResultBundle:
     return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
 
 
-def _storage_curve(spec: ExperimentSpec) -> tuple[Trajectory, dict[str, np.ndarray], dict[str, float]]:
+def _storage_curve(
+    spec: ExperimentSpec, traj: Trajectory, fs: np.ndarray
+) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Write-leg curve and scalars: F_s plus the cat overlaps along the
+    tracked doublet, and the storage fidelity at the end of the sweep."""
     params = spec.params
-    traj, fs = _stage("storage sweep", storage_run,
-                      params, spec.alpha_f, spec.beta_f, spec.schedule, spec.cfg)
     chain = _stage("eigenstate tracking", build_gauge_chain, params, traj.couplings, 2)
-    n = traj.n_recorded
-    f_g = np.empty(n)
-    f_e = np.empty(n)
-    for i, sp in enumerate(chain.spectra):
-        om = float(traj.couplings[i])
-        f_g[i] = abs(np.vdot(cat_approximant(params, om, "G").amplitudes, sp.states[:, 0])) ** 2
-        f_e[i] = abs(np.vdot(cat_approximant(params, om, "E").amplitudes, sp.states[:, 1])) ** 2
+    f_g, f_e = _cat_overlaps(params, traj.couplings, chain.spectra)
     final_spec = chain.spectra[-1]
     c_g = np.vdot(final_spec.states[:, 0], traj.amplitudes[-1])
     c_e = np.vdot(final_spec.states[:, 1], traj.amplitudes[-1])
@@ -375,54 +329,37 @@ def _storage_curve(spec: ExperimentSpec) -> tuple[Trajectory, dict[str, np.ndarr
         "F_E": f_e,
     }
     scalars = {"F_s_final": float(fs[-1]), "storage_fidelity": storage_fid}
-    return traj, curve, scalars
+    return curve, scalars
 
 
 def _run_storage(spec: ExperimentSpec) -> ResultBundle:
-    _, curve, scalars = _storage_curve(spec)
+    traj, fs = _stage("storage sweep", storage_run,
+                      spec.params, spec.alpha_f, spec.beta_f, spec.schedule, spec.cfg)
+    curve, scalars = _storage_curve(spec, traj, fs)
     return ResultBundle(spec.name, spec.spec_hash, curves={"storage": curve}, scalars=scalars)
 
 
-def _run_roundtrip(spec: ExperimentSpec) -> ResultBundle:
-    traj, storage_curve, scalars = _storage_curve(spec)
-    params = spec.params
-    total_time = spec.schedule.total_time
-    traj_r = _stage("retrieval sweep", propagate,
-                    params, spec.schedule.reversed(), traj.final, spec.cfg)
-    if spec.theta is None:
-        theta, _ = optimize_retrieval_phase(traj_r.final, spec.alpha_f, spec.beta_f)
-    else:
-        theta = spec.theta
-    fs_r = np.array(
-        [corrected_fidelity(traj_r.state(i), theta, spec.alpha_f, spec.beta_f)
-         for i in range(traj_r.n_recorded)]
-    )
-    retrieval_curve = {
-        "t": total_time + traj_r.times,
-        "omega": traj_r.couplings,
-        "F_s": fs_r,
-    }
-    scalars = dict(scalars)
-    scalars["F_s_storage"] = scalars.pop("F_s_final")
-    scalars.update({"F_s_final": float(fs_r[-1]), "theta_opt": float(theta)})
-    return ResultBundle(
-        spec.name, spec.spec_hash,
-        curves={"storage": storage_curve, "retrieval": retrieval_curve},
-        scalars=scalars,
-    )
+def _run_roundtrip(spec: ExperimentSpec, with_storage: bool = True) -> ResultBundle:
+    """Write along spec.schedule and read along its reverse. The retrieval
+    experiment is the same run reporting only its read leg."""
+    rt = _stage("roundtrip", _roundtrip, spec.params, spec.schedule, spec.cfg,
+                spec.alpha_f, spec.beta_f, spec.theta)
+    curves = {"retrieval": {
+        "t": rt.total_time + rt.retrieval.times,
+        "omega": rt.retrieval.couplings,
+        "F_s": rt.retrieval_fs,
+    }}
+    scalars = {"F_s_final": rt.fidelity, "theta_opt": float(rt.theta_opt)}
+    if with_storage:
+        storage_curve, storage_scalars = _storage_curve(spec, rt.storage, rt.storage_fs)
+        curves = {"storage": storage_curve, **curves}
+        scalars.update(storage_fidelity=storage_scalars["storage_fidelity"],
+                       F_s_storage=storage_scalars["F_s_final"])
+    return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
 
 
 def _run_retrieval(spec: ExperimentSpec) -> ResultBundle:
-    rt = _stage("roundtrip", roundtrip_run,
-                spec.params, spec.schedule.total_time, spec.cfg,
-                spec.alpha_f, spec.beta_f, spec.theta)
-    curve = {
-        "t": spec.schedule.total_time + rt.retrieval.times,
-        "omega": rt.retrieval.couplings,
-        "F_s": rt.retrieval_fs,
-    }
-    scalars = {"F_s_final": rt.fidelity, "theta_opt": rt.theta_opt}
-    return ResultBundle(spec.name, spec.spec_hash, curves={"retrieval": curve}, scalars=scalars)
+    return _run_roundtrip(spec, with_storage=False)
 
 
 def _run_phase_map(spec: ExperimentSpec) -> ResultBundle:
@@ -438,16 +375,10 @@ def _run_phase_map(spec: ExperimentSpec) -> ResultBundle:
                         landscapes={"landscape": land}, scalars=scalars)
 
 
-def _resolve_rate_model(spec: ExperimentSpec):
-    if spec.rate_model == "flat":
-        return flat_rate
-    return ohmic_rate(spec.params.omega_cav)
-
-
 def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     rates = spec.noise or NoiseRates.for_qubit_splitting(params.omega_eg)
-    model = _resolve_rate_model(spec)
+    model = flat_rate if spec.rate_model == "flat" else ohmic_rate(params.omega_cav)
     psi_s = storage_input(params, spec.alpha_f, spec.beta_f)
     rho0 = pure_density(psi_s)
     mt_s = _stage("noisy storage", evolve_master,
@@ -470,12 +401,9 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
         )
     else:
         theta = spec.theta
-        corr = np.exp(1j * theta)
-        i_g, i_e = params.dims.index(0, 0), params.dims.index(1, 0)
-        w = (abs(spec.alpha_f) ** 2 * float(np.real(mt_r.final[i_g, i_g]))
-             + abs(spec.beta_f) ** 2 * float(np.real(mt_r.final[i_e, i_e])))
-        z = complex(np.conj(spec.alpha_f) * spec.beta_f * mt_r.final[i_g, i_e])
-        f_final = w + 2 * float(np.real(corr * z))
+        f_final = corrected_fidelity_mixed(
+            mt_r.final, params.dims, theta, spec.alpha_f, spec.beta_f
+        )
     scalars = {"F_s_final": float(f_final), "theta_opt": float(theta)}
     return ResultBundle(spec.name, spec.spec_hash, curves={"noisy": curve}, scalars=scalars)
 
@@ -487,7 +415,7 @@ def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
                             psi0, params, spec.schedule, spec.cfg)
     f_store, _ = _stage("register target overlap", two_cell_target_fidelity,
                         traj_s.final, params)
-    traj_r, fbar_r = _stage("register retrieval", two_cell_retrieval,
+    traj_r, fbar_r = _stage("register retrieval", two_cell_storage,
                             traj_s.final, params, spec.schedule.reversed(), spec.cfg)
     f_return, _ = two_cell_return_fidelity(traj_r.final, params)
     total_time = spec.schedule.total_time

@@ -15,7 +15,6 @@ from uscmem import (
     roundtrip_run,
     storage_input,
     storage_schedule,
-    two_cell_retrieval,
     two_cell_storage,
 )
 
@@ -89,7 +88,7 @@ def register_run():
     cfg = PropagatorConfig.for_total_time(105.0)
     psi0 = prepare_two_cell(params)
     traj_s, fbar_s = two_cell_storage(psi0, params, storage_schedule(params, 105.0), cfg)
-    traj_r, fbar_r = two_cell_retrieval(
+    traj_r, fbar_r = two_cell_storage(
         traj_s.final, params, retrieval_schedule(params, 105.0), cfg
     )
     return params, psi0, traj_s, fbar_s, traj_r, fbar_r

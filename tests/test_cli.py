@@ -84,6 +84,22 @@ def test_build_spec_defaults():
     assert entangled.params.n_fock == 15
 
 
+def test_spec_hash_is_pinned():
+    # manifests from earlier runs stay comparable: identical inputs keep
+    # their hash across refactors of the spec's plain-data view
+    cases = [
+        (RunConfig("roundtrip"),
+         "66610fcd5c250639ef95ec4b2cffdd072228e4ebbfa23610e657f24a41fd2428"),
+        (RunConfig("noisy"),
+         "7dc5c7b93f9493e84e6380119e4c1259089cd469e6c7235fd690778282f3e07f"),
+        (RunConfig("retrieval", {"omega_start": 0.3, "alpha_f": 0.6,
+                                 "beta_f": 0.8j, "theta": 1.25}),
+         "b9ca181915edbba73e7cabf513d24a33a00a72ad1302c7ca1ee15f4bdba6e3f7"),
+    ]
+    for run, expected in cases:
+        assert build_spec(run).spec_hash == expected, run.experiment
+
+
 def test_build_spec_rejects_coarse_sweep_step():
     run = RunConfig(experiment="storage", overrides={"T": 10.0, "dt": 0.5})
     with pytest.raises(ConfigError, match="dt"):

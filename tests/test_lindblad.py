@@ -17,6 +17,8 @@ from uscmem import (
     basis_state,
     branch_phase_correction,
     build_rabi,
+    corrected_fidelity,
+    corrected_fidelity_mixed,
     dressed_dissipators,
     evolve_master,
     fidelity_mixed,
@@ -274,6 +276,20 @@ def test_noisy_readout_frozen_value(noisy_legs):
         best_grid = max(best_grid, val)
     assert f_best >= best_grid - 1e-9
     assert abs(f_best - best_grid) < 1e-6
+
+
+def test_mixed_corrected_fidelity_matches_pure_state_formula():
+    # on a pure density the (w, z) branch formula is |<psi_s|C(theta)|psi>|^2
+    params = ModelParams(n_fock=6)
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=params.dims.total_dim) + 1j * rng.normal(size=params.dims.total_dim)
+    state = State(params.dims, amps / np.linalg.norm(amps))
+    rho = pure_density(state)
+    for alpha_f, beta_f in ((2 ** -0.5, 2 ** -0.5), (0.6, 0.8j)):
+        for theta in (0.0, 0.7, 2.5, 4.0, 5.9):
+            expected = corrected_fidelity(state, theta, alpha_f, beta_f)
+            got = corrected_fidelity_mixed(rho, params.dims, theta, alpha_f, beta_f)
+            assert got == pytest.approx(expected, abs=1e-14)
 
 
 def test_noisy_samples_stay_valid_densities(noisy_legs):

@@ -1,9 +1,12 @@
 """Beam splitter, two-cell register protocols, and the experiment driver."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from uscmem import (
     EXPERIMENTS,
+    CouplingSchedule,
     ExperimentError,
     ExperimentSpec,
     HilbertDims,
@@ -245,6 +248,33 @@ def test_roundtrip_experiment_times_concatenate():
     assert bundle.scalars["F_s_final"] == pytest.approx(
         bundle.curves["retrieval"]["F_s"][-1]
     )
+
+
+def test_retrieval_experiment_is_the_roundtrip_read_leg():
+    # both experiments write along the configured schedule and read along
+    # its reverse, so a nonzero start coupling is honoured by both
+    spec = replace(_tiny_spec("retrieval"), schedule=CouplingSchedule(0.3, 1.0, 12.0))
+    retrieval = run_experiment(spec)
+    roundtrip = run_experiment(replace(spec, name="roundtrip"))
+    curve = retrieval.curves["retrieval"]
+    assert curve["omega"][-1] == pytest.approx(0.3)
+    assert list(curve) == list(roundtrip.curves["retrieval"])
+    for key, column in curve.items():
+        assert np.array_equal(column, roundtrip.curves["retrieval"][key]), key
+    for key in ("F_s_final", "theta_opt"):
+        assert retrieval.scalars[key] == roundtrip.scalars[key]
+    assert set(retrieval.scalars) == {"F_s_final", "theta_opt"}
+
+
+def test_noisy_fixed_theta_reproduces_the_optimum():
+    spec = _tiny_spec("noisy")
+    optimized = run_experiment(spec)
+    fixed = run_experiment(replace(spec, theta=optimized.scalars["theta_opt"]))
+    assert fixed.scalars["theta_opt"] == optimized.scalars["theta_opt"]
+    assert abs(fixed.scalars["F_s_final"] - optimized.scalars["F_s_final"]) < 1e-12
+    # a correction away from the optimum reads out less
+    off = run_experiment(replace(spec, theta=optimized.scalars["theta_opt"] + 1.0))
+    assert off.scalars["F_s_final"] < optimized.scalars["F_s_final"] - 1e-3
 
 
 def test_run_experiment_is_deterministic():
