@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import PropagatorConfig, _sweep
 from .hilbert import HilbertDims, State, annihilation_op, pauli_op
-# build_rabi stays importable from here; the sweep loop builds the Hamiltonians.
+# build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import CouplingSchedule, ModelParams, build_rabi  # noqa: F401
 
 _RATE_FLOOR = 1e-14

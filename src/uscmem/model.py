@@ -11,11 +11,12 @@ on the truncated space described by :class:`~uscmem.hilbert.HilbertDims`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, sin
 
 import numpy as np
 
-from .hilbert import HilbertDims, annihilation_op, pauli_op, tensor
+from .hilbert import HilbertDims, tensor
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,43 @@ class ModelParams:
     @property
     def dims(self) -> HilbertDims:
         return HilbertDims(self.n_fock, 1)
+
+    @cached_property
+    def chains(self) -> "ParityChains":
+        """The two parity chains of H(Omega), computed once per instance."""
+        n = np.arange(self.n_fock)
+        qubit = np.array([1 - n % 2, n % 2])
+        chains = ParityChains(
+            index=qubit * self.n_fock + n,
+            diag=np.where(qubit, 0.5, -0.5) * self.omega_eg + self.omega_cav * n,
+            hop=np.sqrt(np.arange(1, self.n_fock, dtype=np.float64)),
+        )
+        for arr in (chains.index, chains.diag, chains.hop):
+            arr.flags.writeable = False
+        return chains
+
+
+@dataclass(frozen=True)
+class ParityChains:
+    """H(Omega) split by the parity P = sigma_z exp(i pi a^dag a).
+
+    P commutes with H(Omega), which is therefore two real tridiagonal
+    chains with no element between them. Row s of each array describes
+    sector s in chain order: sector 0 is P = +1, |e,0>, |g,1>, |e,2>, ...;
+    sector 1 is P = -1, |g,0>, |e,1>, |g,2>, ....
+
+    index
+        (2, n_fock) basis indices of the chain sites.
+    diag
+        (2, n_fock) bare energies of the sites, which Omega leaves alone.
+    hop
+        (n_fock - 1,) couplings sqrt(n + 1) between sites n and n + 1 of
+        either chain; H(Omega) has Omega * hop beside its diagonal.
+    """
+
+    index: np.ndarray
+    diag: np.ndarray
+    hop: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,16 +141,15 @@ def retrieval_schedule(params: ModelParams, total_time: float) -> CouplingSchedu
 
 
 def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:
-    """Dense cell Hamiltonian at a fixed coupling."""
-    dims = params.dims
-    nf = params.n_fock
-    diag = np.empty(dims.total_dim, dtype=np.float64)
-    n = np.arange(nf, dtype=np.float64)
-    diag[:nf] = -0.5 * params.omega_eg + params.omega_cav * n
-    diag[nf:] = +0.5 * params.omega_eg + params.omega_cav * n
-    h = np.diag(diag).astype(np.complex128)
-    a = annihilation_op(dims)
-    h += coupling * (pauli_op("x", dims) @ (a + a.conj().T))
+    """Dense cell Hamiltonian at a fixed coupling, scattered from the parity
+    chains, so it is the same matrix the sweeps diagonalize per sector."""
+    chains = params.chains
+    index = chains.index
+    h = np.zeros((params.dims.total_dim,) * 2, dtype=np.complex128)
+    h[index, index] = chains.diag
+    hop = coupling * chains.hop
+    h[index[:, 1:], index[:, :-1]] = hop
+    h[index[:, :-1], index[:, 1:]] = hop
     return h
 
 

@@ -31,6 +31,7 @@ from uscmem import (
     storage_run,
     storage_schedule,
 )
+from uscmem.dynamics import _eigensystems
 
 RSQRT2 = 2 ** -0.5
 
@@ -130,6 +131,28 @@ def test_parity_is_conserved_along_sweep():
     traj_s, _ = storage_run(params, RSQRT2, RSQRT2, storage_schedule(params, 20.0), cfg)
     vals = np.real(np.einsum("ij,jk,ik->i", traj_s.amplitudes.conj(), p, traj_s.amplitudes))
     assert np.abs(vals).max() < 1e-7
+
+
+@pytest.mark.parametrize("omega_eg", [0.1, 0.0])
+def test_parity_holds_exactly_by_construction(omega_eg):
+    # |g,0> has parity -1; the sector engine never puts an amplitude into +1
+    params = ModelParams(n_fock=12, omega_eg=omega_eg)
+    plus = np.real(np.diag(parity_op(params.dims))) > 0
+    cfg = PropagatorConfig.for_total_time(20.0, steps=500)
+    traj = propagate(params, storage_schedule(params, 20.0), basis_state(params.dims, 0, 0), cfg)
+    assert np.all(traj.amplitudes[:, plus] == 0.0)
+
+
+@pytest.mark.parametrize("omega_eg", [0.1, 0.0])
+def test_sector_eigensystems_match_dense_hamiltonian(omega_eg):
+    # omega_eg = 0 makes the ground doublet exactly degenerate
+    params = ModelParams(n_fock=20, omega_eg=omega_eg)
+    couplings = np.array([0.0, 0.05, 0.3, 0.7, 1.0, 1.4])
+    for om, (e, v) in zip(couplings, _eigensystems(params, couplings)):
+        h = build_rabi(params, float(om))
+        assert np.abs(e - np.linalg.eigvalsh(h)).max() < 1e-12
+        assert np.linalg.norm(h @ v - v * e, axis=0).max() <= 1e-10
+        assert np.all(np.diff(e) >= 0.0)
 
 
 def test_integrator_is_second_order():

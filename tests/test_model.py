@@ -11,11 +11,14 @@ from uscmem import (
     CouplingSchedule,
     HilbertDims,
     ModelParams,
+    annihilation_op,
     basis_state,
     build_rabi,
     hamiltonian_at,
     joint_parity_op,
+    number_op,
     parity_op,
+    pauli_op,
     retrieval_schedule,
     storage_schedule,
     tensor,
@@ -61,6 +64,20 @@ def test_degenerate_doublet_without_qubit_splitting():
     assert abs(e[0] + 1.0) < 1e-6
     assert abs(e[1] + 1.0) < 1e-6
     assert e[1] - e[0] < 1e-9
+
+
+@pytest.mark.parametrize("n_fock", [2, 3, 8, 30])
+def test_hamiltonian_equals_operator_formula(n_fock):
+    # reference: (omega_eg / 2) sigma_z + omega_cav a^dag a + Omega sigma_x (a + a^dag)
+    params = ModelParams(omega_cav=1.3, omega_eg=0.1, n_fock=n_fock)
+    dims = params.dims
+    a = annihilation_op(dims)
+    diag = params.omega_eg / 2 * pauli_op("z", dims) + params.omega_cav * number_op(dims)
+    for om in (0.0, 0.37, 1.0, -0.6):
+        expected = diag + om * (pauli_op("x", dims) @ (a + a.conj().T))
+        h = build_rabi(params, om)
+        assert h.dtype == np.complex128
+        assert np.array_equal(h, expected)
 
 
 def test_hamiltonian_affine_in_coupling():
