@@ -37,6 +37,7 @@ from .model import (
     joint_parity_op,
     parity_op,
     retrieval_schedule,
+    sector_eigh,
     storage_schedule,
 )
 from .spectral import (
@@ -48,6 +49,7 @@ from .spectral import (
     cat_approximant,
     eigendecompose,
     mean_photon,
+    sector_spectra,
     seed_gauge,
 )
 from .dynamics import (

@@ -193,8 +193,11 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
 # output emission
 # --------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_FMT = "%.17g"  # the same digits as f"{x:.17g}"
+
+
+def _fmt_all(values) -> list[str]:
+    return [_FMT % x for x in np.asarray(values, dtype=np.float64).tolist()]
 
 
 def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
@@ -202,7 +205,9 @@ def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
 
     Curves become one file per curve with their column order preserved.
     Landscapes become a long-form omega,theta,fidelity file (rows ordered by
-    sweep sample then theta) plus a *_theta_opt companion.
+    sweep sample then theta) plus a *_theta_opt companion. Each omega and
+    theta is formatted once; a landscape row of the sweep is one
+    %-format of a template that already holds its thetas.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,24 +219,27 @@ def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
         length = len(arrays[0])
         if any(len(a) != length for a in arrays):
             raise ValueError(f"curve {name!r} has ragged columns")
+        row = ",".join([_FMT] * len(arrays)) + "\n"
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(headers) + "\n")
-            for i in range(length):
-                fh.write(",".join(_fmt(a[i]) for a in arrays) + "\n")
+            fh.writelines(row % values for values in zip(*(a.tolist() for a in arrays)))
         paths.append(path)
     for name, land in bundle.landscapes.items():
         path = out / f"{name}.csv"
+        omegas = _fmt_all(land.coupling_grid)
+        # omega.join(cells) puts omega in front of every cell but the first
+        cells = [f",{th},{_FMT}\n" for th in _fmt_all(land.theta_grid)]
+        fidelity = np.asarray(land.fidelity, dtype=np.float64)
         with open(path, "w", newline="\n") as fh:
             fh.write("omega,theta,fidelity\n")
-            for i, om in enumerate(land.coupling_grid):
-                for j, th in enumerate(land.theta_grid):
-                    fh.write(f"{_fmt(om)},{_fmt(th)},{_fmt(land.fidelity[i, j])}\n")
+            for om, fid in zip(omegas, fidelity):
+                fh.write((om + om.join(cells)) % tuple(fid.tolist()))
         paths.append(path)
         companion = out / f"{name}_theta_opt.csv"
+        theta_opt = _fmt_all(land.theta_opt)
         with open(companion, "w", newline="\n") as fh:
             fh.write("omega,theta_opt\n")
-            for om, th in zip(land.coupling_grid, land.theta_opt):
-                fh.write(f"{_fmt(om)},{_fmt(th)}\n")
+            fh.writelines(f"{om},{th}\n" for om, th in zip(omegas, theta_opt))
         paths.append(companion)
     return paths
 

@@ -26,7 +26,9 @@ import numpy as np
 
 from .hilbert import HilbertDims, State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
-from .model import CouplingSchedule, ModelParams, build_rabi, storage_schedule  # noqa: F401
+from .model import (  # noqa: F401
+    CouplingSchedule, ModelParams, build_rabi, sector_eigh, storage_schedule,
+)
 from .spectral import build_gauge_chain
 
 RSQRT2 = 2 ** -0.5
@@ -113,24 +115,15 @@ def _eigensystems(
     outside its sector. The full-basis evecs are built one at a time, so
     only the chain eigenvectors of the batch are held.
     """
-    chains = params.chains
     nf = params.n_fock
     m = len(couplings)
-    site = np.arange(nf)
-    blocks = np.zeros((m, 2, nf, nf))
-    blocks[:, :, site, site] = chains.diag
-    hop = couplings[:, None, None] * chains.hop
-    blocks[:, :, site[1:], site[:-1]] = hop
-    blocks[:, :, site[:-1], site[1:]] = hop
-    w, v = np.linalg.eigh(blocks)
-    del blocks  # free it now; the generator lives on while the steps run
-
+    w, v = sector_eigh(params, couplings)
     order = np.argsort(w.reshape(m, 2 * nf), axis=1, kind="stable")
     evals = np.take_along_axis(w.reshape(m, 2 * nf), order, axis=1)
     # column[j, s * nf + k]: the column of eigenvector k of sector s
     column = np.empty_like(order)
     np.put_along_axis(column, order, np.arange(2 * nf), axis=1)
-    rows = chains.index[:, :, None]
+    rows = params.chains.index[:, :, None]
     for j in range(m):
         evecs = np.zeros((2 * nf, 2 * nf))
         evecs[rows, column[j].reshape(2, 1, nf)] = v[j]
@@ -174,6 +167,12 @@ def _sweep(
     return times, couplings, np.array(samples)
 
 
+def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for a real matrix and a contiguous complex vector, on the
+    vector's (d, 2) real view, so m is never cast to complex."""
+    return (m @ z.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+
 def propagate(
     params: ModelParams,
     schedule: CouplingSchedule,
@@ -192,7 +191,7 @@ def propagate(
             u = (evecs * phases) @ evecs.conj().T
             psi = (u @ psi.reshape(cell_dim, cell_dim) @ u.T).reshape(-1)
         else:
-            psi = evecs @ (phases * (evecs.conj().T @ psi))
+            psi = _real_matvec(evecs, phases * _real_matvec(evecs.T, psi))
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > cfg.norm_tol:
             raise NormDriftError(

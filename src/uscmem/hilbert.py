@@ -9,7 +9,8 @@ sparse storage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import lru_cache
+from math import isqrt, lgamma
 
 import numpy as np
 
@@ -203,15 +204,17 @@ def coherent_truncation_weight(alpha: complex, n_fock: int) -> float:
     if alpha == 0:
         return 0.0
     n = np.arange(n_fock)
-    log_p = -abs(alpha) ** 2 + n * np.log(abs(alpha) ** 2) - _log_factorial(n)
+    log_p = -abs(alpha) ** 2 + n * np.log(abs(alpha) ** 2) - _log_factorial(n_fock)
     kept = float(np.exp(log_p).sum())
     return max(0.0, 1.0 - kept)
 
 
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    from math import lgamma
-
-    return np.array([lgamma(int(k) + 1) for k in n])
+@lru_cache(maxsize=None)
+def _log_factorial(n_fock: int) -> np.ndarray:
+    """Read-only log(n!) for n = 0 .. n_fock - 1, computed once per n_fock."""
+    out = np.array([lgamma(k + 1) for k in range(n_fock)])
+    out.flags.writeable = False
+    return out
 
 
 def coherent_state(alpha: complex, dims: HilbertDims | int) -> np.ndarray:
@@ -236,7 +239,7 @@ def coherent_state(alpha: complex, dims: HilbertDims | int) -> np.ndarray:
         amps[0] = 1.0
         return amps
     # log-domain magnitudes avoid overflow in alpha**n / sqrt(n!)
-    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * _log_factorial(n)
+    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * _log_factorial(n_fock)
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(log_mag) * phase
     return amps / np.linalg.norm(amps)

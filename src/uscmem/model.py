@@ -153,6 +153,25 @@ def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:
     return h
 
 
+def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystems of both parity chains at each coupling, in one batched
+    real eigh.
+
+    Returns w (m, 2, n_fock), ascending within each sector, and v
+    (m, 2, n_fock, n_fock) with the eigenvectors as columns in chain-site
+    order (:class:`ParityChains`). Callers pass couplings in chunks: the
+    batch holds two n_fock x n_fock matrices per coupling.
+    """
+    chains = params.chains
+    site = np.arange(params.n_fock)
+    blocks = np.zeros((len(couplings), 2, params.n_fock, params.n_fock))
+    blocks[:, :, site, site] = chains.diag
+    hop = np.asarray(couplings)[:, None, None] * chains.hop
+    blocks[:, :, site[1:], site[:-1]] = hop
+    blocks[:, :, site[:-1], site[1:]] = hop
+    return np.linalg.eigh(blocks)
+
+
 def hamiltonian_at(params: ModelParams, schedule: CouplingSchedule, t: float) -> np.ndarray:
     return build_rabi(params, schedule.coupling_at(t))
 

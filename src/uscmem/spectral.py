@@ -1,9 +1,20 @@
 """Instantaneous spectra, eigenstate gauge tracking, and cat approximants.
 
-Eigenvectors returned by a dense solver carry an arbitrary complex phase,
-and inside a degenerate doublet even the basis choice is arbitrary. Both
-ambiguities matter here because protocol targets are built from tracked
-eigenstates along a sweep. This module pins them down:
+Protocol targets are built from eigenstates tracked along a sweep, so
+their labels and phases have to be pinned down.
+
+Single-cell spectra (:func:`sector_spectra`, :func:`build_gauge_chain`)
+come from the two real parity chains of H(Omega)
+(:class:`~uscmem.model.ParityChains`). Each eigenvector lies in one
+sector, so its parity label holds by construction. A real tridiagonal
+chain has no level crossings, so a tracked state keeps its sector and its
+rank within the sector along a sweep. Only the sign of a real eigenvector
+is arbitrary: the seed makes the largest amplitude positive, and every
+later sample keeps the overlap with the previous one positive.
+
+The dense path, :func:`eigendecompose` of any Hermitian matrix, pins down
+more, because a dense solver returns an arbitrary complex phase and,
+inside a degenerate doublet, an arbitrary basis:
 
 * parity mixing inside (near-)degenerate clusters is removed by
   diagonalizing the symmetry operator within each cluster,
@@ -18,13 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import HilbertDims, State, coherent_state, normalized, number_op
-from .model import ModelParams, build_rabi, joint_parity_op, parity_op
+# build_rabi is unused here; perfbench's tracer test checks this alias.
+from .model import ModelParams, build_rabi, joint_parity_op, parity_op, sector_eigh  # noqa: F401
 
 _HERM_TOL = 1e-10
 _ORTHO_TOL = 1e-10
 _RESIDUAL_TOL = 1e-9
 _PARITY_PURITY = 0.999
 _DEGENERACY_TOL = 1e-8
+
+# Couplings whose parity chains are diagonalized per batched eigh.
+_CHUNK = 32
 
 
 class GaugeAlignmentError(RuntimeError):
@@ -35,9 +50,11 @@ class GaugeAlignmentError(RuntimeError):
 class Spectrum:
     """Lowest-k eigenpairs of a cell Hamiltonian with parity labels.
 
-    ``states`` holds eigenvectors as columns, orthonormal, in ascending
-    energy order except where gauge alignment has reordered a degenerate
-    cluster. ``parities`` are the +-1 symmetry labels.
+    ``states`` holds orthonormal eigenvectors as columns, real when they
+    come from the parity chains, in ascending energy order except where
+    gauge alignment has reordered a degenerate cluster or a gauge chain
+    keeps the order of its first sample. ``parities`` are the +-1 symmetry
+    labels.
     """
 
     dims: HilbertDims
@@ -185,19 +202,123 @@ def align_gauge(previous: Spectrum, current: Spectrum, ambiguity_tol: float = 1e
     return Spectrum(current.dims, energies, states, parities)
 
 
+def _lowest_levels(
+    params: ModelParams, couplings: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k lowest levels over both parity chains at each coupling.
+
+    Returns energies (m, k) in ascending order (on an exact tie the P = -1
+    level first, the order in which purification labels a degenerate
+    doublet), their chain labels (m, k), sector * n_fock + rank within the
+    sector, and the full-basis real eigenvectors (m, dim, k), exactly zero
+    outside their sector. The chains are diagonalized _CHUNK couplings per
+    batched eigh; every kept eigenpair is checked for its residual against
+    the chain and for orthonormality.
+    """
+    if not 1 <= k <= params.dims.total_dim:
+        raise ValueError(f"k must be in [1, {params.dims.total_dim}], got {k}")
+    chains = params.chains
+    nf = params.n_fock
+    depth = min(k, nf)  # no sector contributes more than k levels
+    w = np.empty((len(couplings), 2, depth))
+    v = np.empty((len(couplings), 2, nf, depth))
+    for start in range(0, len(couplings), _CHUNK):
+        chunk = couplings[start:start + _CHUNK]
+        cw, cv = sector_eigh(params, chunk)
+        w[start:start + _CHUNK], v[start:start + _CHUNK] = cw[..., :depth], cv[..., :depth]
+    _check_sectors(params, couplings, w, v)
+
+    # sector 1 (P = -1) listed first, so a stable sort puts it first on ties
+    flat_w = w[:, ::-1].reshape(len(couplings), 2 * depth)
+    label = (np.array([[nf], [0]]) + np.arange(depth)).reshape(-1)
+    order = np.argsort(flat_w, axis=1, kind="stable")[:, :k]
+    energies = np.take_along_axis(flat_w, order, axis=1)
+    labels = label[order]
+    sector, rank = np.divmod(labels, nf)
+    states = np.zeros((len(couplings), params.dims.total_dim, k))
+    rows = np.arange(len(couplings))[:, None, None]
+    cols = np.arange(k)[None, :, None]
+    states[rows, chains.index[sector], cols] = v[rows, sector[..., None],
+                                               np.arange(nf), rank[..., None]]
+    return energies, labels, states
+
+
+def _check_sectors(
+    params: ModelParams, couplings: np.ndarray, w: np.ndarray, v: np.ndarray
+) -> None:
+    """Residual and orthonormality of chain eigenpairs, all couplings at once."""
+    chains = params.chains
+    hop = couplings[:, None, None, None] * chains.hop[:, None]
+    hv = chains.diag[..., None] * v
+    hv[:, :, 1:] += hop * v[:, :, :-1]
+    hv[:, :, :-1] += hop * v[:, :, 1:]
+    scale = np.maximum(1.0, np.maximum(np.abs(chains.diag).max(),
+                                       np.abs(couplings) * chains.hop.max()))
+    residual = np.abs(hv - v * w[:, :, None, :]).max(axis=(1, 2, 3))
+    if np.any(residual > _RESIDUAL_TOL * scale):
+        raise RuntimeError("eigenpair residual above tolerance")
+    gram = np.swapaxes(v, -1, -2) @ v
+    if float(np.abs(gram - np.eye(v.shape[-1])).max()) > _ORTHO_TOL:
+        raise RuntimeError("eigenvector block lost orthonormality")
+
+
+def _spectra(params: ModelParams, energies, labels, states) -> tuple[Spectrum, ...]:
+    parities = np.where(labels < params.n_fock, 1.0, -1.0)
+    return tuple(Spectrum(params.dims, e, s, p) for e, s, p in zip(energies, states, parities))
+
+
+def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> tuple[Spectrum, ...]:
+    """Lowest-k spectrum of the cell at each coupling, from its parity chains.
+
+    The counterpart of :func:`eigendecompose` on ``build_rabi``: real states,
+    ascending energies, and parity labels by construction.
+    """
+    couplings = np.asarray(couplings, dtype=np.float64)
+    return _spectra(params, *_lowest_levels(params, couplings, k))
+
+
 def build_gauge_chain(params: ModelParams, couplings: np.ndarray, k: int = 2) -> GaugeChain:
-    """Tracked spectra at each coupling, seeded at the first sample."""
+    """Tracked spectra at each coupling, seeded at the first sample.
+
+    Each state is tracked by its chain label, its sector and its rank
+    within the sector: a real tridiagonal chain has no level crossings, so
+    the label is the continuous branch. The k lowest levels keep the order
+    of the first sample. The overlap with the previous sample only fixes
+    the sign, and a best overlap below 1/sqrt(2), or a level from outside
+    the k crossing in, means the sweep was sampled too coarsely and raises
+    :class:`GaugeAlignmentError`.
+    """
     couplings = np.asarray(couplings, dtype=np.float64)
     if couplings.ndim != 1 or len(couplings) == 0:
         raise ValueError("couplings must be a nonempty 1-d array")
-    spectra = []
-    prev = None
-    for om in couplings:
-        spec = eigendecompose(build_rabi(params, float(om)), k, params.dims)
-        spec = seed_gauge(spec) if prev is None else align_gauge(prev, spec)
-        spectra.append(spec)
-        prev = spec
-    return GaugeChain(couplings, tuple(spectra))
+    energies, labels, states = _lowest_levels(params, couplings, k)
+    match = labels[:, None, :] == labels[0][None, :, None]
+    lost = ~match.any(axis=2)
+    if lost.any():
+        j, i = np.argwhere(lost)[0]
+        raise GaugeAlignmentError(
+            f"tracking state {i}: it left the lowest {k} levels at coupling "
+            f"{couplings[j]:.6f}; sweep step too coarse"
+        )
+    order = match.argmax(axis=2)
+    energies = np.take_along_axis(energies, order, axis=1)
+    labels = np.take_along_axis(labels, order, axis=1)
+    states = np.take_along_axis(states, order[:, None, :], axis=2)
+
+    # seed: largest amplitude positive; then <prev|cur> > 0 along the sweep
+    lead = np.abs(states[0]).argmax(axis=0)
+    sign = np.sign(states[0, lead, np.arange(k)])
+    overlap = np.einsum("jdk,jdk->jk", states[:-1], states[1:])
+    weak = np.abs(overlap) < 2 ** -0.5
+    if weak.any():
+        j, i = np.argwhere(weak)[0]
+        raise GaugeAlignmentError(
+            f"tracking state {i}: best overlap {abs(overlap[j, i]):.6f} too small "
+            f"at coupling {couplings[j + 1]:.6f}; sweep step too coarse"
+        )
+    signs = sign * np.cumprod(np.vstack([np.ones(k), np.sign(overlap)]), axis=0)
+    states *= signs[:, None, :]
+    return GaugeChain(couplings, _spectra(params, energies, labels, states))
 
 
 # --------------------------------------------------------------------------

@@ -179,6 +179,50 @@ def test_emit_csv_landscape_long_form(tmp_path):
     assert len(ridge) == 1 + len(land.coupling_grid)
 
 
+def _per_value_csv(bundle) -> dict[str, bytes]:
+    """The bytes of every file of a bundle, one f"{x:.17g}" per value."""
+    files = {}
+    for name, columns in bundle.curves.items():
+        arrays = [np.asarray(c, dtype=np.float64) for c in columns.values()]
+        lines = [",".join(columns)] + [
+            ",".join(f"{a[i]:.17g}" for a in arrays) for i in range(len(arrays[0]))]
+        files[f"{name}.csv"] = "".join(line + "\n" for line in lines).encode()
+    for name, land in bundle.landscapes.items():
+        lines = ["omega,theta,fidelity"] + [
+            f"{om:.17g},{th:.17g},{land.fidelity[i, j]:.17g}"
+            for i, om in enumerate(land.coupling_grid)
+            for j, th in enumerate(land.theta_grid)]
+        files[f"{name}.csv"] = "".join(line + "\n" for line in lines).encode()
+        lines = ["omega,theta_opt"] + [
+            f"{om:.17g},{th:.17g}" for om, th in zip(land.coupling_grid, land.theta_opt)]
+        files[f"{name}_theta_opt.csv"] = "".join(line + "\n" for line in lines).encode()
+    return files
+
+
+def test_emit_csv_matches_per_value_formatting(tmp_path):
+    from uscmem import PhaseLandscape
+    from uscmem.protocols import ResultBundle
+
+    awkward = np.array([-0.0, 5e-324, 1e300, 1 / 3, 2.0, -7.0, np.inf, 0.1])
+    land = PhaseLandscape(
+        times=np.arange(4.0),
+        coupling_grid=np.array([0.0, 1 / 3, 1e300, 7.0]),
+        theta_grid=np.array([0.0, 5e-324, -0.0, np.pi, 2.0]),
+        fidelity=np.resize(awkward, (4, 5)),
+        theta_opt=np.array([np.inf, -0.0, 1 / 3, 3.0]),
+    )
+    bundle = ResultBundle(
+        "probe", "0" * 64,
+        curves={"probe": {"x": awkward, "n": np.arange(8), "y": awkward[::-1]}},
+        landscapes={"landscape": land},
+    )
+    paths = emit_csv(bundle, tmp_path)
+    expected = _per_value_csv(bundle)
+    assert sorted(p.name for p in paths) == sorted(expected)
+    for path in paths:
+        assert path.read_bytes() == expected[path.name], path.name
+
+
 def test_manifest_contents(tmp_path):
     bundle, spec = _small_bundle()
     paths = emit_csv(bundle, tmp_path)

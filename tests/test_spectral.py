@@ -15,6 +15,7 @@ from uscmem import (
     mean_photon,
     parity_op,
     product_state,
+    sector_spectra,
     seed_gauge,
     coherent_state,
 )
@@ -171,6 +172,57 @@ def test_gauge_chain_is_continuous():
     e0 = basis_state(params.dims, 1, 0).amplitudes
     assert abs(np.vdot(g0, end.states[:, 0])) > 1 - 1e-9
     assert abs(np.vdot(e0, end.states[:, 1])) > 1 - 1e-9
+
+
+def _dense_chain(params: ModelParams, couplings: np.ndarray, k: int) -> list[Spectrum]:
+    spectra = [seed_gauge(_spec(params, float(couplings[0]), k))]
+    for om in couplings[1:]:
+        spectra.append(align_gauge(spectra[-1], _spec(params, float(om), k)))
+    return spectra
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("omega_eg", [0.1, 0.0])
+def test_sector_gauge_chain_matches_dense_chain(omega_eg, k):
+    # omega_eg = 0 makes every doublet exactly degenerate; at 0.1 and k = 4
+    # levels of opposite parity cross, so the chain order is not energy order
+    params = ModelParams(n_fock=30, omega_eg=omega_eg)
+    couplings = np.linspace(0.0, 1.0, 101)
+    chain = build_gauge_chain(params, couplings, k=k)
+    dense = _dense_chain(params, couplings, k)
+    plus = np.real(np.diag(parity_op(params.dims))) > 0
+    for sp, ref in zip(chain.spectra, dense):
+        assert np.abs(sp.energies - ref.energies).max() < 1e-12
+        overlaps = np.abs(np.einsum("dk,dk->k", sp.states.conj(), ref.states))
+        assert overlaps.min() > 1 - 1e-12
+        assert np.array_equal(sp.parities, ref.parities)
+        for i in range(k):
+            off_sector = ~plus if sp.parities[i] > 0 else plus
+            assert np.all(sp.states[off_sector, i] == 0.0)
+    for prev, cur in zip(chain.spectra, chain.spectra[1:]):
+        assert np.all(np.einsum("dk,dk->k", prev.states.conj(), cur.states).real > 0)
+
+
+def test_sector_gauge_chain_rejects_coarse_grids():
+    params = ModelParams(n_fock=30)
+    # the ground doublet changes beyond recognition in one step
+    with pytest.raises(GaugeAlignmentError, match="too coarse"):
+        build_gauge_chain(params, np.array([0.0, 3.0]), k=2)
+    # a fourth level crosses into the lowest three between 0 and 1
+    with pytest.raises(GaugeAlignmentError, match="left the lowest 3"):
+        build_gauge_chain(params, np.linspace(0.0, 1.0, 101), k=3)
+
+
+@pytest.mark.parametrize("omega_eg", [0.1, 0.0])
+def test_sector_spectra_match_eigendecompose(omega_eg):
+    params = ModelParams(n_fock=20, omega_eg=omega_eg)
+    couplings = np.linspace(0.0, 1.0, 11)
+    for om, sp in zip(couplings, sector_spectra(params, couplings, 4)):
+        ref = _spec(params, float(om), 4)
+        assert np.abs(sp.energies - ref.energies).max() < 1e-12
+        assert np.array_equal(sp.parities, ref.parities)
+        overlaps = np.abs(np.einsum("dk,dk->k", sp.states.conj(), ref.states))
+        assert overlaps.min() > 1 - 1e-12
 
 
 # --------------------------------------------------------------------------
