@@ -11,23 +11,23 @@ second order in dt. The midpoint Hamiltonian is never assembled: parity
 splits it into two real tridiagonal chains
 (:class:`~uscmem.model.ParityChains`), and the midpoints of a run of
 steps are diagonalized together, per parity sector, in one batched real
-eigh. Every eigenvector lies in one sector with exact zeros in the
-other, so parity is conserved by construction. Two-cell registers evolve
-under H x 1 + 1 x H; the joint step factorizes exactly as U x U, which is
-applied in the full product space via one reshape.
+eigh. A single cell is stepped sector by sector on its two chain slices,
+so parity is conserved by construction. Two-cell registers evolve under
+H x 1 + 1 x H; the joint step factorizes exactly as U x U, with U built
+from the sector blocks and applied to the product space via one reshape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .hilbert import HilbertDims, State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
-    CouplingSchedule, ModelParams, build_rabi, sector_eigh, storage_schedule,
+    SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, sector_eigh, storage_schedule,
 )
 from .spectral import build_gauge_chain
 
@@ -35,10 +35,6 @@ RSQRT2 = 2 ** -0.5
 
 # A sweep discretized more coarsely than this cannot resolve the schedule.
 _MIN_STEPS_PER_SWEEP = 500
-
-# Midpoints diagonalized per batched eigh. Larger chunks save little time
-# and hold more chain eigenvectors in memory at once.
-_CHUNK_STEPS = 32
 
 
 class NormDriftError(RuntimeError):
@@ -104,57 +100,31 @@ def _step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
     return n
 
 
-def _eigensystems(
-    params: ModelParams, couplings: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Exact eigensystem of H at each coupling, diagonalized per parity sector.
-
-    Both chains of every coupling go through one batched real eigh. Yields,
-    coupling by coupling, real evals (d,) in ascending order and evecs
-    (d, d) with the matching eigenvectors as columns; each column is zero
-    outside its sector. The full-basis evecs are built one at a time, so
-    only the chain eigenvectors of the batch are held.
-    """
-    nf = params.n_fock
-    m = len(couplings)
-    w, v = sector_eigh(params, couplings)
-    order = np.argsort(w.reshape(m, 2 * nf), axis=1, kind="stable")
-    evals = np.take_along_axis(w.reshape(m, 2 * nf), order, axis=1)
-    # column[j, s * nf + k]: the column of eigenvector k of sector s
-    column = np.empty_like(order)
-    np.put_along_axis(column, order, np.arange(2 * nf), axis=1)
-    rows = params.chains.index[:, :, None]
-    for j in range(m):
-        evecs = np.zeros((2 * nf, 2 * nf))
-        evecs[rows, column[j].reshape(2, 1, nf)] = v[j]
-        yield evals[j], evecs
-
-
 def _sweep(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
     x0: np.ndarray, step: Callable, check: Callable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drive x across a schedule with the exact midpoint eigensystem.
 
-    The midpoint Hamiltonians of each _CHUNK_STEPS consecutive steps are
-    diagonalized per parity sector in one batch (:func:`_eigensystems`).
-    step(x, evals, evecs, dt, i) then gives the state after step i + 1
-    from the full-basis real eigensystem of step i's midpoint, in ascending
-    energy order. The state is sampled at step 0, every cfg.record_every
-    steps and the last step; check(x, n), if given, runs on each sample
-    after step n. Returns the sample times, their couplings and the
-    stacked samples.
+    The midpoint Hamiltonians of each SECTOR_BATCH consecutive steps are
+    diagonalized per parity sector in one batch (:func:`sector_eigh`).
+    step(x, w, v, dt, i) then gives the state after step i + 1 from step
+    i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock); a dense
+    exp(-i H dt) is built from them by :func:`_sector_unitary`. The state
+    is sampled at step 0, every cfg.record_every steps and the last step;
+    check(x, n), if given, runs on each sample after step n. Returns the
+    sample times, their couplings and the stacked samples.
     """
     n_steps = _step_count(schedule, cfg)
     dt = schedule.total_time / n_steps
     rec_idx = [0]
     samples = [x0.copy()]
     x = x0
-    for start in range(0, n_steps, _CHUNK_STEPS):
-        steps = range(start, min(start + _CHUNK_STEPS, n_steps))
+    for start in range(0, n_steps, SECTOR_BATCH):
+        steps = range(start, min(start + SECTOR_BATCH, n_steps))
         midpoints = np.array([schedule.coupling_at((i + 0.5) * dt) for i in steps])
-        for i, (evals, evecs) in zip(steps, _eigensystems(params, midpoints)):
-            x = step(x, evals, evecs, dt, i)
+        for i, w, v in zip(steps, *sector_eigh(params, midpoints)):
+            x = step(x, w, v, dt, i)
             if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
                 if check is not None:
                     check(x, i + 1)
@@ -167,10 +137,19 @@ def _sweep(
     return times, couplings, np.array(samples)
 
 
+def _sector_unitary(params: ModelParams, w: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """Dense exp(-i H dt) of one cell from its chain eigensystems: the
+    blocks v exp(-i w dt) v^T, exact zeros between the sectors."""
+    d = params.dims.total_dim
+    u = np.zeros(d * d, dtype=np.complex128)
+    u[params.chains.blocks] = (v * np.exp(-1j * w * dt)[:, None, :]) @ np.swapaxes(v, 1, 2)
+    return u.reshape(d, d)
+
+
 def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a real matrix and a contiguous complex vector, on the
-    vector's (d, 2) real view, so m is never cast to complex."""
-    return (m @ z.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+    """m @ z for real matrices and contiguous complex vectors, batched over
+    leading axes, on the vectors' real view, so m is never cast to complex."""
+    return (m @ z.view(np.float64).reshape(*z.shape, 2)).view(np.complex128)[..., 0]
 
 
 def propagate(
@@ -184,14 +163,16 @@ def propagate(
     if dims.n_fock != params.n_fock:
         raise ValueError("state truncation does not match params.n_fock")
     cell_dim = dims.cell_dim
+    index = params.chains.index
 
-    def step(psi, evals, evecs, dt, i):
-        phases = np.exp(-1j * evals * dt)
+    def step(psi, w, v, dt, i):
         if dims.n_cells == 2:
-            u = (evecs * phases) @ evecs.conj().T
+            u = _sector_unitary(params, w, v, dt)
             psi = (u @ psi.reshape(cell_dim, cell_dim) @ u.T).reshape(-1)
         else:
-            psi = _real_matvec(evecs, phases * _real_matvec(evecs.T, psi))
+            coeffs = _real_matvec(np.swapaxes(v, 1, 2), psi[index]) * np.exp(-1j * w * dt)
+            psi = np.empty_like(psi)
+            psi[index] = _real_matvec(v, coeffs)
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > cfg.norm_tol:
             raise NormDriftError(

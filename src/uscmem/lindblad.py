@@ -9,21 +9,22 @@ s in {sigma_x, sigma_y, sigma_z, a + a^dag}, with rate
     gamma = Gamma_s |<j| s |k>|^2
 
 (optionally reweighted by a spectral-density model). During a sweep the
-dressed basis is refreshed quasi-statically every few steps, taken from the
-midpoint eigensystem that the exact unitary step has just computed.
+dressed basis is refreshed quasi-statically every few steps by
+:func:`~uscmem.model.sector_levels` from the step's sector eigensystems.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import PropagatorConfig, _sweep
+from .dynamics import PropagatorConfig, _sector_unitary, _sweep
 from .hilbert import HilbertDims, State, annihilation_op, pauli_op
 # build_rabi is unused here; perfbench's tracer test checks this alias.
-from .model import CouplingSchedule, ModelParams, build_rabi  # noqa: F401
+from .model import CouplingSchedule, ModelParams, build_rabi, sector_levels  # noqa: F401
 
 _RATE_FLOOR = 1e-14
 _TRACE_TOL = 1e-8
@@ -89,14 +90,14 @@ class NoiseRates:
 # dressed jump operators
 #---------------------------------------------------------------------------
 
-def _channel_ops(dims: HilbertDims) -> list[tuple[str, np.ndarray]]:
+@lru_cache(maxsize=None)
+def _channel_ops(dims: HilbertDims) -> tuple[np.ndarray, ...]:
+    """Read-only sigma_x, sigma_y, sigma_z and a + a^dag, built once per dims."""
     a = annihilation_op(dims)
-    return [
-        ("x", pauli_op("x", dims)),
-        ("y", pauli_op("y", dims)),
-        ("z", pauli_op("z", dims)),
-        ("r", a + a.conj().T),
-    ]
+    ops = (pauli_op("x", dims), pauli_op("y", dims), pauli_op("z", dims), a + a.conj().T)
+    for op in ops:
+        op.flags.writeable = False
+    return ops
 
 
 def _rate_table(
@@ -118,7 +119,7 @@ def _rate_table(
     low = vectors[:, :k_levels]
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
     merged: dict[tuple[int, int], float] = {}
-    for (_, op), gamma in zip(_channel_ops(dims), base):
+    for op, gamma in zip(_channel_ops(dims), base):
         if gamma == 0.0:
             continue
         elem = low.conj().T @ op @ low
@@ -216,8 +217,8 @@ def evolve_master(
     """Sweep a cell under the dressed-basis master equation.
 
     Each step applies the exact midpoint unitary followed by a first-order
-    dissipator update. The jump table is rebuilt from the step's midpoint
-    eigensystem every refresh_every steps (quasi-static approximation).
+    dissipator update. The jump table is rebuilt from the step's sector
+    eigensystems every refresh_every steps (quasi-static approximation).
     Trace, Hermiticity, and positivity are checked at every recorded sample.
     """
     dims = params.dims
@@ -231,15 +232,15 @@ def evolve_master(
     out_rate = None       # total decay rate per dressed level
     gain = None           # gain[j, k] = rate of |k> feeding |j>
 
-    def step(rho, evals, evecs, dt, i):
+    def step(rho, w, v, dt, i):
         nonlocal basis, out_rate, gain
-        u = (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
+        u = _sector_unitary(params, w, v, dt)
         rho = u @ rho @ u.conj().T
         if rates.all_zero:
             return rho
         if i % refresh_every == 0:
-            basis = evecs
-            table = _rate_table(evals, evecs, rates, dims, k_levels, rate_model)
+            (evals,), _, (basis,) = sector_levels(params, w[None], v[None], dims.total_dim)
+            table = _rate_table(evals, basis, rates, dims, k_levels, rate_model)
             gain = np.zeros((dims.total_dim, dims.total_dim))
             for j, k, rate in table:
                 gain[j, k] = rate

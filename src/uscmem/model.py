@@ -52,12 +52,14 @@ class ModelParams:
         """The two parity chains of H(Omega), computed once per instance."""
         n = np.arange(self.n_fock)
         qubit = np.array([1 - n % 2, n % 2])
+        index = qubit * self.n_fock + n
         chains = ParityChains(
-            index=qubit * self.n_fock + n,
+            index=index,
+            blocks=index[:, :, None] * self.dims.total_dim + index[:, None, :],
             diag=np.where(qubit, 0.5, -0.5) * self.omega_eg + self.omega_cav * n,
             hop=np.sqrt(np.arange(1, self.n_fock, dtype=np.float64)),
         )
-        for arr in (chains.index, chains.diag, chains.hop):
+        for arr in (chains.index, chains.blocks, chains.diag, chains.hop):
             arr.flags.writeable = False
         return chains
 
@@ -73,6 +75,8 @@ class ParityChains:
 
     index
         (2, n_fock) basis indices of the chain sites.
+    blocks
+        (2, n_fock, n_fock) flat positions of the sector blocks in a dim x dim matrix.
     diag
         (2, n_fock) bare energies of the sites, which Omega leaves alone.
     hop
@@ -81,6 +85,7 @@ class ParityChains:
     """
 
     index: np.ndarray
+    blocks: np.ndarray
     diag: np.ndarray
     hop: np.ndarray
 
@@ -153,14 +158,18 @@ def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:
     return h
 
 
+# Couplings per sector_eigh call; larger batches save little time.
+SECTOR_BATCH = 32
+
+
 def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystems of both parity chains at each coupling, in one batched
     real eigh.
 
     Returns w (m, 2, n_fock), ascending within each sector, and v
     (m, 2, n_fock, n_fock) with the eigenvectors as columns in chain-site
-    order (:class:`ParityChains`). Callers pass couplings in chunks: the
-    batch holds two n_fock x n_fock matrices per coupling.
+    order (:class:`ParityChains`). Callers pass at most SECTOR_BATCH
+    couplings: the batch holds two n_fock x n_fock matrices per coupling.
     """
     chains = params.chains
     site = np.arange(params.n_fock)
@@ -170,6 +179,33 @@ def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray,
     blocks[:, :, site[1:], site[:-1]] = hop
     blocks[:, :, site[:-1], site[1:]] = hop
     return np.linalg.eigh(blocks)
+
+
+def sector_levels(
+    params: ModelParams, w: np.ndarray, v: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k lowest levels over both parity chains, from the eigenpairs
+    w (m, 2, depth), v (m, 2, n_fock, depth) of :func:`sector_eigh`.
+
+    Returns energies (m, k) ascending (on an exact tie the P = -1 level
+    first, as purification labels a degenerate doublet), chain labels
+    (m, k), sector * n_fock + rank, and full-basis real states (m, dim, k).
+    """
+    m, _, depth = w.shape
+    nf = params.n_fock
+    # sector 1 (P = -1) listed first, so a stable sort puts it first on ties
+    flat_w = w[:, ::-1].reshape(m, 2 * depth)
+    label = (np.array([[nf], [0]]) + np.arange(depth)).reshape(-1)
+    order = np.argsort(flat_w, axis=1, kind="stable")[:, :k]
+    energies = np.take_along_axis(flat_w, order, axis=1)
+    labels = label[order]
+    sector, rank = np.divmod(labels, nf)
+    states = np.zeros((m, params.dims.total_dim, k))
+    rows = np.arange(m)[:, None, None]
+    cols = np.arange(k)[None, :, None]
+    states[rows, params.chains.index[sector], cols] = v[rows, sector[..., None],
+                                                      np.arange(nf), rank[..., None]]
+    return energies, labels, states
 
 
 def hamiltonian_at(params: ModelParams, schedule: CouplingSchedule, t: float) -> np.ndarray:

@@ -212,6 +212,9 @@ class ExperimentSpec:
             problems.append(f"theta_points = {self.theta_points} below minimum 32")
         if self.k_levels < 2:
             problems.append(f"k_levels = {self.k_levels} must be >= 2")
+        if self.name == "noisy" and self.k_levels > 2 * self.params.n_fock:
+            problems.append(f"k_levels = {self.k_levels} exceeds 2 * n_fock = "
+                            f"{2 * self.params.n_fock}")
         if self.refresh_every < 1:
             problems.append(f"refresh_every = {self.refresh_every} must be >= 1")
         if self.rate_model not in _RATE_MODELS:

@@ -30,16 +30,15 @@ import numpy as np
 
 from .hilbert import HilbertDims, State, coherent_state, normalized, number_op
 # build_rabi is unused here; perfbench's tracer test checks this alias.
-from .model import ModelParams, build_rabi, joint_parity_op, parity_op, sector_eigh  # noqa: F401
+from .model import (  # noqa: F401
+    SECTOR_BATCH, ModelParams, build_rabi, joint_parity_op, parity_op, sector_eigh, sector_levels,
+)
 
 _HERM_TOL = 1e-10
 _ORTHO_TOL = 1e-10
 _RESIDUAL_TOL = 1e-9
 _PARITY_PURITY = 0.999
 _DEGENERACY_TOL = 1e-8
-
-# Couplings whose parity chains are diagonalized per batched eigh.
-_CHUNK = 32
 
 
 class GaugeAlignmentError(RuntimeError):
@@ -205,42 +204,21 @@ def align_gauge(previous: Spectrum, current: Spectrum, ambiguity_tol: float = 1e
 def _lowest_levels(
     params: ModelParams, couplings: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k lowest levels over both parity chains at each coupling.
-
-    Returns energies (m, k) in ascending order (on an exact tie the P = -1
-    level first, the order in which purification labels a degenerate
-    doublet), their chain labels (m, k), sector * n_fock + rank within the
-    sector, and the full-basis real eigenvectors (m, dim, k), exactly zero
-    outside their sector. The chains are diagonalized _CHUNK couplings per
-    batched eigh; every kept eigenpair is checked for its residual against
-    the chain and for orthonormality.
-    """
+    """The k lowest levels at each coupling by :func:`~uscmem.model.sector_levels`,
+    SECTOR_BATCH couplings per batched eigh, with the residual and
+    orthonormality of every kept chain eigenpair checked."""
     if not 1 <= k <= params.dims.total_dim:
         raise ValueError(f"k must be in [1, {params.dims.total_dim}], got {k}")
-    chains = params.chains
     nf = params.n_fock
     depth = min(k, nf)  # no sector contributes more than k levels
     w = np.empty((len(couplings), 2, depth))
     v = np.empty((len(couplings), 2, nf, depth))
-    for start in range(0, len(couplings), _CHUNK):
-        chunk = couplings[start:start + _CHUNK]
-        cw, cv = sector_eigh(params, chunk)
-        w[start:start + _CHUNK], v[start:start + _CHUNK] = cw[..., :depth], cv[..., :depth]
+    for start in range(0, len(couplings), SECTOR_BATCH):
+        batch = slice(start, start + SECTOR_BATCH)
+        cw, cv = sector_eigh(params, couplings[batch])
+        w[batch], v[batch] = cw[..., :depth], cv[..., :depth]
     _check_sectors(params, couplings, w, v)
-
-    # sector 1 (P = -1) listed first, so a stable sort puts it first on ties
-    flat_w = w[:, ::-1].reshape(len(couplings), 2 * depth)
-    label = (np.array([[nf], [0]]) + np.arange(depth)).reshape(-1)
-    order = np.argsort(flat_w, axis=1, kind="stable")[:, :k]
-    energies = np.take_along_axis(flat_w, order, axis=1)
-    labels = label[order]
-    sector, rank = np.divmod(labels, nf)
-    states = np.zeros((len(couplings), params.dims.total_dim, k))
-    rows = np.arange(len(couplings))[:, None, None]
-    cols = np.arange(k)[None, :, None]
-    states[rows, chains.index[sector], cols] = v[rows, sector[..., None],
-                                               np.arange(nf), rank[..., None]]
-    return energies, labels, states
+    return sector_levels(params, w, v, k)
 
 
 def _check_sectors(

@@ -324,6 +324,16 @@ def test_main_validation_errors(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_main_rejects_k_levels_beyond_the_cell(tmp_path, capsys):
+    # n_fock = 20 gives a 40-level cell; caught as config, not at run time
+    code = _run(tmp_path, "noisy", "--set", "k_levels=100", "--set", "alpha_f=1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "k_levels = 100 exceeds" in err and "alpha_f" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     assert main(["storage", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -31,7 +31,8 @@ from uscmem import (
     storage_run,
     storage_schedule,
 )
-from uscmem.dynamics import _eigensystems
+from uscmem.dynamics import _sector_unitary
+from uscmem.model import sector_eigh, sector_levels
 
 RSQRT2 = 2 ** -0.5
 
@@ -148,11 +149,23 @@ def test_sector_eigensystems_match_dense_hamiltonian(omega_eg):
     # omega_eg = 0 makes the ground doublet exactly degenerate
     params = ModelParams(n_fock=20, omega_eg=omega_eg)
     couplings = np.array([0.0, 0.05, 0.3, 0.7, 1.0, 1.4])
-    for om, (e, v) in zip(couplings, _eigensystems(params, couplings)):
+    energies, _, states = sector_levels(params, *sector_eigh(params, couplings), 2 * params.n_fock)
+    for om, e, v in zip(couplings, energies, states):
         h = build_rabi(params, float(om))
         assert np.abs(e - np.linalg.eigvalsh(h)).max() < 1e-12
         assert np.linalg.norm(h @ v - v * e, axis=0).max() <= 1e-10
         assert np.all(np.diff(e) >= 0.0)
+
+
+@pytest.mark.parametrize("omega_eg", [0.1, 0.0])
+def test_sector_unitary_matches_expm(omega_eg):
+    # the dense step of the register and the master equation
+    params = ModelParams(n_fock=20, omega_eg=omega_eg)
+    couplings = np.array([0.0, 0.3, 1.0, 1.4])
+    dt = 0.0525
+    for om, w, v in zip(couplings, *sector_eigh(params, couplings)):
+        exact = scipy.linalg.expm(-1j * dt * build_rabi(params, float(om)))
+        assert np.abs(_sector_unitary(params, w, v, dt) - exact).max() < 1e-12
 
 
 def test_integrator_is_second_order():
