@@ -103,22 +103,24 @@ def _step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
 def _sweep(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
     x0: np.ndarray, step: Callable, check: Callable | None = None,
+    sample: Callable = np.copy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drive x across a schedule with the exact midpoint eigensystem.
 
     The midpoint Hamiltonians of each SECTOR_BATCH consecutive steps are
     diagonalized per parity sector in one batch (:func:`sector_eigh`).
     step(x, w, v, dt, i) then gives the state after step i + 1 from step
-    i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock); a dense
-    exp(-i H dt) is built from them by :func:`_sector_unitary`. The state
-    is sampled at step 0, every cfg.record_every steps and the last step;
-    check(x, n), if given, runs on each sample after step n. Returns the
+    i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock), from
+    which the register builds a dense exp(-i H dt) by
+    :func:`_sector_unitary`. The state is sampled as sample(x), a copy by
+    default, at step 0, every cfg.record_every steps and the last step;
+    check(s, n), if given, runs on each sample s after step n. Returns the
     sample times, their couplings and the stacked samples.
     """
     n_steps = _step_count(schedule, cfg)
     dt = schedule.total_time / n_steps
     rec_idx = [0]
-    samples = [x0.copy()]
+    samples = [sample(x0)]
     x = x0
     for start in range(0, n_steps, SECTOR_BATCH):
         steps = range(start, min(start + SECTOR_BATCH, n_steps))
@@ -126,10 +128,11 @@ def _sweep(
         for i, w, v in zip(steps, *sector_eigh(params, midpoints)):
             x = step(x, w, v, dt, i)
             if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
+                s = sample(x)
                 if check is not None:
-                    check(x, i + 1)
+                    check(s, i + 1)
                 rec_idx.append(i + 1)
-                samples.append(x.copy())
+                samples.append(s)
 
     times = np.array(rec_idx, dtype=np.float64) * dt
     times[-1] = schedule.total_time
@@ -144,6 +147,12 @@ def _sector_unitary(params: ModelParams, w: np.ndarray, v: np.ndarray, dt: float
     u = np.zeros(d * d, dtype=np.complex128)
     u[params.chains.blocks] = (v * np.exp(-1j * w * dt)[:, None, :]) @ np.swapaxes(v, 1, 2)
     return u.reshape(d, d)
+
+
+def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for a real matrix and a C-contiguous complex matrix, on z's
+    real view, so m is never cast to complex."""
+    return (m @ z.view(np.float64)).view(np.complex128)
 
 
 def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -10,7 +10,10 @@ s in {sigma_x, sigma_y, sigma_z, a + a^dag}, with rate
 
 (optionally reweighted by a spectral-density model). During a sweep the
 dressed basis is refreshed quasi-statically every few steps by
-:func:`~uscmem.model.sector_levels` from the step's sector eigensystems.
+:func:`~uscmem.model.sector_levels` from the step's sector eigensystems,
+and the density matrix is carried in the frame of the last refresh: there
+every jump is |j><k|, so the dissipator acts elementwise, and the frame
+changes only when the basis is refreshed.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import PropagatorConfig, _sector_unitary, _sweep
+from .dynamics import PropagatorConfig, _real_matmul, _sweep
 from .hilbert import HilbertDims, State, annihilation_op, pauli_op
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import CouplingSchedule, ModelParams, build_rabi, sector_levels  # noqa: F401
@@ -36,11 +39,12 @@ class PositivityError(RuntimeError):
     """Density matrix developed a meaningful negative eigenvalue."""
 
 
-# RateModel(base_rate, transition_energy) -> effective rate
-RateModel = Callable[[float, float], float]
+# RateModel(base_rate, transition_energies) -> effective rates, elementwise
+# over an ndarray of positive transition energies
+RateModel = Callable[[float, np.ndarray], np.ndarray]
 
 
-def flat_rate(base: float, delta_e: float) -> float:
+def flat_rate(base: float, delta_e: np.ndarray) -> float:
     """Frequency-independent bath coupling (the default)."""
     return base
 
@@ -50,7 +54,7 @@ def ohmic_rate(omega_ref: float = 1.0) -> RateModel:
     if omega_ref <= 0:
         raise ValueError("omega_ref must be positive")
 
-    def model(base: float, delta_e: float) -> float:
+    def model(base: float, delta_e: np.ndarray) -> np.ndarray:
         return base * delta_e / omega_ref
 
     return model
@@ -107,31 +111,28 @@ def _rate_table(
     dims: HilbertDims,
     k_levels: int,
     rate_model: RateModel | None,
-) -> list[tuple[int, int, float]]:
+) -> np.ndarray:
     """Downward transition rates among the lowest levels of an eigensystem.
 
-    Returns [(j, k, rate), ...] with channels sharing the same (j, k)
-    already merged.
+    Returns gain (k_levels, k_levels), gain[j, k] the rate of the jump
+    |j><k|, with the channels merged in the order x, y, z, r.
     """
     if k_levels < 2 or k_levels > dims.total_dim:
         raise ValueError(f"k_levels must be in [2, {dims.total_dim}], got {k_levels}")
     model = rate_model or flat_rate
     low = vectors[:, :k_levels]
+    e = energies[:k_levels]
+    delta = e[None, :] - e[:, None]
+    down = delta > 0.0
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
-    merged: dict[tuple[int, int], float] = {}
+    gain = np.zeros((k_levels, k_levels))
     for op, gamma in zip(_channel_ops(dims), base):
         if gamma == 0.0:
             continue
         elem = low.conj().T @ op @ low
-        for k in range(k_levels):
-            for j in range(k_levels):
-                delta = energies[k] - energies[j]
-                if delta <= 0.0:
-                    continue
-                rate = model(gamma, float(delta)) * float(abs(elem[j, k]) ** 2)
-                if rate >= _RATE_FLOOR:
-                    merged[(j, k)] = merged.get((j, k), 0.0) + rate
-    return [(j, k, r) for (j, k), r in sorted(merged.items())]
+        rate = model(gamma, delta[down]) * np.abs(elem[down]) ** 2
+        gain[down] += np.where(rate >= _RATE_FLOOR, rate, 0.0)
+    return gain
 
 
 def dressed_dissipators(
@@ -141,17 +142,16 @@ def dressed_dissipators(
     k_levels: int = 12,
     rate_model: RateModel | None = None,
 ) -> list[tuple[np.ndarray, float]]:
-    """Jump operators |j><k| (dense, full space) with their merged rates.
+    """Jump operators |j><k| (dense, full space) with their merged rates,
+    in ascending (j, k) order.
 
     Only downward transitions among the lowest k_levels dressed states are
     kept; rates below 1e-14 are dropped.
     """
     energies, vectors = np.linalg.eigh(h)
-    out = []
-    for j, k, rate in _rate_table(energies, vectors, rates, dims, k_levels, rate_model):
-        op = np.outer(vectors[:, j], vectors[:, k].conj())
-        out.append((op, rate))
-    return out
+    gain = _rate_table(energies, vectors, rates, dims, k_levels, rate_model)
+    return [(np.outer(vectors[:, j], vectors[:, k].conj()), float(gain[j, k]))
+            for j, k in zip(*np.nonzero(gain))]
 
 
 #---------------------------------------------------------------------------
@@ -219,44 +219,61 @@ def evolve_master(
     Each step applies the exact midpoint unitary followed by a first-order
     dissipator update. The jump table is rebuilt from the step's sector
     eigensystems every refresh_every steps (quasi-static approximation).
-    Trace, Hermiticity, and positivity are checked at every recorded sample.
+
+    The state is carried in the frame of the last refresh, rho_f = B^T rho B
+    with B the real dressed basis of :func:`~uscmem.model.sector_levels`
+    (the identity before the first refresh, and throughout when every rate
+    is zero). There every jump is |j><k|, so the dissipator acts
+    elementwise. A refresh rotates rho_f once by R = B_new^T B_old; each
+    step applies U_f = M exp(-i w dt) M^T with M = B^T V, V the step's
+    eigenvectors, so one dense sandwich U_f rho_f U_f^dag remains per step.
+    Recorded samples are the lab-frame B rho_f B^T, and trace, Hermiticity
+    and positivity are checked on each of them.
     """
     dims = params.dims
-    if rho0.shape != (dims.total_dim, dims.total_dim):
+    d = dims.total_dim
+    if rho0.shape != (d, d):
         raise ValueError("rho0 shape does not match the model space")
     if refresh_every < 1:
         raise ValueError("refresh_every must be >= 1")
     validate_density(rho0, "rho0")
 
-    basis = None          # dressed eigenvectors of the last refresh
-    out_rate = None       # total decay rate per dressed level
+    index = params.chains.index
+    frame = np.eye(d)     # dressed basis B of the last refresh, levels as columns
+    sites = frame[index]  # (2, n_fock, d): the rows of B at each chain's sites
     gain = None           # gain[j, k] = rate of |k> feeding |j>
+    decay = None          # decay[j, k] = -(Gamma_j + Gamma_k) / 2
 
-    def step(rho, w, v, dt, i):
-        nonlocal basis, out_rate, gain
-        u = _sector_unitary(params, w, v, dt)
-        rho = u @ rho @ u.conj().T
-        if rates.all_zero:
-            return rho
-        if i % refresh_every == 0:
-            (evals,), _, (basis,) = sector_levels(params, w[None], v[None], dims.total_dim)
-            table = _rate_table(evals, basis, rates, dims, k_levels, rate_model)
-            gain = np.zeros((dims.total_dim, dims.total_dim))
-            for j, k, rate in table:
-                gain[j, k] = rate
+    def step(rho_f, w, v, dt, i):
+        nonlocal frame, sites, gain, decay
+        if not rates.all_zero and i % refresh_every == 0:
+            (evals,), _, (basis,) = sector_levels(params, w[None], v[None], d)
+            r = basis.T @ frame
+            rho_f = r @ rho_f @ r.T
+            frame, sites = basis, basis[index]
+            gain = np.zeros((d, d))
+            gain[:k_levels, :k_levels] = _rate_table(
+                evals, basis, rates, dims, k_levels, rate_model)
             out_rate = gain.sum(axis=0)
-        # work in the dressed basis where every jump is |j><k|
-        rho_d = basis.conj().T @ rho @ basis
-        decay = -0.5 * (out_rate[:, None] + out_rate[None, :]) * rho_d
-        feed = gain @ np.real(np.diag(rho_d))
-        np.fill_diagonal(decay, np.diagonal(decay) + feed)
-        return rho + dt * (basis @ decay @ basis.conj().T)
+            decay = -0.5 * (out_rate[:, None] + out_rate[None, :])
+        # M^T = V^T B per sector: row (s, r) is level r of sector s in the frame
+        mt = (np.swapaxes(v, 1, 2) @ sites).reshape(d, d)
+        u = _real_matmul(mt.T, np.exp(-1j * w * dt).reshape(d, 1) * mt)
+        rho_f = u @ rho_f @ u.conj().T
+        if rates.all_zero:
+            return rho_f
+        drho = decay * rho_f
+        np.fill_diagonal(drho, np.diagonal(drho) + gain @ np.real(np.diagonal(rho_f)))
+        return rho_f + dt * drho
 
     def check(rho, n):
         validate_density(rho, f"rho at step {n}")
 
+    def lab(rho_f):
+        return frame @ rho_f @ frame.T
+
     rho = np.array(rho0, dtype=np.complex128)
-    return MasterTrajectory(dims, *_sweep(params, schedule, cfg, rho, step, check))
+    return MasterTrajectory(dims, *_sweep(params, schedule, cfg, rho, step, check, lab))
 
 
 def _branch_terms(

@@ -294,6 +294,14 @@ def test_main_noisy_ohmic_success(tmp_path, capsys):
     assert len(lines) == 1 + (11 + 10)
 
 
+def test_main_noisy_reruns_are_byte_identical(tmp_path):
+    args = ["noisy", "--set", "n_fock=6", "--set", "T=20"]
+    for run in ("a", "b"):
+        assert main([*args, "--out", str(tmp_path / run)]) == 0
+    for name in ("noisy.csv", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_main_entangled_success(tmp_path, capsys):
     code = _run(
         tmp_path, "entangled",

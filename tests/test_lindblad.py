@@ -14,6 +14,7 @@ from uscmem import (
     PositivityError,
     PropagatorConfig,
     State,
+    annihilation_op,
     basis_state,
     branch_phase_correction,
     build_rabi,
@@ -25,12 +26,14 @@ from uscmem import (
     flat_rate,
     ohmic_rate,
     optimize_retrieval_phase_mixed,
+    pauli_op,
     propagate,
     pure_density,
     storage_input,
     storage_schedule,
     validate_density,
 )
+from uscmem.lindblad import _rate_table
 
 # per-channel dressed rates at full coupling, n_fock = 20, base rates
 # gamma = 1e-4 (qubit axes) and 1e-5 (resonator), flat spectral density
@@ -162,6 +165,54 @@ def test_jump_operators_are_rank_one_nilpotents():
         assert np.abs(op @ op).max() < 1e-10
 
 
+def _loop_rate_table(energies, vectors, rates, dims, k_levels, model):
+    """Per-pair double loop over the lowest levels: the oracle for the
+    vectorized rate table, as [(j, k, merged rate)] in ascending (j, k)."""
+    a = annihilation_op(dims)
+    ops = (pauli_op("x", dims), pauli_op("y", dims), pauli_op("z", dims), a + a.conj().T)
+    base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
+    low = vectors[:, :k_levels]
+    merged = {}
+    for op, gamma in zip(ops, base):
+        if gamma == 0.0:
+            continue
+        elem = low.conj().T @ op @ low
+        for k in range(k_levels):
+            for j in range(k_levels):
+                delta = energies[k] - energies[j]
+                if delta <= 0.0:
+                    continue
+                rate = model(gamma, float(delta)) * float(abs(elem[j, k]) ** 2)
+                if rate >= 1e-14:
+                    merged[(j, k)] = merged.get((j, k), 0.0) + rate
+    return [(j, k, r) for (j, k), r in sorted(merged.items())]
+
+
+def test_rate_table_matches_the_double_loop():
+    # the loop squares |elem| with libm pow, which may be 1 ulp from the
+    # correctly rounded array square; the channel sum can add 1 ulp more
+    params = ModelParams(n_fock=10)
+    dims = params.dims
+    full = NoiseRates.for_qubit_splitting(0.1)
+    channels = [full] + [
+        NoiseRates(*(g if i == c else 0.0 for i, g in enumerate((1e-4, 1e-4, 1e-4, 1e-5))))
+        for c in range(4)
+    ]
+    for coupling in (0.0, 0.4, 1.0):
+        energies, vectors = np.linalg.eigh(build_rabi(params, coupling))
+        for k_levels in (2, 7, 20):
+            for model in (flat_rate, ohmic_rate(1.0)):
+                for rates in channels:
+                    got = _rate_table(energies, vectors, rates, dims, k_levels, model)
+                    want = np.zeros((k_levels, k_levels))
+                    table = _loop_rate_table(energies, vectors, rates, dims, k_levels, model)
+                    for j, k, rate in table:
+                        want[j, k] = rate
+                    np.testing.assert_array_max_ulp(got, want, maxulp=2)
+                    assert [(int(j), int(k)) for j, k in zip(*np.nonzero(got))] == [
+                        (j, k) for j, k, _ in table]
+
+
 def test_k_levels_bounds():
     params = ModelParams(n_fock=4)
     h = build_rabi(params, 0.5)
@@ -258,6 +309,49 @@ def test_master_input_validation():
     rho0 = pure_density(storage_input(params))
     with pytest.raises(ValueError):
         evolve_master(params, sched, rho0, rates, cfg, refresh_every=0)
+
+
+def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_every, model):
+    """Reference sweep in the lab frame: dense midpoint eigh, rho <- U rho U^dag,
+    then the dissipator taken into the refresh basis and back on every step.
+    Returns the samples at step 0, every record_every steps and the last."""
+    d = params.dims.total_dim
+    n_steps = round(schedule.total_time / cfg.dt)
+    dt = schedule.total_time / n_steps
+    rho = np.array(rho0, dtype=complex)
+    samples = [rho.copy()]
+    for i in range(n_steps):
+        energies, vectors = np.linalg.eigh(build_rabi(params, schedule.coupling_at((i + 0.5) * dt)))
+        u = (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
+        rho = u @ rho @ u.conj().T
+        if i % refresh_every == 0:
+            basis = vectors
+            gain = np.zeros((d, d))
+            for j, k, rate in _loop_rate_table(
+                    energies, vectors, rates, params.dims, k_levels, model):
+                gain[j, k] = rate
+            out_rate = gain.sum(axis=0)
+        rho_d = basis.conj().T @ rho @ basis
+        drho = -0.5 * (out_rate[:, None] + out_rate[None, :]) * rho_d
+        drho[np.diag_indices(d)] += gain @ np.real(np.diag(rho_d))
+        rho = rho + dt * (basis @ drho @ basis.conj().T)
+        if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
+            samples.append(rho.copy())
+    return np.array(samples)
+
+
+def test_master_frame_step_matches_lab_frame_reference():
+    params = ModelParams(n_fock=8)
+    sched = storage_schedule(params, 20.0)
+    cfg = PropagatorConfig.for_total_time(20.0, steps=500)
+    base = NoiseRates.for_qubit_splitting(0.1)
+    rates = NoiseRates(*(10 * g for g in (base.gamma_x, base.gamma_y, base.gamma_z, base.gamma_r)))
+    rho0 = pure_density(storage_input(params))
+    for model in (flat_rate, ohmic_rate(1.0)):
+        mt = evolve_master(params, sched, rho0, rates, cfg, refresh_every=3, rate_model=model)
+        want = _lab_frame_master(params, sched, rho0, rates, cfg, 12, 3, model)
+        assert mt.rhos.shape == want.shape == (51, 16, 16)
+        assert np.abs(mt.rhos - want).max() < 1e-12
 
 
 def test_noisy_readout_frozen_value(noisy_legs):
