@@ -5,8 +5,8 @@ A logical qubit alpha |g,0> + beta |e,0> is written into the degenerate
 cat-like ground doublet of the quantum Rabi model by sweeping the coupling
 up, held, and read back by the reverse sweep plus one phase correction.
 The package covers the closed-system protocol, its dressed-basis open
-dynamics, a two-cell entangled register, and a CLI that emits the standard
-curves as CSV.
+dynamics, a two-cell entangled register computed from one cell's sweep,
+and a CLI that emits the standard curves as CSV.
 """
 from .hilbert import (
     HilbertDims,
@@ -20,12 +20,10 @@ from .hilbert import (
     fock_annihilation,
     identity_op,
     infer_two_mode_fock,
-    join_cells,
     normalized,
     number_op,
     pauli_op,
     product_state,
-    tensor,
     two_mode_index,
     two_mode_vacuum,
 )
@@ -34,7 +32,6 @@ from .model import (
     ModelParams,
     build_rabi,
     hamiltonian_at,
-    joint_parity_op,
     parity_op,
     retrieval_schedule,
     sector_eigh,
@@ -90,12 +87,7 @@ from .protocols import (
     ExperimentSpec,
     ResultBundle,
     beam_splitter,
-    cell_entropy,
-    prepare_two_cell,
     run_experiment,
-    two_cell_return_fidelity,
-    two_cell_storage,
-    two_cell_target_fidelity,
 )
 
 __version__ = "0.1.0"

@@ -11,10 +11,8 @@ second order in dt. The midpoint Hamiltonian is never assembled: parity
 splits it into two real tridiagonal chains
 (:class:`~uscmem.model.ParityChains`), and the midpoints of a run of
 steps are diagonalized together, per parity sector, in one batched real
-eigh. A single cell is stepped sector by sector on its two chain slices,
-so parity is conserved by construction. Two-cell registers evolve under
-H x 1 + 1 x H; the joint step factorizes exactly as U x U, with U built
-from the sector blocks and applied to the product space via one reshape.
+eigh. The cell is stepped sector by sector on its two chain slices, so
+parity is conserved by construction.
 """
 from __future__ import annotations
 
@@ -110,10 +108,9 @@ def _sweep(
     The midpoint Hamiltonians of each SECTOR_BATCH consecutive steps are
     diagonalized per parity sector in one batch (:func:`sector_eigh`).
     step(x, w, v, dt, i) then gives the state after step i + 1 from step
-    i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock), from
-    which the register builds a dense exp(-i H dt) by
-    :func:`_sector_unitary`. The state is sampled as sample(x), a copy by
-    default, at step 0, every cfg.record_every steps and the last step;
+    i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock). The
+    state is sampled as sample(x), a copy by default, at step 0, every
+    cfg.record_every steps and the last step;
     check(s, n), if given, runs on each sample s after step n. Returns the
     sample times, their couplings and the stacked samples.
     """
@@ -140,15 +137,6 @@ def _sweep(
     return times, couplings, np.array(samples)
 
 
-def _sector_unitary(params: ModelParams, w: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """Dense exp(-i H dt) of one cell from its chain eigensystems: the
-    blocks v exp(-i w dt) v^T, exact zeros between the sectors."""
-    d = params.dims.total_dim
-    u = np.zeros(d * d, dtype=np.complex128)
-    u[params.chains.blocks] = (v * np.exp(-1j * w * dt)[:, None, :]) @ np.swapaxes(v, 1, 2)
-    return u.reshape(d, d)
-
-
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     """m @ z for a real matrix and a C-contiguous complex matrix, on z's
     real view, so m is never cast to complex."""
@@ -167,21 +155,16 @@ def propagate(
     psi0: State,
     cfg: PropagatorConfig,
 ) -> Trajectory:
-    """Integrate a cell (or a two-cell register) across a schedule."""
+    """Integrate a cell state across a schedule."""
     dims = psi0.dims
     if dims.n_fock != params.n_fock:
         raise ValueError("state truncation does not match params.n_fock")
-    cell_dim = dims.cell_dim
     index = params.chains.index
 
     def step(psi, w, v, dt, i):
-        if dims.n_cells == 2:
-            u = _sector_unitary(params, w, v, dt)
-            psi = (u @ psi.reshape(cell_dim, cell_dim) @ u.T).reshape(-1)
-        else:
-            coeffs = _real_matvec(np.swapaxes(v, 1, 2), psi[index]) * np.exp(-1j * w * dt)
-            psi = np.empty_like(psi)
-            psi[index] = _real_matvec(v, coeffs)
+        coeffs = _real_matvec(np.swapaxes(v, 1, 2), psi[index]) * np.exp(-1j * w * dt)
+        psi = np.empty_like(psi)
+        psi[index] = _real_matvec(v, coeffs)
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > cfg.norm_tol:
             raise NormDriftError(
@@ -229,8 +212,6 @@ def storage_run(
 
 def branch_phase_correction(dims: HilbertDims, theta: float) -> np.ndarray:
     """Unitary applying exp(-i theta) on the excited-qubit branch of a cell."""
-    if dims.n_cells != 1:
-        raise ValueError("branch correction is a single-cell operation")
     d = np.ones(dims.total_dim, dtype=np.complex128)
     d[dims.n_fock:] = np.exp(-1j * theta)
     return np.diag(d)

@@ -1,10 +1,9 @@
 """Truncated qubit-resonator Hilbert space: dimensions, operators, states.
 
-Single-cell basis ordering is qubit-major: index i = q * n_fock + n with
-q = 0 for |g>, q = 1 for |e>. Two-cell states live on the tensor product
-with cell 1 as the slowest-varying factor. All operators are dense complex
-numpy arrays; the target problem sizes (dim <= a few thousand) never need
-sparse storage.
+The space is one qubit-resonator cell. Basis ordering is qubit-major:
+index i = q * n_fock + n with q = 0 for |g>, q = 1 for |e>. All operators
+are dense complex numpy arrays; the target problem sizes (dim <= a few
+hundred) never need sparse storage.
 """
 from __future__ import annotations
 
@@ -13,10 +12,6 @@ from functools import lru_cache
 from math import isqrt, lgamma
 
 import numpy as np
-
-# Hard cap on tensor-product results. Anything bigger than this is a sign
-# that a desk-scale run was misconfigured, not a real use case.
-MAX_TENSOR_DIM = 8192
 
 _NORM_TOL = 1e-9
 
@@ -27,33 +22,21 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class HilbertDims:
-    """Shape of the truncated Hilbert space.
-
-    n_fock
-        Number of Fock levels kept per resonator (0 .. n_fock - 1).
-    n_cells
-        Number of qubit-resonator cells (1 or 2).
-    """
+    """Shape of the truncated Hilbert space: n_fock Fock levels
+    (0 .. n_fock - 1) times the two qubit levels."""
 
     n_fock: int
-    n_cells: int = 1
 
     def __post_init__(self) -> None:
         if self.n_fock < 2:
             raise ValueError(f"n_fock must be >= 2, got {self.n_fock}")
-        if self.n_cells not in (1, 2):
-            raise ValueError(f"n_cells must be 1 or 2, got {self.n_cells}")
-
-    @property
-    def cell_dim(self) -> int:
-        return 2 * self.n_fock
 
     @property
     def total_dim(self) -> int:
-        return self.cell_dim ** self.n_cells
+        return 2 * self.n_fock
 
     def index(self, qubit: int, n: int) -> int:
-        """Basis index of |qubit, n> in a single cell."""
+        """Basis index of |qubit, n>."""
         if qubit not in (0, 1):
             raise ValueError(f"qubit must be 0 (g) or 1 (e), got {qubit}")
         if not 0 <= n < self.n_fock:
@@ -105,31 +88,19 @@ def normalized(dims: HilbertDims, amplitudes: np.ndarray) -> State:
 
 
 def basis_state(dims: HilbertDims, qubit: int, n: int) -> State:
-    """|qubit, n> for a single cell."""
-    if dims.n_cells != 1:
-        raise ValueError("basis_state is defined for single-cell dims")
+    """Basis state |qubit, n>."""
     amps = np.zeros(dims.total_dim, dtype=np.complex128)
     amps[dims.index(qubit, n)] = 1.0
     return State(dims, amps)
 
 
 def product_state(dims: HilbertDims, qubit_amps: np.ndarray, fock_amps: np.ndarray) -> State:
-    """Single-cell product state (qubit factor) x (Fock factor)."""
-    if dims.n_cells != 1:
-        raise ValueError("product_state is defined for single-cell dims")
+    """Product state (qubit factor) x (Fock factor)."""
     q = np.asarray(qubit_amps, dtype=np.complex128)
     f = np.asarray(fock_amps, dtype=np.complex128)
     if q.shape != (2,) or f.shape != (dims.n_fock,):
         raise ValueError("factor shapes must be (2,) and (n_fock,)")
     return normalized(dims, np.kron(q, f))
-
-
-def join_cells(cell1: State, cell2: State) -> State:
-    """Two-cell product state with cell 1 as the slow tensor factor."""
-    if cell1.dims != cell2.dims or cell1.dims.n_cells != 1:
-        raise ValueError("join_cells expects two single-cell states with equal dims")
-    dims2 = HilbertDims(cell1.dims.n_fock, n_cells=2)
-    return State(dims2, np.kron(cell1.amplitudes, cell2.amplitudes))
 
 
 # --------------------------------------------------------------------------
@@ -143,8 +114,6 @@ def fock_annihilation(n_fock: int) -> np.ndarray:
 
 def annihilation_op(dims: HilbertDims) -> np.ndarray:
     """Cell annihilation operator, identity on the qubit factor."""
-    if dims.n_cells != 1:
-        raise ValueError("annihilation_op acts on a single cell")
     return np.kron(np.eye(2, dtype=np.complex128), fock_annihilation(dims.n_fock))
 
 
@@ -154,8 +123,6 @@ def creation_op(dims: HilbertDims) -> np.ndarray:
 
 def number_op(dims: HilbertDims) -> np.ndarray:
     """Photon number operator a^dag a, identity on the qubit factor."""
-    if dims.n_cells != 1:
-        raise ValueError("number_op acts on a single cell")
     n = np.diag(np.arange(dims.n_fock, dtype=np.float64)).astype(np.complex128)
     return np.kron(np.eye(2, dtype=np.complex128), n)
 
@@ -170,8 +137,6 @@ _PAULI = {
 
 def pauli_op(axis: str, dims: HilbertDims) -> np.ndarray:
     """Qubit Pauli operator on a cell, identity on the Fock factor."""
-    if dims.n_cells != 1:
-        raise ValueError("pauli_op acts on a single cell")
     try:
         sigma = _PAULI[axis]
     except KeyError:
@@ -181,18 +146,6 @@ def pauli_op(axis: str, dims: HilbertDims) -> np.ndarray:
 
 def identity_op(dims: HilbertDims) -> np.ndarray:
     return np.eye(dims.total_dim, dtype=np.complex128)
-
-
-def tensor(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-    """Kronecker product with a dimension guard.
-
-    The guard catches accidentally huge requests early; raise ``max_dim`` if a
-    larger product is genuinely wanted.
-    """
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dim:
-        raise ValueError(f"tensor result dim {out_dim} exceeds cap {max_dim}")
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .hilbert import HilbertDims, tensor
+from .hilbert import HilbertDims
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class ModelParams:
 
     @property
     def dims(self) -> HilbertDims:
-        return HilbertDims(self.n_fock, 1)
+        return HilbertDims(self.n_fock)
 
     @cached_property
     def chains(self) -> "ParityChains":
@@ -55,11 +55,10 @@ class ModelParams:
         index = qubit * self.n_fock + n
         chains = ParityChains(
             index=index,
-            blocks=index[:, :, None] * self.dims.total_dim + index[:, None, :],
             diag=np.where(qubit, 0.5, -0.5) * self.omega_eg + self.omega_cav * n,
             hop=np.sqrt(np.arange(1, self.n_fock, dtype=np.float64)),
         )
-        for arr in (chains.index, chains.blocks, chains.diag, chains.hop):
+        for arr in (chains.index, chains.diag, chains.hop):
             arr.flags.writeable = False
         return chains
 
@@ -75,8 +74,6 @@ class ParityChains:
 
     index
         (2, n_fock) basis indices of the chain sites.
-    blocks
-        (2, n_fock, n_fock) flat positions of the sector blocks in a dim x dim matrix.
     diag
         (2, n_fock) bare energies of the sites, which Omega leaves alone.
     hop
@@ -85,7 +82,6 @@ class ParityChains:
     """
 
     index: np.ndarray
-    blocks: np.ndarray
     diag: np.ndarray
     hop: np.ndarray
 
@@ -218,16 +214,6 @@ def parity_op(dims: HilbertDims) -> np.ndarray:
     Commutes with the Rabi Hamiltonian at every coupling, so its eigenvalue
     (+1 or -1) labels each eigenstate and is conserved during sweeps.
     """
-    if dims.n_cells != 1:
-        raise ValueError("parity_op acts on a single cell; kron two copies for a pair")
     photon_parity = np.diag((-1.0 + 0j) ** np.arange(dims.n_fock))
     return np.kron(np.array([[-1, 0], [0, 1]], dtype=np.complex128), photon_parity)
 
-
-def joint_parity_op(dims: HilbertDims) -> np.ndarray:
-    """Product parity of a two-cell register."""
-    if dims.n_cells != 2:
-        raise ValueError("joint_parity_op acts on a two-cell register")
-    single = HilbertDims(dims.n_fock, 1)
-    p = parity_op(single)
-    return tensor(p, p, max_dim=dims.total_dim)

@@ -1,10 +1,11 @@
-"""Memory protocols: interference tools, the two-cell register, and named
-experiment drivers.
+"""Memory protocols: two-mode interference tools and named experiment
+drivers.
 
-The two-cell register stores one Bell pair of the form
-(|g e> + |e g>) |0 0> / sqrt(2) by sweeping both cells simultaneously; no
-coupling acts between the cells, so any entanglement in the register is
-carried through, not created, by the sweep.
+The ``entangled`` experiment is a two-cell register that stores the shared
+excitation (|g e> + |e g>) |0 0> / sqrt(2) by sweeping both cells through
+the same schedule; no coupling acts between the cells. Parity separates the
+two branches of one cell, so a single cell's round trip of
+(|g,0> + |e,0>) / sqrt(2) determines every number the register reports.
 """
 from __future__ import annotations
 
@@ -22,18 +23,10 @@ from .dynamics import (
     Trajectory,
     _roundtrip,
     phase_landscape,
-    propagate,
     storage_input,
     storage_run,
 )
-from .hilbert import (
-    HilbertDims,
-    State,
-    TruncationError,
-    basis_state,
-    fock_annihilation,
-    infer_two_mode_fock,
-)
+from .hilbert import TruncationError, fock_annihilation, infer_two_mode_fock
 from .lindblad import (
     NoiseRates,
     corrected_fidelity_mixed,
@@ -85,83 +78,6 @@ def beam_splitter(state: np.ndarray, transmissivity: float, phase: float = 0.0) 
     herm = 1j * gen
     evals, evecs = np.linalg.eigh(herm)
     return evecs @ (np.exp(-1j * evals) * (evecs.conj().T @ amps))
-
-
-# --------------------------------------------------------------------------
-# two-cell register
-# --------------------------------------------------------------------------
-
-def prepare_two_cell(params: ModelParams) -> State:
-    """Shared single excitation across two cells, (|ge> + |eg>)|00>/sqrt(2)."""
-    dims1 = params.dims
-    g0 = basis_state(dims1, 0, 0).amplitudes
-    e0 = basis_state(dims1, 1, 0).amplitudes
-    amps = (np.kron(g0, e0) + np.kron(e0, g0)) / sqrt(2.0)
-    return State(HilbertDims(params.n_fock, 2), amps)
-
-
-def two_cell_storage(
-    state: State,
-    params: ModelParams,
-    schedule: CouplingSchedule,
-    cfg: PropagatorConfig,
-) -> tuple[Trajectory, np.ndarray]:
-    """Sweep both cells of a register through the same schedule.
-
-    Returns the joint trajectory and the curve
-    F_bar(t) = |< (|ge> + |eg>)|00> / sqrt(2) | psi(t) >|^2.
-    """
-    if state.dims.n_cells != 2:
-        raise ValueError("two_cell_storage expects a two-cell state")
-    traj = propagate(params, schedule, state, cfg)
-    ref = prepare_two_cell(params).amplitudes
-    fbar = np.abs(traj.amplitudes @ ref.conj()) ** 2
-    return traj, fbar
-
-
-def _symmetric_pair_fidelity(
-    state: State, vec_g: np.ndarray, vec_e: np.ndarray
-) -> tuple[float, tuple[float, float]]:
-    """Best overlap with (|G>|E'> + |E'>|G>)/sqrt(2) under independent
-    excited-branch phase corrections theta_1, theta_2 per cell."""
-    d = state.dims.cell_dim
-    m = state.amplitudes.reshape(d, d)
-    c_ge = vec_g.conj() @ m @ vec_e.conj()
-    c_eg = vec_e.conj() @ m @ vec_g.conj()
-    fid = float(((abs(c_ge) + abs(c_eg)) / sqrt(2.0)) ** 2)
-    theta_1 = float(np.angle(c_eg)) % (2 * np.pi)
-    theta_2 = float(np.angle(c_ge)) % (2 * np.pi)
-    return fid, (theta_1, theta_2)
-
-
-def two_cell_target_fidelity(state: State, params: ModelParams) -> tuple[float, tuple[float, float]]:
-    """Overlap of a stored register with the entangled cat target at peak
-    coupling, maximized over per-cell phase corrections."""
-    spec = build_gauge_chain(params, [params.omega0], 2).spectra[0]
-    return _symmetric_pair_fidelity(state, spec.states[:, 0], spec.states[:, 1])
-
-
-def two_cell_return_fidelity(state: State, params: ModelParams) -> tuple[float, tuple[float, float]]:
-    """Overlap of a retrieved register with the initial pair state,
-    maximized over per-cell phase corrections."""
-    dims1 = params.dims
-    vec_g = basis_state(dims1, 0, 0).amplitudes
-    vec_e = basis_state(dims1, 1, 0).amplitudes
-    return _symmetric_pair_fidelity(state, vec_g, vec_e)
-
-
-def cell_entropy(state: State, cell: int = 0) -> float:
-    """Von Neumann entanglement entropy (nats) of one cell of a register."""
-    if state.dims.n_cells != 2:
-        raise ValueError("cell_entropy expects a two-cell state")
-    if cell not in (0, 1):
-        raise ValueError("cell must be 0 or 1")
-    d = state.dims.cell_dim
-    m = state.amplitudes.reshape(d, d)
-    rho = m @ m.conj().T if cell == 0 else m.T @ m.conj()
-    probs = np.linalg.eigvalsh(rho)
-    probs = probs[probs > 1e-15]
-    return float(-np.sum(probs * np.log(probs)))
 
 
 # --------------------------------------------------------------------------
@@ -412,24 +328,28 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
 
 def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
-    psi0 = prepare_two_cell(params)
-    traj_s, fbar_s = _stage("register storage", two_cell_storage,
-                            psi0, params, spec.schedule, spec.cfg)
-    f_store, _ = _stage("register target overlap", two_cell_target_fidelity,
-                        traj_s.final, params)
-    traj_r, fbar_r = _stage("register retrieval", two_cell_storage,
-                            traj_s.final, params, spec.schedule.reversed(), spec.cfg)
-    f_return, _ = two_cell_return_fidelity(traj_r.final, params)
-    total_time = spec.schedule.total_time
+    rt = _stage("register round trip", _roundtrip, params, spec.schedule, spec.cfg,
+                RSQRT2, RSQRT2, 0.0)
+    # Exact, not approximate: U|g,0> stays in the P = -1 chain and U|e,0> in the
+    # P = +1 chain, so the register state is sqrt(2) times the two sector parts
+    # of this cell's state, and each register overlap is a product of two.
+    g0, e0 = params.dims.index(0, 0), params.dims.index(1, 0)
+    fbar_s, fbar_r = (4 * np.abs(traj.amplitudes[:, g0] * traj.amplitudes[:, e0]) ** 2
+                      for traj in (rt.storage, rt.retrieval))
+    # the two lowest levels where the write leg ends, one per sector
+    doublet = _stage("register target", sector_spectra,
+                     params, rt.storage.couplings[-1:], 2)[0].states
+    f_store = 4 * np.prod(np.abs(doublet.T @ rt.storage.amplitudes[-1]) ** 2)
     curves = {
         "entangled_storage": {
-            "t": traj_s.times, "omega": traj_s.couplings, "F_s": fbar_s,
+            "t": rt.storage.times, "omega": rt.storage.couplings, "F_s": fbar_s,
         },
         "entangled_retrieval": {
-            "t": total_time + traj_r.times, "omega": traj_r.couplings, "F_s": fbar_r,
+            "t": rt.total_time + rt.retrieval.times, "omega": rt.retrieval.couplings,
+            "F_s": fbar_r,
         },
     }
-    scalars = {"storage_fidelity": f_store, "roundtrip_fidelity": f_return}
+    scalars = {"storage_fidelity": float(f_store), "roundtrip_fidelity": float(fbar_r[-1])}
     return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
 
 

@@ -3,7 +3,7 @@
 Protocol targets are built from eigenstates tracked along a sweep, so
 their labels and phases have to be pinned down.
 
-Single-cell spectra (:func:`sector_spectra`, :func:`build_gauge_chain`)
+Spectra along a sweep (:func:`sector_spectra`, :func:`build_gauge_chain`)
 come from the two real parity chains of H(Omega)
 (:class:`~uscmem.model.ParityChains`). Each eigenvector lies in one
 sector, so its parity label holds by construction. A real tridiagonal
@@ -31,7 +31,7 @@ import numpy as np
 from .hilbert import HilbertDims, State, coherent_state, normalized, number_op
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
-    SECTOR_BATCH, ModelParams, build_rabi, joint_parity_op, parity_op, sector_eigh, sector_levels,
+    SECTOR_BATCH, ModelParams, build_rabi, parity_op, sector_eigh, sector_levels,
 )
 
 _HERM_TOL = 1e-10
@@ -101,7 +101,7 @@ def eigendecompose(h: np.ndarray, k: int, dims: HilbertDims) -> Spectrum:
     energies = energies[:k].copy()
     vectors = vectors[:, :k].copy()
 
-    p = parity_op(dims) if dims.n_cells == 1 else joint_parity_op(dims)
+    p = parity_op(dims)
     _purify_clusters(energies, vectors, p)
 
     parities = np.empty(k)
@@ -336,12 +336,6 @@ def cat_approximant(params: ModelParams, coupling: float, which: str) -> State:
 
 
 def mean_photon(state: State) -> float:
-    """<a^dag a> summed over cells."""
-    if state.dims.n_cells == 1:
-        n = number_op(state.dims)
-    else:
-        single = HilbertDims(state.dims.n_fock, 1)
-        n1 = number_op(single)
-        eye = np.eye(single.total_dim, dtype=np.complex128)
-        n = np.kron(n1, eye) + np.kron(eye, n1)
+    """<a^dag a> of a cell state."""
+    n = number_op(state.dims)
     return float(np.real(np.vdot(state.amplitudes, n @ state.amplitudes)))

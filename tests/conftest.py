@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from uscmem import (
+    ExperimentSpec,
     ModelParams,
     NoiseRates,
     PropagatorConfig,
     evolve_master,
     phase_landscape,
-    prepare_two_cell,
     pure_density,
     retrieval_schedule,
     roundtrip_run,
+    run_experiment,
     storage_input,
     storage_schedule,
-    two_cell_storage,
 )
 
 RSQRT2 = 2 ** -0.5
@@ -82,13 +82,10 @@ def noisy_legs():
 
 
 @pytest.fixture(scope="session")
-def register_run():
-    """Two-cell storage and retrieval at the default protocol point."""
+def entangled_105():
+    """The two-cell register experiment at the default protocol point."""
     params = ModelParams(n_fock=15)
-    cfg = PropagatorConfig.for_total_time(105.0)
-    psi0 = prepare_two_cell(params)
-    traj_s, fbar_s = two_cell_storage(psi0, params, storage_schedule(params, 105.0), cfg)
-    traj_r, fbar_r = two_cell_storage(
-        traj_s.final, params, retrieval_schedule(params, 105.0), cfg
-    )
-    return params, psi0, traj_s, fbar_s, traj_r, fbar_r
+    return run_experiment(ExperimentSpec(
+        "entangled", params, storage_schedule(params, 105.0),
+        PropagatorConfig.for_total_time(105.0),
+    ))

@@ -19,8 +19,6 @@ from uscmem import (
     propagate,
     storage_input,
     storage_schedule,
-    two_cell_return_fidelity,
-    two_cell_target_fidelity,
     two_mode_index,
 )
 
@@ -89,10 +87,9 @@ def test_noisy_roundtrip_band(acceptance_log, noisy_legs):
     )
 
 
-def test_entangled_register_survives(acceptance_log, register_run):
-    params, _, traj_s, _, traj_r, _ = register_run
-    f_store, _ = two_cell_target_fidelity(traj_s.final, params)
-    f_back, _ = two_cell_return_fidelity(traj_r.final, params)
+def test_entangled_register_survives(acceptance_log, entangled_105):
+    f_store = entangled_105.scalars["storage_fidelity"]
+    f_back = entangled_105.scalars["roundtrip_fidelity"]
     _check(
         acceptance_log,
         "two-cell register: storage and round trip >= 0.98 at n_fock=15",

@@ -31,7 +31,6 @@ from uscmem import (
     storage_run,
     storage_schedule,
 )
-from uscmem.dynamics import _sector_unitary
 from uscmem.model import sector_eigh, sector_levels
 
 RSQRT2 = 2 ** -0.5
@@ -159,13 +158,19 @@ def test_sector_eigensystems_match_dense_hamiltonian(omega_eg):
 
 @pytest.mark.parametrize("omega_eg", [0.1, 0.0])
 def test_sector_unitary_matches_expm(omega_eg):
-    # the dense step of the register and the master equation
+    # one step at a fixed coupling is v exp(-i w dt) v^T on each chain;
+    # the images of the basis states are the columns of exp(-i H dt)
     params = ModelParams(n_fock=20, omega_eg=omega_eg)
-    couplings = np.array([0.0, 0.3, 1.0, 1.4])
     dt = 0.0525
-    for om, w, v in zip(couplings, *sector_eigh(params, couplings)):
-        exact = scipy.linalg.expm(-1j * dt * build_rabi(params, float(om)))
-        assert np.abs(_sector_unitary(params, w, v, dt) - exact).max() < 1e-12
+    cfg = PropagatorConfig(dt=dt)
+    for om in (0.0, 0.3, 1.0, 1.4):
+        sched = CouplingSchedule(om, om, dt)
+        step = np.array([
+            propagate(params, sched, basis_state(params.dims, q, n), cfg).final.amplitudes
+            for q in (0, 1) for n in range(params.n_fock)
+        ]).T
+        exact = scipy.linalg.expm(-1j * dt * build_rabi(params, om))
+        assert np.abs(step - exact).max() < 1e-12
 
 
 def test_integrator_is_second_order():
@@ -279,6 +284,23 @@ def test_single_branch_needs_no_correction():
     f1 = corrected_fidelity(rt.retrieval.final, 2.2, 1.0, 0.0)
     assert abs(f0 - f1) < 1e-12
     assert rt.fidelity > 0.995
+
+
+def test_roundtrip_is_closed_form_in_branch_return_amplitudes():
+    # U|g,0> and U|e,0> lie in different parity chains, so every input's
+    # round trip follows from q_g = <g,0|U|g,0> and q_e = <e,0|U|e,0>
+    params = ModelParams(n_fock=12)
+    cfg = PropagatorConfig.for_total_time(12.0, steps=500)
+    final = roundtrip_run(params, 12.0, cfg).retrieval.final.amplitudes
+    q_g, q_e = np.sqrt(2.0) * final[[params.dims.index(0, 0), params.dims.index(1, 0)]]
+    inputs = [(1.0, 0.0), (0.0, 1.0), (0.6j, 0.8 * np.exp(0.7j)), (RSQRT2, -RSQRT2)]
+    for alpha, beta in inputs:
+        rt = roundtrip_run(params, 12.0, cfg, alpha, beta)
+        expected = (abs(alpha) ** 2 * abs(q_g) + abs(beta) ** 2 * abs(q_e)) ** 2
+        assert abs(rt.fidelity - expected) < 1e-12
+        if alpha != 0 and beta != 0:
+            gap = (rt.theta_opt - np.angle(q_e) + np.angle(q_g)) % (2 * np.pi)
+            assert min(gap, 2 * np.pi - gap) < 1e-12
 
 
 def test_retrieval_from_exact_eigenstate():

@@ -21,12 +21,10 @@ from uscmem import (
     fock_annihilation,
     identity_op,
     infer_two_mode_fock,
-    join_cells,
     normalized,
     number_op,
     pauli_op,
     product_state,
-    tensor,
     two_mode_index,
     two_mode_vacuum,
 )
@@ -105,57 +103,12 @@ def test_pauli_rejects_unknown_axis():
 
 
 # --------------------------------------------------------------------------
-# tensor products
-# --------------------------------------------------------------------------
-
-def _kron_oracle(a, b):
-    """Explicit-loop Kronecker product."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=np.complex128)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
-def test_tensor_matches_loop_oracle():
-    assert np.array_equal(tensor(np.eye(2), np.eye(3)), np.eye(6))
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.allclose(tensor(a, b), _kron_oracle(a, b), atol=1e-14)
-
-
-def test_tensor_mixed_product_rule():
-    rng = np.random.default_rng(11)
-    a, c = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
-    b, d = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
-    lhs = tensor(a, b) @ tensor(c, d)
-    rhs = tensor(a @ c, b @ d)
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_tensor_dimension_cap():
-    big = np.eye(200)
-    with pytest.raises(ValueError, match="exceeds cap"):
-        tensor(big, big)
-    # explicit cap override is honored
-    a = np.eye(64)
-    out = tensor(a, a, max_dim=64 * 64)
-    assert out.shape == (4096, 4096)
-
-
-# --------------------------------------------------------------------------
 # states and indexing
 # --------------------------------------------------------------------------
 
 def test_index_layout_is_qubit_major():
     dims = HilbertDims(n_fock=5)
-    assert dims.cell_dim == 10
+    assert dims.total_dim == 10
     assert dims.index(0, 3) == 3
     assert dims.index(1, 0) == 5
     assert dims.index(1, 4) == 9
@@ -192,19 +145,6 @@ def test_product_state_layout():
     expected = np.zeros(6)
     expected[dims.index(1, 2)] = 1.0
     assert np.allclose(psi.amplitudes, expected)
-
-
-def test_join_cells_index_order():
-    dims = HilbertDims(n_fock=2)
-    left = basis_state(dims, 1, 0)    # |e,0>
-    right = basis_state(dims, 0, 1)   # |g,1>
-    joint = join_cells(left, right)
-    assert joint.dims.n_cells == 2
-    # cell 1 is the slow index: I = i1 * cell_dim + i2
-    i = dims.index(1, 0) * dims.cell_dim + dims.index(0, 1)
-    expected = np.zeros(16)
-    expected[i] = 1.0
-    assert np.allclose(joint.amplitudes, expected)
 
 
 # --------------------------------------------------------------------------

@@ -15,13 +15,11 @@ from uscmem import (
     basis_state,
     build_rabi,
     hamiltonian_at,
-    joint_parity_op,
     number_op,
     parity_op,
     pauli_op,
     retrieval_schedule,
     storage_schedule,
-    tensor,
 )
 
 # lowest levels at full coupling, derived independently
@@ -134,15 +132,6 @@ def test_parity_commutes_with_hamiltonian():
     for om in (0.0, 0.3, 1.0):
         h = build_rabi(params, om)
         assert np.abs(h @ p - p @ h).max() < 1e-12
-
-
-def test_joint_parity_is_tensor_square():
-    dims1 = HilbertDims(n_fock=4)
-    dims2 = HilbertDims(n_fock=4, n_cells=2)
-    p1 = parity_op(dims1)
-    assert np.allclose(joint_parity_op(dims2), tensor(p1, p1), atol=0)
-    with pytest.raises(ValueError):
-        parity_op(dims2)
 
 
 # --------------------------------------------------------------------------
