@@ -31,7 +31,6 @@ from .model import (
     CouplingSchedule,
     ModelParams,
     build_rabi,
-    hamiltonian_at,
     parity_op,
     retrieval_schedule,
     sector_eigh,
@@ -41,13 +40,10 @@ from .spectral import (
     GaugeAlignmentError,
     GaugeChain,
     Spectrum,
-    align_gauge,
     build_gauge_chain,
     cat_approximant,
-    eigendecompose,
     mean_photon,
     sector_spectra,
-    seed_gauge,
 )
 from .dynamics import (
     NormDriftError,
@@ -62,7 +58,6 @@ from .dynamics import (
     phase_landscape,
     physical_time,
     propagate,
-    retrieval_run,
     roundtrip_run,
     storage_input,
     storage_run,
@@ -72,7 +67,6 @@ from .lindblad import (
     NoiseRates,
     PositivityError,
     corrected_fidelity_mixed,
-    dressed_dissipators,
     evolve_master,
     fidelity_mixed,
     flat_rate,

@@ -138,8 +138,15 @@ _DEFAULT_N_FOCK = {"noisy": 20, "entangled": 15}
 
 
 def build_spec(run: RunConfig) -> ExperimentSpec:
-    """Resolve defaults plus overrides into a validated ExperimentSpec."""
+    """Resolve defaults plus overrides into a validated ExperimentSpec.
+
+    Inputs an experiment never reads keep their defaults, so they cannot
+    split the spec hash of two identical runs: ``entangled`` always stores
+    the shared excitation, and only ``noisy`` has noise rates.
+    """
     ov = run.overrides
+    if run.experiment == "entangled":
+        ov = {k: v for k, v in ov.items() if k not in ("alpha_f", "beta_f", "theta")}
     violations: list[str] = []
     params = ModelParams(
         omega_cav=ov.get("omega_cav", 1.0),
@@ -159,7 +166,7 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
     cfg = PropagatorConfig(dt=dt, record_every=ov.get("record_every", 10))
 
     noise = None
-    if run.experiment == "noisy" or any(f"gamma_{c}" in ov for c in "xyzr"):
+    if run.experiment == "noisy":
         base = NoiseRates.for_qubit_splitting(params.omega_eg)
         noise = NoiseRates(
             gamma_x=ov.get("gamma_x", base.gamma_x),

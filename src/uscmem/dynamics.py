@@ -255,27 +255,6 @@ def optimize_retrieval_phase(
     return theta, fmax
 
 
-def retrieval_run(
-    params: ModelParams,
-    stored: State,
-    schedule: CouplingSchedule,
-    cfg: PropagatorConfig,
-    theta_correction: float = 0.0,
-    alpha_f: complex = RSQRT2,
-    beta_f: complex = RSQRT2,
-) -> tuple[Trajectory, np.ndarray]:
-    """Read sweep from a stored state back to zero coupling.
-
-    The returned curve is F_s(t) evaluated with the fixed phase correction
-    applied to the excited branch; its final entry is the retrieval fidelity
-    at theta_correction.
-    """
-    if schedule.omega_end != 0.0:
-        raise ValueError("retrieval schedule must end at zero coupling")
-    traj = propagate(params, schedule, stored, cfg)
-    return traj, _corrected_rows(traj.amplitudes, traj.dims, theta_correction, alpha_f, beta_f)
-
-
 @dataclass(frozen=True)
 class RoundTrip:
     """Storage plus optimally-rephased retrieval of one input state."""

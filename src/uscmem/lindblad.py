@@ -135,25 +135,6 @@ def _rate_table(
     return gain
 
 
-def dressed_dissipators(
-    h: np.ndarray,
-    rates: NoiseRates,
-    dims: HilbertDims,
-    k_levels: int = 12,
-    rate_model: RateModel | None = None,
-) -> list[tuple[np.ndarray, float]]:
-    """Jump operators |j><k| (dense, full space) with their merged rates,
-    in ascending (j, k) order.
-
-    Only downward transitions among the lowest k_levels dressed states are
-    kept; rates below 1e-14 are dropped.
-    """
-    energies, vectors = np.linalg.eigh(h)
-    gain = _rate_table(energies, vectors, rates, dims, k_levels, rate_model)
-    return [(np.outer(vectors[:, j], vectors[:, k].conj()), float(gain[j, k]))
-            for j, k in zip(*np.nonzero(gain))]
-
-
 #---------------------------------------------------------------------------
 # density matrices
 #---------------------------------------------------------------------------

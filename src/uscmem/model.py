@@ -183,9 +183,10 @@ def sector_levels(
     """The k lowest levels over both parity chains, from the eigenpairs
     w (m, 2, depth), v (m, 2, n_fock, depth) of :func:`sector_eigh`.
 
-    Returns energies (m, k) ascending (on an exact tie the P = -1 level
-    first, as purification labels a degenerate doublet), chain labels
-    (m, k), sector * n_fock + rank, and full-basis real states (m, dim, k).
+    Returns energies (m, k) ascending, with the P = -1 level first on an
+    exact tie by convention (for omega_eg > 0 it is the lower level of
+    the ground doublet), chain labels (m, k), sector * n_fock + rank, and
+    full-basis real states (m, dim, k).
     """
     m, _, depth = w.shape
     nf = params.n_fock
@@ -202,10 +203,6 @@ def sector_levels(
     states[rows, params.chains.index[sector], cols] = v[rows, sector[..., None],
                                                       np.arange(nf), rank[..., None]]
     return energies, labels, states
-
-
-def hamiltonian_at(params: ModelParams, schedule: CouplingSchedule, t: float) -> np.ndarray:
-    return build_rabi(params, schedule.coupling_at(t))
 
 
 def parity_op(dims: HilbertDims) -> np.ndarray:

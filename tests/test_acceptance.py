@@ -7,16 +7,17 @@ from the session fixtures in conftest.py so they are computed once.
 import numpy as np
 
 from uscmem import (
+    ExperimentSpec,
     ModelParams,
     PropagatorConfig,
     beam_splitter,
-    build_rabi,
     cat_approximant,
-    eigendecompose,
     optimize_retrieval_phase_mixed,
     parity_op,
     physical_time,
     propagate,
+    run_experiment,
+    sector_spectra,
     storage_input,
     storage_schedule,
     two_mode_index,
@@ -45,8 +46,8 @@ def test_equal_superposition_roundtrip(acceptance_log, roundtrip_105):
 
 def test_cat_approximants_track_doublet(acceptance_log, params30):
     worst_g = worst_e = 1.0
-    for om in np.linspace(0.8, 1.0, 21):
-        spec = eigendecompose(build_rabi(params30, float(om)), 2, params30.dims)
+    couplings = np.linspace(0.8, 1.0, 21)
+    for om, spec in zip(couplings, sector_spectra(params30, couplings, 2)):
         cat_g = cat_approximant(params30, float(om), "G").amplitudes
         cat_e = cat_approximant(params30, float(om), "E").amplitudes
         worst_g = min(worst_g, abs(np.vdot(spec.states[:, 0], cat_g)) ** 2)
@@ -167,11 +168,12 @@ def test_property_density_validity(acceptance_log, noisy_legs):
 
 
 def test_property_truncation_convergence(acceptance_log):
-    e30 = eigendecompose(build_rabi(ModelParams(n_fock=30), 1.0), 4,
-                         ModelParams(n_fock=30).dims).energies
-    e40 = eigendecompose(build_rabi(ModelParams(n_fock=40), 1.0), 4,
-                         ModelParams(n_fock=40).dims).energies
-    delta = float(np.abs(e30 - e40).max())
+    params = ModelParams(n_fock=30)
+    bundle = run_experiment(ExperimentSpec(
+        "convergence", params, storage_schedule(params, 105.0),
+        PropagatorConfig.for_total_time(105.0), n_fock_alt=40,
+    ))
+    delta = bundle.scalars["max_abs_delta"]
     _check(
         acceptance_log,
         "lowest four levels shift < 1e-8 from n_fock 30 to 40",

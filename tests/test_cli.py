@@ -92,12 +92,28 @@ def test_spec_hash_is_pinned():
          "66610fcd5c250639ef95ec4b2cffdd072228e4ebbfa23610e657f24a41fd2428"),
         (RunConfig("noisy"),
          "7dc5c7b93f9493e84e6380119e4c1259089cd469e6c7235fd690778282f3e07f"),
+        (RunConfig("entangled"),
+         "fdca5ec4b3f09fe0a075e47cb96a79527a5956c081216770b5a89bd226a9bee0"),
         (RunConfig("retrieval", {"omega_start": 0.3, "alpha_f": 0.6,
                                  "beta_f": 0.8j, "theta": 1.25}),
          "b9ca181915edbba73e7cabf513d24a33a00a72ad1302c7ca1ee15f4bdba6e3f7"),
     ]
     for run, expected in cases:
         assert build_spec(run).spec_hash == expected, run.experiment
+
+
+def test_build_spec_ignored_inputs_keep_the_hash():
+    # entangled never reads the stored qubit or the read phase, and only
+    # noisy reads noise rates: setting them changes neither hash nor result
+    small = {"n_fock": 12, "T": 20.0}
+    for experiment, ignored in (
+        ("entangled", {"alpha_f": 1.0, "beta_f": 0.0, "theta": 1.0}),
+        ("roundtrip", {"gamma_x": 0.5}),
+    ):
+        plain = build_spec(RunConfig(experiment, small))
+        other = build_spec(RunConfig(experiment, {**small, **ignored}))
+        assert other.spec_hash == plain.spec_hash, experiment
+        assert run_experiment(other).scalars == run_experiment(plain).scalars, experiment
 
 
 def test_build_spec_rejects_coarse_sweep_step():

@@ -17,16 +17,15 @@ from uscmem import (
     basis_state,
     build_rabi,
     corrected_fidelity,
-    eigendecompose,
     optimal_evolution_time,
     optimize_retrieval_phase,
     parity_op,
     phase_landscape,
     physical_time,
     propagate,
-    retrieval_run,
     retrieval_schedule,
     roundtrip_run,
+    sector_spectra,
     storage_input,
     storage_run,
     storage_schedule,
@@ -57,7 +56,7 @@ THETA_CURVE_MAX_DIFF = 0.9817
 def test_constant_hamiltonian_is_exact():
     # an eigenstate only acquires the phase exp(-i E t), to roundoff
     params = ModelParams(n_fock=12)
-    spec = eigendecompose(build_rabi(params, 1.0), 1, params.dims)
+    spec = sector_spectra(params, [1.0], 1)[0]
     psi0 = State(params.dims, spec.states[:, 0])
     sched = CouplingSchedule(1.0, 1.0, total_time=5.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(5.0, steps=50))
@@ -223,8 +222,7 @@ def test_storage_input_validation():
 
 def test_adiabatic_following_improves_with_sweep_time():
     params = ModelParams()
-    spec = eigendecompose(build_rabi(params, params.omega0), 1, params.dims)
-    v0 = spec.states[:, 0]
+    v0 = sector_spectra(params, [params.omega0], 1)[0].states[:, 0]
     got = {}
     for total_time in sorted(STORAGE_GROUND):
         cfg = PropagatorConfig.for_total_time(total_time)
@@ -307,22 +305,12 @@ def test_retrieval_from_exact_eigenstate():
     # reading out the exact full-coupling ground state lands on |g,0>
     # regardless of the phase correction
     params = ModelParams()
-    spec = eigendecompose(build_rabi(params, params.omega0), 1, params.dims)
-    stored = State(params.dims, spec.states[:, 0])
+    stored = State(params.dims, sector_spectra(params, [params.omega0], 1)[0].states[:, 0])
     cfg = PropagatorConfig.for_total_time(105.0)
-    sched = retrieval_schedule(params, 105.0)
-    _, fs = retrieval_run(params, stored, sched, cfg, 0.0, 1.0, 0.0)
-    _, fs_rot = retrieval_run(params, stored, sched, cfg, 1.9, 1.0, 0.0)
-    assert fs[-1] > 0.999
-    assert abs(fs[-1] - fs_rot[-1]) < 1e-12
-
-
-def test_retrieval_requires_downward_schedule():
-    params = ModelParams(n_fock=8)
-    stored = basis_state(params.dims, 0, 0)
-    cfg = PropagatorConfig.for_total_time(10.0, steps=500)
-    with pytest.raises(ValueError):
-        retrieval_run(params, stored, storage_schedule(params, 10.0), cfg)
+    final = propagate(params, retrieval_schedule(params, 105.0), stored, cfg).final
+    f = corrected_fidelity(final, 0.0, 1.0, 0.0)
+    assert f > 0.999
+    assert abs(f - corrected_fidelity(final, 1.9, 1.0, 0.0)) < 1e-12
 
 
 # --------------------------------------------------------------------------

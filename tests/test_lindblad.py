@@ -20,7 +20,6 @@ from uscmem import (
     build_rabi,
     corrected_fidelity,
     corrected_fidelity_mixed,
-    dressed_dissipators,
     evolve_master,
     fidelity_mixed,
     flat_rate,
@@ -49,15 +48,12 @@ X_RATES = {(0, 1): 3.9952767001e-05, (2, 3): 4.0032952946e-05}
 DOUBLET_GAP = 1.353664109239e-02
 
 
-def _labelled_rates(h, rates, dims, **kw):
-    """Map dressed_dissipators output back onto (j, k) level labels."""
-    _, vectors = np.linalg.eigh(h)
-    out = {}
-    for op, rate in dressed_dissipators(h, rates, dims, **kw):
-        m = np.abs(vectors.conj().T @ op @ vectors)
-        j, k = np.unravel_index(int(np.argmax(m)), m.shape)
-        out[(int(j), int(k))] = rate
-    return out
+def _labelled_rates(h, rates, dims, k_levels=12, rate_model=None):
+    """Nonzero rates of the jumps |j><k| among the dressed levels of h,
+    keyed by (j, k)."""
+    energies, vectors = np.linalg.eigh(h)
+    gain = _rate_table(energies, vectors, rates, dims, k_levels, rate_model)
+    return {(int(j), int(k)): float(gain[j, k]) for j, k in zip(*np.nonzero(gain))}
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +106,7 @@ def test_uncoupled_dephasing_is_silent():
     params = ModelParams(n_fock=6)
     h = build_rabi(params, 0.0)
     rates = NoiseRates(gamma_x=0, gamma_y=0, gamma_z=1e-4, gamma_r=0)
-    assert dressed_dissipators(h, rates, params.dims, k_levels=6) == []
+    assert _labelled_rates(h, rates, params.dims, k_levels=6) == {}
 
 
 def test_dressed_rates_frozen_values():
@@ -152,17 +148,6 @@ def test_ohmic_rescales_by_transition_energy():
     )
     for (j, k), rate in flat.items():
         assert ohm[(j, k)] == pytest.approx(rate * (e[k] - e[j]), rel=1e-9)
-
-
-def test_jump_operators_are_rank_one_nilpotents():
-    params = ModelParams(n_fock=12)
-    h = build_rabi(params, 0.8)
-    ops = dressed_dissipators(h, NoiseRates.for_qubit_splitting(0.1), params.dims)
-    assert len(ops) > 0
-    for op, rate in ops[:6]:
-        assert rate > 0
-        assert abs(np.trace(op.conj().T @ op) - 1.0) < 1e-10
-        assert np.abs(op @ op).max() < 1e-10
 
 
 def _loop_rate_table(energies, vectors, rates, dims, k_levels, model):
@@ -218,9 +203,9 @@ def test_k_levels_bounds():
     h = build_rabi(params, 0.5)
     rates = NoiseRates.for_qubit_splitting(0.1)
     with pytest.raises(ValueError):
-        dressed_dissipators(h, rates, params.dims, k_levels=9)
+        _labelled_rates(h, rates, params.dims, k_levels=9)
     with pytest.raises(ValueError):
-        dressed_dissipators(h, rates, params.dims, k_levels=1)
+        _labelled_rates(h, rates, params.dims, k_levels=1)
 
 
 # --------------------------------------------------------------------------

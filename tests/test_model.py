@@ -14,7 +14,6 @@ from uscmem import (
     annihilation_op,
     basis_state,
     build_rabi,
-    hamiltonian_at,
     number_op,
     parity_op,
     pauli_op,
@@ -96,7 +95,7 @@ def test_hamiltonian_is_hermitian():
     # same property through the schedule path, at many random times
     sched = CouplingSchedule(0.0, 1.0, 7.0)
     for t in rng.uniform(0.0, 7.0, size=100):
-        h = hamiltonian_at(params, sched, float(t))
+        h = build_rabi(params, sched.coupling_at(float(t)))
         assert np.abs(h - h.conj().T).max() < 1e-13
 
 
@@ -175,17 +174,6 @@ def test_flux_parameterization():
     # zero tilt leaves the coupling constant
     flat = CouplingSchedule.from_flux(0.3, 0.0, omega0=1.0, total_time=5.0)
     assert not flat.is_sweep
-
-
-def test_hamiltonian_at_uses_schedule():
-    params = ModelParams(n_fock=6)
-    sched = CouplingSchedule(0.0, 1.0, 4.0)
-    assert np.allclose(
-        hamiltonian_at(params, sched, 2.0), build_rabi(params, 0.5), atol=1e-14
-    )
-    # the endpoints reproduce the static builder bit for bit
-    assert np.array_equal(hamiltonian_at(params, sched, 0.0), build_rabi(params, 0.0))
-    assert np.array_equal(hamiltonian_at(params, sched, 4.0), build_rabi(params, 1.0))
 
 
 def test_schedule_validation():

@@ -18,6 +18,7 @@ from uscmem import (
     build_rabi,
     parity_op,
     run_experiment,
+    sector_spectra,
     storage_schedule,
     two_mode_index,
     two_mode_vacuum,
@@ -384,3 +385,6 @@ def test_convergence_experiment_structure():
     assert list(curve["level"]) == [0, 1, 2, 3]
     assert bundle.scalars["max_abs_delta"] >= 0
     assert np.allclose(curve["delta"], curve["E_base"] - curve["E_alt"])
+    # the dense diagonalization agrees with the parity chains the sweeps use
+    chain = sector_spectra(spec.params, [spec.params.omega0], 4)[0].energies
+    assert np.abs(curve["E_base"] - chain).max() < 1e-12

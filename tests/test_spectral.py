@@ -6,17 +6,14 @@ from uscmem import (
     GaugeAlignmentError,
     ModelParams,
     Spectrum,
-    align_gauge,
     basis_state,
     build_gauge_chain,
     build_rabi,
     cat_approximant,
-    eigendecompose,
     mean_photon,
     parity_op,
     product_state,
     sector_spectra,
-    seed_gauge,
     coherent_state,
 )
 
@@ -27,11 +24,27 @@ CAT_E_OVERLAP = 0.999593
 
 
 def _spec(params: ModelParams, coupling: float, k: int = 4) -> Spectrum:
-    return eigendecompose(build_rabi(params, coupling), k, params.dims)
+    return sector_spectra(params, [coupling], k)[0]
+
+
+def _check_against_dense(params: ModelParams, coupling: float, sp: Spectrum) -> None:
+    """The dense reference, build_rabi plus eigh: the same lowest energies,
+    the same spanned subspace, and each state inside its parity sector.
+    Inside a degenerate doublet only the subspace is defined, so states
+    are compared through the projector onto their span."""
+    k = len(sp.energies)
+    energies, vectors = np.linalg.eigh(build_rabi(params, coupling))
+    assert np.abs(np.sort(sp.energies) - energies[:k]).max() < 1e-12
+    projector = vectors[:, :k] @ vectors[:, :k].conj().T
+    assert np.abs(sp.states @ sp.states.T - projector).max() < 1e-12
+    plus = np.real(np.diag(parity_op(params.dims))) > 0
+    for i in range(k):
+        off_sector = ~plus if sp.parities[i] > 0 else plus
+        assert np.all(sp.states[off_sector, i] == 0.0)
 
 
 # --------------------------------------------------------------------------
-# eigendecomposition invariants
+# eigensystem invariants
 # --------------------------------------------------------------------------
 
 def test_spectrum_invariants():
@@ -39,7 +52,7 @@ def test_spectrum_invariants():
     spec = _spec(params, 1.0)
     h = build_rabi(params, 1.0)
     p = parity_op(params.dims)
-    for i in range(spec.k):
+    for i in range(4):
         v = spec.states[:, i]
         # residual, normalization, parity purity
         assert np.linalg.norm(h @ v - spec.energies[i] * v) < 1e-9
@@ -47,7 +60,7 @@ def test_spectrum_invariants():
         assert abs(abs(np.vdot(v, p @ v)) - 1.0) < 1e-3
     # orthogonality
     g = spec.states.conj().T @ spec.states
-    assert np.abs(g - np.eye(spec.k)).max() < 1e-10
+    assert np.abs(g - np.eye(4)).max() < 1e-10
     # energies agree with a direct solve
     direct = np.sort(np.linalg.eigvalsh(h))[:4]
     assert np.allclose(spec.energies, direct, atol=1e-12)
@@ -64,29 +77,22 @@ def test_parity_purity_at_moderate_coupling():
     params = ModelParams()
     spec = _spec(params, 0.5)
     p = parity_op(params.dims)
-    for i in range(spec.k):
+    for i in range(4):
         v = spec.states[:, i]
         assert abs(abs(np.vdot(v, p @ v)) - 1.0) < 1e-9
 
 
-def test_rejects_non_hermitian():
-    params = ModelParams(n_fock=4)
-    h = build_rabi(params, 0.5).astype(complex)
-    h[0, 1] += 0.5j
-    with pytest.raises(ValueError, match="Hermitian"):
-        eigendecompose(h, 2, params.dims)
-
-
 def test_degenerate_doublet_gets_clean_parity():
-    # with omega_eg = 0 the doublet is exactly degenerate; the solver must
-    # still return parity eigenstates rather than arbitrary mixtures
+    # with omega_eg = 0 the doublet is exactly degenerate; the spectrum
+    # must still hold parity eigenstates rather than arbitrary mixtures
     params = ModelParams(omega_eg=0.0, n_fock=20)
     spec = _spec(params, 1.0, k=2)
-    assert sorted(spec.parities) == [-1, 1]
+    assert list(spec.parities) == [-1, 1]  # the tie convention of sector_levels
     p = parity_op(params.dims)
     for i in range(2):
         v = spec.states[:, i]
         assert abs(abs(np.vdot(v, p @ v)) - 1.0) < 1e-9
+    _check_against_dense(params, 1.0, spec)
 
 
 def test_convergence_against_larger_truncation():
@@ -100,60 +106,14 @@ def test_convergence_against_larger_truncation():
 # --------------------------------------------------------------------------
 
 def test_seed_gauge_makes_leading_entry_real():
-    spec = seed_gauge(_spec(ModelParams(n_fock=12), 0.7, k=3))
-    for i in range(3):
-        v = spec.states[:, i]
-        lead = v[np.argmax(np.abs(v))]
-        assert abs(lead.imag) < 1e-12
-        assert lead.real > 0
-    # idempotent
-    again = seed_gauge(spec)
-    assert np.allclose(again.states, spec.states, atol=1e-14)
-
-
-def test_align_gauge_removes_random_phases():
-    rng = np.random.default_rng(23)
-    prev = seed_gauge(_spec(ModelParams(n_fock=12), 0.7, k=3))
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
-    scrambled = Spectrum(
-        prev.dims, prev.energies.copy(), prev.states * phases, prev.parities.copy()
-    )
-    fixed = align_gauge(prev, scrambled)
-    assert np.abs(fixed.states - prev.states).max() < 1e-12
-    # aligning a spectrum against itself changes nothing
-    same = align_gauge(prev, prev)
-    assert np.abs(same.states - prev.states).max() < 1e-14
-
-
-def test_align_gauge_undoes_swapped_order():
-    prev = seed_gauge(_spec(ModelParams(n_fock=12), 0.7, k=2))
-    swapped = Spectrum(
-        prev.dims,
-        prev.energies[::-1].copy(),
-        prev.states[:, ::-1].copy(),
-        prev.parities[::-1].copy(),
-    )
-    fixed = align_gauge(prev, swapped)
-    assert np.allclose(fixed.energies, prev.energies, atol=0)
-    assert np.abs(fixed.states - prev.states).max() < 1e-12
-
-
-def test_align_gauge_flags_ambiguous_match():
-    # current states are equal mixtures of the previous pair: both overlaps
-    # sit at 1/sqrt(2) and tracking must refuse to guess
-    prev = seed_gauge(_spec(ModelParams(n_fock=12), 0.7, k=2))
-    v0, v1 = prev.states[:, 0], prev.states[:, 1]
-    mixed = np.column_stack([(v0 + v1), (v0 - v1)]) / np.sqrt(2.0)
-    bad = Spectrum(prev.dims, prev.energies.copy(), mixed, prev.parities.copy())
-    with pytest.raises(GaugeAlignmentError):
-        align_gauge(prev, bad)
-
-
-def test_align_gauge_shape_mismatch():
-    a = _spec(ModelParams(n_fock=12), 0.7, k=2)
-    b = _spec(ModelParams(n_fock=12), 0.7, k=3)
-    with pytest.raises(ValueError):
-        align_gauge(a, b)
+    params = ModelParams(n_fock=12)
+    seed = build_gauge_chain(params, np.array([0.7]), k=4).spectra[0]
+    for i in range(4):
+        v = seed.states[:, i]
+        assert v[np.argmax(np.abs(v))] > 0
+    # the seed alone fixes the first sample, whatever follows it
+    longer = build_gauge_chain(params, np.linspace(0.7, 0.3, 9), k=4)
+    assert np.array_equal(longer.spectra[0].states, seed.states)
 
 
 def test_gauge_chain_is_continuous():
@@ -174,13 +134,6 @@ def test_gauge_chain_is_continuous():
     assert abs(np.vdot(e0, end.states[:, 1])) > 1 - 1e-9
 
 
-def _dense_chain(params: ModelParams, couplings: np.ndarray, k: int) -> list[Spectrum]:
-    spectra = [seed_gauge(_spec(params, float(couplings[0]), k))]
-    for om in couplings[1:]:
-        spectra.append(align_gauge(spectra[-1], _spec(params, float(om), k)))
-    return spectra
-
-
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("omega_eg", [0.1, 0.0])
 def test_sector_gauge_chain_matches_dense_chain(omega_eg, k):
@@ -189,16 +142,8 @@ def test_sector_gauge_chain_matches_dense_chain(omega_eg, k):
     params = ModelParams(n_fock=30, omega_eg=omega_eg)
     couplings = np.linspace(0.0, 1.0, 101)
     chain = build_gauge_chain(params, couplings, k=k)
-    dense = _dense_chain(params, couplings, k)
-    plus = np.real(np.diag(parity_op(params.dims))) > 0
-    for sp, ref in zip(chain.spectra, dense):
-        assert np.abs(sp.energies - ref.energies).max() < 1e-12
-        overlaps = np.abs(np.einsum("dk,dk->k", sp.states.conj(), ref.states))
-        assert overlaps.min() > 1 - 1e-12
-        assert np.array_equal(sp.parities, ref.parities)
-        for i in range(k):
-            off_sector = ~plus if sp.parities[i] > 0 else plus
-            assert np.all(sp.states[off_sector, i] == 0.0)
+    for om, sp in zip(couplings, chain.spectra):
+        _check_against_dense(params, float(om), sp)
     for prev, cur in zip(chain.spectra, chain.spectra[1:]):
         assert np.all(np.einsum("dk,dk->k", prev.states.conj(), cur.states).real > 0)
 
@@ -218,11 +163,8 @@ def test_sector_spectra_match_eigendecompose(omega_eg):
     params = ModelParams(n_fock=20, omega_eg=omega_eg)
     couplings = np.linspace(0.0, 1.0, 11)
     for om, sp in zip(couplings, sector_spectra(params, couplings, 4)):
-        ref = _spec(params, float(om), 4)
-        assert np.abs(sp.energies - ref.energies).max() < 1e-12
-        assert np.array_equal(sp.parities, ref.parities)
-        overlaps = np.abs(np.einsum("dk,dk->k", sp.states.conj(), ref.states))
-        assert overlaps.min() > 1 - 1e-12
+        assert np.all(np.diff(sp.energies) >= 0.0)
+        _check_against_dense(params, float(om), sp)
 
 
 # --------------------------------------------------------------------------
