@@ -38,7 +38,6 @@ from .model import (
 )
 from .spectral import (
     GaugeAlignmentError,
-    GaugeChain,
     Spectrum,
     build_gauge_chain,
     cat_approximant,

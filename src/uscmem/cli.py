@@ -11,12 +11,12 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PropagatorConfig, RSQRT2
+from .dynamics import PropagatorConfig
 from .lindblad import NoiseRates
 from .model import CouplingSchedule, ModelParams
 from .protocols import EXPERIMENTS, ExperimentSpec, ResultBundle, run_experiment
@@ -136,24 +136,30 @@ class RunConfig:
 
 _DEFAULT_N_FOCK = {"noisy": 20, "entangled": 15}
 
+# ExperimentSpec fields a config may set directly.
+_SPEC_KEYS = ("alpha_f", "beta_f", "theta", "theta_points", "k_levels", "refresh_every",
+              "rate_model", "omega_points", "n_fock_alt")
+
+
+def _given(ov: dict, keys) -> dict:
+    """The overrides among keys; every other field keeps its declared default."""
+    return {k: ov[k] for k in keys if k in ov}
+
 
 def build_spec(run: RunConfig) -> ExperimentSpec:
-    """Resolve defaults plus overrides into a validated ExperimentSpec.
+    """Resolve overrides into a validated ExperimentSpec; every input not
+    overridden takes the default its dataclass declares.
 
-    Inputs an experiment never reads keep their defaults, so they cannot
-    split the spec hash of two identical runs: ``entangled`` always stores
-    the shared excitation, and only ``noisy`` has noise rates.
+    ``entangled`` always stores the shared excitation, so its stored qubit
+    and read phase are dropped, and only ``noisy`` has noise rates.
     """
     ov = run.overrides
     if run.experiment == "entangled":
         ov = {k: v for k, v in ov.items() if k not in ("alpha_f", "beta_f", "theta")}
+    if run.experiment in _DEFAULT_N_FOCK:
+        ov = {"n_fock": _DEFAULT_N_FOCK[run.experiment], **ov}
     violations: list[str] = []
-    params = ModelParams(
-        omega_cav=ov.get("omega_cav", 1.0),
-        omega_eg=ov.get("omega_eg", 0.1),
-        omega0=ov.get("omega0", 1.0),
-        n_fock=ov.get("n_fock", _DEFAULT_N_FOCK.get(run.experiment, 30)),
-    )
+    params = ModelParams(**_given(ov, ("omega_cav", "omega_eg", "omega0", "n_fock")))
     total_time = ov.get("T", 105.0)
     schedule = CouplingSchedule(
         omega_start=ov.get("omega_start", 0.0),
@@ -163,32 +169,19 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
     dt = ov.get("dt", total_time / 2000)
     if schedule.is_sweep and dt > total_time / 500:
         violations.append(f"dt = {dt} too coarse; sweeps need dt <= T/500 = {total_time / 500}")
-    cfg = PropagatorConfig(dt=dt, record_every=ov.get("record_every", 10))
+    cfg = PropagatorConfig(dt=dt, **_given(ov, ("record_every",)))
 
     noise = None
     if run.experiment == "noisy":
-        base = NoiseRates.for_qubit_splitting(params.omega_eg)
-        noise = NoiseRates(
-            gamma_x=ov.get("gamma_x", base.gamma_x),
-            gamma_y=ov.get("gamma_y", base.gamma_y),
-            gamma_z=ov.get("gamma_z", base.gamma_z),
-            gamma_r=ov.get("gamma_r", base.gamma_r),
-        )
+        noise = replace(NoiseRates.for_qubit_splitting(params.omega_eg),
+                        **_given(ov, ("gamma_x", "gamma_y", "gamma_z", "gamma_r")))
     spec = ExperimentSpec(
         name=run.experiment,
         params=params,
         schedule=schedule,
         cfg=cfg,
-        alpha_f=ov.get("alpha_f", RSQRT2),
-        beta_f=ov.get("beta_f", RSQRT2),
-        theta=ov.get("theta", None),
-        theta_points=ov.get("theta_points", 64),
         noise=noise,
-        k_levels=ov.get("k_levels", 12),
-        refresh_every=ov.get("refresh_every", 20),
-        rate_model=ov.get("rate_model", "flat"),
-        omega_points=ov.get("omega_points", 41),
-        n_fock_alt=ov.get("n_fock_alt", 40),
+        **_given(ov, _SPEC_KEYS),
     )
     violations.extend(spec.validate())
     if violations:

@@ -353,17 +353,15 @@ def phase_landscape(
     if theta_points < 32:
         raise ValueError(f"theta_points must be >= 32, got {theta_points}")
     traj, _ = storage_run(params, alpha_f, beta_f, schedule, cfg)
-    chain = build_gauge_chain(params, traj.couplings, k=2)
+    doublets = build_gauge_chain(params, traj.couplings, k=2).states
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
 
     n = traj.n_recorded
     fid = np.empty((n, theta_points))
     theta_opt = np.empty(n)
     phase = np.exp(-1j * thetas)
-    for i, spec in enumerate(chain.spectra):
-        psi = traj.amplitudes[i]
-        c_g = np.vdot(spec.states[:, 0], psi)
-        c_e = np.vdot(spec.states[:, 1], psi)
+    for i, (psi, doublet) in enumerate(zip(traj.amplitudes, doublets)):
+        c_g, c_e = (np.vdot(state, psi) for state in doublet.T)
         amp = np.conj(alpha_f) * c_g + np.conj(beta_f) * c_e * phase
         fid[i] = np.abs(amp) ** 2
         theta_opt[i] = thetas[int(np.argmax(fid[i]))]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import acos, sqrt
 
 import numpy as np
@@ -38,7 +38,7 @@ from .lindblad import (
     pure_density,
 )
 from .model import CouplingSchedule, ModelParams, build_rabi
-from .spectral import build_gauge_chain, cat_approximant, sector_spectra
+from .spectral import Spectrum, build_gauge_chain, cat_approximant, sector_spectra
 
 
 class ExperimentError(RuntimeError):
@@ -142,8 +142,16 @@ class ExperimentSpec:
         return problems
 
     def resolved(self) -> dict:
-        """Canonical plain-data view used for hashing and the manifest."""
+        """Canonical plain-data view used for hashing and the manifest.
+
+        Scalar inputs the named experiment never reads are recorded at
+        their defaults, so they cannot split the hash of two identical runs.
+        """
         out = asdict(self)
+        reads = _READS.get(self.name, ())
+        for f in fields(self):
+            if f.default is not MISSING and f.name not in reads:
+                out[f.name] = f.default
         for key in ("alpha_f", "beta_f"):
             out[key] = [out[key].real, out[key].imag]
         return out
@@ -174,6 +182,21 @@ def _stage(stage_name: str, fn, *args, **kwargs):
         raise ExperimentError(f"stage {stage_name!r} failed: {exc}") from exc
 
 
+# The scalar fields of ExperimentSpec each experiment reads; resolved() records
+# every other one at its default.
+_READS = {
+    "spectrum": ("omega_points",),
+    "storage": ("alpha_f", "beta_f"),
+    "retrieval": ("alpha_f", "beta_f", "theta"),
+    "roundtrip": ("alpha_f", "beta_f", "theta"),
+    "phase-map": ("alpha_f", "beta_f", "theta_points"),
+    "noisy": ("alpha_f", "beta_f", "theta", "noise", "k_levels", "refresh_every",
+              "rate_model"),
+    "entangled": (),
+    "convergence": ("n_fock_alt",),
+}
+
+
 def run_experiment(spec: ExperimentSpec) -> ResultBundle:
     """Run one named experiment deterministically."""
     problems = spec.validate()
@@ -192,12 +215,12 @@ def run_experiment(spec: ExperimentSpec) -> ResultBundle:
     return handler(spec)
 
 
-def _cat_overlaps(params: ModelParams, couplings, spectra) -> list[np.ndarray]:
-    """|<cat_G|state 0>|^2 and |<cat_E|state 1>|^2 of each spectrum's doublet."""
+def _cat_overlaps(params: ModelParams, spectrum: Spectrum) -> list[np.ndarray]:
+    """|<cat_G|state 0>|^2 and |<cat_E|state 1>|^2 at each coupling of a spectrum."""
     return [
         np.array([abs(np.vdot(cat_approximant(params, float(om), label).amplitudes,
-                              sp.states[:, col])) ** 2
-                  for om, sp in zip(couplings, spectra)])
+                              states[:, col])) ** 2
+                  for om, states in zip(spectrum.couplings, spectrum.states)])
         for col, label in enumerate("GE")
     ]
 
@@ -205,22 +228,18 @@ def _cat_overlaps(params: ModelParams, couplings, spectra) -> list[np.ndarray]:
 def _run_spectrum(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     omegas = np.linspace(0.0, params.omega0, spec.omega_points)
-    spectra = _stage("sector spectra", sector_spectra, params, omegas, 4)
-    rows_e = np.array([sp.energies for sp in spectra], dtype=np.float64)
-    rows_p = np.array([sp.parities for sp in spectra], dtype=np.float64)
-    f_g, f_e = _cat_overlaps(params, omegas, spectra)
+    spectrum = _stage("sector spectra", sector_spectra, params, omegas, 4)
+    f_g, f_e = _cat_overlaps(params, spectrum)
     curves = {
         "spectrum": {
             "omega": omegas,
-            "E0": rows_e[:, 0], "E1": rows_e[:, 1],
-            "E2": rows_e[:, 2], "E3": rows_e[:, 3],
-            "parity0": rows_p[:, 0], "parity1": rows_p[:, 1],
-            "parity2": rows_p[:, 2], "parity3": rows_p[:, 3],
+            **{f"E{i}": spectrum.energies[:, i] for i in range(4)},
+            **{f"parity{i}": spectrum.parities[:, i] for i in range(4)},
         },
         "cat_overlap": {"omega": omegas, "F_G": f_g, "F_E": f_e},
     }
     scalars = {
-        "gap_at_peak": float(rows_e[-1, 1] - rows_e[-1, 0]),
+        "gap_at_peak": float(spectrum.energies[-1, 1] - spectrum.energies[-1, 0]),
         "F_G_min": float(f_g.min()),
         "F_E_min": float(f_e.min()),
     }
@@ -234,10 +253,8 @@ def _storage_curve(
     tracked doublet, and the storage fidelity at the end of the sweep."""
     params = spec.params
     chain = _stage("eigenstate tracking", build_gauge_chain, params, traj.couplings, 2)
-    f_g, f_e = _cat_overlaps(params, traj.couplings, chain.spectra)
-    final_spec = chain.spectra[-1]
-    c_g = np.vdot(final_spec.states[:, 0], traj.amplitudes[-1])
-    c_e = np.vdot(final_spec.states[:, 1], traj.amplitudes[-1])
+    f_g, f_e = _cat_overlaps(params, chain)
+    c_g, c_e = (np.vdot(state, traj.amplitudes[-1]) for state in chain.states[-1].T)
     storage_fid = float((abs(spec.alpha_f) * abs(c_g) + abs(spec.beta_f) * abs(c_e)) ** 2)
     curve = {
         "t": traj.times,
@@ -338,7 +355,7 @@ def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
                       for traj in (rt.storage, rt.retrieval))
     # the two lowest levels where the write leg ends, one per sector
     doublet = _stage("register target", sector_spectra,
-                     params, rt.storage.couplings[-1:], 2)[0].states
+                     params, rt.storage.couplings[-1:], 2).states[0]
     f_store = 4 * np.prod(np.abs(doublet.T @ rt.storage.amplitudes[-1]) ** 2)
     curves = {
         "entangled_storage": {

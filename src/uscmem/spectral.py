@@ -3,15 +3,16 @@
 Protocol targets are built from eigenstates tracked along a sweep, so
 their labels and phases have to be pinned down.
 
-Spectra (:func:`sector_spectra`, :func:`build_gauge_chain`) come from the
-two real parity chains of H(Omega) (:class:`~uscmem.model.ParityChains`).
-Each eigenvector lies in one sector, so its parity label holds by
-construction, also inside an exactly degenerate doublet. A real
-tridiagonal chain has no level crossings, so a tracked state keeps its
-sector and its rank within the sector along a sweep. Only the sign of a
-real eigenvector is arbitrary: the seed makes the largest amplitude
-positive, and every later sample keeps the overlap with the previous one
-positive.
+A :class:`Spectrum` holds the lowest levels at every coupling of one call
+as stacked arrays. :func:`sector_spectra` and :func:`build_gauge_chain`
+take them from the two real parity chains of H(Omega)
+(:class:`~uscmem.model.ParityChains`). Each eigenvector lies in one
+sector, so its parity label holds by construction, also inside an
+exactly degenerate doublet. A real tridiagonal chain has no level
+crossings, so a tracked state keeps its sector and its rank within the
+sector along a sweep. Only the sign of a real eigenvector is arbitrary:
+the seed makes the largest amplitude positive, and every later sample
+keeps the overlap with the previous one positive.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertDims, State, coherent_state, normalized, number_op
+from .hilbert import State, coherent_state, normalized, number_op
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
     SECTOR_BATCH, ModelParams, build_rabi, sector_eigh, sector_levels,
@@ -35,29 +36,20 @@ class GaugeAlignmentError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Lowest-k eigenpairs of a cell Hamiltonian with parity labels.
+    """Lowest-k eigenpairs of a cell Hamiltonian at m couplings, with parity
+    labels.
 
-    ``states`` holds real orthonormal eigenvectors as columns, in ascending
-    energy order except where a gauge chain keeps the order of its first
-    sample. ``parities`` are the +-1 symmetry labels.
+    ``couplings`` (m,) are the sampled couplings, ``energies`` (m, k) the
+    levels, ``states`` (m, dim, k) real orthonormal eigenvectors as
+    columns and ``parities`` (m, k) their +-1 symmetry labels. Levels are
+    in ascending energy order except where a gauge chain keeps the order
+    of its first sample.
     """
 
-    dims: HilbertDims
+    couplings: np.ndarray
     energies: np.ndarray
     states: np.ndarray
     parities: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaugeChain:
-    """Gauge-consistent spectra tracked along a coupling sweep."""
-
-    couplings: np.ndarray
-    spectra: tuple[Spectrum, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.couplings) != len(self.spectra):
-            raise ValueError("one spectrum per coupling sample required")
 
 
 def _lowest_levels(
@@ -99,20 +91,16 @@ def _check_sectors(
         raise RuntimeError("eigenvector block lost orthonormality")
 
 
-def _spectra(params: ModelParams, energies, labels, states) -> tuple[Spectrum, ...]:
-    parities = np.where(labels < params.n_fock, 1.0, -1.0)
-    return tuple(Spectrum(params.dims, e, s, p) for e, s, p in zip(energies, states, parities))
-
-
-def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> tuple[Spectrum, ...]:
+def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> Spectrum:
     """Lowest-k spectrum of the cell at each coupling, from its parity chains:
     real states, ascending energies, and parity labels by construction."""
     couplings = np.asarray(couplings, dtype=np.float64)
-    return _spectra(params, *_lowest_levels(params, couplings, k))
+    energies, labels, states = _lowest_levels(params, couplings, k)
+    return Spectrum(couplings, energies, states, np.where(labels < params.n_fock, 1.0, -1.0))
 
 
-def build_gauge_chain(params: ModelParams, couplings: np.ndarray, k: int = 2) -> GaugeChain:
-    """Tracked spectra at each coupling, seeded at the first sample.
+def build_gauge_chain(params: ModelParams, couplings: np.ndarray, k: int = 2) -> Spectrum:
+    """Tracked spectrum over the couplings, seeded at the first sample.
 
     Each state is tracked by its chain label, its sector and its rank
     within the sector: a real tridiagonal chain has no level crossings, so
@@ -152,7 +140,7 @@ def build_gauge_chain(params: ModelParams, couplings: np.ndarray, k: int = 2) ->
         )
     signs = sign * np.cumprod(np.vstack([np.ones(k), np.sign(overlap)]), axis=0)
     states *= signs[:, None, :]
-    return GaugeChain(couplings, _spectra(params, energies, labels, states))
+    return Spectrum(couplings, energies, states, np.where(labels < params.n_fock, 1.0, -1.0))
 
 
 # --------------------------------------------------------------------------

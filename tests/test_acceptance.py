@@ -46,12 +46,12 @@ def test_equal_superposition_roundtrip(acceptance_log, roundtrip_105):
 
 def test_cat_approximants_track_doublet(acceptance_log, params30):
     worst_g = worst_e = 1.0
-    couplings = np.linspace(0.8, 1.0, 21)
-    for om, spec in zip(couplings, sector_spectra(params30, couplings, 2)):
+    spectrum = sector_spectra(params30, np.linspace(0.8, 1.0, 21), 2)
+    for om, states in zip(spectrum.couplings, spectrum.states):
         cat_g = cat_approximant(params30, float(om), "G").amplitudes
         cat_e = cat_approximant(params30, float(om), "E").amplitudes
-        worst_g = min(worst_g, abs(np.vdot(spec.states[:, 0], cat_g)) ** 2)
-        worst_e = min(worst_e, abs(np.vdot(spec.states[:, 1], cat_e)) ** 2)
+        worst_g = min(worst_g, abs(np.vdot(states[:, 0], cat_g)) ** 2)
+        worst_e = min(worst_e, abs(np.vdot(states[:, 1], cat_e)) ** 2)
     _check(
         acceptance_log,
         "cat approximant overlaps >= 0.97 for coupling in [0.8, 1.0]",

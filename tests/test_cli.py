@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, manifest hashing, and exit codes."""
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from uscmem.cli import (
     parse_set_flags,
     write_manifest,
 )
-from uscmem.protocols import ExperimentSpec
+from uscmem.protocols import EXPERIMENTS, ExperimentSpec
 
 GOOD_CONFIG = """\
 # reference point, coarse sampling
@@ -102,18 +103,51 @@ def test_spec_hash_is_pinned():
         assert build_spec(run).spec_hash == expected, run.experiment
 
 
+# a non-default value for every config key that sets one scalar spec field
+_SCALAR_OVERRIDES = {
+    "alpha_f": 1.0, "beta_f": 0.0, "theta": 1.0, "theta_points": 40, "gamma_x": 0.5,
+    "k_levels": 3, "refresh_every": 7, "rate_model": "ohmic", "omega_points": 7,
+    "n_fock_alt": 14,
+}
+
+# the keys of _SCALAR_OVERRIDES each experiment reads
+_READS = {
+    "spectrum": {"omega_points"},
+    "storage": {"alpha_f", "beta_f"},
+    "retrieval": {"alpha_f", "beta_f", "theta"},
+    "roundtrip": {"alpha_f", "beta_f", "theta"},
+    "phase-map": {"alpha_f", "beta_f", "theta_points"},
+    "noisy": {"alpha_f", "beta_f", "theta", "gamma_x", "k_levels", "refresh_every",
+              "rate_model"},
+    "entangled": set(),
+    "convergence": {"n_fock_alt"},
+}
+
+
 def test_build_spec_ignored_inputs_keep_the_hash():
-    # entangled never reads the stored qubit or the read phase, and only
-    # noisy reads noise rates: setting them changes neither hash nor result
-    small = {"n_fock": 12, "T": 20.0}
-    for experiment, ignored in (
-        ("entangled", {"alpha_f": 1.0, "beta_f": 0.0, "theta": 1.0}),
-        ("roundtrip", {"gamma_x": 0.5}),
-    ):
+    # setting inputs an experiment never reads changes neither hash nor result
+    small = {"n_fock": 12, "T": 20.0, "dt": 0.04}
+    qubit = {"alpha_f": 1.0, "beta_f": 0.0}  # set together to stay normalized
+    assert set(_READS) == set(EXPERIMENTS)
+    for experiment, reads in _READS.items():
+        ignored = {k: v for k, v in _SCALAR_OVERRIDES.items() if k not in reads}
         plain = build_spec(RunConfig(experiment, small))
         other = build_spec(RunConfig(experiment, {**small, **ignored}))
         assert other.spec_hash == plain.spec_hash, experiment
         assert run_experiment(other).scalars == run_experiment(plain).scalars, experiment
+        # and every input it reads still splits the hash
+        for key in reads:
+            read = qubit if key in qubit else {key: _SCALAR_OVERRIDES[key]}
+            changed = build_spec(RunConfig(experiment, {**small, **read}))
+            assert changed.spec_hash != plain.spec_hash, (experiment, key)
+    # a spec built without build_spec: entangled stores the shared
+    # excitation whatever amplitudes it is given
+    params = ModelParams(n_fock=12)
+    plain = ExperimentSpec("entangled", params, storage_schedule(params, 20.0),
+                           PropagatorConfig(dt=0.04))
+    other = replace(plain, alpha_f=1, beta_f=0)
+    assert other.spec_hash == plain.spec_hash
+    assert run_experiment(other).scalars == run_experiment(plain).scalars
 
 
 def test_build_spec_rejects_coarse_sweep_step():
@@ -310,11 +344,17 @@ def test_main_noisy_ohmic_success(tmp_path, capsys):
     assert len(lines) == 1 + (11 + 10)
 
 
-def test_main_noisy_reruns_are_byte_identical(tmp_path):
-    args = ["noisy", "--set", "n_fock=6", "--set", "T=20"]
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_main_reruns_are_byte_identical(tmp_path, experiment):
+    # n_fock = 12 is the smallest cell on which every experiment passes the
+    # coherent-state truncation guard
+    args = [experiment, "--set", "n_fock=12", "--set", "T=12"]
     for run in ("a", "b"):
         assert main([*args, "--out", str(tmp_path / run)]) == 0
-    for name in ("noisy.csv", "manifest.json"):
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert "manifest.json" in names and len(names) > 1
+    assert sorted(path.name for path in (tmp_path / "b").iterdir()) == names
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

@@ -56,11 +56,11 @@ THETA_CURVE_MAX_DIFF = 0.9817
 def test_constant_hamiltonian_is_exact():
     # an eigenstate only acquires the phase exp(-i E t), to roundoff
     params = ModelParams(n_fock=12)
-    spec = sector_spectra(params, [1.0], 1)[0]
-    psi0 = State(params.dims, spec.states[:, 0])
+    spec = sector_spectra(params, [1.0], 1)
+    psi0 = State(params.dims, spec.states[0, :, 0])
     sched = CouplingSchedule(1.0, 1.0, total_time=5.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(5.0, steps=50))
-    expected = np.exp(-1j * spec.energies[0] * 5.0) * psi0.amplitudes
+    expected = np.exp(-1j * spec.energies[0, 0] * 5.0) * psi0.amplitudes
     assert np.abs(traj.final.amplitudes - expected).max() < 1e-9
 
 
@@ -222,7 +222,7 @@ def test_storage_input_validation():
 
 def test_adiabatic_following_improves_with_sweep_time():
     params = ModelParams()
-    v0 = sector_spectra(params, [params.omega0], 1)[0].states[:, 0]
+    v0 = sector_spectra(params, [params.omega0], 1).states[0, :, 0]
     got = {}
     for total_time in sorted(STORAGE_GROUND):
         cfg = PropagatorConfig.for_total_time(total_time)
@@ -305,7 +305,7 @@ def test_retrieval_from_exact_eigenstate():
     # reading out the exact full-coupling ground state lands on |g,0>
     # regardless of the phase correction
     params = ModelParams()
-    stored = State(params.dims, sector_spectra(params, [params.omega0], 1)[0].states[:, 0])
+    stored = State(params.dims, sector_spectra(params, [params.omega0], 1).states[0, :, 0])
     cfg = PropagatorConfig.for_total_time(105.0)
     final = propagate(params, retrieval_schedule(params, 105.0), stored, cfg).final
     f = corrected_fidelity(final, 0.0, 1.0, 0.0)

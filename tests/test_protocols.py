@@ -386,5 +386,5 @@ def test_convergence_experiment_structure():
     assert bundle.scalars["max_abs_delta"] >= 0
     assert np.allclose(curve["delta"], curve["E_base"] - curve["E_alt"])
     # the dense diagonalization agrees with the parity chains the sweeps use
-    chain = sector_spectra(spec.params, [spec.params.omega0], 4)[0].energies
+    chain = sector_spectra(spec.params, [spec.params.omega0], 4).energies[0]
     assert np.abs(curve["E_base"] - chain).max() < 1e-12
