@@ -146,16 +146,27 @@ def _given(ov: dict, keys) -> dict:
     return {k: ov[k] for k in keys if k in ov}
 
 
+# Config keys an experiment never reads; build_spec drops them, so they
+# keep their defaults and cannot split the spec hash.
+_SWEEP_KEYS = ("T", "dt", "record_every", "omega_start")
+_UNREAD = {
+    "entangled": ("alpha_f", "beta_f", "theta"),
+    "spectrum": _SWEEP_KEYS,
+    "convergence": _SWEEP_KEYS,
+}
+
+
 def build_spec(run: RunConfig) -> ExperimentSpec:
     """Resolve overrides into a validated ExperimentSpec; every input not
     overridden takes the default its dataclass declares.
 
     ``entangled`` always stores the shared excitation, so its stored qubit
-    and read phase are dropped, and only ``noisy`` has noise rates.
+    and read phase are dropped. ``spectrum`` and ``convergence`` take no
+    sweep, so their schedule and step inputs are dropped, and with them
+    the dt floor. Only ``noisy`` has noise rates.
     """
-    ov = run.overrides
-    if run.experiment == "entangled":
-        ov = {k: v for k, v in ov.items() if k not in ("alpha_f", "beta_f", "theta")}
+    unread = _UNREAD.get(run.experiment, ())
+    ov = {k: v for k, v in run.overrides.items() if k not in unread}
     if run.experiment in _DEFAULT_N_FOCK:
         ov = {"n_fock": _DEFAULT_N_FOCK[run.experiment], **ov}
     violations: list[str] = []
@@ -244,15 +255,27 @@ def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     return paths
 
 
+_HASH_CHUNK = 1 << 20
+
+
+def _file_sha256(path: Path) -> str:
+    """sha256 of a file fed through one reused buffer of at most one chunk,
+    so memory does not grow with the file's size."""
+    digest = hashlib.sha256()
+    buf = bytearray(min(_HASH_CHUNK, path.stat().st_size))
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.hexdigest()
+
+
 def write_manifest(
     bundle: ResultBundle, spec: ExperimentSpec, paths: list[Path], out_dir: str | Path
 ) -> Path:
     """Record resolved parameters, scalars, and output content hashes."""
     out = Path(out_dir)
-    outputs = {}
-    for path in sorted(paths):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        outputs[path.name] = digest
+    outputs = {path.name: _file_sha256(path) for path in sorted(paths)}
     doc = {
         "experiment": bundle.name,
         "spec_hash": bundle.spec_hash,

@@ -111,30 +111,34 @@ def _sweep(
     i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock). The
     state is sampled as sample(x), a copy by default, at step 0, every
     cfg.record_every steps and the last step;
-    check(s, n), if given, runs on each sample s after step n. Returns the
-    sample times, their couplings and the stacked samples.
+    check(s, n), if given, runs on each sample s after step n. The record
+    grid is known before the first step, so the samples land in one
+    preallocated array, shaped and typed after the first sample. Returns
+    the sample times, their couplings and that array.
     """
     n_steps = _step_count(schedule, cfg)
     dt = schedule.total_time / n_steps
-    rec_idx = [0]
-    samples = [sample(x0)]
+    rec_idx = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
+    first = sample(x0)
+    samples = np.empty((len(rec_idx), *first.shape), dtype=first.dtype)
+    samples[0] = first
+    n_rec = 1
     x = x0
     for start in range(0, n_steps, SECTOR_BATCH):
         steps = range(start, min(start + SECTOR_BATCH, n_steps))
         midpoints = np.array([schedule.coupling_at((i + 0.5) * dt) for i in steps])
         for i, w, v in zip(steps, *sector_eigh(params, midpoints)):
             x = step(x, w, v, dt, i)
-            if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
-                s = sample(x)
+            if i + 1 == rec_idx[n_rec]:
+                samples[n_rec] = sample(x)
                 if check is not None:
-                    check(s, i + 1)
-                rec_idx.append(i + 1)
-                samples.append(s)
+                    check(samples[n_rec], i + 1)
+                n_rec += 1
 
-    times = np.array(rec_idx, dtype=np.float64) * dt
+    times = rec_idx * dt
     times[-1] = schedule.total_time
     couplings = np.array([schedule.coupling_at(t) for t in times])
-    return times, couplings, np.array(samples)
+    return times, couplings, samples
 
 
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:

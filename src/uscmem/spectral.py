@@ -57,7 +57,7 @@ def _lowest_levels(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k lowest levels at each coupling by :func:`~uscmem.model.sector_levels`,
     SECTOR_BATCH couplings per batched eigh, with the residual and
-    orthonormality of every kept chain eigenpair checked."""
+    orthonormality of every kept chain eigenpair checked batch by batch."""
     if not 1 <= k <= params.dims.total_dim:
         raise ValueError(f"k must be in [1, {params.dims.total_dim}], got {k}")
     nf = params.n_fock
@@ -68,14 +68,15 @@ def _lowest_levels(
         batch = slice(start, start + SECTOR_BATCH)
         cw, cv = sector_eigh(params, couplings[batch])
         w[batch], v[batch] = cw[..., :depth], cv[..., :depth]
-    _check_sectors(params, couplings, w, v)
+        del cw, cv  # free the full batch before the check allocates
+        _check_sectors(params, couplings[batch], w[batch], v[batch])
     return sector_levels(params, w, v, k)
 
 
 def _check_sectors(
     params: ModelParams, couplings: np.ndarray, w: np.ndarray, v: np.ndarray
 ) -> None:
-    """Residual and orthonormality of chain eigenpairs, all couplings at once."""
+    """Residual and orthonormality of chain eigenpairs, over a batch of couplings."""
     chains = params.chains
     hop = couplings[:, None, None, None] * chains.hop[:, None]
     hv = chains.diag[..., None] * v

@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, manifest hashing, and exit codes."""
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from uscmem import ModelParams, PropagatorConfig, run_experiment, storage_schedu
 from uscmem.cli import (
     ConfigError,
     RunConfig,
+    _file_sha256,
     build_spec,
     emit_csv,
     main,
@@ -150,6 +152,19 @@ def test_build_spec_ignored_inputs_keep_the_hash():
     assert run_experiment(other).scalars == run_experiment(plain).scalars
 
 
+def test_sweepless_experiments_ignore_sweep_inputs():
+    # spectrum and convergence take no sweep: its duration, step, recording
+    # and start coupling neither split their hash nor hit the dt floor
+    defaults = {
+        "spectrum": "8b97b5bc14be42e2fcb40ba03e8b8813958dc1964e3700bd2b5ed1b23accfc2e",
+        "convergence": "32e80bc775aef91dbeb69c3f48a6bddebf35a920f89b0750c2aa98625075aa59",
+    }
+    for experiment, expected in defaults.items():
+        assert build_spec(RunConfig(experiment)).spec_hash == expected
+        for ov in ({"T": 20.0, "record_every": 3}, {"omega_start": 0.3}, {"dt": 1.0}):
+            assert build_spec(RunConfig(experiment, ov)).spec_hash == expected, (experiment, ov)
+
+
 def test_build_spec_rejects_coarse_sweep_step():
     run = RunConfig(experiment="storage", overrides={"T": 10.0, "dt": 0.5})
     with pytest.raises(ConfigError, match="dt"):
@@ -286,6 +301,27 @@ def test_manifest_contents(tmp_path):
     digest = hashlib.sha256((tmp_path / "storage.csv").read_bytes()).hexdigest()
     assert doc["outputs"]["storage.csv"] == digest
     assert doc["scalars"]["F_s_final"] == bundle.scalars["F_s_final"]
+
+
+@pytest.mark.parametrize("size", [0, 1000, 3 * (1 << 20) + 17])
+def test_manifest_digest_is_streamed_in_chunks(tmp_path, size):
+    # empty, under one chunk, and spanning several 1 MiB chunks
+    path = tmp_path / "blob.csv"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert _file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifest_memory_does_not_grow_with_output_size(tmp_path):
+    bundle, spec = _small_bundle()
+    big = tmp_path / "big.csv"
+    big.write_bytes(b"0.12345678901234567,1\n" * (8 * (1 << 20) // 22))
+    tracemalloc.start()
+    try:
+        write_manifest(bundle, spec, [big], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (1 << 20), peak
 
 
 # --------------------------------------------------------------------------

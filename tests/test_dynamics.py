@@ -30,6 +30,7 @@ from uscmem import (
     storage_run,
     storage_schedule,
 )
+from uscmem.dynamics import _sweep
 from uscmem.model import sector_eigh, sector_levels
 
 RSQRT2 = 2 ** -0.5
@@ -205,6 +206,27 @@ def test_recording_grid():
     assert traj.times[-1] == 10.0
     assert abs(traj.couplings[0]) < 1e-15
     assert abs(traj.couplings[-1] - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("record_every, n_recorded", [(50, 11), (70, 9), (600, 2)])
+def test_sweep_record_grid(record_every, n_recorded):
+    # 500 steps: record_every divides them, does not, and exceeds them
+    params = ModelParams(n_fock=4)
+    sched = storage_schedule(params, 10.0)
+    cfg = PropagatorConfig(dt=0.02, record_every=record_every)
+    checked = []
+    times, couplings, samples = _sweep(
+        params, sched, cfg, np.array(0.0), lambda x, w, v, dt, i: np.array(i + 1.0),
+        check=lambda s, n: checked.append((float(s), n)),
+    )
+    steps = [*range(0, 500, record_every), 500]
+    assert len(steps) == n_recorded
+    assert np.array_equal(samples, steps)  # the sample after step n holds n
+    assert checked == [(float(n), n) for n in steps[1:]]
+    expected = np.array(steps) * 0.02
+    expected[-1] = 10.0
+    assert np.array_equal(times, expected)
+    assert np.array_equal(couplings, [sched.coupling_at(t) for t in expected])
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,8 @@ The frozen transition rates were derived independently by diagonalizing an
 explicitly assembled Hamiltonian and evaluating matrix elements of the bare
 noise operators between the lowest dressed levels.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,25 @@ def test_master_input_validation():
     rho0 = pure_density(storage_input(params))
     with pytest.raises(ValueError):
         evolve_master(params, sched, rho0, rates, cfg, refresh_every=0)
+
+
+def test_master_samples_are_held_once():
+    # every step recorded: the trajectory's samples dominate a leg's memory,
+    # and the sweep holds them in one array, not a list plus a stacked copy
+    params = ModelParams(n_fock=10)
+    sched = storage_schedule(params, 10.0)
+    cfg = PropagatorConfig.for_total_time(10.0, steps=500, record_every=1)
+    rates = NoiseRates.for_qubit_splitting(0.1)
+    rho0 = pure_density(storage_input(params))
+    evolve_master(params, sched, rho0, rates, cfg)  # warm the per-dims caches
+    tracemalloc.start()
+    try:
+        mt = evolve_master(params, sched, rho0, rates, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mt.rhos.shape == (501, 20, 20)
+    assert peak < 1.5 * mt.rhos.nbytes, peak / mt.rhos.nbytes
 
 
 def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_every, model):

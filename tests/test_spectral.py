@@ -16,6 +16,8 @@ from uscmem import (
     sector_spectra,
     coherent_state,
 )
+from uscmem import spectral
+from uscmem.model import SECTOR_BATCH, sector_eigh
 
 # independently derived reference values at full coupling, n_fock = 30
 GROUND_PHOTON = 0.972198
@@ -159,6 +161,37 @@ def test_sector_gauge_chain_rejects_coarse_grids():
     # a fourth level crosses into the lowest three between 0 and 1
     with pytest.raises(GaugeAlignmentError, match="left the lowest 3"):
         build_gauge_chain(params, np.linspace(0.0, 1.0, 101), k=3)
+
+
+def _shift_level(w, v):
+    w[3, 0, 0] += 1e-3
+
+
+def _stretch_state(w, v):
+    v[3, 0, :, 0] *= 1.1  # still an eigenvector, no longer normalized
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("corrupt, message", [
+    (_shift_level, "eigenpair residual above tolerance"),
+    (_stretch_state, "lost orthonormality"),
+])
+def test_every_sector_batch_is_checked(monkeypatch, batch, corrupt, message):
+    # three batches of couplings; one eigenpair of a later batch goes bad
+    calls = []
+
+    def patched(params, couplings):
+        w, v = sector_eigh(params, couplings)
+        if len(calls) == batch:
+            corrupt(w, v)
+        calls.append(couplings)
+        return w, v
+
+    monkeypatch.setattr(spectral, "sector_eigh", patched)
+    couplings = np.linspace(0.0, 1.0, 2 * SECTOR_BATCH + 16)
+    with pytest.raises(RuntimeError, match=message):
+        build_gauge_chain(ModelParams(n_fock=12), couplings, k=2)
+    assert len(calls) == batch + 1  # raised at the corrupted batch
 
 
 @pytest.mark.parametrize("omega_eg", [0.1, 0.0])
