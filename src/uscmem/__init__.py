@@ -13,17 +13,12 @@ from .hilbert import (
     State,
     TruncationError,
     annihilation_op,
-    basis_state,
     coherent_state,
     coherent_truncation_weight,
-    creation_op,
     fock_annihilation,
-    identity_op,
     infer_two_mode_fock,
     normalized,
-    number_op,
     pauli_op,
-    product_state,
     two_mode_index,
     two_mode_vacuum,
 )
@@ -31,8 +26,6 @@ from .model import (
     CouplingSchedule,
     ModelParams,
     build_rabi,
-    parity_op,
-    retrieval_schedule,
     sector_eigh,
     storage_schedule,
 )
@@ -41,7 +34,6 @@ from .spectral import (
     Spectrum,
     build_gauge_chain,
     cat_approximant,
-    mean_photon,
     sector_spectra,
 )
 from .dynamics import (
@@ -50,9 +42,6 @@ from .dynamics import (
     PropagatorConfig,
     RoundTrip,
     Trajectory,
-    branch_phase_correction,
-    corrected_fidelity,
-    optimal_evolution_time,
     optimize_retrieval_phase,
     phase_landscape,
     physical_time,

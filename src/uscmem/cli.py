@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PropagatorConfig
+from .dynamics import PropagatorConfig, _step_count
 from .lindblad import NoiseRates
 from .model import CouplingSchedule, ModelParams
 from .protocols import EXPERIMENTS, ExperimentSpec, ResultBundle, run_experiment
@@ -177,10 +177,11 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
         omega_end=params.omega0,
         total_time=total_time,
     )
-    dt = ov.get("dt", total_time / 2000)
-    if schedule.is_sweep and dt > total_time / 500:
-        violations.append(f"dt = {dt} too coarse; sweeps need dt <= T/500 = {total_time / 500}")
-    cfg = PropagatorConfig(dt=dt, **_given(ov, ("record_every",)))
+    cfg = PropagatorConfig(dt=ov.get("dt", total_time / 2000), **_given(ov, ("record_every",)))
+    try:
+        _step_count(schedule, cfg)  # the propagator's own step floor
+    except ValueError as exc:
+        violations.append(str(exc))
 
     noise = None
     if run.experiment == "noisy":

@@ -214,13 +214,6 @@ def storage_run(
     return traj, fs
 
 
-def branch_phase_correction(dims: HilbertDims, theta: float) -> np.ndarray:
-    """Unitary applying exp(-i theta) on the excited-qubit branch of a cell."""
-    d = np.ones(dims.total_dim, dtype=np.complex128)
-    d[dims.n_fock:] = np.exp(-1j * theta)
-    return np.diag(d)
-
-
 def _branch_overlaps(
     amps: np.ndarray, dims: HilbertDims, alpha_f: complex, beta_f: complex
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -235,13 +228,6 @@ def _corrected_rows(
     """|u + exp(-i theta) v|^2 for every state row of amps."""
     u, v = _branch_overlaps(amps, dims, alpha_f, beta_f)
     return np.abs(u + np.exp(-1j * theta) * v) ** 2
-
-
-def corrected_fidelity(
-    state: State, theta: float, alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2
-) -> float:
-    """|<psi_s| C(theta) |state>|^2 with the excited-branch phase correction."""
-    return float(_corrected_rows(state.amplitudes, state.dims, theta, alpha_f, beta_f))
 
 
 def optimize_retrieval_phase(
@@ -373,35 +359,8 @@ def phase_landscape(
 
 
 # --------------------------------------------------------------------------
-# protocol timing
+# physical units
 # --------------------------------------------------------------------------
-
-def optimal_evolution_time(
-    params: ModelParams,
-    t_grid: np.ndarray,
-    steps: int = 2000,
-    record_every: int = 10,
-    alpha_f: complex = RSQRT2,
-    beta_f: complex = RSQRT2,
-) -> tuple[float, list[tuple[float, float, float]]]:
-    """Round-trip fidelity over candidate sweep durations.
-
-    Each duration gets its own dt = T / steps and an optimized read phase.
-    Returns the best duration and the table of (T, fidelity, theta_opt).
-    """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.ndim != 1 or len(t_grid) == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    if np.any(t_grid <= 0):
-        raise ValueError("sweep durations must be positive")
-    table = []
-    for total_time in t_grid:
-        cfg = PropagatorConfig.for_total_time(float(total_time), steps, record_every)
-        rt = roundtrip_run(params, float(total_time), cfg, alpha_f, beta_f)
-        table.append((float(total_time), rt.fidelity, rt.theta_opt))
-    best = max(table, key=lambda row: row[1])
-    return best[0], table
-
 
 def physical_time(t: float, f_cav_hz: float) -> float:
     """Convert protocol time units (1 / omega_cav) to seconds for a cavity

@@ -1,9 +1,14 @@
-"""Truncated qubit-resonator Hilbert space: dimensions, operators, states.
+"""Truncated qubit-resonator Hilbert space: dimensions, states, and the
+few operators the package builds outside the parity chains.
 
 The space is one qubit-resonator cell. Basis ordering is qubit-major:
-index i = q * n_fock + n with q = 0 for |g>, q = 1 for |e>. All operators
-are dense complex numpy arrays; the target problem sizes (dim <= a few
-hundred) never need sparse storage.
+index i = q * n_fock + n with q = 0 for |g>, q = 1 for |e>. Sweeps never
+assemble the Hamiltonian here; they work on its parity chains
+(:class:`~uscmem.model.ParityChains`). What remains are the ladder and
+Pauli operators of a cell, which :mod:`uscmem.lindblad` builds once per
+truncation for its noise channels, coherent states with truncation
+guards for the cat approximants, and the two-mode Fock helpers of the
+beam splitter.
 """
 from __future__ import annotations
 
@@ -87,22 +92,6 @@ def normalized(dims: HilbertDims, amplitudes: np.ndarray) -> State:
     return State(dims, amps / nrm)
 
 
-def basis_state(dims: HilbertDims, qubit: int, n: int) -> State:
-    """Basis state |qubit, n>."""
-    amps = np.zeros(dims.total_dim, dtype=np.complex128)
-    amps[dims.index(qubit, n)] = 1.0
-    return State(dims, amps)
-
-
-def product_state(dims: HilbertDims, qubit_amps: np.ndarray, fock_amps: np.ndarray) -> State:
-    """Product state (qubit factor) x (Fock factor)."""
-    q = np.asarray(qubit_amps, dtype=np.complex128)
-    f = np.asarray(fock_amps, dtype=np.complex128)
-    if q.shape != (2,) or f.shape != (dims.n_fock,):
-        raise ValueError("factor shapes must be (2,) and (n_fock,)")
-    return normalized(dims, np.kron(q, f))
-
-
 # --------------------------------------------------------------------------
 # operators
 # --------------------------------------------------------------------------
@@ -115,16 +104,6 @@ def fock_annihilation(n_fock: int) -> np.ndarray:
 def annihilation_op(dims: HilbertDims) -> np.ndarray:
     """Cell annihilation operator, identity on the qubit factor."""
     return np.kron(np.eye(2, dtype=np.complex128), fock_annihilation(dims.n_fock))
-
-
-def creation_op(dims: HilbertDims) -> np.ndarray:
-    return annihilation_op(dims).conj().T
-
-
-def number_op(dims: HilbertDims) -> np.ndarray:
-    """Photon number operator a^dag a, identity on the qubit factor."""
-    n = np.diag(np.arange(dims.n_fock, dtype=np.float64)).astype(np.complex128)
-    return np.kron(np.eye(2, dtype=np.complex128), n)
 
 
 _PAULI = {
@@ -142,10 +121,6 @@ def pauli_op(axis: str, dims: HilbertDims) -> np.ndarray:
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
     return np.kron(sigma, np.eye(dims.n_fock, dtype=np.complex128))
-
-
-def identity_op(dims: HilbertDims) -> np.ndarray:
-    return np.eye(dims.total_dim, dtype=np.complex128)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, sin
 
 import numpy as np
 
@@ -101,22 +100,6 @@ class CouplingSchedule:
         if self.shape != "linear":
             raise ValueError(f"unsupported schedule shape {self.shape!r}")
 
-    @classmethod
-    def from_flux(
-        cls, f: float, delta_f: float, omega0: float, total_time: float
-    ) -> "CouplingSchedule":
-        """Schedule from a flux bias working point.
-
-        A small linear flux excursion delta_f around the bias f modulates the
-        coupling as Omega(t) = (cos f - delta_f sin f * t / T) * omega0, which
-        is again a linear ramp in time.
-        """
-        return cls(
-            omega_start=omega0 * cos(f),
-            omega_end=omega0 * (cos(f) - delta_f * sin(f)),
-            total_time=total_time,
-        )
-
     @property
     def is_sweep(self) -> bool:
         return self.omega_start != self.omega_end
@@ -134,11 +117,6 @@ class CouplingSchedule:
 def storage_schedule(params: ModelParams, total_time: float) -> CouplingSchedule:
     """Write sweep: ramp the coupling from 0 up to omega0."""
     return CouplingSchedule(0.0, params.omega0, total_time)
-
-
-def retrieval_schedule(params: ModelParams, total_time: float) -> CouplingSchedule:
-    """Read sweep: ramp the coupling from omega0 back to 0."""
-    return CouplingSchedule(params.omega0, 0.0, total_time)
 
 
 def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:
@@ -203,14 +181,3 @@ def sector_levels(
     states[rows, params.chains.index[sector], cols] = v[rows, sector[..., None],
                                                       np.arange(nf), rank[..., None]]
     return energies, labels, states
-
-
-def parity_op(dims: HilbertDims) -> np.ndarray:
-    """Z2 symmetry operator sigma_z exp(i pi a^dag a) of one cell.
-
-    Commutes with the Rabi Hamiltonian at every coupling, so its eigenvalue
-    (+1 or -1) labels each eigenstate and is conserved during sweeps.
-    """
-    photon_parity = np.diag((-1.0 + 0j) ** np.arange(dims.n_fock))
-    return np.kron(np.array([[-1, 0], [0, 1]], dtype=np.complex128), photon_parity)
-

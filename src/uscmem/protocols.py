@@ -319,15 +319,19 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
     mt_s = _stage("noisy storage", evolve_master,
                   params, spec.schedule, rho0, rates, spec.cfg,
                   spec.k_levels, spec.refresh_every, model)
+    fs_s = np.array([fidelity_mixed(r, psi_s) for r in mt_s.rhos])
+    # keep what the curve reads of the write leg and free its samples, so the
+    # two legs' stacks are never held at once (final is a view into them)
+    times_s, couplings_s, stored = mt_s.times, mt_s.couplings, mt_s.final.copy()
+    del mt_s
     mt_r = _stage("noisy retrieval", evolve_master,
-                  params, spec.schedule.reversed(), mt_s.final, rates, spec.cfg,
+                  params, spec.schedule.reversed(), stored, rates, spec.cfg,
                   spec.k_levels, spec.refresh_every, model)
     total_time = spec.schedule.total_time
-    fs_s = np.array([fidelity_mixed(r, psi_s) for r in mt_s.rhos])
     fs_r = np.array([fidelity_mixed(r, psi_s) for r in mt_r.rhos])
     curve = {
-        "t": np.concatenate([mt_s.times, total_time + mt_r.times[1:]]),
-        "omega": np.concatenate([mt_s.couplings, mt_r.couplings[1:]]),
+        "t": np.concatenate([times_s, total_time + mt_r.times[1:]]),
+        "omega": np.concatenate([couplings_s, mt_r.couplings[1:]]),
         "F_s": np.concatenate([fs_s, fs_r[1:]]),
     }
     if spec.theta is None:

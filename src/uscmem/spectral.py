@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import State, coherent_state, normalized, number_op
+from .hilbert import State, coherent_state, normalized
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
     SECTOR_BATCH, ModelParams, build_rabi, sector_eigh, sector_levels,
@@ -178,9 +178,3 @@ def cat_approximant(params: ModelParams, coupling: float, which: str) -> State:
         + sign * np.kron(minus, coherent_state(alpha, dims.n_fock))
     ) / sqrt2
     return normalized(dims, amps)
-
-
-def mean_photon(state: State) -> float:
-    """<a^dag a> of a cell state."""
-    n = number_op(state.dims)
-    return float(np.real(np.vdot(state.amplitudes, n @ state.amplitudes)))

@@ -11,7 +11,6 @@ from uscmem import (
     evolve_master,
     phase_landscape,
     pure_density,
-    retrieval_schedule,
     roundtrip_run,
     run_experiment,
     storage_input,
@@ -76,7 +75,7 @@ def noisy_legs():
         params, storage_schedule(params, 105.0), pure_density(psi_s), rates, cfg
     )
     leg_out = evolve_master(
-        params, retrieval_schedule(params, 105.0), leg_in.final, rates, cfg
+        params, storage_schedule(params, 105.0).reversed(), leg_in.final, rates, cfg
     )
     return params, psi_s, leg_in, leg_out
 

@@ -1,0 +1,70 @@
+"""Dense references the tests check the package against.
+
+The package never builds these: its sweeps work on the two parity chains
+(:class:`uscmem.model.ParityChains`), and its read-out takes the two
+branch amplitudes of a state. Here each object is assembled the textbook
+way, as a full state vector or a full 2 n_fock x 2 n_fock matrix, so a
+test can compare a chain-level result with its dense counterpart.
+"""
+import numpy as np
+
+from uscmem import HilbertDims, State, normalized
+
+RSQRT2 = 2 ** -0.5
+
+
+def basis_state(dims: HilbertDims, qubit: int, n: int) -> State:
+    """Basis state |qubit, n>."""
+    amps = np.zeros(dims.total_dim, dtype=np.complex128)
+    amps[dims.index(qubit, n)] = 1.0
+    return State(dims, amps)
+
+
+def product_state(dims: HilbertDims, qubit_amps: np.ndarray, fock_amps: np.ndarray) -> State:
+    """Product state (qubit factor) x (Fock factor)."""
+    q = np.asarray(qubit_amps, dtype=np.complex128)
+    f = np.asarray(fock_amps, dtype=np.complex128)
+    if q.shape != (2,) or f.shape != (dims.n_fock,):
+        raise ValueError("factor shapes must be (2,) and (n_fock,)")
+    return normalized(dims, np.kron(q, f))
+
+
+def number_op(dims: HilbertDims) -> np.ndarray:
+    """Photon number operator a^dag a, identity on the qubit factor."""
+    n = np.diag(np.arange(dims.n_fock, dtype=np.float64)).astype(np.complex128)
+    return np.kron(np.eye(2, dtype=np.complex128), n)
+
+
+def parity_op(dims: HilbertDims) -> np.ndarray:
+    """Z2 symmetry operator sigma_z exp(i pi a^dag a) of one cell.
+
+    Commutes with the Rabi Hamiltonian at every coupling, so its eigenvalue
+    (+1 or -1) labels each eigenstate and is conserved during sweeps.
+    """
+    photon_parity = np.diag((-1.0 + 0j) ** np.arange(dims.n_fock))
+    return np.kron(np.array([[-1, 0], [0, 1]], dtype=np.complex128), photon_parity)
+
+
+def branch_phase_correction(dims: HilbertDims, theta: float) -> np.ndarray:
+    """Unitary C(theta) applying exp(-i theta) on the excited-qubit branch."""
+    d = np.ones(dims.total_dim, dtype=np.complex128)
+    d[dims.n_fock:] = np.exp(-1j * theta)
+    return np.diag(d)
+
+
+def corrected_fidelity(
+    state: State, theta: float, alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2
+) -> float:
+    """|<psi_s| C(theta) |state>|^2 with psi_s = alpha_f |g,0> + beta_f |e,0>,
+    as a dense matrix-vector product."""
+    dims = state.dims
+    psi_s = (alpha_f * basis_state(dims, 0, 0).amplitudes
+             + beta_f * basis_state(dims, 1, 0).amplitudes)
+    c = branch_phase_correction(dims, theta)
+    return abs(np.vdot(psi_s, c @ state.amplitudes)) ** 2
+
+
+def mean_photon(state: State) -> float:
+    """<a^dag a> of a cell state."""
+    n = number_op(state.dims)
+    return float(np.real(np.vdot(state.amplitudes, n @ state.amplitudes)))

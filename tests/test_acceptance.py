@@ -13,7 +13,6 @@ from uscmem import (
     beam_splitter,
     cat_approximant,
     optimize_retrieval_phase_mixed,
-    parity_op,
     physical_time,
     propagate,
     run_experiment,
@@ -22,6 +21,8 @@ from uscmem import (
     storage_schedule,
     two_mode_index,
 )
+
+from reference import parity_op
 
 
 def _check(log, label, ok, detail):

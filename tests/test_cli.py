@@ -19,6 +19,7 @@ from uscmem.cli import (
     parse_set_flags,
     write_manifest,
 )
+from uscmem.dynamics import _step_count
 from uscmem.protocols import EXPERIMENTS, ExperimentSpec
 
 GOOD_CONFIG = """\
@@ -169,6 +170,12 @@ def test_build_spec_rejects_coarse_sweep_step():
     run = RunConfig(experiment="storage", overrides={"T": 10.0, "dt": 0.5})
     with pytest.raises(ConfigError, match="dt"):
         build_spec(run)
+    # the floor is the propagator's: round(T / dt) steps, at least 500
+    total_time = 105.0
+    spec = build_spec(RunConfig("storage", {"T": total_time, "dt": total_time / 499.8}))
+    assert _step_count(spec.schedule, spec.cfg) == 500
+    with pytest.raises(ConfigError, match="499 steps"):
+        build_spec(RunConfig("storage", {"T": total_time, "dt": total_time / 499.4}))
 
 
 def test_build_spec_noise_overrides_attach():

@@ -1,4 +1,4 @@
-"""Sweep propagation, retrieval phase correction, and protocol timing.
+"""Sweep propagation, retrieval phase correction, and physical units.
 
 Frozen numbers were produced by an independent implementation (explicit
 Hamiltonian assembly, scipy-based propagation) at the default operating
@@ -14,16 +14,11 @@ from uscmem import (
     ModelParams,
     PropagatorConfig,
     State,
-    basis_state,
     build_rabi,
-    corrected_fidelity,
-    optimal_evolution_time,
     optimize_retrieval_phase,
-    parity_op,
     phase_landscape,
     physical_time,
     propagate,
-    retrieval_schedule,
     roundtrip_run,
     sector_spectra,
     storage_input,
@@ -32,6 +27,8 @@ from uscmem import (
 )
 from uscmem.dynamics import _sweep
 from uscmem.model import sector_eigh, sector_levels
+
+from reference import basis_state, corrected_fidelity, parity_op
 
 RSQRT2 = 2 ** -0.5
 
@@ -282,6 +279,10 @@ def test_phase_correction_matters(roundtrip_105):
     bad = corrected_fidelity(final, roundtrip_105.theta_opt + np.pi)
     assert bad < 0.1
     assert roundtrip_105.fidelity > 0.99
+    # the read curve's branch formula agrees with the dense C(theta) on every sample
+    dense = [corrected_fidelity(State(final.dims, amps), roundtrip_105.theta_opt)
+             for amps in roundtrip_105.retrieval.amplitudes]
+    assert np.abs(roundtrip_105.retrieval_fs - dense).max() < 1e-14
 
 
 def test_optimized_phase_agrees_with_grid_scan(roundtrip_105):
@@ -329,7 +330,7 @@ def test_retrieval_from_exact_eigenstate():
     params = ModelParams()
     stored = State(params.dims, sector_spectra(params, [params.omega0], 1).states[0, :, 0])
     cfg = PropagatorConfig.for_total_time(105.0)
-    final = propagate(params, retrieval_schedule(params, 105.0), stored, cfg).final
+    final = propagate(params, storage_schedule(params, 105.0).reversed(), stored, cfg).final
     f = corrected_fidelity(final, 0.0, 1.0, 0.0)
     assert f > 0.999
     assert abs(f - corrected_fidelity(final, 1.9, 1.0, 0.0)) < 1e-12
@@ -383,21 +384,8 @@ def test_landscape_rejects_coarse_theta_grid():
 
 
 # --------------------------------------------------------------------------
-# protocol timing
+# physical units
 # --------------------------------------------------------------------------
-
-def test_optimal_evolution_time_prefers_slower_sweep():
-    params = ModelParams(n_fock=12)
-    t_best, records = optimal_evolution_time(params, [20.0, 60.0])
-    assert t_best == 60.0
-    assert len(records) == 2
-    by_time = {r[0]: r for r in records}
-    assert by_time[60.0][1] > by_time[20.0][1]
-    # same inputs, bit-identical table
-    t_again, records_again = optimal_evolution_time(params, [20.0, 60.0])
-    assert t_again == t_best
-    assert records_again == records
-
 
 def test_physical_time_conversion():
     assert physical_time(2 * np.pi, 1.0) == pytest.approx(1.0, rel=1e-12)

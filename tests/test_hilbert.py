@@ -14,20 +14,17 @@ from uscmem import (
     State,
     TruncationError,
     annihilation_op,
-    basis_state,
     coherent_state,
     coherent_truncation_weight,
-    creation_op,
     fock_annihilation,
-    identity_op,
     infer_two_mode_fock,
     normalized,
-    number_op,
     pauli_op,
-    product_state,
     two_mode_index,
     two_mode_vacuum,
 )
+
+from reference import basis_state, number_op, product_state
 
 
 # --------------------------------------------------------------------------
@@ -55,9 +52,7 @@ def test_truncated_commutator_has_corner_defect():
 def test_number_operator_matches_ladder_product():
     dims = HilbertDims(n_fock=6)
     a = annihilation_op(dims)
-    adag = creation_op(dims)
-    assert np.allclose(adag @ a, number_op(dims), atol=1e-13)
-    assert np.allclose(adag, a.conj().T, atol=0)
+    assert np.allclose(a.conj().T @ a, number_op(dims), atol=1e-13)
 
 
 # --------------------------------------------------------------------------
@@ -69,7 +64,7 @@ def test_pauli_algebra():
     sx = pauli_op("x", dims)
     sy = pauli_op("y", dims)
     sz = pauli_op("z", dims)
-    eye = identity_op(dims)
+    eye = np.eye(dims.total_dim)
     assert np.allclose(sx @ sy, 1j * sz, atol=1e-14)
     for s in (sx, sy, sz):
         assert np.allclose(s @ s, eye, atol=1e-14)

@@ -17,10 +17,7 @@ from uscmem import (
     PropagatorConfig,
     State,
     annihilation_op,
-    basis_state,
-    branch_phase_correction,
     build_rabi,
-    corrected_fidelity,
     corrected_fidelity_mixed,
     evolve_master,
     fidelity_mixed,
@@ -35,6 +32,8 @@ from uscmem import (
     validate_density,
 )
 from uscmem.lindblad import _rate_table
+
+from reference import basis_state, branch_phase_correction, corrected_fidelity
 
 # per-channel dressed rates at full coupling, n_fock = 20, base rates
 # gamma = 1e-4 (qubit axes) and 1e-5 (resonator), flat spectral density

@@ -1,5 +1,6 @@
 """Beam splitter, the two-cell register against a dense U x U reference,
 and the experiment driver."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +17,14 @@ from uscmem import (
     TruncationError,
     beam_splitter,
     build_rabi,
-    parity_op,
     run_experiment,
     sector_spectra,
     storage_schedule,
     two_mode_index,
     two_mode_vacuum,
 )
+
+from reference import parity_op
 
 RSQRT2 = 2 ** -0.5
 
@@ -324,6 +326,24 @@ def test_noisy_fixed_theta_reproduces_the_optimum():
     # a correction away from the optimum reads out less
     off = run_experiment(replace(spec, theta=optimized.scalars["theta_opt"] + 1.0))
     assert off.scalars["F_s_final"] < optimized.scalars["F_s_final"] - 1e-3
+
+
+def test_noisy_legs_are_not_held_at_once():
+    # every step recorded: each leg's samples dominate the run's memory, and
+    # the write leg's are freed before the read leg records its own
+    spec = replace(_tiny_spec("noisy"),
+                   cfg=PropagatorConfig.for_total_time(12.0, steps=500, record_every=1))
+    run_experiment(spec)  # warm the per-dims caches
+    tracemalloc.start()
+    try:
+        bundle = run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = spec.params.dims.total_dim
+    leg_bytes = 501 * d * d * np.dtype(np.complex128).itemsize
+    assert len(bundle.curves["noisy"]["t"]) == 2 * 501 - 1
+    assert peak < 1.5 * leg_bytes, peak / leg_bytes
 
 
 def test_run_experiment_is_deterministic():

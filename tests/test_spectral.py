@@ -6,18 +6,16 @@ from uscmem import (
     GaugeAlignmentError,
     ModelParams,
     Spectrum,
-    basis_state,
     build_gauge_chain,
     build_rabi,
     cat_approximant,
-    mean_photon,
-    parity_op,
-    product_state,
     sector_spectra,
     coherent_state,
 )
 from uscmem import spectral
 from uscmem.model import SECTOR_BATCH, sector_eigh
+
+from reference import basis_state, mean_photon, parity_op, product_state
 
 # independently derived reference values at full coupling, n_fock = 30
 GROUND_PHOTON = 0.972198
