@@ -42,10 +42,11 @@ from .dynamics import (
     PropagatorConfig,
     RoundTrip,
     Trajectory,
-    optimize_retrieval_phase,
+    branch_block,
     phase_landscape,
     physical_time,
     propagate,
+    readout,
     roundtrip_run,
     storage_input,
     storage_run,
@@ -54,12 +55,9 @@ from .lindblad import (
     MasterTrajectory,
     NoiseRates,
     PositivityError,
-    corrected_fidelity_mixed,
     evolve_master,
-    fidelity_mixed,
     flat_rate,
     ohmic_rate,
-    optimize_retrieval_phase_mixed,
     pure_density,
     validate_density,
 )

@@ -208,41 +208,46 @@ def storage_run(
 ) -> tuple[Trajectory, np.ndarray]:
     """Write sweep. Returns the trajectory and F_s(t) = |<psi_s|psi(t)>|^2
     against the fixed input state."""
-    psi_s = storage_input(params, alpha_f, beta_f)
-    traj = propagate(params, schedule, psi_s, cfg)
-    fs = np.abs(traj.amplitudes @ psi_s.amplitudes.conj()) ** 2
+    traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg)
+    _, fs = readout(branch_block(traj.amplitudes, traj.dims), alpha_f, beta_f, 0.0)
     return traj, fs
 
 
-def _branch_overlaps(
-    amps: np.ndarray, dims: HilbertDims, alpha_f: complex, beta_f: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ground and excited branch overlaps u, v of state rows with the input."""
-    return (np.conj(alpha_f) * amps[..., dims.index(0, 0)],
-            np.conj(beta_f) * amps[..., dims.index(1, 0)])
+def branch_block(amps: np.ndarray, dims: HilbertDims) -> np.ndarray:
+    """|g,0>, |e,0> block (..., 2, 2) of the pure states in the rows of amps."""
+    c = amps[..., [dims.index(0, 0), dims.index(1, 0)]]
+    return c[..., :, None] * c[..., None, :].conj()
 
 
-def _corrected_rows(
-    amps: np.ndarray, dims: HilbertDims, theta: float, alpha_f: complex, beta_f: complex
-) -> np.ndarray:
-    """|u + exp(-i theta) v|^2 for every state row of amps."""
-    u, v = _branch_overlaps(amps, dims, alpha_f, beta_f)
-    return np.abs(u + np.exp(-1j * theta) * v) ** 2
+def readout(
+    block: np.ndarray, alpha_f: complex, beta_f: complex, theta: float | None
+) -> tuple[float, np.ndarray]:
+    """Read-out fidelity F(theta) = <psi_s| C(theta) rho C(theta)^dag |psi_s>.
 
+    psi_s = alpha_f |g,0> + beta_f |e,0>, normalized as in storage_input,
+    and C(theta) puts exp(-i theta) on the excited branch, so F sees rho
+    only through its |g,0>, |e,0> block:
 
-def optimize_retrieval_phase(
-    state: State, alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2
-) -> tuple[float, float]:
-    """Best single phase correction for a retrieved state.
+        F = w + 2 Re(e^{i theta} z),  w = |alpha|^2 rho_gg + |beta|^2 rho_ee,
+                                      z = conj(alpha) beta rho_ge.
 
-    F(theta) = |u + exp(-i theta) v|^2 with u, v the ground / excited branch
-    overlap amplitudes, so the maximum is closed form: theta aligns v with u.
-    Returns (theta_opt in [0, 2 pi), F at the optimum).
+    block is any stack (..., 2, 2) of such blocks, pure (branch_block) or
+    mixed. theta None picks the closed-form optimum -arg z of the last
+    block, in [0, 2 pi), and 0 when z = 0. Returns theta and F, one value
+    per block, clipped into [0, 1] after a roundoff check.
     """
-    u, v = _branch_overlaps(state.amplitudes, state.dims, alpha_f, beta_f)
-    theta = float(np.angle(v) - np.angle(u)) % (2 * pi)
-    fmax = float((abs(u) + abs(v)) ** 2)
-    return theta, fmax
+    amps = np.array([alpha_f, beta_f], dtype=np.complex128)
+    alpha, beta = amps / np.linalg.norm(amps)
+    w = abs(alpha) ** 2 * block[..., 0, 0].real + abs(beta) ** 2 * block[..., 1, 1].real
+    z = np.conj(alpha) * beta * block[..., 0, 1]
+    if theta is None:
+        last = complex(np.ravel(z)[-1])
+        theta = float(-np.angle(last)) % (2 * pi) if last != 0 else 0.0
+    f = w + 2 * np.real(np.exp(1j * theta) * z)
+    if f.min() < -1e-10 or f.max() > 1.0 + 1e-8:
+        raise ValueError(f"fidelity outside [0, 1] beyond tolerance: "
+                         f"[{f.min()!r}, {f.max()!r}]")
+    return theta, np.clip(f, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -274,9 +279,7 @@ def _roundtrip(
     """
     traj_s, fs_s = storage_run(params, alpha_f, beta_f, schedule, cfg)
     traj_r = propagate(params, schedule.reversed(), traj_s.final, cfg)
-    if theta is None:
-        theta, _ = optimize_retrieval_phase(traj_r.final, alpha_f, beta_f)
-    fs_r = _corrected_rows(traj_r.amplitudes, traj_r.dims, theta, alpha_f, beta_f)
+    theta, fs_r = readout(branch_block(traj_r.amplitudes, traj_r.dims), alpha_f, beta_f, theta)
     return RoundTrip(
         total_time=schedule.total_time,
         theta_opt=theta,
@@ -346,15 +349,13 @@ def phase_landscape(
     doublets = build_gauge_chain(params, traj.couplings, k=2).states
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
 
-    n = traj.n_recorded
-    fid = np.empty((n, theta_points))
-    theta_opt = np.empty(n)
-    phase = np.exp(-1j * thetas)
-    for i, (psi, doublet) in enumerate(zip(traj.amplitudes, doublets)):
-        c_g, c_e = (np.vdot(state, psi) for state in doublet.T)
-        amp = np.conj(alpha_f) * c_g + np.conj(beta_f) * c_e * phase
-        fid[i] = np.abs(amp) ** 2
-        theta_opt[i] = thetas[int(np.argmax(fid[i]))]
+    # the state in the doublet basis, (n, 2), and its block there
+    c = _real_matvec(np.swapaxes(doublets, 1, 2), traj.amplitudes)
+    block = c[:, :, None] * c[:, None, :].conj()
+    fid = np.empty((traj.n_recorded, theta_points))
+    for j, theta in enumerate(thetas):
+        _, fid[:, j] = readout(block, alpha_f, beta_f, theta)
+    theta_opt = thetas[np.argmax(fid, axis=1)]
     return PhaseLandscape(traj.times, traj.couplings, thetas, fid, theta_opt)
 
 

@@ -72,16 +72,6 @@ class State:
         if abs(nrm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "State") -> complex:
-        """<self|other>."""
-        if other.dims != self.dims:
-            raise ValueError("overlap requires matching dims")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def normalized(dims: HilbertDims, amplitudes: np.ndarray) -> State:
     """Build a State after dividing out the norm of ``amplitudes``."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi
 from typing import Callable
 
 import numpy as np
@@ -154,15 +153,6 @@ def validate_density(rho: np.ndarray, where: str = "rho") -> None:
         raise PositivityError(f"{where} eigenvalue {lowest:.3e} below {_EIG_FLOOR_HARD}")
 
 
-def fidelity_mixed(rho: np.ndarray, state: State) -> float:
-    """<psi| rho |psi>, clipped into [0, 1] against roundoff."""
-    psi = state.amplitudes
-    val = float(np.real(np.vdot(psi, rho @ psi)))
-    if val < -1e-10 or val > 1.0 + 1e-8:
-        raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
-    return min(max(val, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class MasterTrajectory:
     """Recorded open-system sweep: times, couplings, density matrices."""
@@ -256,43 +246,3 @@ def evolve_master(
     rho = np.array(rho0, dtype=np.complex128)
     return MasterTrajectory(dims, *_sweep(params, schedule, cfg, rho, step, check, lab))
 
-
-def _branch_terms(
-    rho: np.ndarray, dims: HilbertDims, alpha_f: complex, beta_f: complex
-) -> tuple[float, complex]:
-    """Branch populations w and coherence z of a retrieved density matrix,
-    weighted by the input amplitudes: F(theta) = w + 2 Re(e^{i theta} z)."""
-    i_g = dims.index(0, 0)
-    i_e = dims.index(1, 0)
-    w = (abs(alpha_f) ** 2 * float(np.real(rho[i_g, i_g]))
-         + abs(beta_f) ** 2 * float(np.real(rho[i_e, i_e])))
-    z = complex(np.conj(alpha_f) * beta_f * rho[i_g, i_e])
-    return w, z
-
-
-def corrected_fidelity_mixed(
-    rho: np.ndarray,
-    dims: HilbertDims,
-    theta: float,
-    alpha_f: complex = 2 ** -0.5,
-    beta_f: complex = 2 ** -0.5,
-) -> float:
-    """<psi_s| C(theta) rho C(theta)^dag |psi_s> for a fixed correction."""
-    w, z = _branch_terms(rho, dims, alpha_f, beta_f)
-    return w + 2 * float(np.real(np.exp(1j * theta) * z))
-
-
-def optimize_retrieval_phase_mixed(
-    rho: np.ndarray,
-    dims: HilbertDims,
-    alpha_f: complex = 2 ** -0.5,
-    beta_f: complex = 2 ** -0.5,
-) -> tuple[float, float]:
-    """Closed-form best excited-branch phase for a retrieved density matrix.
-
-    F(theta) = w + 2 Re(e^{i theta} z) with w the branch populations and z
-    the relevant coherence, so theta_opt = -arg(z).
-    """
-    w, z = _branch_terms(rho, dims, alpha_f, beta_f)
-    theta = (-float(np.angle(z))) % (2 * pi) if z != 0 else 0.0
-    return theta, w + 2 * abs(z)

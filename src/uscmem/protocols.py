@@ -23,18 +23,16 @@ from .dynamics import (
     Trajectory,
     _roundtrip,
     phase_landscape,
+    readout,
     storage_input,
     storage_run,
 )
 from .hilbert import TruncationError, fock_annihilation, infer_two_mode_fock
 from .lindblad import (
     NoiseRates,
-    corrected_fidelity_mixed,
     evolve_master,
-    fidelity_mixed,
     flat_rate,
     ohmic_rate,
-    optimize_retrieval_phase_mixed,
     pure_density,
 )
 from .model import CouplingSchedule, ModelParams, build_rabi
@@ -254,8 +252,9 @@ def _storage_curve(
     params = spec.params
     chain = _stage("eigenstate tracking", build_gauge_chain, params, traj.couplings, 2)
     f_g, f_e = _cat_overlaps(params, chain)
-    c_g, c_e = (np.vdot(state, traj.amplitudes[-1]) for state in chain.states[-1].T)
-    storage_fid = float((abs(spec.alpha_f) * abs(c_g) + abs(spec.beta_f) * abs(c_e)) ** 2)
+    # the final state in the final doublet's basis, and its block there
+    c = chain.states[-1].T @ traj.amplitudes[-1]
+    _, storage_fid = readout(np.outer(c, c.conj()), spec.alpha_f, spec.beta_f, None)
     curve = {
         "t": traj.times,
         "omega": traj.couplings,
@@ -263,7 +262,7 @@ def _storage_curve(
         "F_G": f_g,
         "F_E": f_e,
     }
-    scalars = {"F_s_final": float(fs[-1]), "storage_fidelity": storage_fid}
+    scalars = {"F_s_final": float(fs[-1]), "storage_fidelity": float(storage_fid)}
     return curve, scalars
 
 
@@ -314,12 +313,16 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     rates = spec.noise or NoiseRates.for_qubit_splitting(params.omega_eg)
     model = flat_rate if spec.rate_model == "flat" else ohmic_rate(params.omega_cav)
-    psi_s = storage_input(params, spec.alpha_f, spec.beta_f)
-    rho0 = pure_density(psi_s)
+    rho0 = pure_density(storage_input(params, spec.alpha_f, spec.beta_f))
+    idx = np.array([params.dims.index(0, 0), params.dims.index(1, 0)])
+
+    def read(rhos, theta):
+        return readout(rhos[..., idx[:, None], idx], spec.alpha_f, spec.beta_f, theta)
+
     mt_s = _stage("noisy storage", evolve_master,
                   params, spec.schedule, rho0, rates, spec.cfg,
                   spec.k_levels, spec.refresh_every, model)
-    fs_s = np.array([fidelity_mixed(r, psi_s) for r in mt_s.rhos])
+    _, fs_s = read(mt_s.rhos, 0.0)
     # keep what the curve reads of the write leg and free its samples, so the
     # two legs' stacks are never held at once (final is a view into them)
     times_s, couplings_s, stored = mt_s.times, mt_s.couplings, mt_s.final.copy()
@@ -328,21 +331,13 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
                   params, spec.schedule.reversed(), stored, rates, spec.cfg,
                   spec.k_levels, spec.refresh_every, model)
     total_time = spec.schedule.total_time
-    fs_r = np.array([fidelity_mixed(r, psi_s) for r in mt_r.rhos])
+    _, fs_r = read(mt_r.rhos, 0.0)
     curve = {
         "t": np.concatenate([times_s, total_time + mt_r.times[1:]]),
         "omega": np.concatenate([couplings_s, mt_r.couplings[1:]]),
         "F_s": np.concatenate([fs_s, fs_r[1:]]),
     }
-    if spec.theta is None:
-        theta, f_final = optimize_retrieval_phase_mixed(
-            mt_r.final, params.dims, spec.alpha_f, spec.beta_f
-        )
-    else:
-        theta = spec.theta
-        f_final = corrected_fidelity_mixed(
-            mt_r.final, params.dims, theta, spec.alpha_f, spec.beta_f
-        )
+    theta, f_final = read(mt_r.final, spec.theta)
     scalars = {"F_s_final": float(f_final), "theta_opt": float(theta)}
     return ResultBundle(spec.name, spec.spec_hash, curves={"noisy": curve}, scalars=scalars)
 

@@ -64,6 +64,17 @@ def corrected_fidelity(
     return abs(np.vdot(psi_s, c @ state.amplitudes)) ** 2
 
 
+def density_block(rho: np.ndarray, dims: HilbertDims) -> np.ndarray:
+    """|g,0>, |e,0> block of a density matrix, the part a read-out sees."""
+    idx = np.array([dims.index(0, 0), dims.index(1, 0)])
+    return rho[..., idx[:, None], idx]
+
+
+def state_fidelity(rho: np.ndarray, state: State) -> float:
+    """<state| rho |state> as a dense matrix-vector product."""
+    return float(np.real(np.vdot(state.amplitudes, rho @ state.amplitudes)))
+
+
 def mean_photon(state: State) -> float:
     """<a^dag a> of a cell state."""
     n = number_op(state.dims)

@@ -12,9 +12,9 @@ from uscmem import (
     PropagatorConfig,
     beam_splitter,
     cat_approximant,
-    optimize_retrieval_phase_mixed,
     physical_time,
     propagate,
+    readout,
     run_experiment,
     sector_spectra,
     storage_input,
@@ -22,7 +22,7 @@ from uscmem import (
     two_mode_index,
 )
 
-from reference import parity_op
+from reference import RSQRT2, density_block, parity_op
 
 
 def _check(log, label, ok, detail):
@@ -80,7 +80,7 @@ def test_phase_ridge_high_and_time_dependent(acceptance_log, landscape_105, land
 
 def test_noisy_roundtrip_band(acceptance_log, noisy_legs):
     params, _, _, leg_out = noisy_legs
-    _, f = optimize_retrieval_phase_mixed(leg_out.final, params.dims)
+    _, f = readout(density_block(leg_out.final, params.dims), RSQRT2, RSQRT2, None)
     _check(
         acceptance_log,
         "open-system round trip at reference rates falls in 0.9939 +- 0.01",

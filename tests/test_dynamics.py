@@ -14,11 +14,13 @@ from uscmem import (
     ModelParams,
     PropagatorConfig,
     State,
+    branch_block,
+    build_gauge_chain,
     build_rabi,
-    optimize_retrieval_phase,
     phase_landscape,
     physical_time,
     propagate,
+    readout,
     roundtrip_run,
     sector_spectra,
     storage_input,
@@ -287,7 +289,7 @@ def test_phase_correction_matters(roundtrip_105):
 
 def test_optimized_phase_agrees_with_grid_scan(roundtrip_105):
     final = roundtrip_105.retrieval.final
-    theta, f_best = optimize_retrieval_phase(final)
+    theta, f_best = readout(branch_block(final.amplitudes, final.dims), RSQRT2, RSQRT2, None)
     grid = np.linspace(0.0, 2 * np.pi, 20001)
     vals = [corrected_fidelity(final, th) for th in grid]
     assert f_best >= max(vals) - 1e-9
@@ -322,6 +324,9 @@ def test_roundtrip_is_closed_form_in_branch_return_amplitudes():
         if alpha != 0 and beta != 0:
             gap = (rt.theta_opt - np.angle(q_e) + np.angle(q_g)) % (2 * np.pi)
             assert min(gap, 2 * np.pi - gap) < 1e-12
+        else:
+            # one branch: no relative phase to correct, as the noisy experiment reports
+            assert rt.theta_opt == 0.0
 
 
 def test_retrieval_from_exact_eigenstate():
@@ -373,6 +378,22 @@ def test_landscape_endpoint_matches_closed_form(landscape_105, roundtrip_105):
     th_exact = roundtrip_105.theta_opt
     diff = abs((th_grid - th_exact + np.pi) % (2 * np.pi) - np.pi)
     assert diff <= spacing
+
+
+def test_landscape_rows_match_dense_targets():
+    # every row is |<target(theta)|psi>|^2 with target = alpha |G> + beta e^{i theta} |E>
+    params = ModelParams(n_fock=8)
+    sched = storage_schedule(params, 20.0)
+    cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=25)
+    alpha, beta = 0.6, 0.8j
+    land = phase_landscape(params, alpha, beta, sched, cfg, theta_points=32)
+    traj, _ = storage_run(params, alpha, beta, sched, cfg)
+    doublets = build_gauge_chain(params, traj.couplings, k=2).states
+    for row, psi, (g, e) in zip(land.fidelity, traj.amplitudes, np.swapaxes(doublets, 1, 2)):
+        dense = [abs(np.vdot(alpha * g + beta * np.exp(1j * th) * e, psi)) ** 2
+                 for th in land.theta_grid]
+        assert np.abs(row - dense).max() < 1e-14
+    assert np.array_equal(land.theta_opt, land.theta_grid[land.fidelity.argmax(axis=1)])
 
 
 def test_landscape_rejects_coarse_theta_grid():

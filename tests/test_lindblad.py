@@ -17,23 +17,25 @@ from uscmem import (
     PropagatorConfig,
     State,
     annihilation_op,
+    branch_block,
     build_rabi,
-    corrected_fidelity_mixed,
     evolve_master,
-    fidelity_mixed,
     flat_rate,
     ohmic_rate,
-    optimize_retrieval_phase_mixed,
     pauli_op,
     propagate,
     pure_density,
+    readout,
     storage_input,
     storage_schedule,
     validate_density,
 )
 from uscmem.lindblad import _rate_table
 
-from reference import basis_state, branch_phase_correction, corrected_fidelity
+from reference import (
+    RSQRT2, basis_state, branch_phase_correction, corrected_fidelity, density_block,
+    state_fidelity,
+)
 
 # per-channel dressed rates at full coupling, n_fock = 20, base rates
 # gamma = 1e-4 (qubit axes) and 1e-5 (resonator), flat spectral density
@@ -227,10 +229,12 @@ def test_density_validation():
 def test_fidelity_mixed_limits():
     params = ModelParams(n_fock=4)
     psi = basis_state(params.dims, 0, 0)
-    assert fidelity_mixed(pure_density(psi), psi) == pytest.approx(1.0)
+    _, f = readout(density_block(pure_density(psi), params.dims), 1.0, 0.0, 0.0)
+    assert f == pytest.approx(1.0)
     d = params.dims.total_dim
     rho = np.eye(d, dtype=complex) / d
-    assert fidelity_mixed(rho, psi) == pytest.approx(1.0 / d)
+    _, f = readout(density_block(rho, params.dims), 1.0, 0.0, 0.0)
+    assert f == pytest.approx(1.0 / d)
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +248,7 @@ def test_zero_rates_reduce_to_closed_dynamics():
     psi0 = storage_input(params)
     pure = propagate(params, sched, psi0, cfg).final
     mt = evolve_master(params, sched, pure_density(psi0), NoiseRates(0, 0, 0, 0), cfg)
-    assert fidelity_mixed(mt.final, pure) > 1 - 1e-8
+    assert state_fidelity(mt.final, pure) > 1 - 1e-8
     assert mt.times[-1] == 20.0
 
 
@@ -280,7 +284,7 @@ def test_relaxation_climbs_toward_dressed_ground():
     sched = CouplingSchedule(1.0, 1.0, 200.0)
     cfg = PropagatorConfig.for_total_time(200.0)
     mt = evolve_master(params, sched, pure_density(excited), rates, cfg)
-    fids = np.array([fidelity_mixed(mt.rhos[i], ground) for i in range(mt.n_recorded)])
+    fids = np.array([state_fidelity(mt.rhos[i], ground) for i in range(mt.n_recorded)])
     assert np.all(np.diff(fids) > -1e-10)
     assert fids[-1] > fids[0] + 0.3
 
@@ -363,7 +367,7 @@ def test_noisy_readout_frozen_value(noisy_legs):
     params, psi_s, leg_in, leg_out = noisy_legs
     rho_final = leg_out.final
     validate_density(rho_final, "readout")
-    theta, f_best = optimize_retrieval_phase_mixed(rho_final, params.dims)
+    theta, f_best = readout(density_block(rho_final, params.dims), RSQRT2, RSQRT2, None)
     assert abs(f_best - 0.991436) < 1e-4
 
     # grid-scan oracle for the closed-form phase optimum
@@ -378,17 +382,23 @@ def test_noisy_readout_frozen_value(noisy_legs):
 
 
 def test_mixed_corrected_fidelity_matches_pure_state_formula():
-    # on a pure density the (w, z) branch formula is |<psi_s|C(theta)|psi>|^2
+    # on a pure state, from its amplitudes or its density matrix, the (w, z)
+    # branch formula is |<psi_s|C(theta)|psi>|^2
     params = ModelParams(n_fock=6)
     rng = np.random.default_rng(7)
     amps = rng.normal(size=params.dims.total_dim) + 1j * rng.normal(size=params.dims.total_dim)
     state = State(params.dims, amps / np.linalg.norm(amps))
-    rho = pure_density(state)
+    blocks = (branch_block(state.amplitudes, params.dims),
+              density_block(pure_density(state), params.dims))
     for alpha_f, beta_f in ((2 ** -0.5, 2 ** -0.5), (0.6, 0.8j)):
         for theta in (0.0, 0.7, 2.5, 4.0, 5.9):
             expected = corrected_fidelity(state, theta, alpha_f, beta_f)
-            got = corrected_fidelity_mixed(rho, params.dims, theta, alpha_f, beta_f)
-            assert got == pytest.approx(expected, abs=1e-14)
+            for block in blocks:
+                _, got = readout(block, alpha_f, beta_f, theta)
+                assert got == pytest.approx(expected, abs=1e-14)
+    # a block past the roundoff allowance is an error, not a clipped 1
+    with pytest.raises(ValueError, match="outside"):
+        readout(np.full((2, 2), 0.5 * (1 + 2e-8)), RSQRT2, RSQRT2, 0.0)
 
 
 def test_noisy_samples_stay_valid_densities(noisy_legs):
