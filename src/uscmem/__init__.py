@@ -17,7 +17,6 @@ from .hilbert import (
     coherent_truncation_weight,
     fock_annihilation,
     infer_two_mode_fock,
-    normalized,
     pauli_op,
     two_mode_index,
     two_mode_vacuum,
@@ -30,7 +29,6 @@ from .model import (
     storage_schedule,
 )
 from .spectral import (
-    GaugeAlignmentError,
     Spectrum,
     build_gauge_chain,
     cat_approximant,

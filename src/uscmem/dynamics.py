@@ -316,7 +316,7 @@ class PhaseLandscape:
 
     fidelity[i, j] is the overlap-squared of the evolved state at sweep
     sample i (coupling coupling_grid[i]) with the target built from the
-    tracked instantaneous doublet using relative phase theta_grid[j];
+    instantaneous ground doublet using relative phase theta_grid[j];
     theta_opt[i] is the grid phase attaining the row maximum.
     """
 
@@ -338,15 +338,16 @@ def phase_landscape(
     """Map |<target(theta)|psi(t)>|^2 over the sweep and a theta grid.
 
     Targets are alpha_f |G(t)> + beta_f e^{i theta} |E(t)> with |G>, |E> the
-    gauge-tracked instantaneous doublet. At t = 0 the target with theta = 0
-    is exactly the input state, so the first row peaks at fidelity 1, and
-    the drift of theta_opt along the sweep is the relative phase a read
-    correction has to undo.
+    instantaneous ground doublet of :func:`~uscmem.spectral.build_gauge_chain`.
+    A sweep from omega_start = 0 starts on the bare doublet, where the
+    target with theta = 0 is exactly the input state, so its first row
+    peaks at fidelity 1. The drift of theta_opt along the sweep is the
+    relative phase a read correction has to undo.
     """
     if theta_points < 32:
         raise ValueError(f"theta_points must be >= 32, got {theta_points}")
     traj, _ = storage_run(params, alpha_f, beta_f, schedule, cfg)
-    doublets = build_gauge_chain(params, traj.couplings, k=2).states
+    doublets = build_gauge_chain(params, traj.couplings).states
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
 
     # the state in the doublet basis, (n, 2), and its block there

@@ -54,8 +54,7 @@ class State:
     """Normalized pure state on a qubit-resonator space.
 
     The amplitude array is coerced to complex128 and its norm must be within
-    1e-9 of one; use :func:`normalized` when the input norm is only
-    approximate.
+    1e-9 of one.
     """
 
     dims: HilbertDims
@@ -71,15 +70,6 @@ class State:
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
-
-
-def normalized(dims: HilbertDims, amplitudes: np.ndarray) -> State:
-    """Build a State after dividing out the norm of ``amplitudes``."""
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    nrm = np.linalg.norm(amps)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return State(dims, amps / nrm)
 
 
 # --------------------------------------------------------------------------
@@ -135,13 +125,12 @@ def _log_factorial(n_fock: int) -> np.ndarray:
     return out
 
 
-def coherent_state(alpha: complex, dims: HilbertDims | int) -> np.ndarray:
+def coherent_state(alpha: complex, n_fock: int) -> np.ndarray:
     """Fock-factor amplitudes of |alpha>, renormalized after truncation.
 
     Demands |alpha|^2 <= n_fock / 4 so that the truncated tail is negligible,
     and additionally rejects the state if the discarded weight reaches 1e-8.
     """
-    n_fock = dims.n_fock if isinstance(dims, HilbertDims) else int(dims)
     if n_fock < 2:
         raise ValueError(f"n_fock must be >= 2, got {n_fock}")
     if abs(alpha) ** 2 > n_fock / 4:

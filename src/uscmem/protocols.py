@@ -248,9 +248,9 @@ def _storage_curve(
     spec: ExperimentSpec, traj: Trajectory, fs: np.ndarray
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
     """Write-leg curve and scalars: F_s plus the cat overlaps along the
-    tracked doublet, and the storage fidelity at the end of the sweep."""
+    ground doublet, and the storage fidelity at the end of the sweep."""
     params = spec.params
-    chain = _stage("eigenstate tracking", build_gauge_chain, params, traj.couplings, 2)
+    chain = _stage("ground doublet", build_gauge_chain, params, traj.couplings)
     f_g, f_e = _cat_overlaps(params, chain)
     # the final state in the final doublet's basis, and its block there
     c = chain.states[-1].T @ traj.amplitudes[-1]
@@ -352,9 +352,9 @@ def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
     g0, e0 = params.dims.index(0, 0), params.dims.index(1, 0)
     fbar_s, fbar_r = (4 * np.abs(traj.amplitudes[:, g0] * traj.amplitudes[:, e0]) ** 2
                       for traj in (rt.storage, rt.retrieval))
-    # the two lowest levels where the write leg ends, one per sector
-    doublet = _stage("register target", sector_spectra,
-                     params, rt.storage.couplings[-1:], 2).states[0]
+    # the ground doublet where the write leg ends
+    doublet = _stage("register target", build_gauge_chain,
+                     params, rt.storage.couplings[-1:]).states[0]
     f_store = 4 * np.prod(np.abs(doublet.T @ rt.storage.amplitudes[-1]) ** 2)
     curves = {
         "entangled_storage": {

@@ -1,18 +1,17 @@
-"""Instantaneous spectra, eigenstate gauge tracking, and cat approximants.
-
-Protocol targets are built from eigenstates tracked along a sweep, so
-their labels and phases have to be pinned down.
+"""Instantaneous spectra, the ground doublet, and its cat approximants.
 
 A :class:`Spectrum` holds the lowest levels at every coupling of one call
 as stacked arrays. :func:`sector_spectra` and :func:`build_gauge_chain`
 take them from the two real parity chains of H(Omega)
 (:class:`~uscmem.model.ParityChains`). Each eigenvector lies in one
 sector, so its parity label holds by construction, also inside an
-exactly degenerate doublet. A real tridiagonal chain has no level
-crossings, so a tracked state keeps its sector and its rank within the
-sector along a sweep. Only the sign of a real eigenvector is arbitrary:
-the seed makes the largest amplitude positive, and every later sample
-keeps the overlap with the previous one positive.
+exactly degenerate doublet.
+
+The qubit is stored in the ground doublet: G is the ground state of the
+P = -1 chain and E that of the P = +1 chain. Its order and signs are
+fixed at each coupling on its own (:func:`build_gauge_chain`), so
+protocol targets need no tracking along a sweep. The cat approximants
+lie on the same two chains.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import State, coherent_state, normalized
+from .hilbert import State, coherent_state
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
     SECTOR_BATCH, ModelParams, build_rabi, sector_eigh, sector_levels,
@@ -28,10 +27,6 @@ from .model import (  # noqa: F401
 
 _ORTHO_TOL = 1e-10
 _RESIDUAL_TOL = 1e-9
-
-
-class GaugeAlignmentError(RuntimeError):
-    """Eigenstate tracking along a sweep was ambiguous."""
 
 
 @dataclass(frozen=True)
@@ -42,8 +37,8 @@ class Spectrum:
     ``couplings`` (m,) are the sampled couplings, ``energies`` (m, k) the
     levels, ``states`` (m, dim, k) real orthonormal eigenvectors as
     columns and ``parities`` (m, k) their +-1 symmetry labels. Levels are
-    in ascending energy order except where a gauge chain keeps the order
-    of its first sample.
+    in ascending energy order, except in the ground doublet of
+    :func:`build_gauge_chain`, which is in sector order: G, then E.
     """
 
     couplings: np.ndarray
@@ -52,25 +47,23 @@ class Spectrum:
     parities: np.ndarray
 
 
-def _lowest_levels(
-    params: ModelParams, couplings: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k lowest levels at each coupling by :func:`~uscmem.model.sector_levels`,
-    SECTOR_BATCH couplings per batched eigh, with the residual and
-    orthonormality of every kept chain eigenpair checked batch by batch."""
-    if not 1 <= k <= params.dims.total_dim:
-        raise ValueError(f"k must be in [1, {params.dims.total_dim}], got {k}")
-    nf = params.n_fock
-    depth = min(k, nf)  # no sector contributes more than k levels
+def _chain_levels(
+    params: ModelParams, couplings: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The depth lowest eigenpairs of each parity chain at each coupling,
+    w (m, 2, depth) and v (m, 2, n_fock, depth) as in
+    :func:`~uscmem.model.sector_eigh`, SECTOR_BATCH couplings per batched
+    eigh, with the residual and orthonormality of every kept eigenpair
+    checked batch by batch."""
     w = np.empty((len(couplings), 2, depth))
-    v = np.empty((len(couplings), 2, nf, depth))
+    v = np.empty((len(couplings), 2, params.n_fock, depth))
     for start in range(0, len(couplings), SECTOR_BATCH):
         batch = slice(start, start + SECTOR_BATCH)
         cw, cv = sector_eigh(params, couplings[batch])
         w[batch], v[batch] = cw[..., :depth], cv[..., :depth]
         del cw, cv  # free the full batch before the check allocates
         _check_sectors(params, couplings[batch], w[batch], v[batch])
-    return sector_levels(params, w, v, k)
+    return w, v
 
 
 def _check_sectors(
@@ -95,53 +88,41 @@ def _check_sectors(
 def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> Spectrum:
     """Lowest-k spectrum of the cell at each coupling, from its parity chains:
     real states, ascending energies, and parity labels by construction."""
+    if not 1 <= k <= params.dims.total_dim:
+        raise ValueError(f"k must be in [1, {params.dims.total_dim}], got {k}")
     couplings = np.asarray(couplings, dtype=np.float64)
-    energies, labels, states = _lowest_levels(params, couplings, k)
+    # no sector contributes more than k levels
+    w, v = _chain_levels(params, couplings, min(k, params.n_fock))
+    energies, labels, states = sector_levels(params, w, v, k)
     return Spectrum(couplings, energies, states, np.where(labels < params.n_fock, 1.0, -1.0))
 
 
-def build_gauge_chain(params: ModelParams, couplings: np.ndarray, k: int = 2) -> Spectrum:
-    """Tracked spectrum over the couplings, seeded at the first sample.
+def build_gauge_chain(params: ModelParams, couplings: np.ndarray) -> Spectrum:
+    """The ground doublet at each coupling: G, the lowest level of the
+    P = -1 chain, then E, the lowest of the P = +1 chain.
 
-    Each state is tracked by its chain label, its sector and its rank
-    within the sector: a real tridiagonal chain has no level crossings, so
-    the label is the continuous branch. The k lowest levels keep the order
-    of the first sample. The overlap with the previous sample only fixes
-    the sign, and a best overlap below 1/sqrt(2), or a level from outside
-    the k crossing in, means the sweep was sampled too coarsely and raises
-    :class:`GaugeAlignmentError`.
+    The pair is placed by sector, not by energy, so a near-degenerate
+    doublet keeps its order. Each state is signed so that
+    sum_n (-1)^n v_n > 0 along its chain. At a coupling >= 0, flipping
+    every other site's sign turns a chain into one with non-positive hops,
+    so by Perron-Frobenius its ground state alternates in sign and
+    |sum_n (-1)^n v_n| = sum_n |v_n| >= 1: the gauge holds at every
+    coupling on its own, and any grid, however coarse, gives the same
+    states there.
     """
     couplings = np.asarray(couplings, dtype=np.float64)
     if couplings.ndim != 1 or len(couplings) == 0:
         raise ValueError("couplings must be a nonempty 1-d array")
-    energies, labels, states = _lowest_levels(params, couplings, k)
-    match = labels[:, None, :] == labels[0][None, :, None]
-    lost = ~match.any(axis=2)
-    if lost.any():
-        j, i = np.argwhere(lost)[0]
-        raise GaugeAlignmentError(
-            f"tracking state {i}: it left the lowest {k} levels at coupling "
-            f"{couplings[j]:.6f}; sweep step too coarse"
-        )
-    order = match.argmax(axis=2)
-    energies = np.take_along_axis(energies, order, axis=1)
-    labels = np.take_along_axis(labels, order, axis=1)
-    states = np.take_along_axis(states, order[:, None, :], axis=2)
-
-    # seed: largest amplitude positive; then <prev|cur> > 0 along the sweep
-    lead = np.abs(states[0]).argmax(axis=0)
-    sign = np.sign(states[0, lead, np.arange(k)])
-    overlap = np.einsum("jdk,jdk->jk", states[:-1], states[1:])
-    weak = np.abs(overlap) < 2 ** -0.5
-    if weak.any():
-        j, i = np.argwhere(weak)[0]
-        raise GaugeAlignmentError(
-            f"tracking state {i}: best overlap {abs(overlap[j, i]):.6f} too small "
-            f"at coupling {couplings[j + 1]:.6f}; sweep step too coarse"
-        )
-    signs = sign * np.cumprod(np.vstack([np.ones(k), np.sign(overlap)]), axis=0)
-    states *= signs[:, None, :]
-    return Spectrum(couplings, energies, states, np.where(labels < params.n_fock, 1.0, -1.0))
+    if np.any(couplings < 0):
+        raise ValueError("couplings must be >= 0")
+    w, v = _chain_levels(params, couplings, 1)
+    # sector 1 (P = -1) first: G, then E
+    energies, ground = w[:, ::-1, 0], v[:, ::-1, :, 0]
+    alternating = (-1.0) ** np.arange(params.n_fock)
+    ground *= np.where(ground @ alternating < 0, -1.0, 1.0)[..., None]
+    states = np.zeros((len(couplings), params.dims.total_dim, 2))
+    states[:, params.chains.index[::-1], np.arange(2)[:, None]] = ground
+    return Spectrum(couplings, energies, states, np.tile([-1.0, 1.0], (len(couplings), 1)))
 
 
 # --------------------------------------------------------------------------
@@ -152,29 +133,24 @@ def cat_approximant(params: ModelParams, coupling: float, which: str) -> State:
     """Closed-form approximation of the lowest doublet deep in the
     ultrastrong regime.
 
-    With alpha = coupling / omega_cav and |+->  the sigma_x eigenstates,
+    With alpha = coupling / omega_cav and |+-> the sigma_x eigenstates,
 
         which = "G":  (|-alpha>|+> - |alpha>|->) / sqrt(2)
         which = "E":  (|-alpha>|+> + |alpha>|->) / sqrt(2)
 
-    The pair is exactly orthogonal for every alpha and approaches the bare
-    states |g, 0> and |e, 0> as the coupling vanishes. It is an accurate
-    model of the true eigenstates once coupling / omega_cav is around 0.8
-    or larger.
+    Since <n|alpha> = (-1)^n <n|-alpha>, either cat is |-alpha> laid on
+    one parity chain: site n carries <n|-alpha>, G on the P = -1 chain
+    and E on the P = +1 chain. The pair is exactly orthogonal for every
+    alpha and approaches the bare states |g, 0> and |e, 0> as the
+    coupling vanishes. It is an accurate model of the true eigenstates
+    once coupling / omega_cav is around 0.8 or larger.
     """
     if coupling < 0:
         raise ValueError(f"coupling must be >= 0, got {coupling}")
     if which not in ("G", "E"):
         raise ValueError(f"which must be 'G' or 'E', got {which!r}")
-    dims = params.dims
-    alpha = coupling / params.omega_cav
-    sqrt2 = np.sqrt(2.0)
-    # sigma_x eigenstates (|e> +- |g>)/sqrt2 in (g, e) component order
-    plus = np.array([1.0, 1.0], dtype=np.complex128) / sqrt2
-    minus = np.array([-1.0, 1.0], dtype=np.complex128) / sqrt2
-    sign = -1.0 if which == "G" else 1.0
-    amps = (
-        np.kron(plus, coherent_state(-alpha, dims.n_fock))
-        + sign * np.kron(minus, coherent_state(alpha, dims.n_fock))
-    ) / sqrt2
-    return normalized(dims, amps)
+    amps = np.zeros(params.dims.total_dim, dtype=np.complex128)
+    sector = 1 if which == "G" else 0
+    amps[params.chains.index[sector]] = coherent_state(-coupling / params.omega_cav,
+                                                       params.n_fock)
+    return State(params.dims, amps)

@@ -8,9 +8,18 @@ test can compare a chain-level result with its dense counterpart.
 """
 import numpy as np
 
-from uscmem import HilbertDims, State, normalized
+from uscmem import HilbertDims, ModelParams, State, coherent_state
 
 RSQRT2 = 2 ** -0.5
+
+
+def normalized(dims: HilbertDims, amplitudes: np.ndarray) -> State:
+    """Build a State after dividing out the norm of ``amplitudes``."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    nrm = np.linalg.norm(amps)
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return State(dims, amps / nrm)
 
 
 def basis_state(dims: HilbertDims, qubit: int, n: int) -> State:
@@ -79,3 +88,17 @@ def mean_photon(state: State) -> float:
     """<a^dag a> of a cell state."""
     n = number_op(state.dims)
     return float(np.real(np.vdot(state.amplitudes, n @ state.amplitudes)))
+
+
+def kron_cat(params: ModelParams, coupling: float, which: str) -> State:
+    """Textbook cat (|-alpha>|+> -+ |alpha>|->) / sqrt(2), "G" with the minus
+    sign, as two qubit x Fock products; alpha = coupling / omega_cav and
+    |+-> = (|e> +- |g>) / sqrt(2)."""
+    alpha = coupling / params.omega_cav
+    sqrt2 = np.sqrt(2.0)
+    plus = np.array([1.0, 1.0]) / sqrt2
+    minus = np.array([-1.0, 1.0]) / sqrt2
+    sign = -1.0 if which == "G" else 1.0
+    amps = (np.kron(plus, coherent_state(-alpha, params.n_fock))
+            + sign * np.kron(minus, coherent_state(alpha, params.n_fock))) / sqrt2
+    return normalized(params.dims, amps)

@@ -401,6 +401,19 @@ def test_main_reruns_are_byte_identical(tmp_path, experiment):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("experiment", ["storage", "roundtrip", "phase-map"])
+def test_main_accepts_coarse_record_grids(tmp_path, experiment):
+    # 500 steps recorded every 500: only the two ends of a sweep are kept.
+    # The ground doublet at each is fixed on its own, so this is no error
+    code = _run(
+        tmp_path, experiment,
+        "--set", "n_fock=12", "--set", "T=20", "--set", "dt=0.04",
+        "--set", "record_every=500",
+    )
+    assert code == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_main_entangled_success(tmp_path, capsys):
     code = _run(
         tmp_path, "entangled",

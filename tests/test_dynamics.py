@@ -388,7 +388,7 @@ def test_landscape_rows_match_dense_targets():
     alpha, beta = 0.6, 0.8j
     land = phase_landscape(params, alpha, beta, sched, cfg, theta_points=32)
     traj, _ = storage_run(params, alpha, beta, sched, cfg)
-    doublets = build_gauge_chain(params, traj.couplings, k=2).states
+    doublets = build_gauge_chain(params, traj.couplings).states
     for row, psi, (g, e) in zip(land.fidelity, traj.amplitudes, np.swapaxes(doublets, 1, 2)):
         dense = [abs(np.vdot(alpha * g + beta * np.exp(1j * th) * e, psi)) ** 2
                  for th in land.theta_grid]

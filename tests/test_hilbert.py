@@ -18,13 +18,12 @@ from uscmem import (
     coherent_truncation_weight,
     fock_annihilation,
     infer_two_mode_fock,
-    normalized,
     pauli_op,
     two_mode_index,
     two_mode_vacuum,
 )
 
-from reference import basis_state, number_op, product_state
+from reference import basis_state, normalized, number_op, product_state
 
 
 # --------------------------------------------------------------------------

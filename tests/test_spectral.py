@@ -1,9 +1,8 @@
-"""Eigensystem extraction, gauge tracking, and cat-state approximants."""
+"""Eigensystem extraction, the ground doublet, and cat-state approximants."""
 import numpy as np
 import pytest
 
 from uscmem import (
-    GaugeAlignmentError,
     ModelParams,
     Spectrum,
     build_gauge_chain,
@@ -15,7 +14,7 @@ from uscmem import (
 from uscmem import spectral
 from uscmem.model import SECTOR_BATCH, sector_eigh
 
-from reference import basis_state, mean_photon, parity_op, product_state
+from reference import basis_state, kron_cat, mean_photon, parity_op, product_state
 
 # independently derived reference values at full coupling, n_fock = 30
 GROUND_PHOTON = 0.972198
@@ -109,21 +108,28 @@ def test_convergence_against_larger_truncation():
 # gauge fixing
 # --------------------------------------------------------------------------
 
-def test_seed_gauge_makes_leading_entry_real():
+def test_gauge_is_fixed_at_every_sample_on_its_own():
+    # G lies on the P = -1 chain and E on the P = +1 chain, each with a
+    # positive alternating sum over its chain sites, and no sample depends
+    # on the others: the grid is deliberately unsorted
     params = ModelParams(n_fock=12)
-    seed = build_gauge_chain(params, np.array([0.7]), k=4).states[0]
-    for i in range(4):
-        v = seed[:, i]
-        assert v[np.argmax(np.abs(v))] > 0
-    # the seed alone fixes the first sample, whatever follows it
-    longer = build_gauge_chain(params, np.linspace(0.7, 0.3, 9), k=4)
-    assert np.array_equal(longer.states[0], seed)
+    couplings = np.array([0.7, 0.0, 1.5, 0.3, 0.7])
+    chain = build_gauge_chain(params, couplings)
+    assert np.array_equal(chain.parities, np.tile([-1.0, 1.0], (len(couplings), 1)))
+    sites = params.chains.index[::-1]  # G's chain, then E's
+    alternating = (-1.0) ** np.arange(params.n_fock)
+    for j in range(len(couplings)):
+        for col in range(2):
+            assert chain.states[j, sites[col], col] @ alternating >= 1 - 1e-12
+        alone = build_gauge_chain(params, couplings[j:j + 1])
+        assert np.array_equal(alone.states[0], chain.states[j])
+        assert np.array_equal(alone.energies[0], chain.energies[j])
 
 
 def test_gauge_chain_is_continuous():
     params = ModelParams(n_fock=14)
     couplings = np.linspace(1.0, 0.0, 41)
-    chain = build_gauge_chain(params, couplings, k=2)
+    chain = build_gauge_chain(params, couplings)
     assert chain.states.shape == (41, params.dims.total_dim, 2)
     for prev, cur in zip(chain.states, chain.states[1:]):
         for i in range(2):
@@ -138,27 +144,32 @@ def test_gauge_chain_is_continuous():
     assert abs(np.vdot(e0, end[:, 1])) > 1 - 1e-9
 
 
-@pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("omega_eg", [0.1, 0.0])
-def test_sector_gauge_chain_matches_dense_chain(omega_eg, k):
-    # omega_eg = 0 makes every doublet exactly degenerate; at 0.1 and k = 4
-    # levels of opposite parity cross, so the chain order is not energy order
+def test_sector_gauge_chain_matches_dense_chain(omega_eg):
+    # omega_eg = 0 makes every doublet exactly degenerate
     params = ModelParams(n_fock=30, omega_eg=omega_eg)
     couplings = np.linspace(0.0, 1.0, 101)
-    chain = build_gauge_chain(params, couplings, k=k)
+    chain = build_gauge_chain(params, couplings)
     _check_against_dense(params, chain)
     for prev, cur in zip(chain.states, chain.states[1:]):
         assert np.all(np.einsum("dk,dk->k", prev.conj(), cur).real > 0)
 
 
-def test_sector_gauge_chain_rejects_coarse_grids():
+def test_sector_gauge_chain_takes_coarse_grids():
+    # the ground doublet changes beyond recognition between 0 and 3, yet
+    # each end is bitwise what a fine grid gives there
     params = ModelParams(n_fock=30)
-    # the ground doublet changes beyond recognition in one step
-    with pytest.raises(GaugeAlignmentError, match="too coarse"):
-        build_gauge_chain(params, np.array([0.0, 3.0]), k=2)
-    # a fourth level crosses into the lowest three between 0 and 1
-    with pytest.raises(GaugeAlignmentError, match="left the lowest 3"):
-        build_gauge_chain(params, np.linspace(0.0, 1.0, 101), k=3)
+    coarse = build_gauge_chain(params, np.array([0.0, 3.0]))
+    fine = build_gauge_chain(params, np.linspace(0.0, 3.0, 301))
+    assert np.array_equal(coarse.states, fine.states[[0, -1]])
+    assert np.array_equal(coarse.energies, fine.energies[[0, -1]])
+
+
+def test_gauge_chain_rejects_bad_couplings():
+    params = ModelParams(n_fock=8)
+    for couplings in ([], [[0.5]], [0.5, -0.1]):
+        with pytest.raises(ValueError, match="couplings"):
+            build_gauge_chain(params, np.array(couplings))
 
 
 def _shift_level(w, v):
@@ -188,7 +199,7 @@ def test_every_sector_batch_is_checked(monkeypatch, batch, corrupt, message):
     monkeypatch.setattr(spectral, "sector_eigh", patched)
     couplings = np.linspace(0.0, 1.0, 2 * SECTOR_BATCH + 16)
     with pytest.raises(RuntimeError, match=message):
-        build_gauge_chain(ModelParams(n_fock=12), couplings, k=2)
+        build_gauge_chain(ModelParams(n_fock=12), couplings)
     assert len(calls) == batch + 1  # raised at the corrupted batch
 
 
@@ -227,10 +238,20 @@ def test_cat_matches_exact_doublet():
 def test_cat_parity_sectors():
     params = ModelParams()
     p = parity_op(params.dims)
+    plus = np.real(np.diag(p)) > 0
     cat_g = cat_approximant(params, 1.0, "G").amplitudes
     cat_e = cat_approximant(params, 1.0, "E").amplitudes
     assert abs(np.vdot(cat_g, p @ cat_g) + 1.0) < 1e-12
     assert abs(np.vdot(cat_e, p @ cat_e) - 1.0) < 1e-12
+    # by construction, not up to roundoff
+    assert np.all(cat_g[plus] == 0.0) and np.all(cat_e[~plus] == 0.0)
+
+
+@pytest.mark.parametrize("which", ["G", "E"])
+@pytest.mark.parametrize("coupling", [0.0, 0.3, 1.0, 1.5])
+def test_cat_matches_textbook_kron_form(coupling, which):
+    cat = cat_approximant(ModelParams(), coupling, which).amplitudes
+    assert np.abs(cat - kron_cat(ModelParams(), coupling, which).amplitudes).max() < 1e-15
 
 
 def test_cat_zero_coupling_limit():
