@@ -16,10 +16,7 @@ from .hilbert import (
     coherent_state,
     coherent_truncation_weight,
     fock_annihilation,
-    infer_two_mode_fock,
     pauli_op,
-    two_mode_index,
-    two_mode_vacuum,
 )
 from .model import (
     CouplingSchedule,

@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,11 +134,15 @@ class RunConfig:
     verbosity: int = 1
 
 
-_DEFAULT_N_FOCK = {"noisy": 20, "entangled": 15}
-
 # ExperimentSpec fields a config may set directly.
-_SPEC_KEYS = ("alpha_f", "beta_f", "theta", "theta_points", "k_levels", "refresh_every",
-              "rate_model", "omega_points", "n_fock_alt")
+_SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec) if f.name in _KEYS)
+
+# The spec input each config key sets where it is not the field of the same
+# name. The model keys and verbosity are kept for every experiment.
+_GAMMAS = ("gamma_x", "gamma_y", "gamma_z", "gamma_r")
+_SETS = {"T": "schedule", "omega_start": "schedule", "dt": "cfg", "record_every": "cfg",
+         **dict.fromkeys(_GAMMAS, "noise")}
+_ALWAYS_KEPT = ("omega_cav", "omega_eg", "omega0", "n_fock", "verbosity")
 
 
 def _given(ov: dict, keys) -> dict:
@@ -146,29 +150,23 @@ def _given(ov: dict, keys) -> dict:
     return {k: ov[k] for k in keys if k in ov}
 
 
-# Config keys an experiment never reads; build_spec drops them, so they
-# keep their defaults and cannot split the spec hash.
-_SWEEP_KEYS = ("T", "dt", "record_every", "omega_start")
-_UNREAD = {
-    "entangled": ("alpha_f", "beta_f", "theta"),
-    "spectrum": _SWEEP_KEYS,
-    "convergence": _SWEEP_KEYS,
-}
-
-
 def build_spec(run: RunConfig) -> ExperimentSpec:
     """Resolve overrides into a validated ExperimentSpec; every input not
-    overridden takes the default its dataclass declares.
+    overridden takes the default its dataclass declares, and ``n_fock``
+    the experiment's own default from ``EXPERIMENTS``.
 
-    ``entangled`` always stores the shared excitation, so its stored qubit
-    and read phase are dropped. ``spectrum`` and ``convergence`` take no
-    sweep, so their schedule and step inputs are dropped, and with them
-    the dt floor. Only ``noisy`` has noise rates.
+    An override whose spec input the experiment does not read is dropped
+    before validation, so it neither splits the spec hash nor fails a check:
+    ``entangled`` drops the stored qubit and read phase, ``spectrum`` and
+    ``convergence`` the sweep's schedule and step keys (and with them the
+    dt floor), and every experiment but ``noisy`` the noise rates.
     """
-    unread = _UNREAD.get(run.experiment, ())
-    ov = {k: v for k, v in run.overrides.items() if k not in unread}
-    if run.experiment in _DEFAULT_N_FOCK:
-        ov = {"n_fock": _DEFAULT_N_FOCK[run.experiment], **ov}
+    row = EXPERIMENTS.get(run.experiment)
+    if row is None:
+        raise ConfigError([f"unknown experiment {run.experiment!r}"])
+    ov = {"n_fock": row.n_fock}
+    ov.update((k, v) for k, v in run.overrides.items()
+              if k in _ALWAYS_KEPT or _SETS.get(k, k) in row.reads)
     violations: list[str] = []
     params = ModelParams(**_given(ov, ("omega_cav", "omega_eg", "omega0", "n_fock")))
     total_time = ov.get("T", 105.0)
@@ -184,9 +182,9 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
         violations.append(str(exc))
 
     noise = None
-    if run.experiment == "noisy":
+    if "noise" in row.reads:
         noise = replace(NoiseRates.for_qubit_splitting(params.omega_eg),
-                        **_given(ov, ("gamma_x", "gamma_y", "gamma_z", "gamma_r")))
+                        **_given(ov, _GAMMAS))
     spec = ExperimentSpec(
         name=run.experiment,
         params=params,

@@ -6,15 +6,14 @@ index i = q * n_fock + n with q = 0 for |g>, q = 1 for |e>. Sweeps never
 assemble the Hamiltonian here; they work on its parity chains
 (:class:`~uscmem.model.ParityChains`). What remains are the ladder and
 Pauli operators of a cell, which :mod:`uscmem.lindblad` builds once per
-truncation for its noise channels, coherent states with truncation
-guards for the cat approximants, and the two-mode Fock helpers of the
-beam splitter.
+truncation for its noise channels, and coherent states with truncation
+guards for the cat approximants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, lgamma
+from math import lgamma
 
 import numpy as np
 
@@ -150,25 +149,3 @@ def coherent_state(alpha: complex, n_fock: int) -> np.ndarray:
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(log_mag) * phase
     return amps / np.linalg.norm(amps)
-
-
-def two_mode_vacuum(n_fock: int) -> np.ndarray:
-    """|0, 0> on a two-mode Fock space (used by the interference tools)."""
-    amps = np.zeros(n_fock * n_fock, dtype=np.complex128)
-    amps[0] = 1.0
-    return amps
-
-
-def two_mode_index(n_fock: int, n_a: int, n_b: int) -> int:
-    """Flat index of |n_a, n_b> with mode a as the slow factor."""
-    if not (0 <= n_a < n_fock and 0 <= n_b < n_fock):
-        raise ValueError("Fock levels outside truncation")
-    return n_a * n_fock + n_b
-
-
-def infer_two_mode_fock(state: np.ndarray) -> int:
-    """Recover n_fock from a flattened two-mode state length."""
-    n = isqrt(len(state))
-    if n * n != len(state):
-        raise ValueError(f"length {len(state)} is not a perfect square")
-    return n

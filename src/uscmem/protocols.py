@@ -1,5 +1,9 @@
-"""Memory protocols: two-mode interference tools and named experiment
-drivers.
+"""Memory protocols: a two-mode beam splitter and the named experiments.
+
+``EXPERIMENTS`` is the one table of experiments: each row holds the
+handler, the ``ExperimentSpec`` inputs beyond ``params`` it reads, and its
+default Fock truncation. Validation, the spec hash and the CLI's choice of
+which config keys to keep all read it.
 
 The ``entangled`` experiment is a two-cell register that stores the shared
 excitation (|g e> + |e g>) |0 0> / sqrt(2) by sweeping both cells through
@@ -12,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from math import acos, sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .dynamics import (
     storage_input,
     storage_run,
 )
-from .hilbert import TruncationError, fock_annihilation, infer_two_mode_fock
+from .hilbert import TruncationError, fock_annihilation
 from .lindblad import (
     NoiseRates,
     evolve_master,
@@ -50,16 +56,20 @@ class ExperimentError(RuntimeError):
 def beam_splitter(state: np.ndarray, transmissivity: float, phase: float = 0.0) -> np.ndarray:
     """Mix two Fock modes, exp[xi (e^{i phi} a^dag b - e^{-i phi} a b^dag)].
 
-    cos^2(xi) equals the transmissivity. Total photon number is conserved,
-    so the input must not populate total photon sectors that the truncation
-    cannot hold after mixing.
+    ``state[n_a, n_b]`` is the amplitude of |n_a, n_b>, a square array with
+    one axis per mode, and the result has the same layout. cos^2(xi) equals
+    the transmissivity. Total photon number is conserved, so the input must
+    not populate total photon sectors that the truncation cannot hold after
+    mixing.
     """
     amps = np.asarray(state, dtype=np.complex128)
-    nf = infer_two_mode_fock(amps)
+    if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
+        raise ValueError(f"two-mode state must be a square array, got shape {amps.shape}")
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity must be in [0, 1], got {transmissivity}")
-    n_a, n_b = np.divmod(np.arange(nf * nf), nf)
-    over = np.abs(amps[n_a + n_b > nf - 1])
+    nf = amps.shape[0]
+    n = np.arange(nf)
+    over = np.abs(amps[n[:, None] + n > nf - 1])
     if over.size and float(over.max()) > 1e-12:
         raise TruncationError(
             "input occupies total photon sectors above the truncation; raise n_fock"
@@ -75,23 +85,13 @@ def beam_splitter(state: np.ndarray, transmissivity: float, phase: float = 0.0) 
     )
     herm = 1j * gen
     evals, evecs = np.linalg.eigh(herm)
-    return evecs @ (np.exp(-1j * evals) * (evecs.conj().T @ amps))
+    out = evecs @ (np.exp(-1j * evals) * (evecs.conj().T @ amps.ravel()))
+    return out.reshape(nf, nf)
 
 
 # --------------------------------------------------------------------------
 # named experiments
 # --------------------------------------------------------------------------
-
-EXPERIMENTS = (
-    "spectrum",
-    "storage",
-    "retrieval",
-    "roundtrip",
-    "phase-map",
-    "noisy",
-    "entangled",
-    "convergence",
-)
 
 _RATE_MODELS = ("flat", "ohmic")
 
@@ -115,10 +115,21 @@ class ExperimentSpec:
     omega_points: int = 41
     n_fock_alt: int = 40
 
+    @property
+    def _reads(self) -> tuple[str, ...]:
+        """The inputs beyond params the named experiment reads (none if unknown)."""
+        row = EXPERIMENTS.get(self.name)
+        return row.reads if row else ()
+
     def validate(self) -> list[str]:
         problems = []
+        reads = self._reads
         if self.name not in EXPERIMENTS:
             problems.append(f"unknown experiment {self.name!r}")
+        if "schedule" in reads and self.params.omega_eg >= self.params.omega_cav:
+            problems.append(f"omega_eg = {self.params.omega_eg} must be below omega_cav = "
+                            f"{self.params.omega_cav} for a sweep to write |e,0> into "
+                            "the ground doublet")
         weight = abs(self.alpha_f) ** 2 + abs(self.beta_f) ** 2
         if abs(weight - 1.0) > 1e-6:
             problems.append(f"|alpha_f|^2 + |beta_f|^2 = {weight:.8f} must be 1")
@@ -126,7 +137,7 @@ class ExperimentSpec:
             problems.append(f"theta_points = {self.theta_points} below minimum 32")
         if self.k_levels < 2:
             problems.append(f"k_levels = {self.k_levels} must be >= 2")
-        if self.name == "noisy" and self.k_levels > 2 * self.params.n_fock:
+        if "k_levels" in reads and self.k_levels > 2 * self.params.n_fock:
             problems.append(f"k_levels = {self.k_levels} exceeds 2 * n_fock = "
                             f"{2 * self.params.n_fock}")
         if self.refresh_every < 1:
@@ -146,7 +157,7 @@ class ExperimentSpec:
         their defaults, so they cannot split the hash of two identical runs.
         """
         out = asdict(self)
-        reads = _READS.get(self.name, ())
+        reads = self._reads
         for f in fields(self):
             if f.default is not MISSING and f.name not in reads:
                 out[f.name] = f.default
@@ -180,37 +191,12 @@ def _stage(stage_name: str, fn, *args, **kwargs):
         raise ExperimentError(f"stage {stage_name!r} failed: {exc}") from exc
 
 
-# The scalar fields of ExperimentSpec each experiment reads; resolved() records
-# every other one at its default.
-_READS = {
-    "spectrum": ("omega_points",),
-    "storage": ("alpha_f", "beta_f"),
-    "retrieval": ("alpha_f", "beta_f", "theta"),
-    "roundtrip": ("alpha_f", "beta_f", "theta"),
-    "phase-map": ("alpha_f", "beta_f", "theta_points"),
-    "noisy": ("alpha_f", "beta_f", "theta", "noise", "k_levels", "refresh_every",
-              "rate_model"),
-    "entangled": (),
-    "convergence": ("n_fock_alt",),
-}
-
-
 def run_experiment(spec: ExperimentSpec) -> ResultBundle:
     """Run one named experiment deterministically."""
     problems = spec.validate()
     if problems:
         raise ValueError("invalid experiment spec: " + "; ".join(problems))
-    handler = {
-        "spectrum": _run_spectrum,
-        "storage": _run_storage,
-        "retrieval": _run_retrieval,
-        "roundtrip": _run_roundtrip,
-        "phase-map": _run_phase_map,
-        "noisy": _run_noisy,
-        "entangled": _run_entangled,
-        "convergence": _run_convergence,
-    }[spec.name]
-    return handler(spec)
+    return EXPERIMENTS[spec.name].run(spec)
 
 
 def _cat_overlaps(params: ModelParams, spectrum: Spectrum) -> list[np.ndarray]:
@@ -290,10 +276,6 @@ def _run_roundtrip(spec: ExperimentSpec, with_storage: bool = True) -> ResultBun
         scalars.update(storage_fidelity=storage_scalars["storage_fidelity"],
                        F_s_storage=storage_scalars["F_s_final"])
     return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
-
-
-def _run_retrieval(spec: ExperimentSpec) -> ResultBundle:
-    return _run_roundtrip(spec, with_storage=False)
 
 
 def _run_phase_map(spec: ExperimentSpec) -> ResultBundle:
@@ -388,3 +370,31 @@ def _run_convergence(spec: ExperimentSpec) -> ResultBundle:
     }
     scalars = {"max_abs_delta": float(delta.max())}
     return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the experiment table."""
+
+    run: Callable[[ExperimentSpec], ResultBundle]
+    # ExperimentSpec inputs beyond params the handler reads; resolved()
+    # records every other scalar at its default
+    reads: tuple[str, ...]
+    n_fock: int  # default Fock truncation
+
+
+_WRITE = ("schedule", "cfg", "alpha_f", "beta_f")  # a sweep that stores a given qubit
+
+EXPERIMENTS = {
+    "spectrum": Experiment(_run_spectrum, ("omega_points",), 30),
+    "storage": Experiment(_run_storage, _WRITE, 30),
+    "retrieval": Experiment(partial(_run_roundtrip, with_storage=False),
+                            (*_WRITE, "theta"), 30),
+    "roundtrip": Experiment(_run_roundtrip, (*_WRITE, "theta"), 30),
+    "phase-map": Experiment(_run_phase_map, (*_WRITE, "theta_points"), 30),
+    "noisy": Experiment(_run_noisy, (*_WRITE, "theta", "noise", "k_levels",
+                                     "refresh_every", "rate_model"), 20),
+    # always stores the shared excitation, so it reads no qubit
+    "entangled": Experiment(_run_entangled, ("schedule", "cfg"), 15),
+    "convergence": Experiment(_run_convergence, ("n_fock_alt",), 30),
+}

@@ -19,7 +19,6 @@ from uscmem import (
     sector_spectra,
     storage_input,
     storage_schedule,
-    two_mode_index,
 )
 
 from reference import RSQRT2, density_block, parity_op
@@ -205,11 +204,10 @@ def test_property_integrator_order(acceptance_log):
 
 
 def test_property_interference_dip(acceptance_log):
-    n_fock = 4
-    psi = np.zeros(n_fock * n_fock, dtype=complex)
-    psi[two_mode_index(n_fock, 1, 1)] = 1.0
+    psi = np.zeros((4, 4), dtype=complex)
+    psi[1, 1] = 1.0
     out = beam_splitter(psi, 0.5)
-    coincidence = abs(out[two_mode_index(n_fock, 1, 1)])
+    coincidence = abs(out[1, 1])
     _check(
         acceptance_log,
         "balanced splitter nulls the two-photon coincidence below 1e-10",

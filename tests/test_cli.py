@@ -106,23 +106,29 @@ def test_spec_hash_is_pinned():
         assert build_spec(run).spec_hash == expected, run.experiment
 
 
-# a non-default value for every config key that sets one scalar spec field
-_SCALAR_OVERRIDES = {
-    "alpha_f": 1.0, "beta_f": 0.0, "theta": 1.0, "theta_points": 40, "gamma_x": 0.5,
+# a valid non-default value for every config key an experiment may not read;
+# the qubit is unnormalized, which only an experiment reading it may reject
+_OVERRIDES = {
+    "T": 24.0, "dt": 0.032, "record_every": 25, "omega_start": 0.2,
+    "alpha_f": 1.0, "beta_f": 1.0, "theta": 1.0, "theta_points": 40,
+    "gamma_x": 2e-4, "gamma_y": 3e-4, "gamma_z": 4e-4, "gamma_r": 5e-4,
     "k_levels": 3, "refresh_every": 7, "rate_model": "ohmic", "omega_points": 7,
     "n_fock_alt": 14,
 }
 
-# the keys of _SCALAR_OVERRIDES each experiment reads
+_SWEEP = {"T", "dt", "record_every", "omega_start"}
+_QUBIT = {"alpha_f", "beta_f"}
+
+# the keys of _OVERRIDES each experiment reads
 _READS = {
     "spectrum": {"omega_points"},
-    "storage": {"alpha_f", "beta_f"},
-    "retrieval": {"alpha_f", "beta_f", "theta"},
-    "roundtrip": {"alpha_f", "beta_f", "theta"},
-    "phase-map": {"alpha_f", "beta_f", "theta_points"},
-    "noisy": {"alpha_f", "beta_f", "theta", "gamma_x", "k_levels", "refresh_every",
-              "rate_model"},
-    "entangled": set(),
+    "storage": _SWEEP | _QUBIT,
+    "retrieval": _SWEEP | _QUBIT | {"theta"},
+    "roundtrip": _SWEEP | _QUBIT | {"theta"},
+    "phase-map": _SWEEP | _QUBIT | {"theta_points"},
+    "noisy": _SWEEP | _QUBIT | {"theta", "gamma_x", "gamma_y", "gamma_z", "gamma_r",
+                                "k_levels", "refresh_every", "rate_model"},
+    "entangled": _SWEEP,
     "convergence": {"n_fock_alt"},
 }
 
@@ -130,17 +136,16 @@ _READS = {
 def test_build_spec_ignored_inputs_keep_the_hash():
     # setting inputs an experiment never reads changes neither hash nor result
     small = {"n_fock": 12, "T": 20.0, "dt": 0.04}
-    qubit = {"alpha_f": 1.0, "beta_f": 0.0}  # set together to stay normalized
     assert set(_READS) == set(EXPERIMENTS)
     for experiment, reads in _READS.items():
-        ignored = {k: v for k, v in _SCALAR_OVERRIDES.items() if k not in reads}
+        ignored = {k: v for k, v in _OVERRIDES.items() if k not in reads}
         plain = build_spec(RunConfig(experiment, small))
         other = build_spec(RunConfig(experiment, {**small, **ignored}))
         assert other.spec_hash == plain.spec_hash, experiment
         assert run_experiment(other).scalars == run_experiment(plain).scalars, experiment
         # and every input it reads still splits the hash
         for key in reads:
-            read = qubit if key in qubit else {key: _SCALAR_OVERRIDES[key]}
+            read = {"alpha_f": 1.0, "beta_f": 0.0} if key in _QUBIT else {key: _OVERRIDES[key]}
             changed = build_spec(RunConfig(experiment, {**small, **read}))
             assert changed.spec_hash != plain.spec_hash, (experiment, key)
     # a spec built without build_spec: entangled stores the shared
@@ -151,6 +156,11 @@ def test_build_spec_ignored_inputs_keep_the_hash():
     other = replace(plain, alpha_f=1, beta_f=0)
     assert other.spec_hash == plain.spec_hash
     assert run_experiment(other).scalars == run_experiment(plain).scalars
+
+
+def test_build_spec_rejects_unknown_experiment():
+    with pytest.raises(ConfigError, match="unknown experiment 'teleport'"):
+        build_spec(RunConfig("teleport"))
 
 
 def test_sweepless_experiments_ignore_sweep_inputs():
@@ -452,6 +462,29 @@ def test_main_rejects_k_levels_beyond_the_cell(tmp_path, capsys):
     assert "config error" in err
     assert "k_levels = 100 exceeds" in err and "alpha_f" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment", ["storage", "retrieval", "roundtrip", "phase-map", "noisy", "entangled"])
+def test_main_sweeps_reject_splitting_at_or_above_the_cavity(tmp_path, capsys, experiment):
+    # from omega_eg = omega_cav up, |e,0> is not the ground state of its
+    # parity chain, so a sweep would write into the wrong doublet
+    for omega_eg in ("1.5", "1.0"):
+        code = _run(tmp_path, experiment, "--set", "n_fock=12", "--set", "T=20",
+                    "--set", "dt=0.04", "--set", f"omega_eg={omega_eg}")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"omega_eg = {omega_eg}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["spectrum", "convergence"])
+def test_main_sweepless_experiments_drop_qubit_and_allow_any_splitting(tmp_path, experiment):
+    # neither stores a qubit nor sweeps: an unnormalized qubit is dropped as
+    # unread, and their spectra hold at any splitting
+    for extra in (["alpha_f=1", "beta_f=1"], ["omega_eg=1.5"]):
+        flags = [arg for pair in ["n_fock=12", *extra] for arg in ("--set", pair)]
+        assert _run(tmp_path, experiment, *flags) == 0, extra
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -17,10 +17,7 @@ from uscmem import (
     coherent_state,
     coherent_truncation_weight,
     fock_annihilation,
-    infer_two_mode_fock,
     pauli_op,
-    two_mode_index,
-    two_mode_vacuum,
 )
 
 from reference import basis_state, normalized, number_op, product_state
@@ -203,23 +200,3 @@ def test_truncation_weight_poisson_oracle():
         math.exp(-lam) * lam ** n / math.factorial(n) for n in range(n_fock, 80)
     )
     assert abs(coherent_truncation_weight(alpha, n_fock) - tail) < 1e-12
-
-
-# --------------------------------------------------------------------------
-# two-mode helpers
-# --------------------------------------------------------------------------
-
-def test_two_mode_indexing_roundtrip():
-    n_fock = 5
-    vac = two_mode_vacuum(n_fock)
-    assert vac[two_mode_index(n_fock, 0, 0)] == 1.0
-    assert infer_two_mode_fock(vac) == n_fock
-    for n_a in range(n_fock):
-        for n_b in range(n_fock):
-            i = two_mode_index(n_fock, n_a, n_b)
-            assert 0 <= i < n_fock * n_fock
-
-
-def test_infer_two_mode_rejects_non_square():
-    with pytest.raises(ValueError):
-        infer_two_mode_fock(np.zeros(27))

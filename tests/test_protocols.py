@@ -20,8 +20,6 @@ from uscmem import (
     run_experiment,
     sector_spectra,
     storage_schedule,
-    two_mode_index,
-    two_mode_vacuum,
 )
 
 from reference import parity_op
@@ -38,50 +36,44 @@ REGISTER_ROUNDTRIP = 0.999224
 # --------------------------------------------------------------------------
 
 def _single_photon(n_fock, mode):
-    psi = np.zeros(n_fock * n_fock, dtype=complex)
-    psi[two_mode_index(n_fock, 1, 0) if mode == 0 else two_mode_index(n_fock, 0, 1)] = 1.0
+    psi = np.zeros((n_fock, n_fock), dtype=complex)
+    psi[(1, 0) if mode == 0 else (0, 1)] = 1.0
     return psi
 
 
 def test_balanced_splitter_single_photon():
-    n_fock = 4
-    out = beam_splitter(_single_photon(n_fock, 0), 0.5)
-    amp_10 = out[two_mode_index(n_fock, 1, 0)]
-    amp_01 = out[two_mode_index(n_fock, 0, 1)]
-    assert abs(abs(amp_10) - RSQRT2) < 1e-12
-    assert abs(abs(amp_01) - RSQRT2) < 1e-12
+    out = beam_splitter(_single_photon(4, 0), 0.5)
+    assert out.shape == (4, 4)
+    assert abs(abs(out[1, 0]) - RSQRT2) < 1e-12
+    assert abs(abs(out[0, 1]) - RSQRT2) < 1e-12
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_splitter_limits():
-    n_fock = 4
-    psi = _single_photon(n_fock, 0)
+    psi = _single_photon(4, 0)
     assert np.allclose(beam_splitter(psi, 1.0), psi, atol=1e-12)
     swapped = beam_splitter(psi, 0.0)
-    assert abs(abs(swapped[two_mode_index(n_fock, 0, 1)]) - 1.0) < 1e-12
+    assert abs(abs(swapped[0, 1]) - 1.0) < 1e-12
 
 
 def test_hong_ou_mandel_dip():
-    n_fock = 4
-    psi = np.zeros(n_fock * n_fock, dtype=complex)
-    psi[two_mode_index(n_fock, 1, 1)] = 1.0
+    psi = np.zeros((4, 4), dtype=complex)
+    psi[1, 1] = 1.0
     out = beam_splitter(psi, 0.5)
-    assert abs(out[two_mode_index(n_fock, 1, 1)]) < 1e-10
-    assert abs(abs(out[two_mode_index(n_fock, 2, 0)]) - RSQRT2) < 1e-10
-    assert abs(abs(out[two_mode_index(n_fock, 0, 2)]) - RSQRT2) < 1e-10
+    assert abs(out[1, 1]) < 1e-10
+    assert abs(abs(out[2, 0]) - RSQRT2) < 1e-10
+    assert abs(abs(out[0, 2]) - RSQRT2) < 1e-10
 
 
 def test_splitter_conserves_photons_and_norm():
     rng = np.random.default_rng(29)
     n_fock = 6
-    number = np.array(
-        [n_a + n_b for n_a in range(n_fock) for n_b in range(n_fock)], dtype=float
-    )
-    psi = np.zeros(n_fock * n_fock, dtype=complex)
+    number = np.add.outer(np.arange(n_fock), np.arange(n_fock)).astype(float)
+    psi = np.zeros((n_fock, n_fock), dtype=complex)
     for n_a in range(n_fock):
         for n_b in range(n_fock):
             if n_a + n_b <= n_fock - 1:
-                psi[two_mode_index(n_fock, n_a, n_b)] = rng.normal() + 1j * rng.normal()
+                psi[n_a, n_b] = rng.normal() + 1j * rng.normal()
     psi /= np.linalg.norm(psi)
     before = float(np.sum(number * np.abs(psi) ** 2))
     for trans in (0.3, 0.5, 0.8):
@@ -92,22 +84,29 @@ def test_splitter_conserves_photons_and_norm():
 
 
 def test_splitter_overflow_guard():
-    n_fock = 4
-    psi = np.zeros(n_fock * n_fock, dtype=complex)
-    psi[two_mode_index(n_fock, 2, 2)] = 1.0
+    psi = np.zeros((4, 4), dtype=complex)
+    psi[2, 2] = 1.0
     with pytest.raises(TruncationError):
         beam_splitter(psi, 0.5)
     # negligible weight on the overflow shell is tolerated
-    psi2 = two_mode_vacuum(n_fock).astype(complex)
-    psi2[two_mode_index(n_fock, 2, 2)] = 1e-13
+    psi2 = np.zeros((4, 4), dtype=complex)
+    psi2[0, 0] = 1.0
+    psi2[2, 2] = 1e-13
     beam_splitter(psi2 / np.linalg.norm(psi2), 0.5)
 
 
 def test_splitter_rejects_bad_transmissivity():
-    psi = two_mode_vacuum(4)
+    psi = _single_photon(4, 0)
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError):
             beam_splitter(psi, bad)
+
+
+@pytest.mark.parametrize("shape", [(27,), (16,), (3, 4), (2, 2, 2)])
+def test_splitter_rejects_non_square_states(shape):
+    # a two-mode state is state[n_a, n_b]; flat and ragged layouts are refused
+    with pytest.raises(ValueError, match="square"):
+        beam_splitter(np.zeros(shape, dtype=complex), 0.5)
 
 
 # --------------------------------------------------------------------------

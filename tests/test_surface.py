@@ -19,8 +19,6 @@ LIBRARY_ENTRY_POINTS = {
     "roundtrip_run": "the library round trip; README usage and the acceptance fixtures",
     "physical_time": "protocol time in seconds; an acceptance criterion",
     "beam_splitter": "two-mode interference; an acceptance criterion",
-    "two_mode_index": "addresses the beam splitter's two-mode states",
-    "two_mode_vacuum": "the beam splitter's two-mode input",
 }
 
 
