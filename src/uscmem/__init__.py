@@ -50,9 +50,8 @@ from .lindblad import (
     MasterTrajectory,
     NoiseRates,
     PositivityError,
+    RATE_MODELS,
     evolve_master,
-    flat_rate,
-    ohmic_rate,
     pure_density,
     validate_density,
 )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import PropagatorConfig, _step_count
-from .lindblad import NoiseRates
+from .lindblad import RATE_MODELS, NoiseRates
 from .model import CouplingSchedule, ModelParams
 from .protocols import EXPERIMENTS, ExperimentSpec, ResultBundle, run_experiment
 
@@ -53,7 +53,7 @@ _KEYS = {
     "gamma_y": ("float", lambda v: v >= 0, ">= 0"),
     "gamma_z": ("float", lambda v: v >= 0, ">= 0"),
     "gamma_r": ("float", lambda v: v >= 0, ">= 0"),
-    "rate_model": ("choice:flat,ohmic", lambda v: True, ""),
+    "rate_model": ("choice:" + ",".join(RATE_MODELS), lambda v: True, ""),
     "k_levels": ("int", lambda v: v >= 2, ">= 2"),
     "refresh_every": ("int", lambda v: v >= 1, ">= 1"),
     "omega_points": ("int", lambda v: v >= 2, ">= 2"),
@@ -169,13 +169,13 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
               if k in _ALWAYS_KEPT or _SETS.get(k, k) in row.reads)
     violations: list[str] = []
     params = ModelParams(**_given(ov, ("omega_cav", "omega_eg", "omega0", "n_fock")))
-    total_time = ov.get("T", 105.0)
     schedule = CouplingSchedule(
         omega_start=ov.get("omega_start", 0.0),
         omega_end=params.omega0,
-        total_time=total_time,
+        total_time=ov.get("T", 105.0),
     )
-    cfg = PropagatorConfig(dt=ov.get("dt", total_time / 2000), **_given(ov, ("record_every",)))
+    cfg = replace(PropagatorConfig.for_total_time(schedule.total_time),
+                  **_given(ov, ("dt", "record_every")))
     try:
         _step_count(schedule, cfg)  # the propagator's own step floor
     except ValueError as exc:

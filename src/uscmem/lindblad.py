@@ -8,7 +8,8 @@ s in {sigma_x, sigma_y, sigma_z, a + a^dag}, with rate
 
     gamma = Gamma_s |<j| s |k>|^2
 
-(optionally reweighted by a spectral-density model). During a sweep the
+under the ``flat`` bath model, and that rate times (E_k - E_j) / omega_cav
+under the ``ohmic`` one (:data:`RATE_MODELS`). During a sweep the
 dressed basis is refreshed quasi-statically every few steps by
 :func:`~uscmem.model.sector_levels` from the step's sector eigensystems,
 and the density matrix is carried in the frame of the last refresh: there
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -38,25 +38,9 @@ class PositivityError(RuntimeError):
     """Density matrix developed a meaningful negative eigenvalue."""
 
 
-# RateModel(base_rate, transition_energies) -> effective rates, elementwise
-# over an ndarray of positive transition energies
-RateModel = Callable[[float, np.ndarray], np.ndarray]
-
-
-def flat_rate(base: float, delta_e: np.ndarray) -> float:
-    """Frequency-independent bath coupling (the default)."""
-    return base
-
-
-def ohmic_rate(omega_ref: float = 1.0) -> RateModel:
-    """Bath coupling growing linearly with transition frequency."""
-    if omega_ref <= 0:
-        raise ValueError("omega_ref must be positive")
-
-    def model(base: float, delta_e: np.ndarray) -> np.ndarray:
-        return base * delta_e / omega_ref
-
-    return model
+# bath spectral densities: "flat" keeps each base rate, "ohmic" scales it by
+# the transition energy over omega_cav
+RATE_MODELS = ("flat", "ohmic")
 
 
 @dataclass(frozen=True)
@@ -84,10 +68,6 @@ class NoiseRates:
             gamma_r=1e-4 * omega_eg,
         )
 
-    @property
-    def all_zero(self) -> bool:
-        return self.gamma_x == self.gamma_y == self.gamma_z == self.gamma_r == 0.0
-
 
 #---------------------------------------------------------------------------
 # dressed jump operators
@@ -107,18 +87,18 @@ def _rate_table(
     energies: np.ndarray,
     vectors: np.ndarray,
     rates: NoiseRates,
-    dims: HilbertDims,
+    params: ModelParams,
     k_levels: int,
-    rate_model: RateModel | None,
+    rate_model: str,
 ) -> np.ndarray:
     """Downward transition rates among the lowest levels of an eigensystem.
 
     Returns gain (k_levels, k_levels), gain[j, k] the rate of the jump
     |j><k|, with the channels merged in the order x, y, z, r.
     """
+    dims = params.dims
     if k_levels < 2 or k_levels > dims.total_dim:
         raise ValueError(f"k_levels must be in [2, {dims.total_dim}], got {k_levels}")
-    model = rate_model or flat_rate
     low = vectors[:, :k_levels]
     e = energies[:k_levels]
     delta = e[None, :] - e[:, None]
@@ -129,7 +109,8 @@ def _rate_table(
         if gamma == 0.0:
             continue
         elem = low.conj().T @ op @ low
-        rate = model(gamma, delta[down]) * np.abs(elem[down]) ** 2
+        scale = gamma * delta[down] / params.omega_cav if rate_model == "ohmic" else gamma
+        rate = scale * np.abs(elem[down]) ** 2
         gain[down] += np.where(rate >= _RATE_FLOOR, rate, 0.0)
     return gain
 
@@ -183,19 +164,19 @@ def evolve_master(
     cfg: PropagatorConfig,
     k_levels: int = 12,
     refresh_every: int = 20,
-    rate_model: RateModel | None = None,
+    rate_model: str = "flat",
 ) -> MasterTrajectory:
     """Sweep a cell under the dressed-basis master equation.
 
     Each step applies the exact midpoint unitary followed by a first-order
     dissipator update. The jump table is rebuilt from the step's sector
-    eigensystems every refresh_every steps (quasi-static approximation).
+    eigensystems every refresh_every steps (quasi-static approximation),
+    with the bath model rate_model, one of :data:`RATE_MODELS`.
 
     The state is carried in the frame of the last refresh, rho_f = B^T rho B
     with B the real dressed basis of :func:`~uscmem.model.sector_levels`
-    (the identity before the first refresh, and throughout when every rate
-    is zero). There every jump is |j><k|, so the dissipator acts
-    elementwise. A refresh rotates rho_f once by R = B_new^T B_old; each
+    (the identity before the first refresh). There every jump is |j><k|,
+    so the dissipator acts elementwise. A refresh rotates rho_f once by R = B_new^T B_old; each
     step applies U_f = M exp(-i w dt) M^T with M = B^T V, V the step's
     eigenvectors, so one dense sandwich U_f rho_f U_f^dag remains per step.
     Recorded samples are the lab-frame B rho_f B^T, and trace, Hermiticity
@@ -207,6 +188,8 @@ def evolve_master(
         raise ValueError("rho0 shape does not match the model space")
     if refresh_every < 1:
         raise ValueError("refresh_every must be >= 1")
+    if rate_model not in RATE_MODELS:
+        raise ValueError(f"rate_model must be one of {RATE_MODELS}, got {rate_model!r}")
     validate_density(rho0, "rho0")
 
     index = params.chains.index
@@ -217,22 +200,20 @@ def evolve_master(
 
     def step(rho_f, w, v, dt, i):
         nonlocal frame, sites, gain, decay
-        if not rates.all_zero and i % refresh_every == 0:
+        if i % refresh_every == 0:
             (evals,), _, (basis,) = sector_levels(params, w[None], v[None], d)
             r = basis.T @ frame
             rho_f = r @ rho_f @ r.T
             frame, sites = basis, basis[index]
             gain = np.zeros((d, d))
             gain[:k_levels, :k_levels] = _rate_table(
-                evals, basis, rates, dims, k_levels, rate_model)
+                evals, basis, rates, params, k_levels, rate_model)
             out_rate = gain.sum(axis=0)
             decay = -0.5 * (out_rate[:, None] + out_rate[None, :])
         # M^T = V^T B per sector: row (s, r) is level r of sector s in the frame
         mt = (np.swapaxes(v, 1, 2) @ sites).reshape(d, d)
         u = _real_matmul(mt.T, np.exp(-1j * w * dt).reshape(d, 1) * mt)
         rho_f = u @ rho_f @ u.conj().T
-        if rates.all_zero:
-            return rho_f
         drho = decay * rho_f
         np.fill_diagonal(drho, np.diagonal(drho) + gain @ np.real(np.diagonal(rho_f)))
         return rho_f + dt * drho

@@ -20,8 +20,6 @@ from uscmem import (
     branch_block,
     build_rabi,
     evolve_master,
-    flat_rate,
-    ohmic_rate,
     pauli_op,
     propagate,
     pure_density,
@@ -51,11 +49,11 @@ X_RATES = {(0, 1): 3.9952767001e-05, (2, 3): 4.0032952946e-05}
 DOUBLET_GAP = 1.353664109239e-02
 
 
-def _labelled_rates(h, rates, dims, k_levels=12, rate_model=None):
+def _labelled_rates(h, rates, params, k_levels=12, rate_model="flat"):
     """Nonzero rates of the jumps |j><k| among the dressed levels of h,
     keyed by (j, k)."""
     energies, vectors = np.linalg.eigh(h)
-    gain = _rate_table(energies, vectors, rates, dims, k_levels, rate_model)
+    gain = _rate_table(energies, vectors, rates, params, k_levels, rate_model)
     return {(int(j), int(k)): float(gain[j, k]) for j, k in zip(*np.nonzero(gain))}
 
 
@@ -71,14 +69,29 @@ def test_noise_rates_validation():
     assert base.gamma_y == pytest.approx(1e-4)
     assert base.gamma_z == pytest.approx(1e-4)
     assert base.gamma_r == pytest.approx(1e-5)
-    assert not base.all_zero
-    assert NoiseRates(0, 0, 0, 0).all_zero
 
 
-def test_rate_models():
-    assert flat_rate(0.3, 99.0) == 0.3
-    model = ohmic_rate(2.0)
-    assert model(0.5, 1.0) == pytest.approx(0.25)
+def test_unknown_rate_model_rejected():
+    params = ModelParams(n_fock=6)
+    sched = storage_schedule(params, 10.0)
+    cfg = PropagatorConfig.for_total_time(10.0, steps=500)
+    rho0 = pure_density(storage_input(params))
+    with pytest.raises(ValueError, match="rate_model"):
+        evolve_master(params, sched, rho0, NoiseRates.for_qubit_splitting(0.1), cfg,
+                      rate_model="linear")
+
+
+def test_ohmic_scales_by_transition_energy_over_omega_cav():
+    # away from omega_cav = 1 the ohmic weight is Delta E / omega_cav
+    params = ModelParams(omega_cav=2.0, n_fock=12)
+    h = build_rabi(params, 1.0)
+    e = np.linalg.eigvalsh(h)
+    rates = NoiseRates.for_qubit_splitting(0.1)
+    flat = _labelled_rates(h, rates, params)
+    ohm = _labelled_rates(h, rates, params, rate_model="ohmic")
+    assert set(ohm) <= set(flat) and len(ohm) > 10
+    for (j, k), rate in ohm.items():
+        assert rate == pytest.approx(flat[(j, k)] * (e[k] - e[j]) / 2, rel=1e-12)
 
 
 def test_uncoupled_qubit_jumps():
@@ -86,7 +99,7 @@ def test_uncoupled_qubit_jumps():
     params = ModelParams(n_fock=6)
     h = build_rabi(params, 0.0)
     rates = NoiseRates(gamma_x=1e-4, gamma_y=0, gamma_z=0, gamma_r=0)
-    table = _labelled_rates(h, rates, params.dims, k_levels=6)
+    table = _labelled_rates(h, rates, params, k_levels=6)
     # levels ordered g0, e0, g1, e1, g2, e2; three downward qubit flips
     assert set(table) == {(0, 1), (2, 3), (4, 5)}
     for rate in table.values():
@@ -97,7 +110,7 @@ def test_uncoupled_photon_jumps():
     params = ModelParams(n_fock=6)
     h = build_rabi(params, 0.0)
     rates = NoiseRates(gamma_x=0, gamma_y=0, gamma_z=0, gamma_r=1e-5)
-    table = _labelled_rates(h, rates, params.dims, k_levels=6)
+    table = _labelled_rates(h, rates, params, k_levels=6)
     # photon loss within each qubit branch, rate n * gamma_r
     assert set(table) == {(0, 2), (1, 3), (2, 4), (3, 5)}
     assert table[(0, 2)] == pytest.approx(1e-5, rel=1e-9)
@@ -109,30 +122,29 @@ def test_uncoupled_dephasing_is_silent():
     params = ModelParams(n_fock=6)
     h = build_rabi(params, 0.0)
     rates = NoiseRates(gamma_x=0, gamma_y=0, gamma_z=1e-4, gamma_r=0)
-    assert _labelled_rates(h, rates, params.dims, k_levels=6) == {}
+    assert _labelled_rates(h, rates, params, k_levels=6) == {}
 
 
 def test_dressed_rates_frozen_values():
     params = ModelParams(n_fock=20)
     h = build_rabi(params, 1.0)
-    dims = params.dims
 
-    sx = _labelled_rates(h, NoiseRates(1e-4, 0, 0, 0), dims)
+    sx = _labelled_rates(h, NoiseRates(1e-4, 0, 0, 0), params)
     for jk, expected in SX_RATES.items():
         assert sx[jk] == pytest.approx(expected, rel=1e-6)
 
-    sy = _labelled_rates(h, NoiseRates(0, 1e-4, 0, 0), dims)
+    sy = _labelled_rates(h, NoiseRates(0, 1e-4, 0, 0), params)
     assert sy[(0, 1)] == pytest.approx(SY_RATE_01, rel=1e-6)
 
-    sz = _labelled_rates(h, NoiseRates(0, 0, 1e-4, 0), dims)
+    sz = _labelled_rates(h, NoiseRates(0, 0, 1e-4, 0), params)
     assert sz[(0, 2)] == pytest.approx(SZ_RATE_02, rel=1e-6)
 
-    xr = _labelled_rates(h, NoiseRates(0, 0, 0, 1e-5), dims)
+    xr = _labelled_rates(h, NoiseRates(0, 0, 0, 1e-5), params)
     for jk, expected in X_RATES.items():
         assert xr[jk] == pytest.approx(expected, rel=1e-6)
 
     # channels merge additively per transition
-    full = _labelled_rates(h, NoiseRates.for_qubit_splitting(0.1), dims)
+    full = _labelled_rates(h, NoiseRates.for_qubit_splitting(0.1), params)
     merged_01 = SX_RATES[(0, 1)] + SY_RATE_01 + X_RATES[(0, 1)]
     assert full[(0, 1)] == pytest.approx(merged_01, rel=1e-6)
 
@@ -145,17 +157,16 @@ def test_ohmic_rescales_by_transition_energy():
     params = ModelParams(n_fock=20)
     h = build_rabi(params, 1.0)
     e = np.linalg.eigvalsh(h)
-    flat = _labelled_rates(h, NoiseRates(1e-4, 0, 0, 0), params.dims)
-    ohm = _labelled_rates(
-        h, NoiseRates(1e-4, 0, 0, 0), params.dims, rate_model=ohmic_rate(1.0)
-    )
+    flat = _labelled_rates(h, NoiseRates(1e-4, 0, 0, 0), params)
+    ohm = _labelled_rates(h, NoiseRates(1e-4, 0, 0, 0), params, rate_model="ohmic")
     for (j, k), rate in flat.items():
         assert ohm[(j, k)] == pytest.approx(rate * (e[k] - e[j]), rel=1e-9)
 
 
-def _loop_rate_table(energies, vectors, rates, dims, k_levels, model):
+def _loop_rate_table(energies, vectors, rates, params, k_levels, model):
     """Per-pair double loop over the lowest levels: the oracle for the
     vectorized rate table, as [(j, k, merged rate)] in ascending (j, k)."""
+    dims = params.dims
     a = annihilation_op(dims)
     ops = (pauli_op("x", dims), pauli_op("y", dims), pauli_op("z", dims), a + a.conj().T)
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
@@ -170,7 +181,8 @@ def _loop_rate_table(energies, vectors, rates, dims, k_levels, model):
                 delta = energies[k] - energies[j]
                 if delta <= 0.0:
                     continue
-                rate = model(gamma, float(delta)) * float(abs(elem[j, k]) ** 2)
+                scale = gamma * float(delta) / params.omega_cav if model == "ohmic" else gamma
+                rate = scale * float(abs(elem[j, k]) ** 2)
                 if rate >= 1e-14:
                     merged[(j, k)] = merged.get((j, k), 0.0) + rate
     return [(j, k, r) for (j, k), r in sorted(merged.items())]
@@ -180,7 +192,6 @@ def test_rate_table_matches_the_double_loop():
     # the loop squares |elem| with libm pow, which may be 1 ulp from the
     # correctly rounded array square; the channel sum can add 1 ulp more
     params = ModelParams(n_fock=10)
-    dims = params.dims
     full = NoiseRates.for_qubit_splitting(0.1)
     channels = [full] + [
         NoiseRates(*(g if i == c else 0.0 for i, g in enumerate((1e-4, 1e-4, 1e-4, 1e-5))))
@@ -189,11 +200,11 @@ def test_rate_table_matches_the_double_loop():
     for coupling in (0.0, 0.4, 1.0):
         energies, vectors = np.linalg.eigh(build_rabi(params, coupling))
         for k_levels in (2, 7, 20):
-            for model in (flat_rate, ohmic_rate(1.0)):
+            for model in ("flat", "ohmic"):
                 for rates in channels:
-                    got = _rate_table(energies, vectors, rates, dims, k_levels, model)
+                    got = _rate_table(energies, vectors, rates, params, k_levels, model)
                     want = np.zeros((k_levels, k_levels))
-                    table = _loop_rate_table(energies, vectors, rates, dims, k_levels, model)
+                    table = _loop_rate_table(energies, vectors, rates, params, k_levels, model)
                     for j, k, rate in table:
                         want[j, k] = rate
                     np.testing.assert_array_max_ulp(got, want, maxulp=2)
@@ -206,9 +217,9 @@ def test_k_levels_bounds():
     h = build_rabi(params, 0.5)
     rates = NoiseRates.for_qubit_splitting(0.1)
     with pytest.raises(ValueError):
-        _labelled_rates(h, rates, params.dims, k_levels=9)
+        _labelled_rates(h, rates, params, k_levels=9)
     with pytest.raises(ValueError):
-        _labelled_rates(h, rates, params.dims, k_levels=1)
+        _labelled_rates(h, rates, params, k_levels=1)
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +348,7 @@ def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_ever
             basis = vectors
             gain = np.zeros((d, d))
             for j, k, rate in _loop_rate_table(
-                    energies, vectors, rates, params.dims, k_levels, model):
+                    energies, vectors, rates, params, k_levels, model):
                 gain[j, k] = rate
             out_rate = gain.sum(axis=0)
         rho_d = basis.conj().T @ rho @ basis
@@ -356,7 +367,7 @@ def test_master_frame_step_matches_lab_frame_reference():
     base = NoiseRates.for_qubit_splitting(0.1)
     rates = NoiseRates(*(10 * g for g in (base.gamma_x, base.gamma_y, base.gamma_z, base.gamma_r)))
     rho0 = pure_density(storage_input(params))
-    for model in (flat_rate, ohmic_rate(1.0)):
+    for model in ("flat", "ohmic"):
         mt = evolve_master(params, sched, rho0, rates, cfg, refresh_every=3, rate_model=model)
         want = _lab_frame_master(params, sched, rho0, rates, cfg, 12, 3, model)
         assert mt.rhos.shape == want.shape == (51, 16, 16)

@@ -364,7 +364,7 @@ def test_spec_hash_tracks_parameters():
 def test_spec_validation_collects_problems():
     params = ModelParams(n_fock=8)
     spec = ExperimentSpec(
-        name="storage",
+        name="phase-map",
         params=params,
         schedule=storage_schedule(params, 12.0),
         cfg=PropagatorConfig.for_total_time(12.0, steps=500),
@@ -376,6 +376,12 @@ def test_spec_validation_collects_problems():
     assert len(problems) >= 2
     joined = " ".join(problems)
     assert "theta_points" in joined
+
+
+def test_spec_validation_skips_unread_scalars():
+    # spectrum reads no qubit and roundtrip no theta grid, so neither fails on them
+    assert _tiny_spec("spectrum", alpha_f=1.0, beta_f=1.0).validate() == []
+    assert _tiny_spec("roundtrip", theta_points=8).validate() == []
 
 
 def test_unknown_experiment_rejected():
