@@ -12,11 +12,9 @@ from .hilbert import (
     HilbertDims,
     State,
     TruncationError,
-    annihilation_op,
     coherent_state,
     coherent_truncation_weight,
     fock_annihilation,
-    pauli_op,
 )
 from .model import (
     CouplingSchedule,

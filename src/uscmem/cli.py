@@ -64,18 +64,18 @@ _KEYS = {
 def _convert(kind: str, raw: str):
     if kind == "int":
         return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "complex":
-        return complex(raw.replace(" ", ""))
-    if kind == "theta":
-        return None if raw == "optimize" else float(raw)
     if kind.startswith("choice:"):
         choices = kind.split(":", 1)[1].split(",")
         if raw not in choices:
             raise ValueError(f"expected one of {choices}")
         return raw
-    raise AssertionError(kind)
+    if kind == "theta" and raw == "optimize":
+        return None
+    # float, complex and theta: nan passes every range check, so refuse it here
+    value = complex(raw.replace(" ", "")) if kind == "complex" else float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
 def _parse_entries(entries: list[tuple[str, str, str]]) -> dict:

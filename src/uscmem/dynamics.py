@@ -170,7 +170,7 @@ def propagate(
         psi = np.empty_like(psi)
         psi[index] = _real_matvec(v, coeffs)
         nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > cfg.norm_tol:
+        if not (abs(nrm - 1.0) <= cfg.norm_tol):
             raise NormDriftError(
                 f"norm drifted to {nrm!r} at step {i + 1} (tol {cfg.norm_tol})"
             )
@@ -189,7 +189,7 @@ def storage_input(
 ) -> State:
     """Qubit superposition to be written, alpha_f |g,0> + beta_f |e,0>."""
     weight = abs(alpha_f) ** 2 + abs(beta_f) ** 2
-    if abs(weight - 1.0) > 1e-6:
+    if not (abs(weight - 1.0) <= 1e-6):
         raise ValueError(f"|alpha_f|^2 + |beta_f|^2 = {weight} must be 1")
     dims = params.dims
     amps = np.zeros(dims.total_dim, dtype=np.complex128)
@@ -244,7 +244,7 @@ def readout(
         last = complex(np.ravel(z)[-1])
         theta = float(-np.angle(last)) % (2 * pi) if last != 0 else 0.0
     f = w + 2 * np.real(np.exp(1j * theta) * z)
-    if f.min() < -1e-10 or f.max() > 1.0 + 1e-8:
+    if not (-1e-10 <= f.min() and f.max() <= 1.0 + 1e-8):
         raise ValueError(f"fidelity outside [0, 1] beyond tolerance: "
                          f"[{f.min()!r}, {f.max()!r}]")
     return theta, np.clip(f, 0.0, 1.0)

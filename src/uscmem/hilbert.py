@@ -1,13 +1,13 @@
-"""Truncated qubit-resonator Hilbert space: dimensions, states, and the
-few operators the package builds outside the parity chains.
+"""Truncated qubit-resonator Hilbert space: dimensions, states, the bare
+ladder operator and coherent states.
 
 The space is one qubit-resonator cell. Basis ordering is qubit-major:
 index i = q * n_fock + n with q = 0 for |g>, q = 1 for |e>. Sweeps never
-assemble the Hamiltonian here; they work on its parity chains
-(:class:`~uscmem.model.ParityChains`). What remains are the ladder and
-Pauli operators of a cell, which :mod:`uscmem.lindblad` builds once per
-truncation for its noise channels, and coherent states with truncation
-guards for the cat approximants.
+assemble an operator on the cell here: the Hamiltonian and the noise
+channels of :mod:`uscmem.lindblad` act on its parity chains
+(:class:`~uscmem.model.ParityChains`). What remains are the Fock-factor
+ladder operator, which the register's beam splitter uses, and coherent
+states with truncation guards for the cat approximants.
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ class State:
             )
         object.__setattr__(self, "amplitudes", amps)
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > _NORM_TOL:
+        if not (abs(nrm - 1.0) <= _NORM_TOL):
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
 
 
@@ -78,28 +78,6 @@ class State:
 def fock_annihilation(n_fock: int) -> np.ndarray:
     """Annihilation operator on the bare Fock factor, <n-1|a|n> = sqrt(n)."""
     return np.diag(np.sqrt(np.arange(1, n_fock, dtype=np.float64)), 1).astype(np.complex128)
-
-
-def annihilation_op(dims: HilbertDims) -> np.ndarray:
-    """Cell annihilation operator, identity on the qubit factor."""
-    return np.kron(np.eye(2, dtype=np.complex128), fock_annihilation(dims.n_fock))
-
-
-_PAULI = {
-    # Basis order (|g>, |e>); sigma_z |e> = +|e>, sigma_z |g> = -|g>.
-    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "y": np.array([[0, 1j], [-1j, 0]], dtype=np.complex128),
-    "z": np.array([[-1, 0], [0, 1]], dtype=np.complex128),
-}
-
-
-def pauli_op(axis: str, dims: HilbertDims) -> np.ndarray:
-    """Qubit Pauli operator on a cell, identity on the Fock factor."""
-    try:
-        sigma = _PAULI[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-    return np.kron(sigma, np.eye(dims.n_fock, dtype=np.complex128))
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,12 @@ s in {sigma_x, sigma_y, sigma_z, a + a^dag}, with rate
     gamma = Gamma_s |<j| s |k>|^2
 
 under the ``flat`` bath model, and that rate times (E_k - E_j) / omega_cav
-under the ``ohmic`` one (:data:`RATE_MODELS`). During a sweep the
-dressed basis is refreshed quasi-statically every few steps by
+under the ``ohmic`` one (:data:`RATE_MODELS`). The noise channels act on
+the parity chains (:class:`~uscmem.model.ParityChains`): sigma_x, sigma_y
+and a + a^dag carry one chain into the other and sigma_z keeps each one,
+so every element <j| s |k> is a product of two chain eigenvectors and no
+operator on the full cell is ever built. During a sweep the dressed basis
+is refreshed quasi-statically every few steps by
 :func:`~uscmem.model.sector_levels` from the step's sector eigensystems,
 and the density matrix is carried in the frame of the last refresh: there
 every jump is |j><k|, so the dissipator acts elementwise, and the frame
@@ -19,12 +23,11 @@ changes only when the basis is refreshed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import PropagatorConfig, _real_matmul, _sweep
-from .hilbert import HilbertDims, State, annihilation_op, pauli_op
+from .hilbert import HilbertDims, State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import CouplingSchedule, ModelParams, build_rabi, sector_levels  # noqa: F401
 
@@ -70,47 +73,48 @@ class NoiseRates:
 
 
 #---------------------------------------------------------------------------
-# dressed jump operators
+# dressed jump rates
 #---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _channel_ops(dims: HilbertDims) -> tuple[np.ndarray, ...]:
-    """Read-only sigma_x, sigma_y, sigma_z and a + a^dag, built once per dims."""
-    a = annihilation_op(dims)
-    ops = (pauli_op("x", dims), pauli_op("y", dims), pauli_op("z", dims), a + a.conj().T)
-    for op in ops:
-        op.flags.writeable = False
-    return ops
-
 
 def _rate_table(
     energies: np.ndarray,
-    vectors: np.ndarray,
+    labels: np.ndarray,
+    v: np.ndarray,
     rates: NoiseRates,
     params: ModelParams,
-    k_levels: int,
     rate_model: str,
 ) -> np.ndarray:
-    """Downward transition rates among the lowest levels of an eigensystem.
+    """Downward transition rates among the lowest levels of a step.
 
-    Returns gain (k_levels, k_levels), gain[j, k] the rate of the jump
+    energies and labels (k,) are levels of :func:`~uscmem.model.sector_levels`,
+    v (2, n_fock, depth) the step's chain eigenvectors. Each level is a
+    vector u on its chain's sites, and every channel element is a product of
+    two of them: sigma_x pairs site n of one chain with site n of the other,
+    sigma_y and sigma_z weight that pairing by the site's sigma_z sign s
+    (across and within the chains), and a + a^dag moves u along the hops to
+    the other chain. Returns gain (k, k), gain[j, k] the rate of the jump
     |j><k|, with the channels merged in the order x, y, z, r.
     """
-    dims = params.dims
-    if k_levels < 2 or k_levels > dims.total_dim:
-        raise ValueError(f"k_levels must be in [2, {dims.total_dim}], got {k_levels}")
-    low = vectors[:, :k_levels]
-    e = energies[:k_levels]
-    delta = e[None, :] - e[:, None]
+    nf = params.n_fock
+    sector, rank = np.divmod(labels, nf)
+    u = v[sector, :, rank]
+    su = (2 * (params.chains.index // nf) - 1)[sector] * u
+    hop = params.chains.hop
+    hu = np.zeros_like(u)
+    hu[:, 1:] = hop * u[:, :-1]
+    hu[:, :-1] += hop * u[:, 1:]
+    cross = sector[:, None] != sector[None, :]
+    signed = u @ su.T
+    elems = (cross * (u @ u.T), cross * signed, ~cross * signed, cross * (u @ hu.T))
+    delta = energies[None, :] - energies[:, None]
     down = delta > 0.0
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
-    gain = np.zeros((k_levels, k_levels))
-    for op, gamma in zip(_channel_ops(dims), base):
+    gain = np.zeros((len(labels), len(labels)))
+    for elem, gamma in zip(elems, base):
         if gamma == 0.0:
             continue
-        elem = low.conj().T @ op @ low
         scale = gamma * delta[down] / params.omega_cav if rate_model == "ohmic" else gamma
-        rate = scale * np.abs(elem[down]) ** 2
+        rate = scale * elem[down] ** 2
         gain[down] += np.where(rate >= _RATE_FLOOR, rate, 0.0)
     return gain
 
@@ -124,13 +128,13 @@ def pure_density(state: State) -> np.ndarray:
 
 
 def validate_density(rho: np.ndarray, where: str = "rho") -> None:
-    if float(np.abs(rho - rho.conj().T).max()) > _HERM_TOL:
+    if not (float(np.abs(rho - rho.conj().T).max()) <= _HERM_TOL):
         raise ValueError(f"{where} is not Hermitian within {_HERM_TOL}")
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > _TRACE_TOL:
+    if not (abs(tr - 1.0) <= _TRACE_TOL):
         raise ValueError(f"{where} trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
     lowest = float(np.linalg.eigvalsh(rho)[0])
-    if lowest < _EIG_FLOOR_HARD:
+    if not (_EIG_FLOOR_HARD <= lowest):
         raise PositivityError(f"{where} eigenvalue {lowest:.3e} below {_EIG_FLOOR_HARD}")
 
 
@@ -142,10 +146,6 @@ class MasterTrajectory:
     times: np.ndarray
     couplings: np.ndarray
     rhos: np.ndarray
-
-    @property
-    def n_recorded(self) -> int:
-        return len(self.times)
 
     @property
     def final(self) -> np.ndarray:
@@ -190,6 +190,8 @@ def evolve_master(
         raise ValueError("refresh_every must be >= 1")
     if rate_model not in RATE_MODELS:
         raise ValueError(f"rate_model must be one of {RATE_MODELS}, got {rate_model!r}")
+    if not 2 <= k_levels <= d:
+        raise ValueError(f"k_levels must be in [2, {d}], got {k_levels}")
     validate_density(rho0, "rho0")
 
     index = params.chains.index
@@ -201,13 +203,13 @@ def evolve_master(
     def step(rho_f, w, v, dt, i):
         nonlocal frame, sites, gain, decay
         if i % refresh_every == 0:
-            (evals,), _, (basis,) = sector_levels(params, w[None], v[None], d)
+            (evals,), (labels,), (basis,) = sector_levels(params, w[None], v[None], d)
             r = basis.T @ frame
             rho_f = r @ rho_f @ r.T
             frame, sites = basis, basis[index]
             gain = np.zeros((d, d))
             gain[:k_levels, :k_levels] = _rate_table(
-                evals, basis, rates, params, k_levels, rate_model)
+                evals[:k_levels], labels[:k_levels], v, rates, params, rate_model)
             out_rate = gain.sum(axis=0)
             decay = -0.5 * (out_rate[:, None] + out_rate[None, :])
         # M^T = V^T B per sector: row (s, r) is level r of sector s in the frame

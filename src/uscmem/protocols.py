@@ -123,7 +123,7 @@ class ExperimentSpec:
                             "the ground doublet")
         # each scalar is checked only where the row reads it
         weight = abs(self.alpha_f) ** 2 + abs(self.beta_f) ** 2
-        if "alpha_f" in reads and abs(weight - 1.0) > 1e-6:
+        if "alpha_f" in reads and not (abs(weight - 1.0) <= 1e-6):
             problems.append(f"|alpha_f|^2 + |beta_f|^2 = {weight:.8f} must be 1")
         if "theta_points" in reads and self.theta_points < 32:
             problems.append(f"theta_points = {self.theta_points} below minimum 32")

@@ -1,14 +1,14 @@
 """Dense references the tests check the package against.
 
-The package never builds these: its sweeps work on the two parity chains
-(:class:`uscmem.model.ParityChains`), and its read-out takes the two
-branch amplitudes of a state. Here each object is assembled the textbook
+The package never builds these: its sweeps and its noise channels work on
+the two parity chains (:class:`uscmem.model.ParityChains`), and its
+read-out takes the two branch amplitudes of a state. Here each object is assembled the textbook
 way, as a full state vector or a full 2 n_fock x 2 n_fock matrix, so a
 test can compare a chain-level result with its dense counterpart.
 """
 import numpy as np
 
-from uscmem import HilbertDims, ModelParams, State, coherent_state
+from uscmem import HilbertDims, ModelParams, State, coherent_state, fock_annihilation
 
 RSQRT2 = 2 ** -0.5
 
@@ -36,6 +36,28 @@ def product_state(dims: HilbertDims, qubit_amps: np.ndarray, fock_amps: np.ndarr
     if q.shape != (2,) or f.shape != (dims.n_fock,):
         raise ValueError("factor shapes must be (2,) and (n_fock,)")
     return normalized(dims, np.kron(q, f))
+
+
+def annihilation_op(dims: HilbertDims) -> np.ndarray:
+    """Cell annihilation operator, identity on the qubit factor."""
+    return np.kron(np.eye(2, dtype=np.complex128), fock_annihilation(dims.n_fock))
+
+
+_PAULI = {
+    # Basis order (|g>, |e>); sigma_z |e> = +|e>, sigma_z |g> = -|g>.
+    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "y": np.array([[0, 1j], [-1j, 0]], dtype=np.complex128),
+    "z": np.array([[-1, 0], [0, 1]], dtype=np.complex128),
+}
+
+
+def pauli_op(axis: str, dims: HilbertDims) -> np.ndarray:
+    """Qubit Pauli operator on a cell, identity on the Fock factor."""
+    try:
+        sigma = _PAULI[axis]
+    except KeyError:
+        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
+    return np.kron(sigma, np.eye(dims.n_fock, dtype=np.complex128))
 
 
 def number_op(dims: HilbertDims) -> np.ndarray:

@@ -152,7 +152,7 @@ def test_property_density_validity(acceptance_log, noisy_legs):
     trace_dev = herm_dev = 0.0
     lowest = 0.0
     for mt in (leg_in, leg_out):
-        for i in range(0, mt.n_recorded, 20):
+        for i in range(0, len(mt.times), 20):
             rho = mt.rhos[i]
             trace_dev = max(trace_dev, abs(float(np.real(np.trace(rho))) - 1.0))
             herm_dev = max(herm_dev, float(np.abs(rho - rho.conj().T).max()))

@@ -464,6 +464,24 @@ def test_main_rejects_k_levels_beyond_the_cell(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, pair", [
+    ("storage", "alpha_f=nan"),
+    ("noisy", "T=inf"),
+    ("spectrum", "omega0=inf"),
+    ("noisy", "gamma_x=inf"),
+])
+def test_main_rejects_non_finite_values(tmp_path, capsys, experiment, pair):
+    # nan passes every range check, and an infinite value overflows the step
+    # count or breaks the eigensolver; either is a config error naming its key
+    code = _run(tmp_path, experiment, "--set", "n_fock=12", "--set", "T=20",
+                "--set", "dt=0.04", "--set", pair)
+    assert code == 1
+    err = capsys.readouterr().err
+    key, _, raw = pair.partition("=")
+    assert "config error" in err and f"{key} = {raw!r} is not a valid" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "experiment", ["storage", "retrieval", "roundtrip", "phase-map", "noisy", "entangled"])
 def test_main_sweeps_reject_splitting_at_or_above_the_cavity(tmp_path, capsys, experiment):

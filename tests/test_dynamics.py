@@ -236,6 +236,9 @@ def test_storage_input_validation():
     params = ModelParams(n_fock=6)
     with pytest.raises(ValueError, match="must be 1"):
         storage_input(params, 1.0, 1.0)
+    # a NaN weight fails the check rather than slipping past it
+    with pytest.raises(ValueError, match="must be 1"):
+        storage_input(params, float("nan"), 0.0)
     psi = storage_input(params, 0.6, 0.8j)
     assert abs(psi.amplitudes[params.dims.index(0, 0)] - 0.6) < 1e-12
     assert abs(psi.amplitudes[params.dims.index(1, 0)] - 0.8j) < 1e-12

@@ -13,14 +13,14 @@ from uscmem import (
     HilbertDims,
     State,
     TruncationError,
-    annihilation_op,
     coherent_state,
     coherent_truncation_weight,
     fock_annihilation,
-    pauli_op,
 )
 
-from reference import basis_state, normalized, number_op, product_state
+from reference import (
+    annihilation_op, basis_state, normalized, number_op, pauli_op, product_state,
+)
 
 
 # --------------------------------------------------------------------------

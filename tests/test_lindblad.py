@@ -2,7 +2,9 @@
 
 The frozen transition rates were derived independently by diagonalizing an
 explicitly assembled Hamiltonian and evaluating matrix elements of the bare
-noise operators between the lowest dressed levels.
+noise operators between the lowest dressed levels. The package builds the
+same elements from the parity-chain eigenvectors; the dense operators of
+``reference`` check them.
 """
 import tracemalloc
 
@@ -16,23 +18,23 @@ from uscmem import (
     PositivityError,
     PropagatorConfig,
     State,
-    annihilation_op,
     branch_block,
     build_rabi,
     evolve_master,
-    pauli_op,
     propagate,
     pure_density,
     readout,
+    sector_eigh,
     storage_input,
     storage_schedule,
     validate_density,
 )
 from uscmem.lindblad import _rate_table
+from uscmem.model import sector_levels
 
 from reference import (
-    RSQRT2, basis_state, branch_phase_correction, corrected_fidelity, density_block,
-    state_fidelity,
+    RSQRT2, annihilation_op, basis_state, branch_phase_correction, corrected_fidelity,
+    density_block, pauli_op, state_fidelity,
 )
 
 # per-channel dressed rates at full coupling, n_fock = 20, base rates
@@ -49,11 +51,26 @@ X_RATES = {(0, 1): 3.9952767001e-05, (2, 3): 4.0032952946e-05}
 DOUBLET_GAP = 1.353664109239e-02
 
 
-def _labelled_rates(h, rates, params, k_levels=12, rate_model="flat"):
-    """Nonzero rates of the jumps |j><k| among the dressed levels of h,
-    keyed by (j, k)."""
-    energies, vectors = np.linalg.eigh(h)
-    gain = _rate_table(energies, vectors, rates, params, k_levels, rate_model)
+# the full reference point and each channel alone
+CHANNEL_MIXES = [NoiseRates.for_qubit_splitting(0.1)] + [
+    NoiseRates(*(g if i == c else 0.0 for i, g in enumerate((1e-4, 1e-4, 1e-4, 1e-5))))
+    for c in range(4)
+]
+
+
+def _chain_levels(params, coupling, k_levels):
+    """The k_levels lowest levels at one coupling as a sweep step sees them:
+    energies, chain labels, full-basis states and the chain eigenvectors."""
+    w, v = sector_eigh(params, np.array([coupling]))
+    (energies,), (labels,), (states,) = sector_levels(params, w, v, k_levels)
+    return energies, labels, states, v[0]
+
+
+def _labelled_rates(params, coupling, rates, k_levels=12, rate_model="flat"):
+    """Nonzero rates of the jumps |j><k| among the dressed levels at one
+    coupling, keyed by (j, k)."""
+    energies, labels, _, v = _chain_levels(params, coupling, k_levels)
+    gain = _rate_table(energies, labels, v, rates, params, rate_model)
     return {(int(j), int(k)): float(gain[j, k]) for j, k in zip(*np.nonzero(gain))}
 
 
@@ -84,11 +101,10 @@ def test_unknown_rate_model_rejected():
 def test_ohmic_scales_by_transition_energy_over_omega_cav():
     # away from omega_cav = 1 the ohmic weight is Delta E / omega_cav
     params = ModelParams(omega_cav=2.0, n_fock=12)
-    h = build_rabi(params, 1.0)
-    e = np.linalg.eigvalsh(h)
+    e = np.linalg.eigvalsh(build_rabi(params, 1.0))
     rates = NoiseRates.for_qubit_splitting(0.1)
-    flat = _labelled_rates(h, rates, params)
-    ohm = _labelled_rates(h, rates, params, rate_model="ohmic")
+    flat = _labelled_rates(params, 1.0, rates)
+    ohm = _labelled_rates(params, 1.0, rates, rate_model="ohmic")
     assert set(ohm) <= set(flat) and len(ohm) > 10
     for (j, k), rate in ohm.items():
         assert rate == pytest.approx(flat[(j, k)] * (e[k] - e[j]) / 2, rel=1e-12)
@@ -97,9 +113,8 @@ def test_ohmic_scales_by_transition_energy_over_omega_cav():
 def test_uncoupled_qubit_jumps():
     # at zero coupling, sigma_x relaxation connects |e,n> -> |g,n> only
     params = ModelParams(n_fock=6)
-    h = build_rabi(params, 0.0)
     rates = NoiseRates(gamma_x=1e-4, gamma_y=0, gamma_z=0, gamma_r=0)
-    table = _labelled_rates(h, rates, params, k_levels=6)
+    table = _labelled_rates(params, 0.0, rates, k_levels=6)
     # levels ordered g0, e0, g1, e1, g2, e2; three downward qubit flips
     assert set(table) == {(0, 1), (2, 3), (4, 5)}
     for rate in table.values():
@@ -108,9 +123,8 @@ def test_uncoupled_qubit_jumps():
 
 def test_uncoupled_photon_jumps():
     params = ModelParams(n_fock=6)
-    h = build_rabi(params, 0.0)
     rates = NoiseRates(gamma_x=0, gamma_y=0, gamma_z=0, gamma_r=1e-5)
-    table = _labelled_rates(h, rates, params, k_levels=6)
+    table = _labelled_rates(params, 0.0, rates, k_levels=6)
     # photon loss within each qubit branch, rate n * gamma_r
     assert set(table) == {(0, 2), (1, 3), (2, 4), (3, 5)}
     assert table[(0, 2)] == pytest.approx(1e-5, rel=1e-9)
@@ -120,62 +134,71 @@ def test_uncoupled_photon_jumps():
 def test_uncoupled_dephasing_is_silent():
     # sigma_z is diagonal in the bare basis: no downward jumps survive
     params = ModelParams(n_fock=6)
-    h = build_rabi(params, 0.0)
     rates = NoiseRates(gamma_x=0, gamma_y=0, gamma_z=1e-4, gamma_r=0)
-    assert _labelled_rates(h, rates, params, k_levels=6) == {}
+    assert _labelled_rates(params, 0.0, rates, k_levels=6) == {}
 
 
 def test_dressed_rates_frozen_values():
     params = ModelParams(n_fock=20)
-    h = build_rabi(params, 1.0)
 
-    sx = _labelled_rates(h, NoiseRates(1e-4, 0, 0, 0), params)
+    sx = _labelled_rates(params, 1.0, NoiseRates(1e-4, 0, 0, 0))
     for jk, expected in SX_RATES.items():
         assert sx[jk] == pytest.approx(expected, rel=1e-6)
 
-    sy = _labelled_rates(h, NoiseRates(0, 1e-4, 0, 0), params)
+    sy = _labelled_rates(params, 1.0, NoiseRates(0, 1e-4, 0, 0))
     assert sy[(0, 1)] == pytest.approx(SY_RATE_01, rel=1e-6)
 
-    sz = _labelled_rates(h, NoiseRates(0, 0, 1e-4, 0), params)
+    sz = _labelled_rates(params, 1.0, NoiseRates(0, 0, 1e-4, 0))
     assert sz[(0, 2)] == pytest.approx(SZ_RATE_02, rel=1e-6)
 
-    xr = _labelled_rates(h, NoiseRates(0, 0, 0, 1e-5), params)
+    xr = _labelled_rates(params, 1.0, NoiseRates(0, 0, 0, 1e-5))
     for jk, expected in X_RATES.items():
         assert xr[jk] == pytest.approx(expected, rel=1e-6)
 
     # channels merge additively per transition
-    full = _labelled_rates(h, NoiseRates.for_qubit_splitting(0.1), params)
+    full = _labelled_rates(params, 1.0, NoiseRates.for_qubit_splitting(0.1))
     merged_01 = SX_RATES[(0, 1)] + SY_RATE_01 + X_RATES[(0, 1)]
     assert full[(0, 1)] == pytest.approx(merged_01, rel=1e-6)
 
     # the lowest transition spans the protocol doublet gap
-    e = np.linalg.eigvalsh(h)
+    e = np.linalg.eigvalsh(build_rabi(params, 1.0))
     assert abs((e[1] - e[0]) - DOUBLET_GAP) < 1e-9
 
 
 def test_ohmic_rescales_by_transition_energy():
     params = ModelParams(n_fock=20)
-    h = build_rabi(params, 1.0)
-    e = np.linalg.eigvalsh(h)
-    flat = _labelled_rates(h, NoiseRates(1e-4, 0, 0, 0), params)
-    ohm = _labelled_rates(h, NoiseRates(1e-4, 0, 0, 0), params, rate_model="ohmic")
+    e = np.linalg.eigvalsh(build_rabi(params, 1.0))
+    flat = _labelled_rates(params, 1.0, NoiseRates(1e-4, 0, 0, 0))
+    ohm = _labelled_rates(params, 1.0, NoiseRates(1e-4, 0, 0, 0), rate_model="ohmic")
     for (j, k), rate in flat.items():
         assert ohm[(j, k)] == pytest.approx(rate * (e[k] - e[j]), rel=1e-9)
 
 
-def _loop_rate_table(energies, vectors, rates, params, k_levels, model):
-    """Per-pair double loop over the lowest levels: the oracle for the
-    vectorized rate table, as [(j, k, merged rate)] in ascending (j, k)."""
-    dims = params.dims
-    a = annihilation_op(dims)
-    ops = (pauli_op("x", dims), pauli_op("y", dims), pauli_op("z", dims), a + a.conj().T)
+def _chain_elements(labels, v, params):
+    """sigma_x, sigma_y, sigma_z and a + a^dag between the levels, built
+    from their chain vectors exactly as the rate table builds them."""
+    nf = params.n_fock
+    sector, rank = np.divmod(labels, nf)
+    u = v[sector, :, rank]
+    su = (2 * (params.chains.index // nf) - 1)[sector] * u
+    hop = params.chains.hop
+    hu = np.zeros_like(u)
+    hu[:, 1:] = hop * u[:, :-1]
+    hu[:, :-1] += hop * u[:, 1:]
+    cross = sector[:, None] != sector[None, :]
+    signed = u @ su.T
+    return cross * (u @ u.T), cross * signed, ~cross * signed, cross * (u @ hu.T)
+
+
+def _loop_rate_table(energies, labels, v, rates, params, model):
+    """Per-pair double loop over the levels: the oracle for the vectorized
+    merge, floor and ohmic scale, as [(j, k, merged rate)] in ascending (j, k)."""
+    k_levels = len(labels)
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
-    low = vectors[:, :k_levels]
     merged = {}
-    for op, gamma in zip(ops, base):
+    for elem, gamma in zip(_chain_elements(labels, v, params), base):
         if gamma == 0.0:
             continue
-        elem = low.conj().T @ op @ low
         for k in range(k_levels):
             for j in range(k_levels):
                 delta = energies[k] - energies[j]
@@ -192,19 +215,14 @@ def test_rate_table_matches_the_double_loop():
     # the loop squares |elem| with libm pow, which may be 1 ulp from the
     # correctly rounded array square; the channel sum can add 1 ulp more
     params = ModelParams(n_fock=10)
-    full = NoiseRates.for_qubit_splitting(0.1)
-    channels = [full] + [
-        NoiseRates(*(g if i == c else 0.0 for i, g in enumerate((1e-4, 1e-4, 1e-4, 1e-5))))
-        for c in range(4)
-    ]
     for coupling in (0.0, 0.4, 1.0):
-        energies, vectors = np.linalg.eigh(build_rabi(params, coupling))
         for k_levels in (2, 7, 20):
+            energies, labels, _, v = _chain_levels(params, coupling, k_levels)
             for model in ("flat", "ohmic"):
-                for rates in channels:
-                    got = _rate_table(energies, vectors, rates, params, k_levels, model)
+                for rates in CHANNEL_MIXES:
+                    got = _rate_table(energies, labels, v, rates, params, model)
                     want = np.zeros((k_levels, k_levels))
-                    table = _loop_rate_table(energies, vectors, rates, params, k_levels, model)
+                    table = _loop_rate_table(energies, labels, v, rates, params, model)
                     for j, k, rate in table:
                         want[j, k] = rate
                     np.testing.assert_array_max_ulp(got, want, maxulp=2)
@@ -212,14 +230,49 @@ def test_rate_table_matches_the_double_loop():
                         (j, k) for j, k, _ in table]
 
 
+def _dense_rate_table(energies, states, rates, params, model):
+    """Rate table with the channel operators built densely and sandwiched
+    between the full-basis levels (columns of states)."""
+    dims = params.dims
+    a = annihilation_op(dims)
+    ops = (pauli_op("x", dims), pauli_op("y", dims), pauli_op("z", dims), a + a.conj().T)
+    delta = energies[None, :] - energies[:, None]
+    down = delta > 0.0
+    gain = np.zeros(delta.shape)
+    for op, gamma in zip(ops, (rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r)):
+        elem = states.T @ op @ states
+        scale = gamma * delta[down] / params.omega_cav if model == "ohmic" else gamma
+        rate = scale * np.abs(elem[down]) ** 2
+        gain[down] += np.where(rate >= 1e-14, rate, 0.0)
+    return gain
+
+
+def test_chain_rate_table_matches_dense_operators():
+    for n_fock in (6, 10, 20, 30):
+        params = ModelParams(n_fock=n_fock)
+        for coupling in (0.0, 0.4, 1.0, 1.5):
+            depth = min(20, 2 * n_fock)
+            energies, labels, states, v = _chain_levels(params, coupling, depth)
+            for k_levels in range(2, depth + 1):
+                e, lab, st = energies[:k_levels], labels[:k_levels], states[:, :k_levels]
+                for model in ("flat", "ohmic"):
+                    for rates in CHANNEL_MIXES:
+                        got = _rate_table(e, lab, v, rates, params, model)
+                        want = _dense_rate_table(e, st, rates, params, model)
+                        assert np.array_equal(got != 0.0, want != 0.0)
+                        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 def test_k_levels_bounds():
+    # the sweep refuses a table wider than the space or without a jump
     params = ModelParams(n_fock=4)
-    h = build_rabi(params, 0.5)
+    sched = storage_schedule(params, 10.0)
+    cfg = PropagatorConfig.for_total_time(10.0, steps=500)
     rates = NoiseRates.for_qubit_splitting(0.1)
-    with pytest.raises(ValueError):
-        _labelled_rates(h, rates, params, k_levels=9)
-    with pytest.raises(ValueError):
-        _labelled_rates(h, rates, params, k_levels=1)
+    rho0 = pure_density(storage_input(params))
+    for k_levels in (9, 1):
+        with pytest.raises(ValueError, match="k_levels"):
+            evolve_master(params, sched, rho0, rates, cfg, k_levels=k_levels)
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +288,11 @@ def test_density_validation():
         validate_density(np.diag([0.6, 0.6]).astype(complex))
     with pytest.raises(PositivityError):
         validate_density(np.diag([1.5, -0.5]).astype(complex))
+    # one NaN entry fails the checks rather than slipping past them
+    nan_rho = rho.copy()
+    nan_rho[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        validate_density(nan_rho)
 
 
 def test_fidelity_mixed_limits():
@@ -295,7 +353,7 @@ def test_relaxation_climbs_toward_dressed_ground():
     sched = CouplingSchedule(1.0, 1.0, 200.0)
     cfg = PropagatorConfig.for_total_time(200.0)
     mt = evolve_master(params, sched, pure_density(excited), rates, cfg)
-    fids = np.array([state_fidelity(mt.rhos[i], ground) for i in range(mt.n_recorded)])
+    fids = np.array([state_fidelity(mt.rhos[i], ground) for i in range(len(mt.times))])
     assert np.all(np.diff(fids) > -1e-10)
     assert fids[-1] > fids[0] + 0.3
 
@@ -333,7 +391,8 @@ def test_master_samples_are_held_once():
 
 def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_every, model):
     """Reference sweep in the lab frame: dense midpoint eigh, rho <- U rho U^dag,
-    then the dissipator taken into the refresh basis and back on every step.
+    then the dissipator taken into the refresh basis of sector_levels and
+    back on every step.
     Returns the samples at step 0, every record_every steps and the last."""
     d = params.dims.total_dim
     n_steps = round(schedule.total_time / cfg.dt)
@@ -341,14 +400,15 @@ def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_ever
     rho = np.array(rho0, dtype=complex)
     samples = [rho.copy()]
     for i in range(n_steps):
-        energies, vectors = np.linalg.eigh(build_rabi(params, schedule.coupling_at((i + 0.5) * dt)))
+        coupling = schedule.coupling_at((i + 0.5) * dt)
+        energies, vectors = np.linalg.eigh(build_rabi(params, coupling))
         u = (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
         rho = u @ rho @ u.conj().T
         if i % refresh_every == 0:
-            basis = vectors
+            levels, labels, basis, v = _chain_levels(params, coupling, d)
             gain = np.zeros((d, d))
             for j, k, rate in _loop_rate_table(
-                    energies, vectors, rates, params, k_levels, model):
+                    levels[:k_levels], labels[:k_levels], v, rates, params, model):
                 gain[j, k] = rate
             out_rate = gain.sum(axis=0)
         rho_d = basis.conj().T @ rho @ basis
@@ -415,7 +475,7 @@ def test_mixed_corrected_fidelity_matches_pure_state_formula():
 def test_noisy_samples_stay_valid_densities(noisy_legs):
     _, _, leg_in, leg_out = noisy_legs
     for mt in (leg_in, leg_out):
-        for i in range(0, mt.n_recorded, 40):
+        for i in range(0, len(mt.times), 40):
             validate_density(mt.rhos[i], f"sample {i}")
         tr = float(np.real(np.trace(mt.final)))
         assert abs(tr - 1.0) < 1e-8

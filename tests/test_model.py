@@ -11,13 +11,11 @@ from uscmem import (
     CouplingSchedule,
     HilbertDims,
     ModelParams,
-    annihilation_op,
     build_rabi,
-    pauli_op,
     storage_schedule,
 )
 
-from reference import basis_state, number_op, parity_op
+from reference import annihilation_op, basis_state, number_op, parity_op, pauli_op
 
 # lowest levels at full coupling, derived independently
 E_LOWEST = (-1.007577105014, -0.994040463921, -0.020745678479, 0.019809848711)
