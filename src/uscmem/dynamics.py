@@ -11,8 +11,9 @@ second order in dt. The midpoint Hamiltonian is never assembled: parity
 splits it into two real tridiagonal chains
 (:class:`~uscmem.model.ParityChains`), and the midpoints of a run of
 steps are diagonalized together, per parity sector, in one batched real
-eigh. The cell is stepped sector by sector on its two chain slices, so
-parity is conserved by construction.
+eigh. The cell is carried as its two chain slices and stepped sector by
+sector, so parity is conserved by construction; the full cell vector is
+built only for the recorded samples.
 """
 from __future__ import annotations
 
@@ -44,8 +45,9 @@ class PropagatorConfig:
     """Time-step configuration.
 
     dt is a request; the actual step divides the schedule duration exactly
-    (the nearest integer step count is used). Norm is renormalized each step
-    and any drift beyond norm_tol aborts the run.
+    (the nearest integer step count is used). Each step is unitary up to
+    roundoff and the state is never rescaled; a norm more than norm_tol
+    from 1 aborts the run.
     """
 
     dt: float
@@ -54,12 +56,12 @@ class PropagatorConfig:
     method: str = "midpoint-exponential"
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.norm_tol <= 0:
-            raise ValueError("norm_tol must be > 0")
+        if not 0 < self.norm_tol < np.inf:
+            raise ValueError(f"norm_tol must be finite and > 0, got {self.norm_tol}")
         if self.method != "midpoint-exponential":
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -80,10 +82,6 @@ class Trajectory:
     amplitudes: np.ndarray
 
     @property
-    def n_recorded(self) -> int:
-        return len(self.times)
-
-    @property
     def final(self) -> State:
         return State(self.dims, self.amplitudes[-1])
 
@@ -100,45 +98,40 @@ def _step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
 
 def _sweep(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
-    x0: np.ndarray, step: Callable, check: Callable | None = None,
-    sample: Callable = np.copy,
+    x0: np.ndarray, step: Callable, record: Callable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drive x across a schedule with the exact midpoint eigensystem.
 
     The midpoint Hamiltonians of each SECTOR_BATCH consecutive steps are
     diagonalized per parity sector in one batch (:func:`sector_eigh`).
     step(x, w, v, dt, i) then gives the state after step i + 1 from step
-    i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock). The
-    state is sampled as sample(x), a copy by default, at step 0, every
-    cfg.record_every steps and the last step;
-    check(s, n), if given, runs on each sample s after step n. The record
-    grid is known before the first step, so the samples land in one
+    i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock).
+    record(x, n) returns the sample of the state x after step n, and is
+    called at step 0, every cfg.record_every steps and the last step. The
+    record grid is known before the first step, so the samples land in one
     preallocated array, shaped and typed after the first sample. Returns
     the sample times, their couplings and that array.
     """
     n_steps = _step_count(schedule, cfg)
     dt = schedule.total_time / n_steps
     rec_idx = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
-    first = sample(x0)
+    midpoints = schedule.coupling_at((np.arange(n_steps) + 0.5) * dt)
+    first = record(x0, 0)
     samples = np.empty((len(rec_idx), *first.shape), dtype=first.dtype)
     samples[0] = first
     n_rec = 1
     x = x0
     for start in range(0, n_steps, SECTOR_BATCH):
-        steps = range(start, min(start + SECTOR_BATCH, n_steps))
-        midpoints = np.array([schedule.coupling_at((i + 0.5) * dt) for i in steps])
-        for i, w, v in zip(steps, *sector_eigh(params, midpoints)):
+        batch = midpoints[start:start + SECTOR_BATCH]
+        for i, w, v in zip(range(start, n_steps), *sector_eigh(params, batch)):
             x = step(x, w, v, dt, i)
             if i + 1 == rec_idx[n_rec]:
-                samples[n_rec] = sample(x)
-                if check is not None:
-                    check(samples[n_rec], i + 1)
+                samples[n_rec] = record(x, i + 1)
                 n_rec += 1
 
     times = rec_idx * dt
     times[-1] = schedule.total_time
-    couplings = np.array([schedule.coupling_at(t) for t in times])
-    return times, couplings, samples
+    return times, schedule.coupling_at(times), samples
 
 
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -159,25 +152,32 @@ def propagate(
     psi0: State,
     cfg: PropagatorConfig,
 ) -> Trajectory:
-    """Integrate a cell state across a schedule."""
+    """Integrate a cell state across a schedule.
+
+    The state is carried as its (2, n_fock) chain slices; each step maps
+    them to v (exp(-i w dt) * v^T x) and is never rescaled.
+    """
     dims = psi0.dims
     if dims.n_fock != params.n_fock:
         raise ValueError("state truncation does not match params.n_fock")
     index = params.chains.index
 
-    def step(psi, w, v, dt, i):
-        coeffs = _real_matvec(np.swapaxes(v, 1, 2), psi[index]) * np.exp(-1j * w * dt)
-        psi = np.empty_like(psi)
-        psi[index] = _real_matvec(v, coeffs)
-        nrm = np.linalg.norm(psi)
+    def step(x, w, v, dt, i):
+        x = _real_matvec(v, _real_matvec(np.swapaxes(v, 1, 2), x) * np.exp(-1j * w * dt))
+        nrm = np.linalg.norm(x)
         if not (abs(nrm - 1.0) <= cfg.norm_tol):
             raise NormDriftError(
                 f"norm drifted to {nrm!r} at step {i + 1} (tol {cfg.norm_tol})"
             )
-        psi /= nrm
+        return x
+
+    def record(x, n):
+        psi = np.empty(dims.total_dim, dtype=np.complex128)
+        psi[index] = x
         return psi
 
-    return Trajectory(dims, *_sweep(params, schedule, cfg, psi0.amplitudes, step))
+    x0 = psi0.amplitudes[index]
+    return Trajectory(dims, *_sweep(params, schedule, cfg, x0, step, record))
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def phase_landscape(
     # the state in the doublet basis, (n, 2), and its block there
     c = _real_matvec(np.swapaxes(doublets, 1, 2), traj.amplitudes)
     block = c[:, :, None] * c[:, None, :].conj()
-    fid = np.empty((traj.n_recorded, theta_points))
+    fid = np.empty((len(traj.times), theta_points))
     for j, theta in enumerate(thetas):
         _, fid[:, j] = readout(block, alpha_f, beta_f, theta)
     theta_opt = thetas[np.argmax(fid, axis=1)]
@@ -367,6 +367,6 @@ def phase_landscape(
 def physical_time(t: float, f_cav_hz: float) -> float:
     """Convert protocol time units (1 / omega_cav) to seconds for a cavity
     running at the given ordinary frequency."""
-    if f_cav_hz <= 0:
-        raise ValueError("cavity frequency must be positive")
+    if not 0 < f_cav_hz < np.inf:
+        raise ValueError(f"cavity frequency must be finite and positive, got {f_cav_hz}")
     return t / (2 * pi * f_cav_hz)

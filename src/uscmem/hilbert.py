@@ -12,8 +12,6 @@ states with truncation guards for the cat approximants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import lgamma
 
 import numpy as np
 
@@ -84,22 +82,18 @@ def fock_annihilation(n_fock: int) -> np.ndarray:
 # coherent states
 # --------------------------------------------------------------------------
 
+def _coherent_terms(alpha: complex, n_fock: int) -> np.ndarray:
+    """<n|alpha> for n < n_fock as one running product: exp(-|alpha|^2 / 2),
+    then each term alpha / sqrt(n) times the one before, so nothing overflows."""
+    factors = np.full(n_fock, np.exp(-abs(alpha) ** 2 / 2), dtype=np.complex128)
+    factors[1:] = alpha / np.sqrt(np.arange(1, n_fock))
+    return np.cumprod(factors)
+
+
 def coherent_truncation_weight(alpha: complex, n_fock: int) -> float:
     """Probability weight of a coherent state beyond the kept Fock levels."""
-    if alpha == 0:
-        return 0.0
-    n = np.arange(n_fock)
-    log_p = -abs(alpha) ** 2 + n * np.log(abs(alpha) ** 2) - _log_factorial(n_fock)
-    kept = float(np.exp(log_p).sum())
+    kept = float(np.sum(np.abs(_coherent_terms(alpha, n_fock)) ** 2))
     return max(0.0, 1.0 - kept)
-
-
-@lru_cache(maxsize=None)
-def _log_factorial(n_fock: int) -> np.ndarray:
-    """Read-only log(n!) for n = 0 .. n_fock - 1, computed once per n_fock."""
-    out = np.array([lgamma(k + 1) for k in range(n_fock)])
-    out.flags.writeable = False
-    return out
 
 
 def coherent_state(alpha: complex, n_fock: int) -> np.ndarray:
@@ -117,13 +111,5 @@ def coherent_state(alpha: complex, n_fock: int) -> np.ndarray:
     tail = coherent_truncation_weight(alpha, n_fock)
     if tail >= 1e-8:
         raise TruncationError(f"discarded coherent weight {tail:.3e} >= 1e-8")
-    n = np.arange(n_fock)
-    if alpha == 0:
-        amps = np.zeros(n_fock, dtype=np.complex128)
-        amps[0] = 1.0
-        return amps
-    # log-domain magnitudes avoid overflow in alpha**n / sqrt(n!)
-    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * _log_factorial(n_fock)
-    phase = np.exp(1j * n * np.angle(alpha))
-    amps = np.exp(log_mag) * phase
+    amps = _coherent_terms(alpha, n_fock)
     return amps / np.linalg.norm(amps)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PropagatorConfig, _real_matmul, _sweep
-from .hilbert import HilbertDims, State
+from .hilbert import State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import CouplingSchedule, ModelParams, build_rabi, sector_levels  # noqa: F401
 
@@ -57,8 +57,8 @@ class NoiseRates:
 
     def __post_init__(self) -> None:
         for name in ("gamma_x", "gamma_y", "gamma_z", "gamma_r"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @classmethod
     def for_qubit_splitting(cls, omega_eg: float) -> "NoiseRates":
@@ -111,8 +111,6 @@ def _rate_table(
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
     gain = np.zeros((len(labels), len(labels)))
     for elem, gamma in zip(elems, base):
-        if gamma == 0.0:
-            continue
         scale = gamma * delta[down] / params.omega_cav if rate_model == "ohmic" else gamma
         rate = scale * elem[down] ** 2
         gain[down] += np.where(rate >= _RATE_FLOOR, rate, 0.0)
@@ -142,7 +140,6 @@ def validate_density(rho: np.ndarray, where: str = "rho") -> None:
 class MasterTrajectory:
     """Recorded open-system sweep: times, couplings, density matrices."""
 
-    dims: HilbertDims
     times: np.ndarray
     couplings: np.ndarray
     rhos: np.ndarray
@@ -180,10 +177,9 @@ def evolve_master(
     step applies U_f = M exp(-i w dt) M^T with M = B^T V, V the step's
     eigenvectors, so one dense sandwich U_f rho_f U_f^dag remains per step.
     Recorded samples are the lab-frame B rho_f B^T, and trace, Hermiticity
-    and positivity are checked on each of them.
+    and positivity are checked on each of them, rho0 included.
     """
-    dims = params.dims
-    d = dims.total_dim
+    d = params.dims.total_dim
     if rho0.shape != (d, d):
         raise ValueError("rho0 shape does not match the model space")
     if refresh_every < 1:
@@ -192,7 +188,6 @@ def evolve_master(
         raise ValueError(f"rate_model must be one of {RATE_MODELS}, got {rate_model!r}")
     if not 2 <= k_levels <= d:
         raise ValueError(f"k_levels must be in [2, {d}], got {k_levels}")
-    validate_density(rho0, "rho0")
 
     index = params.chains.index
     frame = np.eye(d)     # dressed basis B of the last refresh, levels as columns
@@ -220,12 +215,11 @@ def evolve_master(
         np.fill_diagonal(drho, np.diagonal(drho) + gain @ np.real(np.diagonal(rho_f)))
         return rho_f + dt * drho
 
-    def check(rho, n):
-        validate_density(rho, f"rho at step {n}")
-
-    def lab(rho_f):
-        return frame @ rho_f @ frame.T
+    def record(rho_f, n):
+        rho = frame @ rho_f @ frame.T
+        validate_density(rho, f"rho at step {n}" if n else "rho0")
+        return rho
 
     rho = np.array(rho0, dtype=np.complex128)
-    return MasterTrajectory(dims, *_sweep(params, schedule, cfg, rho, step, check, lab))
+    return MasterTrajectory(*_sweep(params, schedule, cfg, rho, step, record))
 

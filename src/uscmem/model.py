@@ -33,12 +33,13 @@ class ModelParams:
     n_fock: int = 30
 
     def __post_init__(self) -> None:
-        if self.omega_cav <= 0:
-            raise ValueError(f"omega_cav must be > 0, got {self.omega_cav}")
-        if self.omega_eg < 0:
-            raise ValueError(f"omega_eg must be >= 0, got {self.omega_eg}")
-        if self.omega0 < 0:
-            raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
+        # written so that nan and inf fail each guard
+        if not 0 < self.omega_cav < np.inf:
+            raise ValueError(f"omega_cav must be finite and > 0, got {self.omega_cav}")
+        if not 0 <= self.omega_eg < np.inf:
+            raise ValueError(f"omega_eg must be finite and >= 0, got {self.omega_eg}")
+        if not 0 <= self.omega0 < np.inf:
+            raise ValueError(f"omega0 must be finite and >= 0, got {self.omega0}")
         if self.n_fock < 2:
             raise ValueError(f"n_fock must be >= 2, got {self.n_fock}")
 
@@ -95,8 +96,10 @@ class CouplingSchedule:
     shape: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.total_time <= 0:
-            raise ValueError(f"total_time must be > 0, got {self.total_time}")
+        if not 0 < self.total_time < np.inf:
+            raise ValueError(f"total_time must be finite and > 0, got {self.total_time}")
+        if not np.isfinite([self.omega_start, self.omega_end]).all():
+            raise ValueError(f"couplings must be finite, got {self.omega_start}, {self.omega_end}")
         if self.shape != "linear":
             raise ValueError(f"unsupported schedule shape {self.shape!r}")
 
@@ -104,8 +107,9 @@ class CouplingSchedule:
     def is_sweep(self) -> bool:
         return self.omega_start != self.omega_end
 
-    def coupling_at(self, t: float) -> float:
-        if not 0.0 <= t <= self.total_time:
+    def coupling_at(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Coupling at time t, elementwise for an array of times."""
+        if not (0.0 <= np.min(t) and np.max(t) <= self.total_time):
             raise ValueError(f"t = {t} outside [0, {self.total_time}]")
         frac = t / self.total_time
         return self.omega_start + (self.omega_end - self.omega_start) * frac

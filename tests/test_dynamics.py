@@ -27,7 +27,8 @@ from uscmem import (
     storage_run,
     storage_schedule,
 )
-from uscmem.dynamics import _sweep
+from uscmem import dynamics
+from uscmem.dynamics import NormDriftError, _sweep
 from uscmem.model import sector_eigh, sector_levels
 
 from reference import basis_state, corrected_fidelity, parity_op
@@ -116,6 +117,21 @@ def test_norm_is_preserved_tightly():
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
+def test_norm_leak_is_caught_not_rescaled(monkeypatch):
+    # nothing rescales the state, so eigenvectors that leak 2e-11 of norm
+    # per step trip the per-step check at step 50 instead of being hidden
+    params = ModelParams(n_fock=12)
+
+    def leaky(params, couplings):
+        w, v = sector_eigh(params, couplings)
+        return w, v * (1 + 1e-11)
+
+    monkeypatch.setattr(dynamics, "sector_eigh", leaky)
+    cfg = PropagatorConfig.for_total_time(10.0, steps=500)
+    with pytest.raises(NormDriftError, match="at step 50 "):
+        propagate(params, storage_schedule(params, 10.0), storage_input(params), cfg)
+
+
 def test_parity_is_conserved_along_sweep():
     params = ModelParams(n_fock=12)
     p = parity_op(params.dims)
@@ -200,7 +216,7 @@ def test_recording_grid():
     sched = storage_schedule(params, 10.0)
     cfg = PropagatorConfig.for_total_time(10.0, steps=500, record_every=50)
     traj = propagate(params, sched, storage_input(params), cfg)
-    assert traj.n_recorded == 11
+    assert len(traj.times) == 11
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 10.0
     assert abs(traj.couplings[0]) < 1e-15
@@ -213,15 +229,20 @@ def test_sweep_record_grid(record_every, n_recorded):
     params = ModelParams(n_fock=4)
     sched = storage_schedule(params, 10.0)
     cfg = PropagatorConfig(dt=0.02, record_every=record_every)
-    checked = []
+    recorded = []
+
+    def record(x, n):
+        recorded.append((float(x), n))
+        return -x
+
     times, couplings, samples = _sweep(
-        params, sched, cfg, np.array(0.0), lambda x, w, v, dt, i: np.array(i + 1.0),
-        check=lambda s, n: checked.append((float(s), n)),
+        params, sched, cfg, np.array(0.0), lambda x, w, v, dt, i: np.array(i + 1.0), record,
     )
     steps = [*range(0, 500, record_every), 500]
     assert len(steps) == n_recorded
-    assert np.array_equal(samples, steps)  # the sample after step n holds n
-    assert checked == [(float(n), n) for n in steps[1:]]
+    # the hook sees every grid step, 0 included, and the state after step n holds n
+    assert recorded == [(float(n), n) for n in steps]
+    assert np.array_equal(samples, -np.array(steps))  # the samples are what it returns
     expected = np.array(steps) * 0.02
     expected[-1] = 10.0
     assert np.array_equal(times, expected)

@@ -29,6 +29,7 @@ from uscmem import (
     storage_schedule,
     validate_density,
 )
+from uscmem import dynamics
 from uscmem.lindblad import _rate_table
 from uscmem.model import sector_levels
 
@@ -358,7 +359,7 @@ def test_relaxation_climbs_toward_dressed_ground():
     assert fids[-1] > fids[0] + 0.3
 
 
-def test_master_input_validation():
+def test_master_input_validation(monkeypatch):
     params = ModelParams(n_fock=6)
     sched = storage_schedule(params, 10.0)
     cfg = PropagatorConfig.for_total_time(10.0, steps=500)
@@ -368,6 +369,14 @@ def test_master_input_validation():
     rho0 = pure_density(storage_input(params))
     with pytest.raises(ValueError):
         evolve_master(params, sched, rho0, rates, cfg, refresh_every=0)
+
+    # rho0 is checked as the step-0 sample, before any step is taken
+    def no_step(params, couplings):
+        raise AssertionError("stepped before rho0 was checked")
+
+    monkeypatch.setattr(dynamics, "sector_eigh", no_step)
+    with pytest.raises(ValueError, match="rho0 trace"):
+        evolve_master(params, sched, 2 * rho0, rates, cfg)
 
 
 def test_master_samples_are_held_once():

@@ -11,7 +11,10 @@ from uscmem import (
     CouplingSchedule,
     HilbertDims,
     ModelParams,
+    NoiseRates,
+    PropagatorConfig,
     build_rabi,
+    physical_time,
     storage_schedule,
 )
 
@@ -143,6 +146,12 @@ def test_schedule_interpolation_and_bounds():
         sched.coupling_at(-0.1)
     with pytest.raises(ValueError):
         sched.coupling_at(10.1)
+    # an array of times gives the scalar values bit for bit, and is checked whole
+    sched = CouplingSchedule(omega_start=0.3, omega_end=1.7, total_time=10.5)
+    t = (np.arange(2000) + 0.5) * (10.5 / 2000)
+    assert np.array_equal(sched.coupling_at(t), [sched.coupling_at(float(x)) for x in t])
+    with pytest.raises(ValueError):
+        sched.coupling_at(np.array([0.0, 5.0, 10.6, 1.0]))
 
 
 def test_schedule_reversal():
@@ -165,3 +174,29 @@ def test_schedule_validation():
         CouplingSchedule(0.0, 1.0, total_time=0.0)
     with pytest.raises(ValueError):
         CouplingSchedule(0.0, 1.0, 5.0, shape="cubic")
+
+
+NON_FINITE_GUARDS = {
+    "omega_cav": lambda x: ModelParams(omega_cav=x),
+    "omega_eg": lambda x: ModelParams(omega_eg=x),
+    "omega0": lambda x: ModelParams(omega0=x),
+    "omega_start": lambda x: CouplingSchedule(x, 1.0, 10.0),
+    "omega_end": lambda x: CouplingSchedule(0.0, x, 10.0),
+    "total_time": lambda x: CouplingSchedule(0.0, 1.0, x),
+    "dt": lambda x: PropagatorConfig(dt=x),
+    "norm_tol": lambda x: PropagatorConfig(dt=0.1, norm_tol=x),
+    "gamma_x": lambda x: NoiseRates(x, 0.0, 0.0, 0.0),
+    "gamma_y": lambda x: NoiseRates(0.0, x, 0.0, 0.0),
+    "gamma_z": lambda x: NoiseRates(0.0, 0.0, x, 0.0),
+    "gamma_r": lambda x: NoiseRates(0.0, 0.0, 0.0, x),
+    "f_cav_hz": lambda x: physical_time(105.0, x),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", NON_FINITE_GUARDS)
+def test_parameter_records_reject_non_finite(field, value):
+    # an inf norm_tol would switch the drift check off; nan and inf elsewhere
+    # fail far from their cause, inside an eigensolver or as a nan duration
+    with pytest.raises(ValueError):
+        NON_FINITE_GUARDS[field](value)
