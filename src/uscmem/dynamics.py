@@ -13,11 +13,14 @@ splits it into two real tridiagonal chains
 steps are diagonalized together, per parity sector, in one batched real
 eigh. The cell is carried as its two chain slices and stepped sector by
 sector, so parity is conserved by construction; the full cell vector is
-built only for the recorded samples.
+built only for the recorded samples. A round trip diagonalizes only its
+write leg: every step's factor is complex symmetric, so the read leg is
+the transpose P_N^T of the write leg's propagator (:func:`_roundtrip`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import pi
 from typing import Callable
 
@@ -66,9 +69,8 @@ class PropagatorConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
     @classmethod
-    def for_total_time(
-        cls, total_time: float, steps: int = 2000, record_every: int = 10
-    ) -> "PropagatorConfig":
+    def for_total_time(cls, total_time: float, steps: int = 2000,
+                       record_every: int = 10) -> "PropagatorConfig":
         return cls(dt=total_time / steps, record_every=record_every)
 
 
@@ -96,9 +98,16 @@ def _step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
     return n
 
 
+def _record_grid(schedule: CouplingSchedule, cfg: PropagatorConfig):
+    """Step count, step length and the recorded steps (0, every record_every, the last)."""
+    n_steps = _step_count(schedule, cfg)
+    rec_idx = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
+    return n_steps, schedule.total_time / n_steps, rec_idx
+
+
 def _sweep(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
-    x0: np.ndarray, step: Callable, record: Callable,
+    x0: np.ndarray, step: Callable, record: Callable, grid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drive x across a schedule with the exact midpoint eigensystem.
 
@@ -107,14 +116,13 @@ def _sweep(
     step(x, w, v, dt, i) then gives the state after step i + 1 from step
     i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock).
     record(x, n) returns the sample of the state x after step n, and is
-    called at step 0, every cfg.record_every steps and the last step. The
-    record grid is known before the first step, so the samples land in one
+    called at each step of grid, which holds 0 and the last step and
+    defaults to the record grid of cfg. The samples land in one
     preallocated array, shaped and typed after the first sample. Returns
     the sample times, their couplings and that array.
     """
-    n_steps = _step_count(schedule, cfg)
-    dt = schedule.total_time / n_steps
-    rec_idx = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
+    n_steps, dt, rec_idx = _record_grid(schedule, cfg)
+    rec_idx = rec_idx if grid is None else grid
     midpoints = schedule.coupling_at((np.arange(n_steps) + 0.5) * dt)
     first = record(x0, 0)
     samples = np.empty((len(rec_idx), *first.shape), dtype=first.dtype)
@@ -128,55 +136,45 @@ def _sweep(
             if i + 1 == rec_idx[n_rec]:
                 samples[n_rec] = record(x, i + 1)
                 n_rec += 1
-
     times = rec_idx * dt
     times[-1] = schedule.total_time
     return times, schedule.coupling_at(times), samples
 
 
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a real matrix and a C-contiguous complex matrix, on z's
-    real view, so m is never cast to complex."""
+    """m @ z for real matrices and C-contiguous complex matrices, batched
+    over leading axes, on z's real view, so m is never cast to complex."""
     return (m @ z.view(np.float64)).view(np.complex128)
 
 
-def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for real matrices and contiguous complex vectors, batched over
-    leading axes, on the vectors' real view, so m is never cast to complex."""
-    return (m @ z.view(np.float64).reshape(*z.shape, 2)).view(np.complex128)[..., 0]
+def _unitary_step(x, w, v, dt, i, norm_tol):
+    """The midpoint step on chain columns x (2, n_fock, c), mapped to
+    v (exp(-i w dt) * v^T x) and never rescaled. The last column is a state,
+    and a norm more than norm_tol from 1 there raises NormDriftError."""
+    x = _real_matmul(v, _real_matmul(np.swapaxes(v, 1, 2), x) * np.exp(-1j * w * dt)[..., None])
+    nrm = np.linalg.norm(x[..., -1])
+    if not (abs(nrm - 1.0) <= norm_tol):
+        raise NormDriftError(f"norm drifted to {nrm!r} at step {i + 1} (tol {norm_tol})")
+    return x
 
 
 def propagate(
-    params: ModelParams,
-    schedule: CouplingSchedule,
-    psi0: State,
-    cfg: PropagatorConfig,
+    params: ModelParams, schedule: CouplingSchedule, psi0: State, cfg: PropagatorConfig,
 ) -> Trajectory:
-    """Integrate a cell state across a schedule.
-
-    The state is carried as its (2, n_fock) chain slices; each step maps
-    them to v (exp(-i w dt) * v^T x) and is never rescaled.
-    """
+    """Integrate a cell state across a schedule, carried as one column
+    (2, n_fock, 1) of chain slices through :func:`_unitary_step`."""
     dims = psi0.dims
     if dims.n_fock != params.n_fock:
         raise ValueError("state truncation does not match params.n_fock")
     index = params.chains.index
 
-    def step(x, w, v, dt, i):
-        x = _real_matvec(v, _real_matvec(np.swapaxes(v, 1, 2), x) * np.exp(-1j * w * dt))
-        nrm = np.linalg.norm(x)
-        if not (abs(nrm - 1.0) <= cfg.norm_tol):
-            raise NormDriftError(
-                f"norm drifted to {nrm!r} at step {i + 1} (tol {cfg.norm_tol})"
-            )
-        return x
-
     def record(x, n):
         psi = np.empty(dims.total_dim, dtype=np.complex128)
-        psi[index] = x
+        psi[index] = x[..., 0]
         return psi
 
-    x0 = psi0.amplitudes[index]
+    step = partial(_unitary_step, norm_tol=cfg.norm_tol)
+    x0 = psi0.amplitudes[index][..., None]
     return Trajectory(dims, *_sweep(params, schedule, cfg, x0, step, record))
 
 
@@ -200,11 +198,8 @@ def storage_input(
 
 
 def storage_run(
-    params: ModelParams,
-    alpha_f: complex,
-    beta_f: complex,
-    schedule: CouplingSchedule,
-    cfg: PropagatorConfig,
+    params: ModelParams, alpha_f: complex, beta_f: complex,
+    schedule: CouplingSchedule, cfg: PropagatorConfig,
 ) -> tuple[Trajectory, np.ndarray]:
     """Write sweep. Returns the trajectory and F_s(t) = |<psi_s|psi(t)>|^2
     against the fixed input state."""
@@ -245,8 +240,7 @@ def readout(
         theta = float(-np.angle(last)) % (2 * pi) if last != 0 else 0.0
     f = w + 2 * np.real(np.exp(1j * theta) * z)
     if not (-1e-10 <= f.min() and f.max() <= 1.0 + 1e-8):
-        raise ValueError(f"fidelity outside [0, 1] beyond tolerance: "
-                         f"[{f.min()!r}, {f.max()!r}]")
+        raise ValueError(f"fidelity outside [0, 1] beyond tolerance: [{f.min()!r}, {f.max()!r}]")
     return theta, np.clip(f, 0.0, 1.0)
 
 
@@ -264,40 +258,59 @@ class RoundTrip:
 
 
 def _roundtrip(
-    params: ModelParams,
-    schedule: CouplingSchedule,
-    cfg: PropagatorConfig,
-    alpha_f: complex,
-    beta_f: complex,
-    theta: float | None,
+    params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
+    alpha_f: complex, beta_f: complex, theta: float | None, rows: slice | list = slice(None),
 ) -> RoundTrip:
     """Write along schedule, read along its reverse, then correct the phase.
 
-    The read propagation itself does not depend on theta, so it runs once
-    and the correction (closed-form optimum when theta is None) is fixed
-    afterwards from the final state.
+    Each midpoint factor exp(-i H_i dt) is complex symmetric, as H_i is
+    real symmetric, so the read leg is P_N^T, P_k the product of the write
+    leg's first k factors, and m read steps give conj(P_{N-m}) phi with
+    phi = P_N^T psi_T. One sweep carries [P_k | P_k psi_0] in chain form
+    and records the chain sites rows of P_k at the mirrored steps N - m,
+    so only the write leg is diagonalized. The read leg holds the
+    amplitudes on those sites and NaN elsewhere; rows [0] gives the
+    |g,0>, |e,0> amplitudes. Neither leg depends on theta, which is fixed
+    afterwards (the closed-form optimum if None).
     """
-    traj_s, fs_s = storage_run(params, alpha_f, beta_f, schedule, cfg)
-    traj_r = propagate(params, schedule.reversed(), traj_s.final, cfg)
-    theta, fs_r = readout(branch_block(traj_r.amplitudes, traj_r.dims), alpha_f, beta_f, theta)
-    return RoundTrip(
-        total_time=schedule.total_time,
-        theta_opt=theta,
-        fidelity=float(fs_r[-1]),
-        storage=traj_s,
-        storage_fs=fs_s,
-        retrieval=traj_r,
-        retrieval_fs=fs_r,
-    )
+    dims, index, nf = params.dims, params.chains.index, params.n_fock
+    n_steps, _, rec_idx = _record_grid(schedule, cfg)
+    # the write leg's record steps and their mirrors, where the read leg records
+    grid = np.array(sorted({*rec_idx.tolist(), *(n_steps - rec_idx).tolist()}))
+    psi0 = storage_input(params, alpha_f, beta_f).amplitudes[index]
+    x0 = np.concatenate([np.broadcast_to(np.eye(nf), (2, nf, nf)), psi0[..., None]], axis=2)
+    last = x0
+
+    def record(x, n):
+        nonlocal last
+        last = x
+        # the kept rows of P_n, then P_n psi_0 as one more row
+        return np.concatenate([x[:, rows, :-1], x[:, None, :, -1]], axis=1)
+
+    step = partial(_unitary_step, norm_tol=cfg.norm_tol)
+    times, couplings, samples = _sweep(params, schedule, cfg, x0, step, record, grid)
+    phi = np.swapaxes(last[..., :-1], 1, 2) @ last[..., -1:]
+    nrm = np.linalg.norm(phi)
+    if not (abs(nrm - 1.0) <= cfg.norm_tol):
+        raise NormDriftError(f"read-leg norm {nrm!r} (tol {cfg.norm_tol})")
+
+    at = np.searchsorted(grid, rec_idx)
+    times = times[at]
+    write = np.empty((len(rec_idx), dims.total_dim), dtype=np.complex128)
+    write[:, index] = samples[at, :, -1]
+    read = np.full_like(write, np.nan)
+    mirrored = samples[np.searchsorted(grid, n_steps - rec_idx), :, :-1]
+    read[:, index[:, rows]] = (mirrored.conj() @ phi)[..., 0]
+    _, fs_s = readout(branch_block(write, dims), alpha_f, beta_f, 0.0)
+    theta, fs_r = readout(branch_block(read, dims), alpha_f, beta_f, theta)
+    traj_r = Trajectory(dims, times.copy(), schedule.reversed().coupling_at(times), read)
+    return RoundTrip(schedule.total_time, theta, float(fs_r[-1]),
+                     Trajectory(dims, times, couplings[at], write), fs_s, traj_r, fs_r)
 
 
 def roundtrip_run(
-    params: ModelParams,
-    total_time: float,
-    cfg: PropagatorConfig | None = None,
-    alpha_f: complex = RSQRT2,
-    beta_f: complex = RSQRT2,
-    theta: float | None = None,
+    params: ModelParams, total_time: float, cfg: PropagatorConfig | None = None,
+    alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2, theta: float | None = None,
 ) -> RoundTrip:
     """Full write-then-read cycle from zero coupling to omega0 and back;
     theta None means optimize the correction."""
@@ -328,12 +341,8 @@ class PhaseLandscape:
 
 
 def phase_landscape(
-    params: ModelParams,
-    alpha_f: complex,
-    beta_f: complex,
-    schedule: CouplingSchedule,
-    cfg: PropagatorConfig,
-    theta_points: int = 64,
+    params: ModelParams, alpha_f: complex, beta_f: complex,
+    schedule: CouplingSchedule, cfg: PropagatorConfig, theta_points: int = 64,
 ) -> PhaseLandscape:
     """Map |<target(theta)|psi(t)>|^2 over the sweep and a theta grid.
 
@@ -351,7 +360,7 @@ def phase_landscape(
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
 
     # the state in the doublet basis, (n, 2), and its block there
-    c = _real_matvec(np.swapaxes(doublets, 1, 2), traj.amplitudes)
+    c = _real_matmul(np.swapaxes(doublets, 1, 2), traj.amplitudes[..., None])[..., 0]
     block = c[:, :, None] * c[:, None, :].conj()
     fid = np.empty((len(traj.times), theta_points))
     for j, theta in enumerate(thetas):

@@ -83,11 +83,14 @@ def fock_annihilation(n_fock: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _coherent_terms(alpha: complex, n_fock: int) -> np.ndarray:
-    """<n|alpha> for n < n_fock as one running product: exp(-|alpha|^2 / 2),
-    then each term alpha / sqrt(n) times the one before, so nothing overflows."""
-    factors = np.full(n_fock, np.exp(-abs(alpha) ** 2 / 2), dtype=np.complex128)
-    factors[1:] = alpha / np.sqrt(np.arange(1, n_fock))
-    return np.cumprod(factors)
+    """<n|alpha> for n < n_fock. The magnitudes are one cumulative sum of
+    logs, -|alpha|^2 / 2 + n log|alpha| - sum_{k <= n} log(k) / 2, so no
+    partial product under- or overflows; the phase is (alpha / |alpha|)^n."""
+    n = np.arange(n_fock)
+    logs = np.full(n_fock, -abs(alpha) ** 2 / 2)
+    logs[1:] = (np.log(abs(alpha)) if alpha else -np.inf) - 0.5 * np.log(n[1:])
+    phase = np.complex128(alpha / abs(alpha) if alpha else 1)
+    return np.exp(np.cumsum(logs)) * phase ** n
 
 
 def coherent_truncation_weight(alpha: complex, n_fock: int) -> float:

@@ -64,12 +64,8 @@ class NoiseRates:
     def for_qubit_splitting(cls, omega_eg: float) -> "NoiseRates":
         """Reference noise point: qubit channels at 1e-3 of the splitting,
         resonator channel at 1e-4 of it."""
-        return cls(
-            gamma_x=1e-3 * omega_eg,
-            gamma_y=1e-3 * omega_eg,
-            gamma_z=1e-3 * omega_eg,
-            gamma_r=1e-4 * omega_eg,
-        )
+        return cls(gamma_x=1e-3 * omega_eg, gamma_y=1e-3 * omega_eg,
+                   gamma_z=1e-3 * omega_eg, gamma_r=1e-4 * omega_eg)
 
 
 #---------------------------------------------------------------------------
@@ -77,12 +73,8 @@ class NoiseRates:
 #---------------------------------------------------------------------------
 
 def _rate_table(
-    energies: np.ndarray,
-    labels: np.ndarray,
-    v: np.ndarray,
-    rates: NoiseRates,
-    params: ModelParams,
-    rate_model: str,
+    energies: np.ndarray, labels: np.ndarray, v: np.ndarray,
+    rates: NoiseRates, params: ModelParams, rate_model: str,
 ) -> np.ndarray:
     """Downward transition rates among the lowest levels of a step.
 
@@ -154,13 +146,8 @@ class MasterTrajectory:
 #---------------------------------------------------------------------------
 
 def evolve_master(
-    params: ModelParams,
-    schedule: CouplingSchedule,
-    rho0: np.ndarray,
-    rates: NoiseRates,
-    cfg: PropagatorConfig,
-    k_levels: int = 12,
-    refresh_every: int = 20,
+    params: ModelParams, schedule: CouplingSchedule, rho0: np.ndarray, rates: NoiseRates,
+    cfg: PropagatorConfig, k_levels: int = 12, refresh_every: int = 20,
     rate_model: str = "flat",
 ) -> MasterTrajectory:
     """Sweep a cell under the dressed-basis master equation.

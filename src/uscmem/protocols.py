@@ -253,9 +253,10 @@ def _run_storage(spec: ExperimentSpec) -> ResultBundle:
 
 def _run_roundtrip(spec: ExperimentSpec, with_storage: bool = True) -> ResultBundle:
     """Write along spec.schedule and read along its reverse. The retrieval
-    experiment is the same run reporting only its read leg."""
+    experiment is the same run reporting only its read leg, of which both
+    read the |g,0>, |e,0> amplitudes alone."""
     rt = _stage("roundtrip", _roundtrip, spec.params, spec.schedule, spec.cfg,
-                spec.alpha_f, spec.beta_f, spec.theta)
+                spec.alpha_f, spec.beta_f, spec.theta, rows=[0])
     curves = {"retrieval": {
         "t": rt.total_time + rt.retrieval.times,
         "omega": rt.retrieval.couplings,
@@ -318,7 +319,7 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
 def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     rt = _stage("register round trip", _roundtrip, params, spec.schedule, spec.cfg,
-                RSQRT2, RSQRT2, 0.0)
+                RSQRT2, RSQRT2, 0.0, rows=[0])
     # Exact, not approximate: U|g,0> stays in the P = -1 chain and U|e,0> in the
     # P = +1 chain, so the register state is sqrt(2) times the two sector parts
     # of this cell's state, and each register overlap is a product of two.

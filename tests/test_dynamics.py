@@ -11,6 +11,8 @@ import scipy.linalg
 
 from uscmem import (
     CouplingSchedule,
+    ExperimentError,
+    ExperimentSpec,
     ModelParams,
     PropagatorConfig,
     State,
@@ -22,14 +24,15 @@ from uscmem import (
     propagate,
     readout,
     roundtrip_run,
+    run_experiment,
     sector_spectra,
     storage_input,
     storage_run,
     storage_schedule,
 )
 from uscmem import dynamics
-from uscmem.dynamics import NormDriftError, _sweep
-from uscmem.model import sector_eigh, sector_levels
+from uscmem.dynamics import NormDriftError, _roundtrip, _sweep
+from uscmem.model import SECTOR_BATCH, sector_eigh, sector_levels
 
 from reference import basis_state, corrected_fidelity, parity_op
 
@@ -119,7 +122,8 @@ def test_norm_is_preserved_tightly():
 
 def test_norm_leak_is_caught_not_rescaled(monkeypatch):
     # nothing rescales the state, so eigenvectors that leak 2e-11 of norm
-    # per step trip the per-step check at step 50 instead of being hidden
+    # per step trip the per-step check at step 50 instead of being hidden,
+    # in a lone sweep and on the round trip's write leg alike
     params = ModelParams(n_fock=12)
 
     def leaky(params, couplings):
@@ -130,6 +134,14 @@ def test_norm_leak_is_caught_not_rescaled(monkeypatch):
     cfg = PropagatorConfig.for_total_time(10.0, steps=500)
     with pytest.raises(NormDriftError, match="at step 50 "):
         propagate(params, storage_schedule(params, 10.0), storage_input(params), cfg)
+    with pytest.raises(NormDriftError, match="at step 50 "):
+        roundtrip_run(params, 10.0, cfg)
+    for name in ("roundtrip", "entangled"):
+        spec = ExperimentSpec(name, params, storage_schedule(params, 10.0), cfg)
+        with pytest.raises(ExperimentError) as caught:
+            run_experiment(spec)
+        assert isinstance(caught.value.__cause__, NormDriftError), name
+        assert "at step 50 " in str(caught.value), name
 
 
 def test_parity_is_conserved_along_sweep():
@@ -351,6 +363,54 @@ def test_roundtrip_is_closed_form_in_branch_return_amplitudes():
         else:
             # one branch: no relative phase to correct, as the noisy experiment reports
             assert rt.theta_opt == 0.0
+
+
+@pytest.mark.parametrize("n_fock, record_every, omega_start, alpha, beta", [
+    (10, 7, 0.0, RSQRT2, RSQRT2),   # 7 does not divide 500: mirrored grid off the write grid
+    (10, 10, 0.3, 0.6, 0.8j),
+    (30, 7, 0.0, 1.0, 0.0),         # one branch
+    (30, 10, 0.3, RSQRT2, RSQRT2),
+])
+def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega_start,
+                                                     alpha, beta):
+    # the read leg built from the write leg's rows against an explicit
+    # reverse sweep of the stored state, which diagonalizes every midpoint again
+    params = ModelParams(n_fock=n_fock)
+    schedule = CouplingSchedule(omega_start, params.omega0, 10.0)
+    cfg = PropagatorConfig(dt=0.02, record_every=record_every)
+    rt = _roundtrip(params, schedule, cfg, alpha, beta, None)
+    write, fs = storage_run(params, alpha, beta, schedule, cfg)
+    read = propagate(params, schedule.reversed(), rt.storage.final, cfg)
+    for got, ref in ((rt.storage, write), (rt.retrieval, read)):
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.couplings, ref.couplings)
+        assert np.abs(got.amplitudes - ref.amplitudes).max() < 1e-12
+    assert np.abs(rt.storage_fs - fs).max() < 1e-12
+    # the two-row path keeps |g,0> and |e,0> of the same read leg, NaN elsewhere
+    branch = _roundtrip(params, schedule, cfg, alpha, beta, None, rows=[0])
+    g0e0 = [params.dims.index(0, 0), params.dims.index(1, 0)]
+    kept = branch.retrieval.amplitudes[:, g0e0]
+    assert np.abs(kept - rt.retrieval.amplitudes[:, g0e0]).max() < 1e-12
+    assert np.isnan(np.delete(branch.retrieval.amplitudes, g0e0, axis=1)).all()
+    assert np.abs(branch.retrieval_fs - rt.retrieval_fs).max() < 1e-12
+    assert np.array_equal(branch.storage.amplitudes, rt.storage.amplitudes)
+
+
+@pytest.mark.parametrize("steps", [500, 2000])
+def test_roundtrip_diagonalizes_one_leg(monkeypatch, steps):
+    # one batched sector_eigh per SECTOR_BATCH write steps and none for the
+    # read leg: 63 at the default 2000 steps, where two sweeps made 126
+    calls = []
+
+    def counting(params, couplings):
+        calls.append(len(couplings))
+        return sector_eigh(params, couplings)
+
+    monkeypatch.setattr(dynamics, "sector_eigh", counting)
+    params = ModelParams(n_fock=8)
+    roundtrip_run(params, 20.0, PropagatorConfig.for_total_time(20.0, steps=steps))
+    assert len(calls) == -(-steps // SECTOR_BATCH)
+    assert sum(calls) == steps
 
 
 def test_retrieval_from_exact_eigenstate():

@@ -192,6 +192,29 @@ def test_coherent_truncation_guards():
     coherent_state(1.0, 30)
 
 
+def test_coherent_terms_match_the_closed_form():
+    # <n|alpha> = exp(-|alpha|^2 / 2) alpha^n / sqrt(n!), with n! exact
+    for alpha in (0.3, -0.8, 1.2, -1.5, 0.5j, 0.9 * np.exp(0.7j)):
+        amps = coherent_state(alpha, 40)
+        exact = [math.exp(-abs(alpha) ** 2 / 2) * complex(alpha) ** n
+                 / math.sqrt(math.factorial(n)) for n in range(40)]
+        assert np.abs(amps - exact).max() < 1e-15
+
+
+def test_large_coherent_state_does_not_underflow():
+    # exp(-|alpha|^2 / 2) underflows to 0 above |alpha|^2 ~ 1490, which a
+    # running product from that factor turned into a discarded weight of 1
+    alpha, n_fock = 39.0, 8000
+    assert coherent_truncation_weight(alpha, n_fock) < 1e-8
+    amps = coherent_state(alpha, n_fock)
+    n = np.arange(n_fock)
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-14
+    assert abs(float(np.sum(n * np.abs(amps) ** 2)) / alpha ** 2 - 1.0) < 1e-10
+    for k in (500, 1000, 1521, 2000, 3000):
+        log_exact = -alpha ** 2 / 2 + k * math.log(alpha) - math.lgamma(k + 1) / 2
+        assert abs(amps[k] / math.exp(log_exact) - 1.0) < 1e-11, k
+
+
 def test_truncation_weight_poisson_oracle():
     # independent route: sum the Poisson tail directly
     alpha, n_fock = 1.1, 12
