@@ -18,7 +18,10 @@ is refreshed quasi-statically every few steps by
 :func:`~uscmem.model.sector_levels` from the step's sector eigensystems,
 and the density matrix is carried in the frame of the last refresh: there
 every jump is |j><k|, so the dissipator acts elementwise, and the frame
-changes only when the basis is refreshed.
+changes only when the basis is refreshed. The frame holds only the
+k_levels + 12 lowest levels (all of them in a smaller space): the sweep is
+adiabatic, so little weight leaves them, the 1e-8 trace check bounds what
+does, and a sweep that loses more is rerun on every level.
 """
 from __future__ import annotations
 
@@ -35,6 +38,9 @@ _RATE_FLOOR = 1e-14
 _TRACE_TOL = 1e-8
 _HERM_TOL = 1e-10
 _EIG_FLOOR_HARD = -1e-6
+# levels carried above the k_levels of the jump table; the sweep is
+# adiabatic, so the weight beyond them stays within the trace budget
+_FRAME_MARGIN = 12
 
 
 class PositivityError(RuntimeError):
@@ -157,14 +163,20 @@ def evolve_master(
     eigensystems every refresh_every steps (quasi-static approximation),
     with the bath model rate_model, one of :data:`RATE_MODELS`.
 
-    The state is carried in the frame of the last refresh, rho_f = B^T rho B
-    with B the real dressed basis of :func:`~uscmem.model.sector_levels`
-    (the identity before the first refresh). There every jump is |j><k|,
-    so the dissipator acts elementwise. A refresh rotates rho_f once by R = B_new^T B_old; each
-    step applies U_f = M exp(-i w dt) M^T with M = B^T V, V the step's
-    eigenvectors, so one dense sandwich U_f rho_f U_f^dag remains per step.
-    Recorded samples are the lab-frame B rho_f B^T, and trace, Hermiticity
-    and positivity are checked on each of them, rho0 included.
+    The state is carried on the K = min(d, k_levels + 12) lowest
+    levels of the last refresh, rho_f = B^T rho B with B the real d x K
+    dressed basis of :func:`~uscmem.model.sector_levels` (the full identity
+    before the first refresh). There every jump is |j><k|, so the
+    dissipator acts elementwise. A refresh rotates rho_f once by
+    R = B_new^T B_old; each step applies the K x K block
+    U_f = M exp(-i w dt) M^T of the midpoint unitary, with M = B^T V and V
+    the step's eigenvectors, so one K x K sandwich U_f rho_f U_f^dag
+    remains per step. The sweep is adiabatic, so little weight reaches the
+    levels above K; what does is lost from the trace, and the trace check
+    of :func:`validate_density` on each recorded rho_f, rho0 included, is
+    the budget for that loss. If a sample fails while K < d, the sweep is
+    rerun once on all d levels, where a failure raises. Recorded samples
+    are the lab-frame B rho_f B^T.
     """
     d = params.dims.total_dim
     if rho0.shape != (d, d):
@@ -176,26 +188,41 @@ def evolve_master(
     if not 2 <= k_levels <= d:
         raise ValueError(f"k_levels must be in [2, {d}], got {k_levels}")
 
+    args = (params, schedule, rho0, rates, cfg, k_levels, refresh_every, rate_model)
+    width = min(d, k_levels + _FRAME_MARGIN)
+    if width < d:
+        try:
+            return _evolve_frame(*args, width)
+        except (ValueError, PositivityError):
+            pass  # too much weight left the K levels: redo the leg on all of them
+    return _evolve_frame(*args, d)
+
+
+def _evolve_frame(params, schedule, rho0, rates, cfg, k_levels, refresh_every, rate_model,
+                  width):
+    """The sweep of :func:`evolve_master` with rho_f carried on the width
+    lowest levels of each refresh."""
+    d = params.dims.total_dim
     index = params.chains.index
     frame = np.eye(d)     # dressed basis B of the last refresh, levels as columns
-    sites = frame[index]  # (2, n_fock, d): the rows of B at each chain's sites
+    sites = frame[index]  # (2, n_fock, K): the rows of B at each chain's sites
     gain = None           # gain[j, k] = rate of |k> feeding |j>
     decay = None          # decay[j, k] = -(Gamma_j + Gamma_k) / 2
 
     def step(rho_f, w, v, dt, i):
         nonlocal frame, sites, gain, decay
         if i % refresh_every == 0:
-            (evals,), (labels,), (basis,) = sector_levels(params, w[None], v[None], d)
+            (evals,), (labels,), (basis,) = sector_levels(params, w[None], v[None], width)
             r = basis.T @ frame
             rho_f = r @ rho_f @ r.T
             frame, sites = basis, basis[index]
-            gain = np.zeros((d, d))
+            gain = np.zeros((width, width))
             gain[:k_levels, :k_levels] = _rate_table(
                 evals[:k_levels], labels[:k_levels], v, rates, params, rate_model)
             out_rate = gain.sum(axis=0)
             decay = -0.5 * (out_rate[:, None] + out_rate[None, :])
         # M^T = V^T B per sector: row (s, r) is level r of sector s in the frame
-        mt = (np.swapaxes(v, 1, 2) @ sites).reshape(d, d)
+        mt = (np.swapaxes(v, 1, 2) @ sites).reshape(d, width)
         u = _real_matmul(mt.T, np.exp(-1j * w * dt).reshape(d, 1) * mt)
         rho_f = u @ rho_f @ u.conj().T
         drho = decay * rho_f
@@ -203,10 +230,10 @@ def evolve_master(
         return rho_f + dt * drho
 
     def record(rho_f, n):
-        rho = frame @ rho_f @ frame.T
-        validate_density(rho, f"rho at step {n}" if n else "rho0")
-        return rho
+        # B has orthonormal columns, so B rho_f B^T has rho_f's trace and
+        # Hermiticity, and its lowest eigenvalue is min(that of rho_f, 0)
+        validate_density(rho_f, f"rho at step {n}" if n else "rho0")
+        return frame @ rho_f @ frame.T
 
     rho = np.array(rho0, dtype=np.complex128)
     return MasterTrajectory(*_sweep(params, schedule, cfg, rho, step, record))
-

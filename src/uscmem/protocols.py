@@ -312,7 +312,10 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
         "F_s": np.concatenate([fs_s, fs_r[1:]]),
     }
     theta, f_final = read(mt_r.final, spec.theta)
-    scalars = {"F_s_final": float(f_final), "theta_opt": float(theta)}
+    # weight that left the carried dressed levels, over both legs
+    trace_lost = 1.0 - float(np.real(np.trace(mt_r.final)))
+    scalars = {"F_s_final": float(f_final), "theta_opt": float(theta),
+               "trace_lost": trace_lost}
     return ResultBundle(spec.name, spec.spec_hash, curves={"noisy": curve}, scalars=scalars)
 
 

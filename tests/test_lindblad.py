@@ -30,7 +30,7 @@ from uscmem import (
     validate_density,
 )
 from uscmem import dynamics
-from uscmem.lindblad import _rate_table
+from uscmem.lindblad import _evolve_frame, _rate_table
 from uscmem.model import sector_levels
 
 from reference import (
@@ -429,18 +429,64 @@ def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_ever
     return np.array(samples)
 
 
+def _tenfold_reference_rates():
+    base = NoiseRates.for_qubit_splitting(0.1)
+    return NoiseRates(*(10 * g for g in (base.gamma_x, base.gamma_y, base.gamma_z, base.gamma_r)))
+
+
 def test_master_frame_step_matches_lab_frame_reference():
+    # n_fock = 8: the 12 + 12 carried levels cover all 16, so the frame is exact
     params = ModelParams(n_fock=8)
     sched = storage_schedule(params, 20.0)
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
-    base = NoiseRates.for_qubit_splitting(0.1)
-    rates = NoiseRates(*(10 * g for g in (base.gamma_x, base.gamma_y, base.gamma_z, base.gamma_r)))
+    rates = _tenfold_reference_rates()
     rho0 = pure_density(storage_input(params))
     for model in ("flat", "ohmic"):
         mt = evolve_master(params, sched, rho0, rates, cfg, refresh_every=3, rate_model=model)
         want = _lab_frame_master(params, sched, rho0, rates, cfg, 12, 3, model)
         assert mt.rhos.shape == want.shape == (51, 16, 16)
         assert np.abs(mt.rhos - want).max() < 1e-12
+
+
+def _truncated_frame_run(omega0):
+    """A sweep at n_fock = 20, where 24 of the 40 levels are carried, and
+    the lab-frame reference of the same sweep."""
+    params = ModelParams(omega0=omega0, n_fock=20)
+    sched = storage_schedule(params, 20.0)
+    cfg = PropagatorConfig.for_total_time(20.0, steps=500)
+    rates = _tenfold_reference_rates()
+    rho0 = pure_density(storage_input(params))
+    mt = evolve_master(params, sched, rho0, rates, cfg, refresh_every=3)
+    want = _lab_frame_master(params, sched, rho0, rates, cfg, 12, 3, "flat")
+    assert mt.rhos.shape == want.shape == (51, 40, 40)
+    return (params, sched, rho0, rates, cfg, 12, 3, "flat"), mt, want
+
+
+def test_truncated_frame_matches_lab_frame_reference():
+    args, mt, want = _truncated_frame_run(1.0)
+    params = args[0]
+    # the 24-level sweep passed every check, so it is the one returned
+    assert np.array_equal(mt.rhos, _evolve_frame(*args, 24).rhos)
+    idx = np.array([params.dims.index(0, 0), params.dims.index(1, 0)])
+    got_block, want_block = mt.rhos[:, idx[:, None], idx], want[:, idx[:, None], idx]
+    assert np.abs(got_block - want_block).max() < 1e-9
+    _, f_got = readout(got_block, RSQRT2, RSQRT2, None)
+    _, f_want = readout(want_block, RSQRT2, RSQRT2, None)
+    assert np.abs(f_got - f_want).max() < 1e-9
+    lost = 1.0 - np.real(np.trace(mt.rhos, axis1=1, axis2=2))
+    assert lost.max() <= 1e-8
+    # Elementwise rho is not held at 1e-12: the coherences between the
+    # carried levels and the dropped ones are O(sqrt(trace lost)), about
+    # 1.2e-7 here, while every populated level agrees to roundoff.
+
+
+def test_truncated_frame_falls_back_to_every_level():
+    # at omega0 = 3 the 24 carried levels lose more than the 1e-8 trace
+    # budget by step 300, so the sweep reruns on all 40 and is exact
+    args, mt, want = _truncated_frame_run(3.0)
+    with pytest.raises(ValueError, match="rho at step 300 trace"):
+        _evolve_frame(*args, 24)
+    assert np.abs(mt.rhos - want).max() < 1e-12
 
 
 def test_noisy_readout_frozen_value(noisy_legs):

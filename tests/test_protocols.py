@@ -327,6 +327,14 @@ def test_noisy_fixed_theta_reproduces_the_optimum():
     assert off.scalars["F_s_final"] < optimized.scalars["F_s_final"] - 1e-3
 
 
+def test_noisy_reports_the_trace_its_frame_lost():
+    # n_fock = 20 carries 24 of its 40 dressed levels and loses a little
+    # weight above them; n_fock = 12 carries all 24, so it loses roundoff
+    for n_fock, low, high in ((20, 1e-11, 1e-8), (12, -1e-12, 1e-12)):
+        bundle = run_experiment(_tiny_spec("noisy", params=ModelParams(n_fock=n_fock)))
+        assert low < bundle.scalars["trace_lost"] < high, n_fock
+
+
 def test_noisy_legs_are_not_held_at_once():
     # every step recorded: each leg's samples dominate the run's memory, and
     # the write leg's are freed before the read leg records its own
