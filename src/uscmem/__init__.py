@@ -9,7 +9,6 @@ dynamics, a two-cell entangled register computed from one cell's sweep,
 and a CLI that emits the standard curves as CSV.
 """
 from .hilbert import (
-    HilbertDims,
     State,
     TruncationError,
     coherent_state,

@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if run.verbosity > 0:
         for key in sorted(bundle.scalars):
-            print(f"{key}={bundle.scalars[key]:.6f}")
+            print(f"{key}={bundle.scalars[key]:.6g}")
         print(f"spec_hash={bundle.spec_hash}")
         print(f"wrote {len(paths) + 1} files to {run.out_dir}")
     return 0

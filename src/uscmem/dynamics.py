@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import HilbertDims, State
+from .hilbert import State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
     SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, sector_eigh, storage_schedule,
@@ -78,14 +78,13 @@ class PropagatorConfig:
 class Trajectory:
     """Recorded sweep samples: times, couplings, and state amplitudes (rows)."""
 
-    dims: HilbertDims
     times: np.ndarray
     couplings: np.ndarray
     amplitudes: np.ndarray
 
     @property
     def final(self) -> State:
-        return State(self.dims, self.amplitudes[-1])
+        return State(self.amplitudes[-1])
 
 
 def _step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
@@ -163,19 +162,18 @@ def propagate(
 ) -> Trajectory:
     """Integrate a cell state across a schedule, carried as one column
     (2, n_fock, 1) of chain slices through :func:`_unitary_step`."""
-    dims = psi0.dims
-    if dims.n_fock != params.n_fock:
+    if psi0.amplitudes.shape != (2 * params.n_fock,):
         raise ValueError("state truncation does not match params.n_fock")
     index = params.chains.index
 
     def record(x, n):
-        psi = np.empty(dims.total_dim, dtype=np.complex128)
+        psi = np.empty(2 * params.n_fock, dtype=np.complex128)
         psi[index] = x[..., 0]
         return psi
 
     step = partial(_unitary_step, norm_tol=cfg.norm_tol)
     x0 = psi0.amplitudes[index][..., None]
-    return Trajectory(dims, *_sweep(params, schedule, cfg, x0, step, record))
+    return Trajectory(*_sweep(params, schedule, cfg, x0, step, record))
 
 
 # --------------------------------------------------------------------------
@@ -189,12 +187,10 @@ def storage_input(
     weight = abs(alpha_f) ** 2 + abs(beta_f) ** 2
     if not (abs(weight - 1.0) <= 1e-6):
         raise ValueError(f"|alpha_f|^2 + |beta_f|^2 = {weight} must be 1")
-    dims = params.dims
-    amps = np.zeros(dims.total_dim, dtype=np.complex128)
-    amps[dims.index(0, 0)] = alpha_f
-    amps[dims.index(1, 0)] = beta_f
+    amps = np.zeros(2 * params.n_fock, dtype=np.complex128)
+    amps[params.chains.index[:, 0]] = alpha_f, beta_f
     amps /= np.linalg.norm(amps)
-    return State(dims, amps)
+    return State(amps)
 
 
 def storage_run(
@@ -204,13 +200,13 @@ def storage_run(
     """Write sweep. Returns the trajectory and F_s(t) = |<psi_s|psi(t)>|^2
     against the fixed input state."""
     traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg)
-    _, fs = readout(branch_block(traj.amplitudes, traj.dims), alpha_f, beta_f, 0.0)
+    _, fs = readout(branch_block(traj.amplitudes, params), alpha_f, beta_f, 0.0)
     return traj, fs
 
 
-def branch_block(amps: np.ndarray, dims: HilbertDims) -> np.ndarray:
-    """|g,0>, |e,0> block (..., 2, 2) of the pure states in the rows of amps."""
-    c = amps[..., [dims.index(0, 0), dims.index(1, 0)]]
+def branch_block(amps: np.ndarray, params: ModelParams) -> np.ndarray:
+    """|g,0>, |e,0> block (..., 2, 2) of the pure cell states in the rows of amps."""
+    c = amps[..., params.chains.index[:, 0]]
     return c[..., :, None] * c[..., None, :].conj()
 
 
@@ -273,7 +269,7 @@ def _roundtrip(
     |g,0>, |e,0> amplitudes. Neither leg depends on theta, which is fixed
     afterwards (the closed-form optimum if None).
     """
-    dims, index, nf = params.dims, params.chains.index, params.n_fock
+    index, nf = params.chains.index, params.n_fock
     n_steps, _, rec_idx = _record_grid(schedule, cfg)
     # the write leg's record steps and their mirrors, where the read leg records
     grid = np.array(sorted({*rec_idx.tolist(), *(n_steps - rec_idx).tolist()}))
@@ -296,16 +292,16 @@ def _roundtrip(
 
     at = np.searchsorted(grid, rec_idx)
     times = times[at]
-    write = np.empty((len(rec_idx), dims.total_dim), dtype=np.complex128)
+    write = np.empty((len(rec_idx), 2 * nf), dtype=np.complex128)
     write[:, index] = samples[at, :, -1]
     read = np.full_like(write, np.nan)
     mirrored = samples[np.searchsorted(grid, n_steps - rec_idx), :, :-1]
     read[:, index[:, rows]] = (mirrored.conj() @ phi)[..., 0]
-    _, fs_s = readout(branch_block(write, dims), alpha_f, beta_f, 0.0)
-    theta, fs_r = readout(branch_block(read, dims), alpha_f, beta_f, theta)
-    traj_r = Trajectory(dims, times.copy(), schedule.reversed().coupling_at(times), read)
+    _, fs_s = readout(branch_block(write, params), alpha_f, beta_f, 0.0)
+    theta, fs_r = readout(branch_block(read, params), alpha_f, beta_f, theta)
+    traj_r = Trajectory(times.copy(), schedule.reversed().coupling_at(times), read)
     return RoundTrip(schedule.total_time, theta, float(fs_r[-1]),
-                     Trajectory(dims, times, couplings[at], write), fs_s, traj_r, fs_r)
+                     Trajectory(times, couplings[at], write), fs_s, traj_r, fs_r)
 
 
 def roundtrip_run(

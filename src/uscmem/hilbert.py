@@ -1,13 +1,11 @@
-"""Truncated qubit-resonator Hilbert space: dimensions, states, the bare
-ladder operator and coherent states.
+"""Truncated qubit-resonator cell: states, the bare ladder operator and
+coherent states.
 
-The space is one qubit-resonator cell. Basis ordering is qubit-major:
-index i = q * n_fock + n with q = 0 for |g>, q = 1 for |e>. Sweeps never
-assemble an operator on the cell here: the Hamiltonian and the noise
-channels of :mod:`uscmem.lindblad` act on its parity chains
-(:class:`~uscmem.model.ParityChains`). What remains are the Fock-factor
-ladder operator, which the register's beam splitter uses, and coherent
-states with truncation guards for the cat approximants.
+A cell of n_fock Fock levels has 2 * n_fock basis states, laid out by
+:class:`~uscmem.model.ParityChains`; the Hamiltonian and the noise
+channels of :mod:`uscmem.lindblad` act on those chains. What remains here
+are the Fock-factor ladder operator, which the register's beam splitter
+uses, and coherent states with truncation guards for the cat approximants.
 """
 from __future__ import annotations
 
@@ -23,46 +21,16 @@ class TruncationError(ValueError):
 
 
 @dataclass(frozen=True)
-class HilbertDims:
-    """Shape of the truncated Hilbert space: n_fock Fock levels
-    (0 .. n_fock - 1) times the two qubit levels."""
-
-    n_fock: int
-
-    def __post_init__(self) -> None:
-        if self.n_fock < 2:
-            raise ValueError(f"n_fock must be >= 2, got {self.n_fock}")
-
-    @property
-    def total_dim(self) -> int:
-        return 2 * self.n_fock
-
-    def index(self, qubit: int, n: int) -> int:
-        """Basis index of |qubit, n>."""
-        if qubit not in (0, 1):
-            raise ValueError(f"qubit must be 0 (g) or 1 (e), got {qubit}")
-        if not 0 <= n < self.n_fock:
-            raise ValueError(f"Fock level {n} outside [0, {self.n_fock})")
-        return qubit * self.n_fock + n
-
-
-@dataclass(frozen=True)
 class State:
-    """Normalized pure state on a qubit-resonator space.
+    """Normalized pure state of a cell: a 1-d amplitude vector, coerced to
+    complex128, whose norm must be within 1e-9 of one."""
 
-    The amplitude array is coerced to complex128 and its norm must be within
-    1e-9 of one.
-    """
-
-    dims: HilbertDims
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.dims.total_dim,):
-            raise ValueError(
-                f"amplitude shape {amps.shape} does not match dim {self.dims.total_dim}"
-            )
+        if amps.ndim != 1:
+            raise ValueError(f"amplitudes must be a 1-d vector, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
         nrm = float(np.linalg.norm(amps))
         if not (abs(nrm - 1.0) <= _NORM_TOL):

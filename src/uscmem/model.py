@@ -6,7 +6,7 @@ defaults to 1. The Hamiltonian of one cell is
     H(Omega) = (omega_eg / 2) sigma_z + omega_cav a^dag a
                + Omega sigma_x (a + a^dag)
 
-on the truncated space described by :class:`~uscmem.hilbert.HilbertDims`.
+on a cell's 2 * n_fock basis states, laid out by :class:`ParityChains`.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .hilbert import HilbertDims
 
 
 @dataclass(frozen=True)
@@ -43,15 +41,11 @@ class ModelParams:
         if self.n_fock < 2:
             raise ValueError(f"n_fock must be >= 2, got {self.n_fock}")
 
-    @property
-    def dims(self) -> HilbertDims:
-        return HilbertDims(self.n_fock)
-
     @cached_property
     def chains(self) -> "ParityChains":
         """The two parity chains of H(Omega), computed once per instance."""
         n = np.arange(self.n_fock)
-        qubit = np.array([1 - n % 2, n % 2])
+        qubit = np.array([n % 2, 1 - n % 2])
         index = qubit * self.n_fock + n
         chains = ParityChains(
             index=index,
@@ -65,15 +59,20 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ParityChains:
-    """H(Omega) split by the parity P = sigma_z exp(i pi a^dag a).
+    """H(Omega) split by the parity P = sigma_z exp(i pi a^dag a), and the
+    layout of the cell basis.
 
     P commutes with H(Omega), which is therefore two real tridiagonal
     chains with no element between them. Row s of each array describes
-    sector s in chain order: sector 0 is P = +1, |e,0>, |g,1>, |e,2>, ...;
-    sector 1 is P = -1, |g,0>, |e,1>, |g,2>, ....
+    chain (sector) s in site order, in the qubit's order: chain 0 is
+    P = -1, |g,0>, |e,1>, |g,2>, ..., and carries G and the alpha branch
+    of a stored qubit; chain 1 is P = +1, |e,0>, |g,1>, |e,2>, ..., and
+    carries E and beta. So index[:, 0] is (|g,0>, |e,0>).
 
     index
-        (2, n_fock) basis indices of the chain sites.
+        (2, n_fock) cell-basis indices of the chain sites, and the one
+        record of the cell layout: |q, n> sits at q * n_fock + n, with
+        q = 0 for |g> and 1 for |e>.
     diag
         (2, n_fock) bare energies of the sites, which Omega leaves alone.
     hop
@@ -128,7 +127,7 @@ def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:
     chains, so it is the same matrix the sweeps diagonalize per sector."""
     chains = params.chains
     index = chains.index
-    h = np.zeros((params.dims.total_dim,) * 2, dtype=np.complex128)
+    h = np.zeros((2 * params.n_fock,) * 2, dtype=np.complex128)
     h[index, index] = chains.diag
     hop = coupling * chains.hop
     h[index[:, 1:], index[:, :-1]] = hop
@@ -168,18 +167,18 @@ def sector_levels(
     Returns energies (m, k) ascending, with the P = -1 level first on an
     exact tie by convention (for omega_eg > 0 it is the lower level of
     the ground doublet), chain labels (m, k), sector * n_fock + rank, and
-    full-basis real states (m, dim, k).
+    full-basis real states (m, 2 * n_fock, k).
     """
     m, _, depth = w.shape
     nf = params.n_fock
-    # sector 1 (P = -1) listed first, so a stable sort puts it first on ties
-    flat_w = w[:, ::-1].reshape(m, 2 * depth)
-    label = (np.array([[nf], [0]]) + np.arange(depth)).reshape(-1)
+    # chain 0 (P = -1) comes first, so a stable sort puts it first on ties
+    flat_w = w.reshape(m, 2 * depth)
+    label = (nf * np.arange(2)[:, None] + np.arange(depth)).reshape(-1)
     order = np.argsort(flat_w, axis=1, kind="stable")[:, :k]
     energies = np.take_along_axis(flat_w, order, axis=1)
     labels = label[order]
     sector, rank = np.divmod(labels, nf)
-    states = np.zeros((m, params.dims.total_dim, k))
+    states = np.zeros((m, 2 * nf, k))
     rows = np.arange(m)[:, None, None]
     cols = np.arange(k)[None, :, None]
     states[rows, params.chains.index[sector], cols] = v[rows, sector[..., None],

@@ -288,7 +288,7 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     rates = spec.noise or NoiseRates.for_qubit_splitting(params.omega_eg)
     rho0 = pure_density(storage_input(params, spec.alpha_f, spec.beta_f))
-    idx = np.array([params.dims.index(0, 0), params.dims.index(1, 0)])
+    idx = params.chains.index[:, 0]  # |g,0>, |e,0>
 
     def read(rhos, theta):
         return readout(rhos[..., idx[:, None], idx], spec.alpha_f, spec.beta_f, theta)
@@ -326,7 +326,7 @@ def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
     # Exact, not approximate: U|g,0> stays in the P = -1 chain and U|e,0> in the
     # P = +1 chain, so the register state is sqrt(2) times the two sector parts
     # of this cell's state, and each register overlap is a product of two.
-    g0, e0 = params.dims.index(0, 0), params.dims.index(1, 0)
+    g0, e0 = params.chains.index[:, 0]
     fbar_s, fbar_r = (4 * np.abs(traj.amplitudes[:, g0] * traj.amplitudes[:, e0]) ** 2
                       for traj in (rt.storage, rt.retrieval))
     # the ground doublet where the write leg ends

@@ -35,7 +35,7 @@ class Spectrum:
     labels.
 
     ``couplings`` (m,) are the sampled couplings, ``energies`` (m, k) the
-    levels, ``states`` (m, dim, k) real orthonormal eigenvectors as
+    levels, ``states`` (m, 2 * n_fock, k) real orthonormal eigenvectors as
     columns and ``parities`` (m, k) their +-1 symmetry labels. Levels are
     in ascending energy order, except in the ground doublet of
     :func:`build_gauge_chain`, which is in sector order: G, then E.
@@ -88,13 +88,13 @@ def _check_sectors(
 def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> Spectrum:
     """Lowest-k spectrum of the cell at each coupling, from its parity chains:
     real states, ascending energies, and parity labels by construction."""
-    if not 1 <= k <= params.dims.total_dim:
-        raise ValueError(f"k must be in [1, {params.dims.total_dim}], got {k}")
+    if not 1 <= k <= 2 * params.n_fock:
+        raise ValueError(f"k must be in [1, {2 * params.n_fock}], got {k}")
     couplings = np.asarray(couplings, dtype=np.float64)
     # no sector contributes more than k levels
     w, v = _chain_levels(params, couplings, min(k, params.n_fock))
     energies, labels, states = sector_levels(params, w, v, k)
-    return Spectrum(couplings, energies, states, np.where(labels < params.n_fock, 1.0, -1.0))
+    return Spectrum(couplings, energies, states, 2.0 * (labels // params.n_fock) - 1)
 
 
 def build_gauge_chain(params: ModelParams, couplings: np.ndarray) -> Spectrum:
@@ -116,12 +116,11 @@ def build_gauge_chain(params: ModelParams, couplings: np.ndarray) -> Spectrum:
     if np.any(couplings < 0):
         raise ValueError("couplings must be >= 0")
     w, v = _chain_levels(params, couplings, 1)
-    # sector 1 (P = -1) first: G, then E
-    energies, ground = w[:, ::-1, 0], v[:, ::-1, :, 0]
+    energies, ground = w[..., 0], v[..., 0]
     alternating = (-1.0) ** np.arange(params.n_fock)
     ground *= np.where(ground @ alternating < 0, -1.0, 1.0)[..., None]
-    states = np.zeros((len(couplings), params.dims.total_dim, 2))
-    states[:, params.chains.index[::-1], np.arange(2)[:, None]] = ground
+    states = np.zeros((len(couplings), 2 * params.n_fock, 2))
+    states[:, params.chains.index, np.arange(2)[:, None]] = ground
     return Spectrum(couplings, energies, states, np.tile([-1.0, 1.0], (len(couplings), 1)))
 
 
@@ -149,8 +148,7 @@ def cat_approximant(params: ModelParams, coupling: float, which: str) -> State:
         raise ValueError(f"coupling must be >= 0, got {coupling}")
     if which not in ("G", "E"):
         raise ValueError(f"which must be 'G' or 'E', got {which!r}")
-    amps = np.zeros(params.dims.total_dim, dtype=np.complex128)
-    sector = 1 if which == "G" else 0
-    amps[params.chains.index[sector]] = coherent_state(-coupling / params.omega_cav,
-                                                       params.n_fock)
-    return State(params.dims, amps)
+    amps = np.zeros(2 * params.n_fock, dtype=np.complex128)
+    amps[params.chains.index["GE".index(which)]] = coherent_state(
+        -coupling / params.omega_cav, params.n_fock)
+    return State(amps)

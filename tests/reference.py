@@ -8,39 +8,42 @@ test can compare a chain-level result with its dense counterpart.
 """
 import numpy as np
 
-from uscmem import HilbertDims, ModelParams, State, coherent_state, fock_annihilation
+from uscmem import ModelParams, State, coherent_state, fock_annihilation
 
 RSQRT2 = 2 ** -0.5
 
 
-def normalized(dims: HilbertDims, amplitudes: np.ndarray) -> State:
+def normalized(amplitudes: np.ndarray) -> State:
     """Build a State after dividing out the norm of ``amplitudes``."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return State(dims, amps / nrm)
+    return State(amps / nrm)
 
 
-def basis_state(dims: HilbertDims, qubit: int, n: int) -> State:
-    """Basis state |qubit, n>."""
-    amps = np.zeros(dims.total_dim, dtype=np.complex128)
-    amps[dims.index(qubit, n)] = 1.0
-    return State(dims, amps)
+def site(n_fock: int, qubit: int, n: int) -> int:
+    """Index of |qubit, n> in the qubit-major layout of np.kron(qubit, fock)."""
+    return qubit * n_fock + n
 
 
-def product_state(dims: HilbertDims, qubit_amps: np.ndarray, fock_amps: np.ndarray) -> State:
+def basis_state(n_fock: int, qubit: int, n: int) -> State:
+    """Basis state |qubit, n>, as the product of two unit vectors."""
+    return product_state(np.eye(2)[qubit], np.eye(n_fock)[n])
+
+
+def product_state(qubit_amps: np.ndarray, fock_amps: np.ndarray) -> State:
     """Product state (qubit factor) x (Fock factor)."""
     q = np.asarray(qubit_amps, dtype=np.complex128)
     f = np.asarray(fock_amps, dtype=np.complex128)
-    if q.shape != (2,) or f.shape != (dims.n_fock,):
+    if q.shape != (2,) or f.ndim != 1:
         raise ValueError("factor shapes must be (2,) and (n_fock,)")
-    return normalized(dims, np.kron(q, f))
+    return normalized(np.kron(q, f))
 
 
-def annihilation_op(dims: HilbertDims) -> np.ndarray:
+def annihilation_op(n_fock: int) -> np.ndarray:
     """Cell annihilation operator, identity on the qubit factor."""
-    return np.kron(np.eye(2, dtype=np.complex128), fock_annihilation(dims.n_fock))
+    return np.kron(np.eye(2, dtype=np.complex128), fock_annihilation(n_fock))
 
 
 _PAULI = {
@@ -51,35 +54,35 @@ _PAULI = {
 }
 
 
-def pauli_op(axis: str, dims: HilbertDims) -> np.ndarray:
+def pauli_op(axis: str, n_fock: int) -> np.ndarray:
     """Qubit Pauli operator on a cell, identity on the Fock factor."""
     try:
         sigma = _PAULI[axis]
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-    return np.kron(sigma, np.eye(dims.n_fock, dtype=np.complex128))
+    return np.kron(sigma, np.eye(n_fock, dtype=np.complex128))
 
 
-def number_op(dims: HilbertDims) -> np.ndarray:
+def number_op(n_fock: int) -> np.ndarray:
     """Photon number operator a^dag a, identity on the qubit factor."""
-    n = np.diag(np.arange(dims.n_fock, dtype=np.float64)).astype(np.complex128)
+    n = np.diag(np.arange(n_fock, dtype=np.float64)).astype(np.complex128)
     return np.kron(np.eye(2, dtype=np.complex128), n)
 
 
-def parity_op(dims: HilbertDims) -> np.ndarray:
+def parity_op(n_fock: int) -> np.ndarray:
     """Z2 symmetry operator sigma_z exp(i pi a^dag a) of one cell.
 
     Commutes with the Rabi Hamiltonian at every coupling, so its eigenvalue
     (+1 or -1) labels each eigenstate and is conserved during sweeps.
     """
-    photon_parity = np.diag((-1.0 + 0j) ** np.arange(dims.n_fock))
+    photon_parity = np.diag((-1.0 + 0j) ** np.arange(n_fock))
     return np.kron(np.array([[-1, 0], [0, 1]], dtype=np.complex128), photon_parity)
 
 
-def branch_phase_correction(dims: HilbertDims, theta: float) -> np.ndarray:
+def branch_phase_correction(n_fock: int, theta: float) -> np.ndarray:
     """Unitary C(theta) applying exp(-i theta) on the excited-qubit branch."""
-    d = np.ones(dims.total_dim, dtype=np.complex128)
-    d[dims.n_fock:] = np.exp(-1j * theta)
+    d = np.ones(2 * n_fock, dtype=np.complex128)
+    d[n_fock:] = np.exp(-1j * theta)
     return np.diag(d)
 
 
@@ -88,16 +91,16 @@ def corrected_fidelity(
 ) -> float:
     """|<psi_s| C(theta) |state>|^2 with psi_s = alpha_f |g,0> + beta_f |e,0>,
     as a dense matrix-vector product."""
-    dims = state.dims
-    psi_s = (alpha_f * basis_state(dims, 0, 0).amplitudes
-             + beta_f * basis_state(dims, 1, 0).amplitudes)
-    c = branch_phase_correction(dims, theta)
+    n_fock = len(state.amplitudes) // 2
+    psi_s = (alpha_f * basis_state(n_fock, 0, 0).amplitudes
+             + beta_f * basis_state(n_fock, 1, 0).amplitudes)
+    c = branch_phase_correction(n_fock, theta)
     return abs(np.vdot(psi_s, c @ state.amplitudes)) ** 2
 
 
-def density_block(rho: np.ndarray, dims: HilbertDims) -> np.ndarray:
+def density_block(rho: np.ndarray, n_fock: int) -> np.ndarray:
     """|g,0>, |e,0> block of a density matrix, the part a read-out sees."""
-    idx = np.array([dims.index(0, 0), dims.index(1, 0)])
+    idx = np.array([site(n_fock, 0, 0), site(n_fock, 1, 0)])
     return rho[..., idx[:, None], idx]
 
 
@@ -108,7 +111,7 @@ def state_fidelity(rho: np.ndarray, state: State) -> float:
 
 def mean_photon(state: State) -> float:
     """<a^dag a> of a cell state."""
-    n = number_op(state.dims)
+    n = number_op(len(state.amplitudes) // 2)
     return float(np.real(np.vdot(state.amplitudes, n @ state.amplitudes)))
 
 
@@ -123,4 +126,4 @@ def kron_cat(params: ModelParams, coupling: float, which: str) -> State:
     sign = -1.0 if which == "G" else 1.0
     amps = (np.kron(plus, coherent_state(-alpha, params.n_fock))
             + sign * np.kron(minus, coherent_state(alpha, params.n_fock))) / sqrt2
-    return normalized(params.dims, amps)
+    return normalized(amps)

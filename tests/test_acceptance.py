@@ -79,7 +79,7 @@ def test_phase_ridge_high_and_time_dependent(acceptance_log, landscape_105, land
 
 def test_noisy_roundtrip_band(acceptance_log, noisy_legs):
     params, _, _, leg_out = noisy_legs
-    _, f = readout(density_block(leg_out.final, params.dims), RSQRT2, RSQRT2, None)
+    _, f = readout(density_block(leg_out.final, params.n_fock), RSQRT2, RSQRT2, None)
     _check(
         acceptance_log,
         "open-system round trip at reference rates falls in 0.9939 +- 0.01",
@@ -131,7 +131,7 @@ def test_property_norm_preservation(acceptance_log, roundtrip_105):
 
 
 def test_property_parity_conservation(acceptance_log, roundtrip_105, params30):
-    p = parity_op(params30.dims)
+    p = parity_op(params30.n_fock)
     drift = 0.0
     for traj in (roundtrip_105.storage, roundtrip_105.retrieval):
         vals = np.real(

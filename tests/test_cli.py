@@ -397,6 +397,16 @@ def test_main_noisy_ohmic_success(tmp_path, capsys):
     assert len(lines) == 1 + (11 + 10)
 
 
+def test_main_prints_scalars_to_six_significant_digits(tmp_path, capsys):
+    # at n_fock 20 the sweep carries 24 of the 40 dressed levels and loses
+    # about 2e-10 of trace, which six decimal places would print as 0
+    code = _run(tmp_path, "noisy", "--set", "T=20", "--set", "dt=0.04")
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    (lost,) = [line for line in lines if line.startswith("trace_lost=")]
+    assert float(lost.partition("=")[2]) > 0
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_main_reruns_are_byte_identical(tmp_path, experiment):
     # n_fock = 12 is the smallest cell on which every experiment passes the

@@ -34,7 +34,7 @@ from uscmem import dynamics
 from uscmem.dynamics import NormDriftError, _roundtrip, _sweep
 from uscmem.model import SECTOR_BATCH, sector_eigh, sector_levels
 
-from reference import basis_state, corrected_fidelity, parity_op
+from reference import basis_state, corrected_fidelity, parity_op, site
 
 RSQRT2 = 2 ** -0.5
 
@@ -61,7 +61,7 @@ def test_constant_hamiltonian_is_exact():
     # an eigenstate only acquires the phase exp(-i E t), to roundoff
     params = ModelParams(n_fock=12)
     spec = sector_spectra(params, [1.0], 1)
-    psi0 = State(params.dims, spec.states[0, :, 0])
+    psi0 = State(spec.states[0, :, 0])
     sched = CouplingSchedule(1.0, 1.0, total_time=5.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(5.0, steps=50))
     expected = np.exp(-1j * spec.energies[0, 0] * 5.0) * psi0.amplitudes
@@ -71,7 +71,7 @@ def test_constant_hamiltonian_is_exact():
 def test_zero_coupling_is_pure_phase():
     # with the cavity decoupled, |e,0> only acquires exp(-i omega_eg t / 2)
     params = ModelParams(n_fock=6)
-    psi0 = basis_state(params.dims, 1, 0)
+    psi0 = basis_state(params.n_fock, 1, 0)
     sched = CouplingSchedule(0.0, 0.0, total_time=12.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(12.0, steps=500))
     expected = np.exp(-1j * params.omega_eg * 12.0 / 2.0) * psi0.amplitudes
@@ -85,14 +85,14 @@ def test_exchange_oscillation_against_expm_oracle():
     coupling = 0.01
     t_half = np.pi / (2 * coupling)
     h = build_rabi(params, coupling)
-    psi0 = basis_state(params.dims, 1, 0)
+    psi0 = basis_state(params.n_fock, 1, 0)
 
     one_shot = scipy.linalg.expm(-1j * h * t_half) @ psi0.amplitudes
     sched = CouplingSchedule(coupling, coupling, t_half)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(t_half))
 
     assert np.abs(traj.final.amplitudes - one_shot).max() < 1e-6
-    pop = abs(traj.final.amplitudes[params.dims.index(0, 1)]) ** 2
+    pop = abs(traj.final.amplitudes[site(params.n_fock, 0, 1)]) ** 2
     assert abs(pop - 0.999925) < 1e-4
 
 
@@ -101,9 +101,9 @@ def test_propagation_is_linear():
     sched = storage_schedule(params, 10.0)
     cfg = PropagatorConfig.for_total_time(10.0, steps=500)
     a, b = 0.6, 0.8j
-    psi1 = basis_state(params.dims, 0, 0)
-    psi2 = basis_state(params.dims, 1, 0)
-    combo = State(params.dims, a * psi1.amplitudes + b * psi2.amplitudes)
+    psi1 = basis_state(params.n_fock, 0, 0)
+    psi2 = basis_state(params.n_fock, 1, 0)
+    combo = State(a * psi1.amplitudes + b * psi2.amplitudes)
     out1 = propagate(params, sched, psi1, cfg).final.amplitudes
     out2 = propagate(params, sched, psi2, cfg).final.amplitudes
     out = propagate(params, sched, combo, cfg).final.amplitudes
@@ -146,7 +146,7 @@ def test_norm_leak_is_caught_not_rescaled(monkeypatch):
 
 def test_parity_is_conserved_along_sweep():
     params = ModelParams(n_fock=12)
-    p = parity_op(params.dims)
+    p = parity_op(params.n_fock)
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
 
     # odd branch input stays at <P> = -1
@@ -164,9 +164,9 @@ def test_parity_is_conserved_along_sweep():
 def test_parity_holds_exactly_by_construction(omega_eg):
     # |g,0> has parity -1; the sector engine never puts an amplitude into +1
     params = ModelParams(n_fock=12, omega_eg=omega_eg)
-    plus = np.real(np.diag(parity_op(params.dims))) > 0
+    plus = np.real(np.diag(parity_op(params.n_fock))) > 0
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
-    traj = propagate(params, storage_schedule(params, 20.0), basis_state(params.dims, 0, 0), cfg)
+    traj = propagate(params, storage_schedule(params, 20.0), basis_state(params.n_fock, 0, 0), cfg)
     assert np.all(traj.amplitudes[:, plus] == 0.0)
 
 
@@ -193,7 +193,7 @@ def test_sector_unitary_matches_expm(omega_eg):
     for om in (0.0, 0.3, 1.0, 1.4):
         sched = CouplingSchedule(om, om, dt)
         step = np.array([
-            propagate(params, sched, basis_state(params.dims, q, n), cfg).final.amplitudes
+            propagate(params, sched, basis_state(params.n_fock, q, n), cfg).final.amplitudes
             for q in (0, 1) for n in range(params.n_fock)
         ]).T
         exact = scipy.linalg.expm(-1j * dt * build_rabi(params, om))
@@ -273,8 +273,8 @@ def test_storage_input_validation():
     with pytest.raises(ValueError, match="must be 1"):
         storage_input(params, float("nan"), 0.0)
     psi = storage_input(params, 0.6, 0.8j)
-    assert abs(psi.amplitudes[params.dims.index(0, 0)] - 0.6) < 1e-12
-    assert abs(psi.amplitudes[params.dims.index(1, 0)] - 0.8j) < 1e-12
+    assert abs(psi.amplitudes[site(params.n_fock, 0, 0)] - 0.6) < 1e-12
+    assert abs(psi.amplitudes[site(params.n_fock, 1, 0)] - 0.8j) < 1e-12
 
 
 def test_adiabatic_following_improves_with_sweep_time():
@@ -318,14 +318,14 @@ def test_phase_correction_matters(roundtrip_105):
     assert bad < 0.1
     assert roundtrip_105.fidelity > 0.99
     # the read curve's branch formula agrees with the dense C(theta) on every sample
-    dense = [corrected_fidelity(State(final.dims, amps), roundtrip_105.theta_opt)
+    dense = [corrected_fidelity(State(amps), roundtrip_105.theta_opt)
              for amps in roundtrip_105.retrieval.amplitudes]
     assert np.abs(roundtrip_105.retrieval_fs - dense).max() < 1e-14
 
 
-def test_optimized_phase_agrees_with_grid_scan(roundtrip_105):
+def test_optimized_phase_agrees_with_grid_scan(params30, roundtrip_105):
     final = roundtrip_105.retrieval.final
-    theta, f_best = readout(branch_block(final.amplitudes, final.dims), RSQRT2, RSQRT2, None)
+    theta, f_best = readout(branch_block(final.amplitudes, params30), RSQRT2, RSQRT2, None)
     grid = np.linspace(0.0, 2 * np.pi, 20001)
     vals = [corrected_fidelity(final, th) for th in grid]
     assert f_best >= max(vals) - 1e-9
@@ -351,7 +351,7 @@ def test_roundtrip_is_closed_form_in_branch_return_amplitudes():
     params = ModelParams(n_fock=12)
     cfg = PropagatorConfig.for_total_time(12.0, steps=500)
     final = roundtrip_run(params, 12.0, cfg).retrieval.final.amplitudes
-    q_g, q_e = np.sqrt(2.0) * final[[params.dims.index(0, 0), params.dims.index(1, 0)]]
+    q_g, q_e = np.sqrt(2.0) * final[[site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)]]
     inputs = [(1.0, 0.0), (0.0, 1.0), (0.6j, 0.8 * np.exp(0.7j)), (RSQRT2, -RSQRT2)]
     for alpha, beta in inputs:
         rt = roundtrip_run(params, 12.0, cfg, alpha, beta)
@@ -388,7 +388,7 @@ def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega
     assert np.abs(rt.storage_fs - fs).max() < 1e-12
     # the two-row path keeps |g,0> and |e,0> of the same read leg, NaN elsewhere
     branch = _roundtrip(params, schedule, cfg, alpha, beta, None, rows=[0])
-    g0e0 = [params.dims.index(0, 0), params.dims.index(1, 0)]
+    g0e0 = [site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)]
     kept = branch.retrieval.amplitudes[:, g0e0]
     assert np.abs(kept - rt.retrieval.amplitudes[:, g0e0]).max() < 1e-12
     assert np.isnan(np.delete(branch.retrieval.amplitudes, g0e0, axis=1)).all()
@@ -417,7 +417,7 @@ def test_retrieval_from_exact_eigenstate():
     # reading out the exact full-coupling ground state lands on |g,0>
     # regardless of the phase correction
     params = ModelParams()
-    stored = State(params.dims, sector_spectra(params, [params.omega0], 1).states[0, :, 0])
+    stored = State(sector_spectra(params, [params.omega0], 1).states[0, :, 0])
     cfg = PropagatorConfig.for_total_time(105.0)
     final = propagate(params, storage_schedule(params, 105.0).reversed(), stored, cfg).final
     f = corrected_fidelity(final, 0.0, 1.0, 0.0)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from uscmem import (
-    HilbertDims,
     State,
     TruncationError,
     coherent_state,
@@ -19,7 +18,7 @@ from uscmem import (
 )
 
 from reference import (
-    annihilation_op, basis_state, normalized, number_op, pauli_op, product_state,
+    annihilation_op, basis_state, normalized, number_op, pauli_op, product_state, site,
 )
 
 
@@ -46,9 +45,9 @@ def test_truncated_commutator_has_corner_defect():
 
 
 def test_number_operator_matches_ladder_product():
-    dims = HilbertDims(n_fock=6)
-    a = annihilation_op(dims)
-    assert np.allclose(a.conj().T @ a, number_op(dims), atol=1e-13)
+    n_fock = 6
+    a = annihilation_op(n_fock)
+    assert np.allclose(a.conj().T @ a, number_op(n_fock), atol=1e-13)
 
 
 # --------------------------------------------------------------------------
@@ -56,11 +55,11 @@ def test_number_operator_matches_ladder_product():
 # --------------------------------------------------------------------------
 
 def test_pauli_algebra():
-    dims = HilbertDims(n_fock=3)
-    sx = pauli_op("x", dims)
-    sy = pauli_op("y", dims)
-    sz = pauli_op("z", dims)
-    eye = np.eye(dims.total_dim)
+    n_fock = 3
+    sx = pauli_op("x", n_fock)
+    sy = pauli_op("y", n_fock)
+    sz = pauli_op("z", n_fock)
+    eye = np.eye(2 * n_fock)
     assert np.allclose(sx @ sy, 1j * sz, atol=1e-14)
     for s in (sx, sy, sz):
         assert np.allclose(s @ s, eye, atol=1e-14)
@@ -69,11 +68,11 @@ def test_pauli_algebra():
 
 def test_pauli_sign_convention():
     # |g> is qubit index 0 and carries sigma_z eigenvalue -1.
-    dims = HilbertDims(n_fock=2)
-    sz = pauli_op("z", dims)
-    sx = pauli_op("x", dims)
-    g0 = basis_state(dims, 0, 0).amplitudes
-    e0 = basis_state(dims, 1, 0).amplitudes
+    n_fock = 2
+    sz = pauli_op("z", n_fock)
+    sx = pauli_op("x", n_fock)
+    g0 = basis_state(n_fock, 0, 0).amplitudes
+    e0 = basis_state(n_fock, 1, 0).amplitudes
     assert np.allclose(sz @ g0, -g0)
     assert np.allclose(sz @ e0, e0)
     # sigma_x flips the qubit and leaves the photon index alone
@@ -81,60 +80,51 @@ def test_pauli_sign_convention():
 
 
 def test_pauli_commutes_with_number():
-    dims = HilbertDims(n_fock=5)
-    n_op = number_op(dims)
+    n_fock = 5
+    n_op = number_op(n_fock)
     for axis in "xyz":
-        s = pauli_op(axis, dims)
+        s = pauli_op(axis, n_fock)
         assert np.abs(s @ n_op - n_op @ s).max() < 1e-13
 
 
 def test_pauli_rejects_unknown_axis():
     with pytest.raises(ValueError):
-        pauli_op("w", HilbertDims(n_fock=2))
+        pauli_op("w", 2)
 
 
 # --------------------------------------------------------------------------
 # states and indexing
 # --------------------------------------------------------------------------
 
-def test_index_layout_is_qubit_major():
-    dims = HilbertDims(n_fock=5)
-    assert dims.total_dim == 10
-    assert dims.index(0, 3) == 3
-    assert dims.index(1, 0) == 5
-    assert dims.index(1, 4) == 9
-    with pytest.raises(ValueError):
-        dims.index(0, 5)
-    with pytest.raises(ValueError):
-        dims.index(2, 0)
-
-
 def test_state_rejects_unnormalized_amplitudes():
-    dims = HilbertDims(n_fock=3)
-    amps = np.zeros(dims.total_dim, dtype=complex)
+    n_fock = 3
+    amps = np.zeros(2 * n_fock, dtype=complex)
     amps[0] = 0.5
     with pytest.raises(ValueError):
-        State(dims, amps)
-    fixed = normalized(dims, amps)
+        State(amps)
+    fixed = normalized(amps)
     assert abs(np.linalg.norm(fixed.amplitudes) - 1.0) < 1e-15
+    # a state is one vector, not a stack of them
+    with pytest.raises(ValueError, match="1-d"):
+        State(np.eye(2) / np.sqrt(2))
 
 
 def test_overlap_conjugation_order():
-    dims = HilbertDims(n_fock=2)
-    psi = normalized(dims, np.array([1.0, 1j, 0.0, 0.0]))
-    phi = basis_state(dims, 0, 1)
+    n_fock = 2
+    psi = normalized(np.array([1.0, 1j, 0.0, 0.0]))
+    phi = basis_state(n_fock, 0, 1)
     # <phi|psi> picks out psi's second amplitude
     assert abs(np.vdot(phi.amplitudes, psi.amplitudes) - 1j / math.sqrt(2)) < 1e-15
     assert abs(np.vdot(psi.amplitudes, phi.amplitudes) - (-1j) / math.sqrt(2)) < 1e-15
 
 
 def test_product_state_layout():
-    dims = HilbertDims(n_fock=3)
+    n_fock = 3
     qubit = np.array([0.0, 1.0])          # |e>
     fock = np.array([0.0, 0.0, 1.0])      # |2>
-    psi = product_state(dims, qubit, fock)
+    psi = product_state(qubit, fock)
     expected = np.zeros(6)
-    expected[dims.index(1, 2)] = 1.0
+    expected[site(n_fock, 1, 2)] = 1.0
     assert np.allclose(psi.amplitudes, expected)
 
 

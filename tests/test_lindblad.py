@@ -7,6 +7,7 @@ same elements from the parity-chain eigenvectors; the dense operators of
 ``reference`` check them.
 """
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,13 +30,13 @@ from uscmem import (
     storage_schedule,
     validate_density,
 )
-from uscmem import dynamics
+from uscmem import dynamics, lindblad
 from uscmem.lindblad import _evolve_frame, _rate_table
 from uscmem.model import sector_levels
 
 from reference import (
     RSQRT2, annihilation_op, basis_state, branch_phase_correction, corrected_fidelity,
-    density_block, pauli_op, state_fidelity,
+    density_block, pauli_op, site, state_fidelity,
 )
 
 # per-channel dressed rates at full coupling, n_fock = 20, base rates
@@ -234,9 +235,9 @@ def test_rate_table_matches_the_double_loop():
 def _dense_rate_table(energies, states, rates, params, model):
     """Rate table with the channel operators built densely and sandwiched
     between the full-basis levels (columns of states)."""
-    dims = params.dims
-    a = annihilation_op(dims)
-    ops = (pauli_op("x", dims), pauli_op("y", dims), pauli_op("z", dims), a + a.conj().T)
+    nf = params.n_fock
+    a = annihilation_op(nf)
+    ops = (pauli_op("x", nf), pauli_op("y", nf), pauli_op("z", nf), a + a.conj().T)
     delta = energies[None, :] - energies[:, None]
     down = delta > 0.0
     gain = np.zeros(delta.shape)
@@ -298,12 +299,12 @@ def test_density_validation():
 
 def test_fidelity_mixed_limits():
     params = ModelParams(n_fock=4)
-    psi = basis_state(params.dims, 0, 0)
-    _, f = readout(density_block(pure_density(psi), params.dims), 1.0, 0.0, 0.0)
+    psi = basis_state(params.n_fock, 0, 0)
+    _, f = readout(density_block(pure_density(psi), params.n_fock), 1.0, 0.0, 0.0)
     assert f == pytest.approx(1.0)
-    d = params.dims.total_dim
+    d = 2 * params.n_fock
     rho = np.eye(d, dtype=complex) / d
-    _, f = readout(density_block(rho, params.dims), 1.0, 0.0, 0.0)
+    _, f = readout(density_block(rho, params.n_fock), 1.0, 0.0, 0.0)
     assert f == pytest.approx(1.0 / d)
 
 
@@ -330,10 +331,9 @@ def test_uncoupled_decay_is_exponential():
     sched = CouplingSchedule(0.0, 0.0, total_time)
     cfg = PropagatorConfig.for_total_time(total_time)
     rates = NoiseRates(gamma_x=gamma, gamma_y=0, gamma_z=0, gamma_r=0)
-    dims = params.dims
-    i_g, i_e = dims.index(0, 0), dims.index(1, 0)
+    i_g, i_e = site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)
 
-    rho0 = pure_density(basis_state(dims, 1, 0))
+    rho0 = pure_density(basis_state(params.n_fock, 1, 0))
     mt = evolve_master(params, sched, rho0, rates, cfg, k_levels=8)
     got = float(np.real(mt.final[i_e, i_e]))
     assert got == pytest.approx(np.exp(-gamma * total_time), rel=0.02)
@@ -348,8 +348,8 @@ def test_relaxation_climbs_toward_dressed_ground():
     params = ModelParams(n_fock=12)
     h = build_rabi(params, 1.0)
     energies, vectors = np.linalg.eigh(h)
-    ground = State(params.dims, vectors[:, 0])
-    excited = State(params.dims, vectors[:, 1])
+    ground = State(vectors[:, 0])
+    excited = State(vectors[:, 1])
     rates = NoiseRates(gamma_x=0.01, gamma_y=0.01, gamma_z=0.01, gamma_r=1e-3)
     sched = CouplingSchedule(1.0, 1.0, 200.0)
     cfg = PropagatorConfig.for_total_time(200.0)
@@ -387,7 +387,7 @@ def test_master_samples_are_held_once():
     cfg = PropagatorConfig.for_total_time(10.0, steps=500, record_every=1)
     rates = NoiseRates.for_qubit_splitting(0.1)
     rho0 = pure_density(storage_input(params))
-    evolve_master(params, sched, rho0, rates, cfg)  # warm the per-dims caches
+    evolve_master(params, sched, rho0, rates, cfg)  # warm the per-params caches
     tracemalloc.start()
     try:
         mt = evolve_master(params, sched, rho0, rates, cfg)
@@ -403,7 +403,7 @@ def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_ever
     then the dissipator taken into the refresh basis of sector_levels and
     back on every step.
     Returns the samples at step 0, every record_every steps and the last."""
-    d = params.dims.total_dim
+    d = 2 * params.n_fock
     n_steps = round(schedule.total_time / cfg.dt)
     dt = schedule.total_time / n_steps
     rho = np.array(rho0, dtype=complex)
@@ -467,7 +467,7 @@ def test_truncated_frame_matches_lab_frame_reference():
     params = args[0]
     # the 24-level sweep passed every check, so it is the one returned
     assert np.array_equal(mt.rhos, _evolve_frame(*args, 24).rhos)
-    idx = np.array([params.dims.index(0, 0), params.dims.index(1, 0)])
+    idx = np.array([site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)])
     got_block, want_block = mt.rhos[:, idx[:, None], idx], want[:, idx[:, None], idx]
     assert np.abs(got_block - want_block).max() < 1e-9
     _, f_got = readout(got_block, RSQRT2, RSQRT2, None)
@@ -489,18 +489,37 @@ def test_truncated_frame_falls_back_to_every_level():
     assert np.abs(mt.rhos - want).max() < 1e-12
 
 
+def test_only_trace_loss_reruns_on_every_level(monkeypatch):
+    # gamma_x = 50 breaks positivity at step 1. Truncating to 24 levels can
+    # only lose trace, so the 24-level attempt's error is final: no rerun
+    params = ModelParams(n_fock=20)
+    sched = storage_schedule(params, 20.0)
+    cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=1)
+    rates = replace(NoiseRates.for_qubit_splitting(params.omega_eg), gamma_x=50.0)
+    widths = []
+
+    def spy(*args):
+        widths.append(args[-1])
+        return _evolve_frame(*args)
+
+    monkeypatch.setattr(lindblad, "_evolve_frame", spy)
+    with pytest.raises(PositivityError, match="rho at step 1 "):
+        evolve_master(params, sched, pure_density(storage_input(params)), rates, cfg)
+    assert widths == [24]
+
+
 def test_noisy_readout_frozen_value(noisy_legs):
     params, psi_s, leg_in, leg_out = noisy_legs
     rho_final = leg_out.final
     validate_density(rho_final, "readout")
-    theta, f_best = readout(density_block(rho_final, params.dims), RSQRT2, RSQRT2, None)
+    theta, f_best = readout(density_block(rho_final, params.n_fock), RSQRT2, RSQRT2, None)
     assert abs(f_best - 0.991436) < 1e-4
 
     # grid-scan oracle for the closed-form phase optimum
     best_grid = 0.0
     psi = psi_s.amplitudes
     for th in np.linspace(0.0, 2 * np.pi, 4001):
-        c = branch_phase_correction(params.dims, th)
+        c = branch_phase_correction(params.n_fock, th)
         val = float(np.real(np.vdot(c.conj().T @ psi, rho_final @ (c.conj().T @ psi))))
         best_grid = max(best_grid, val)
     assert f_best >= best_grid - 1e-9
@@ -512,10 +531,10 @@ def test_mixed_corrected_fidelity_matches_pure_state_formula():
     # branch formula is |<psi_s|C(theta)|psi>|^2
     params = ModelParams(n_fock=6)
     rng = np.random.default_rng(7)
-    amps = rng.normal(size=params.dims.total_dim) + 1j * rng.normal(size=params.dims.total_dim)
-    state = State(params.dims, amps / np.linalg.norm(amps))
-    blocks = (branch_block(state.amplitudes, params.dims),
-              density_block(pure_density(state), params.dims))
+    amps = rng.normal(size=2 * params.n_fock) + 1j * rng.normal(size=2 * params.n_fock)
+    state = State(amps / np.linalg.norm(amps))
+    blocks = (branch_block(state.amplitudes, params),
+              density_block(pure_density(state), params.n_fock))
     for alpha_f, beta_f in ((2 ** -0.5, 2 ** -0.5), (0.6, 0.8j)):
         for theta in (0.0, 0.7, 2.5, 4.0, 5.9):
             expected = corrected_fidelity(state, theta, alpha_f, beta_f)

@@ -9,7 +9,6 @@ import pytest
 
 from uscmem import (
     CouplingSchedule,
-    HilbertDims,
     ModelParams,
     NoiseRates,
     PropagatorConfig,
@@ -18,7 +17,7 @@ from uscmem import (
     storage_schedule,
 )
 
-from reference import annihilation_op, basis_state, number_op, parity_op, pauli_op
+from reference import annihilation_op, basis_state, number_op, parity_op, pauli_op, site
 
 # lowest levels at full coupling, derived independently
 E_LOWEST = (-1.007577105014, -0.994040463921, -0.020745678479, 0.019809848711)
@@ -32,8 +31,8 @@ def test_params_validation():
         ModelParams(omega_eg=-0.1)
     with pytest.raises(ValueError):
         ModelParams(n_fock=1)
-    p = ModelParams(n_fock=4)
-    assert p.dims.total_dim == 8
+    # a cell of n_fock Fock levels has 2 * n_fock states
+    assert build_rabi(ModelParams(n_fock=4), 0.0).shape == (8, 8)
 
 
 def test_uncoupled_spectrum_is_exact():
@@ -66,11 +65,10 @@ def test_degenerate_doublet_without_qubit_splitting():
 def test_hamiltonian_equals_operator_formula(n_fock):
     # reference: (omega_eg / 2) sigma_z + omega_cav a^dag a + Omega sigma_x (a + a^dag)
     params = ModelParams(omega_cav=1.3, omega_eg=0.1, n_fock=n_fock)
-    dims = params.dims
-    a = annihilation_op(dims)
-    diag = params.omega_eg / 2 * pauli_op("z", dims) + params.omega_cav * number_op(dims)
+    a = annihilation_op(n_fock)
+    diag = params.omega_eg / 2 * pauli_op("z", n_fock) + params.omega_cav * number_op(n_fock)
     for om in (0.0, 0.37, 1.0, -0.6):
-        expected = diag + om * (pauli_op("x", dims) @ (a + a.conj().T))
+        expected = diag + om * (pauli_op("x", n_fock) @ (a + a.conj().T))
         h = build_rabi(params, om)
         assert h.dtype == np.complex128
         assert np.array_equal(h, expected)
@@ -110,26 +108,43 @@ def test_ground_energy_decreases_with_coupling():
 # --------------------------------------------------------------------------
 
 def test_parity_structure():
-    dims = HilbertDims(n_fock=6)
-    p = parity_op(dims)
-    assert np.allclose(p @ p, np.eye(dims.total_dim), atol=1e-14)
-    g0 = basis_state(dims, 0, 0).amplitudes
+    p = parity_op(6)
+    assert np.allclose(p @ p, np.eye(12), atol=1e-14)
+    g0 = basis_state(6, 0, 0).amplitudes
     assert np.allclose(p @ g0, -g0)
     # oracle: sigma_z (x) (-1)^n built entry by entry
     expected = np.zeros((12, 12))
     for q in (0, 1):
         for n in range(6):
-            i = dims.index(q, n)
+            i = site(6, q, n)
             expected[i, i] = (-1 if q == 0 else 1) * (-1.0) ** n
     assert np.array_equal(p, expected)
 
 
 def test_parity_commutes_with_hamiltonian():
     params = ModelParams(n_fock=12)
-    p = parity_op(params.dims)
+    p = parity_op(params.n_fock)
     for om in (0.0, 0.3, 1.0):
         h = build_rabi(params, om)
         assert np.abs(h @ p - p @ h).max() < 1e-12
+
+
+def test_parity_chains_lay_out_the_cell():
+    # chain 0 is the P = -1 chain |g,0>, |e,1>, |g,2>, ... (G, the alpha
+    # branch) and chain 1 the P = +1 chain |e,0>, |g,1>, ... (E, beta), so
+    # the qubit's two sites are index[:, 0] in read-out order
+    n_fock = 5
+    index = ModelParams(n_fock=n_fock).chains.index
+    parity = np.real(np.diag(parity_op(n_fock)))
+    assert np.array_equal(parity[index], np.repeat([[-1.0], [1.0]], n_fock, axis=1))
+    assert index[:, 0].tolist() == [0, n_fock]
+    # the cell is qubit-major: site n of chain s is |(s + n) % 2, n>, where
+    # the kron product of the qubit and Fock factors puts it
+    for s in (0, 1):
+        for n in range(n_fock):
+            amps = basis_state(n_fock, (s + n) % 2, n).amplitudes
+            assert np.flatnonzero(amps).tolist() == [index[s, n]]
+    assert index[1, 3] == 3 and index[1, 0] == 5 and index[1, 4] == 9
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from uscmem import (
     storage_schedule,
 )
 
-from reference import parity_op
+from reference import parity_op, site
 
 RSQRT2 = 2 ** -0.5
 
@@ -161,8 +161,8 @@ def dense_register():
     params = ModelParams(n_fock=10)
     schedule = CouplingSchedule(0.0, 0.8, 20.0)
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
-    g0, e0 = params.dims.index(0, 0), params.dims.index(1, 0)
-    m0 = np.zeros((params.dims.total_dim,) * 2, dtype=complex)
+    g0, e0 = site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)
+    m0 = np.zeros((2 * params.n_fock,) * 2, dtype=complex)
     m0[g0, e0] = m0[e0, g0] = RSQRT2
     bundle = run_experiment(ExperimentSpec("entangled", params, schedule, cfg))
     return params, bundle, _dense_register(params, schedule, cfg, m0)
@@ -170,13 +170,13 @@ def dense_register():
 
 def test_dense_register_matches_closed_form(dense_register):
     params, bundle, (m_s, m_r) = dense_register
-    g0, e0 = params.dims.index(0, 0), params.dims.index(1, 0)
+    g0, e0 = site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)
     for name, m in (("entangled_storage", m_s), ("entangled_retrieval", m_r)):
         fbar = np.abs((m[:, g0, e0] + m[:, e0, g0]) * RSQRT2) ** 2
         assert np.abs(bundle.curves[name]["F_s"] - fbar).max() < 1e-10
     _, vecs = np.linalg.eigh(build_rabi(params, 0.8))
     f_store = _pair_fidelity(m_s[-1], vecs[:, 0], vecs[:, 1])
-    basis = np.eye(params.dims.total_dim)
+    basis = np.eye(2 * params.n_fock)
     f_back = _pair_fidelity(m_r[-1], basis[g0], basis[e0])
     assert abs(bundle.scalars["storage_fidelity"] - f_store) < 1e-10
     assert abs(bundle.scalars["roundtrip_fidelity"] - f_back) < 1e-10
@@ -184,7 +184,7 @@ def test_dense_register_matches_closed_form(dense_register):
 
 def test_register_joint_parity_conserved(dense_register):
     params, _, legs = dense_register
-    p = np.real(np.diag(parity_op(params.dims)))
+    p = np.real(np.diag(parity_op(params.n_fock)))
     for m in legs:
         joint = np.einsum("kij,i,j->k", np.abs(m) ** 2, p, p)
         assert np.abs(joint + 1.0).max() < 1e-9
@@ -200,8 +200,8 @@ def test_entropy_symmetric_between_cells(dense_register):
 
 def test_local_sweep_cannot_entangle_product_input():
     params = ModelParams(n_fock=8)
-    g0 = params.dims.index(0, 0)
-    m0 = np.zeros((params.dims.total_dim,) * 2, dtype=complex)
+    g0 = site(params.n_fock, 0, 0)
+    m0 = np.zeros((2 * params.n_fock,) * 2, dtype=complex)
     m0[g0, g0] = 1.0
     cfg = PropagatorConfig.for_total_time(15.0, steps=500)
     _, m_r = _dense_register(params, storage_schedule(params, 15.0), cfg, m0)
@@ -340,14 +340,14 @@ def test_noisy_legs_are_not_held_at_once():
     # the write leg's are freed before the read leg records its own
     spec = replace(_tiny_spec("noisy"),
                    cfg=PropagatorConfig.for_total_time(12.0, steps=500, record_every=1))
-    run_experiment(spec)  # warm the per-dims caches
+    run_experiment(spec)  # warm the per-params caches
     tracemalloc.start()
     try:
         bundle = run_experiment(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    d = spec.params.dims.total_dim
+    d = 2 * spec.params.n_fock
     leg_bytes = 501 * d * d * np.dtype(np.complex128).itemsize
     assert len(bundle.curves["noisy"]["t"]) == 2 * 501 - 1
     assert peak < 1.5 * leg_bytes, peak / leg_bytes

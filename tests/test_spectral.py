@@ -35,7 +35,7 @@ def _check_against_dense(params: ModelParams, sp: Spectrum) -> None:
     is defined, so states are compared through the projector onto their
     span."""
     k = sp.energies.shape[1]
-    plus = np.real(np.diag(parity_op(params.dims))) > 0
+    plus = np.real(np.diag(parity_op(params.n_fock))) > 0
     for om, levels, states, parities in zip(sp.couplings, sp.energies, sp.states, sp.parities):
         energies, vectors = np.linalg.eigh(build_rabi(params, float(om)))
         assert np.abs(np.sort(levels) - energies[:k]).max() < 1e-12
@@ -54,7 +54,7 @@ def test_spectrum_invariants():
     params = ModelParams()
     energies, states, _ = _levels(params, 1.0)
     h = build_rabi(params, 1.0)
-    p = parity_op(params.dims)
+    p = parity_op(params.n_fock)
     for i in range(4):
         v = states[:, i]
         # residual, normalization, parity purity
@@ -79,7 +79,7 @@ def test_parity_purity_at_moderate_coupling():
     # away from the quasi-degenerate regime the purity is essentially exact
     params = ModelParams()
     _, states, _ = _levels(params, 0.5)
-    p = parity_op(params.dims)
+    p = parity_op(params.n_fock)
     for i in range(4):
         v = states[:, i]
         assert abs(abs(np.vdot(v, p @ v)) - 1.0) < 1e-9
@@ -91,7 +91,7 @@ def test_degenerate_doublet_gets_clean_parity():
     params = ModelParams(omega_eg=0.0, n_fock=20)
     spec = sector_spectra(params, [1.0], 2)
     assert list(spec.parities[0]) == [-1, 1]  # the tie convention of sector_levels
-    p = parity_op(params.dims)
+    p = parity_op(params.n_fock)
     for i in range(2):
         v = spec.states[0, :, i]
         assert abs(abs(np.vdot(v, p @ v)) - 1.0) < 1e-9
@@ -116,7 +116,7 @@ def test_gauge_is_fixed_at_every_sample_on_its_own():
     couplings = np.array([0.7, 0.0, 1.5, 0.3, 0.7])
     chain = build_gauge_chain(params, couplings)
     assert np.array_equal(chain.parities, np.tile([-1.0, 1.0], (len(couplings), 1)))
-    sites = params.chains.index[::-1]  # G's chain, then E's
+    sites = params.chains.index  # G's chain, then E's
     alternating = (-1.0) ** np.arange(params.n_fock)
     for j in range(len(couplings)):
         for col in range(2):
@@ -130,7 +130,7 @@ def test_gauge_chain_is_continuous():
     params = ModelParams(n_fock=14)
     couplings = np.linspace(1.0, 0.0, 41)
     chain = build_gauge_chain(params, couplings)
-    assert chain.states.shape == (41, params.dims.total_dim, 2)
+    assert chain.states.shape == (41, 2 * params.n_fock, 2)
     for prev, cur in zip(chain.states, chain.states[1:]):
         for i in range(2):
             ov = np.vdot(prev[:, i], cur[:, i])
@@ -138,8 +138,8 @@ def test_gauge_chain_is_continuous():
             assert abs(ov.imag) < 0.05
     # at zero coupling the tracked doublet lands on the bare qubit states
     end = chain.states[-1]
-    g0 = basis_state(params.dims, 0, 0).amplitudes
-    e0 = basis_state(params.dims, 1, 0).amplitudes
+    g0 = basis_state(params.n_fock, 0, 0).amplitudes
+    e0 = basis_state(params.n_fock, 1, 0).amplitudes
     assert abs(np.vdot(g0, end[:, 0])) > 1 - 1e-9
     assert abs(np.vdot(e0, end[:, 1])) > 1 - 1e-9
 
@@ -237,7 +237,7 @@ def test_cat_matches_exact_doublet():
 
 def test_cat_parity_sectors():
     params = ModelParams()
-    p = parity_op(params.dims)
+    p = parity_op(params.n_fock)
     plus = np.real(np.diag(p)) > 0
     cat_g = cat_approximant(params, 1.0, "G").amplitudes
     cat_e = cat_approximant(params, 1.0, "E").amplitudes
@@ -257,7 +257,7 @@ def test_cat_matches_textbook_kron_form(coupling, which):
 def test_cat_zero_coupling_limit():
     # alpha -> 0 collapses the cats onto the bare states
     params = ModelParams()
-    g0 = basis_state(params.dims, 0, 0).amplitudes
+    g0 = basis_state(params.n_fock, 0, 0).amplitudes
     cat_g0 = cat_approximant(params, 0.0, "G").amplitudes
     assert abs(abs(np.vdot(cat_g0, g0)) - 1.0) < 1e-12
     near = cat_approximant(params, 0.01, "G").amplitudes
@@ -277,7 +277,7 @@ def test_mean_photon_coherent_product():
     params = ModelParams()
     for alpha in (0.6, 1.0):
         fock = coherent_state(alpha, params.n_fock)
-        psi = product_state(params.dims, np.array([1.0, 0.0]), fock)
+        psi = product_state(np.array([1.0, 0.0]), fock)
         assert abs(mean_photon(psi) - alpha ** 2) < 1e-8
 
 
@@ -286,7 +286,7 @@ def test_mean_photon_ground_state():
     _, states, _ = _levels(params, 1.0, k=1)
     from uscmem import State
 
-    psi = State(params.dims, states[:, 0])
+    psi = State(states[:, 0])
     assert abs(mean_photon(psi) - GROUND_PHOTON) < 1e-3
-    vac = basis_state(params.dims, 0, 0)
+    vac = basis_state(params.n_fock, 0, 0)
     assert mean_photon(vac) < 1e-14
