@@ -41,7 +41,6 @@ from .dynamics import (
     readout,
     roundtrip_run,
     storage_input,
-    storage_run,
 )
 from .lindblad import (
     MasterTrajectory,

@@ -138,11 +138,11 @@ class RunConfig:
 _SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec) if f.name in _KEYS)
 
 # The spec input each config key sets where it is not the field of the same
-# name. The model keys and verbosity are kept for every experiment.
+# name. The model keys are kept for every experiment.
 _GAMMAS = ("gamma_x", "gamma_y", "gamma_z", "gamma_r")
 _SETS = {"T": "schedule", "omega_start": "schedule", "dt": "cfg", "record_every": "cfg",
          **dict.fromkeys(_GAMMAS, "noise")}
-_ALWAYS_KEPT = ("omega_cav", "omega_eg", "omega0", "n_fock", "verbosity")
+_ALWAYS_KEPT = ("omega_cav", "omega_eg", "omega0", "n_fock")
 
 
 def _given(ov: dict, keys) -> dict:
@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         bundle = run_experiment(spec)
         paths = emit_csv(bundle, run.out_dir)
         write_manifest(bundle, spec, paths, run.out_dir)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError, OSError) as exc:

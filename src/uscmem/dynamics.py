@@ -193,17 +193,6 @@ def storage_input(
     return State(amps)
 
 
-def storage_run(
-    params: ModelParams, alpha_f: complex, beta_f: complex,
-    schedule: CouplingSchedule, cfg: PropagatorConfig,
-) -> tuple[Trajectory, np.ndarray]:
-    """Write sweep. Returns the trajectory and F_s(t) = |<psi_s|psi(t)>|^2
-    against the fixed input state."""
-    traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg)
-    _, fs = readout(branch_block(traj.amplitudes, params), alpha_f, beta_f, 0.0)
-    return traj, fs
-
-
 def branch_block(amps: np.ndarray, params: ModelParams) -> np.ndarray:
     """|g,0>, |e,0> block (..., 2, 2) of the pure cell states in the rows of amps."""
     c = amps[..., params.chains.index[:, 0]]
@@ -351,7 +340,7 @@ def phase_landscape(
     """
     if theta_points < 32:
         raise ValueError(f"theta_points must be >= 32, got {theta_points}")
-    traj, _ = storage_run(params, alpha_f, beta_f, schedule, cfg)
+    traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg)
     doublets = build_gauge_chain(params, traj.couplings).states
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
 

@@ -4,8 +4,9 @@ coherent states.
 A cell of n_fock Fock levels has 2 * n_fock basis states, laid out by
 :class:`~uscmem.model.ParityChains`; the Hamiltonian and the noise
 channels of :mod:`uscmem.lindblad` act on those chains. What remains here
-are the Fock-factor ladder operator, which the register's beam splitter
-uses, and coherent states with truncation guards for the cat approximants.
+are the Fock-factor ladder operator, which the standalone two-mode
+interference check :func:`~uscmem.protocols.beam_splitter` uses, and
+coherent states with truncation guards for the cat approximants.
 """
 from __future__ import annotations
 

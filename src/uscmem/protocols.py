@@ -28,10 +28,11 @@ from .dynamics import (
     RSQRT2,
     Trajectory,
     _roundtrip,
+    branch_block,
     phase_landscape,
+    propagate,
     readout,
     storage_input,
-    storage_run,
 )
 from .hilbert import TruncationError, fock_annihilation
 from .lindblad import RATE_MODELS, NoiseRates, evolve_master, pure_density
@@ -245,8 +246,9 @@ def _storage_curve(
 
 
 def _run_storage(spec: ExperimentSpec) -> ResultBundle:
-    traj, fs = _stage("storage sweep", storage_run,
-                      spec.params, spec.alpha_f, spec.beta_f, spec.schedule, spec.cfg)
+    psi0 = storage_input(spec.params, spec.alpha_f, spec.beta_f)
+    traj = _stage("storage sweep", propagate, spec.params, spec.schedule, psi0, spec.cfg)
+    _, fs = readout(branch_block(traj.amplitudes, spec.params), spec.alpha_f, spec.beta_f, 0.0)
     curve, scalars = _storage_curve(spec, traj, fs)
     return ResultBundle(spec.name, spec.spec_hash, curves={"storage": curve}, scalars=scalars)
 

@@ -419,6 +419,16 @@ def test_main_reruns_are_byte_identical(tmp_path, experiment):
     assert sorted(path.name for path in (tmp_path / "b").iterdir()) == names
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # every written value is a finite float: no NaN of the read leg's unkept
+    # sites reaches a CSV, and no scalar reaches the manifest as a NaN token
+    for path in (tmp_path / "a").glob("*.csv"):
+        _, *rows = path.read_text().splitlines()
+        cells = [float(cell) for row in rows for cell in row.split(",")]
+        assert cells and all(np.isfinite(cells)), path.name
+    scalars = json.loads((tmp_path / "a" / "manifest.json").read_text())["scalars"]
+    assert scalars
+    for key, value in scalars.items():
+        assert isinstance(value, float) and np.isfinite(value), key
 
 
 @pytest.mark.parametrize("experiment", ["storage", "roundtrip", "phase-map"])

@@ -27,7 +27,6 @@ from uscmem import (
     run_experiment,
     sector_spectra,
     storage_input,
-    storage_run,
     storage_schedule,
 )
 from uscmem import dynamics
@@ -150,12 +149,13 @@ def test_parity_is_conserved_along_sweep():
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
 
     # odd branch input stays at <P> = -1
-    traj_g, _ = storage_run(params, 1.0, 0.0, storage_schedule(params, 20.0), cfg)
+    sched = storage_schedule(params, 20.0)
+    traj_g = propagate(params, sched, storage_input(params, 1.0, 0.0), cfg)
     vals = np.real(np.einsum("ij,jk,ik->i", traj_g.amplitudes.conj(), p, traj_g.amplitudes))
     assert np.abs(vals + 1.0).max() < 1e-7
 
     # the equal superposition balances the sectors: <P> stays 0
-    traj_s, _ = storage_run(params, RSQRT2, RSQRT2, storage_schedule(params, 20.0), cfg)
+    traj_s = propagate(params, sched, storage_input(params), cfg)
     vals = np.real(np.einsum("ij,jk,ik->i", traj_s.amplitudes.conj(), p, traj_s.amplitudes))
     assert np.abs(vals).max() < 1e-7
 
@@ -283,7 +283,9 @@ def test_adiabatic_following_improves_with_sweep_time():
     got = {}
     for total_time in sorted(STORAGE_GROUND):
         cfg = PropagatorConfig.for_total_time(total_time)
-        traj, fs = storage_run(params, 1.0, 0.0, storage_schedule(params, total_time), cfg)
+        traj = propagate(params, storage_schedule(params, total_time),
+                         storage_input(params, 1.0, 0.0), cfg)
+        _, fs = readout(branch_block(traj.amplitudes, params), 1.0, 0.0, 0.0)
         assert abs(fs[0] - 1.0) < 1e-9
         got[total_time] = abs(np.vdot(v0, traj.final.amplitudes)) ** 2
     for total_time, expected in STORAGE_GROUND.items():
@@ -379,7 +381,8 @@ def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega
     schedule = CouplingSchedule(omega_start, params.omega0, 10.0)
     cfg = PropagatorConfig(dt=0.02, record_every=record_every)
     rt = _roundtrip(params, schedule, cfg, alpha, beta, None)
-    write, fs = storage_run(params, alpha, beta, schedule, cfg)
+    write = propagate(params, schedule, storage_input(params, alpha, beta), cfg)
+    _, fs = readout(branch_block(write.amplitudes, params), alpha, beta, 0.0)
     read = propagate(params, schedule.reversed(), rt.storage.final, cfg)
     for got, ref in ((rt.storage, write), (rt.retrieval, read)):
         assert np.array_equal(got.times, ref.times)
@@ -471,7 +474,7 @@ def test_landscape_rows_match_dense_targets():
     cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=25)
     alpha, beta = 0.6, 0.8j
     land = phase_landscape(params, alpha, beta, sched, cfg, theta_points=32)
-    traj, _ = storage_run(params, alpha, beta, sched, cfg)
+    traj = propagate(params, sched, storage_input(params, alpha, beta), cfg)
     doublets = build_gauge_chain(params, traj.couplings).states
     for row, psi, (g, e) in zip(land.fidelity, traj.amplitudes, np.swapaxes(doublets, 1, 2)):
         dense = [abs(np.vdot(alpha * g + beta * np.exp(1j * th) * e, psi)) ** 2
