@@ -39,7 +39,7 @@ from .dynamics import (
     physical_time,
     propagate,
     readout,
-    roundtrip_run,
+    roundtrip,
     storage_input,
 )
 from .lindblad import (

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PropagatorConfig, _step_count
+from .dynamics import PropagatorConfig, step_count
 from .lindblad import RATE_MODELS, NoiseRates
-from .model import CouplingSchedule, ModelParams
+from .model import ModelParams, storage_schedule
 from .protocols import EXPERIMENTS, ExperimentSpec, ResultBundle, run_experiment
 
 
@@ -131,7 +131,6 @@ class RunConfig:
     experiment: str
     overrides: dict = field(default_factory=dict)
     out_dir: str = "out"
-    verbosity: int = 1
 
 
 # ExperimentSpec fields a config may set directly.
@@ -169,15 +168,11 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
               if k in _ALWAYS_KEPT or _SETS.get(k, k) in row.reads)
     violations: list[str] = []
     params = ModelParams(**_given(ov, ("omega_cav", "omega_eg", "omega0", "n_fock")))
-    schedule = CouplingSchedule(
-        omega_start=ov.get("omega_start", 0.0),
-        omega_end=params.omega0,
-        total_time=ov.get("T", 105.0),
-    )
+    schedule = storage_schedule(params, ov.get("T", 105.0), ov.get("omega_start", 0.0))
     cfg = replace(PropagatorConfig.for_total_time(schedule.total_time),
                   **_given(ov, ("dt", "record_every")))
     try:
-        _step_count(schedule, cfg)  # the propagator's own step floor
+        step_count(schedule, cfg)  # the propagator's own step floor
     except ValueError as exc:
         violations.append(str(exc))
 
@@ -272,12 +267,13 @@ def _file_sha256(path: Path) -> str:
 def write_manifest(
     bundle: ResultBundle, spec: ExperimentSpec, paths: list[Path], out_dir: str | Path
 ) -> Path:
-    """Record resolved parameters, scalars, and output content hashes."""
+    """Record the spec's name, hash and resolved parameters, the bundle's
+    scalars, and output content hashes."""
     out = Path(out_dir)
     outputs = {path.name: _file_sha256(path) for path in sorted(paths)}
     doc = {
-        "experiment": bundle.name,
-        "spec_hash": bundle.spec_hash,
+        "experiment": spec.name,
+        "spec_hash": spec.spec_hash,
         "parameters": spec.resolved(),
         "scalars": bundle.scalars,
         "outputs": outputs,
@@ -329,14 +325,14 @@ def main(argv: list[str] | None = None) -> int:
             if not path.is_file():
                 print(f"error: config file {path} not found", file=sys.stderr)
                 return 1
-            overrides.update(parse_config(path.read_text()))
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"error: cannot read config file {path}: {exc}", file=sys.stderr)
+                return 1
+            overrides.update(parse_config(text))
         overrides.update(parse_set_flags(args.set_pairs))
-        run = RunConfig(
-            experiment=args.experiment,
-            overrides=overrides,
-            out_dir=args.out,
-            verbosity=overrides.get("verbosity", 1),
-        )
+        run = RunConfig(experiment=args.experiment, overrides=overrides, out_dir=args.out)
         spec = build_spec(run)
     except ConfigError as exc:
         for violation in exc.violations:
@@ -354,10 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 
-    if run.verbosity > 0:
+    if overrides.get("verbosity", 1) > 0:
         for key in sorted(bundle.scalars):
             print(f"{key}={bundle.scalars[key]:.6g}")
-        print(f"spec_hash={bundle.spec_hash}")
+        print(f"spec_hash={spec.spec_hash}")
         print(f"wrote {len(paths) + 1} files to {run.out_dir}")
     return 0
 

@@ -15,7 +15,7 @@ eigh. The cell is carried as its two chain slices and stepped sector by
 sector, so parity is conserved by construction; the full cell vector is
 built only for the recorded samples. A round trip diagonalizes only its
 write leg: every step's factor is complex symmetric, so the read leg is
-the transpose P_N^T of the write leg's propagator (:func:`_roundtrip`).
+the transpose P_N^T of the write leg's propagator (:func:`roundtrip`).
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 from .hilbert import State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
-    SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, sector_eigh, storage_schedule,
+    SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, sector_eigh,
 )
 from .spectral import build_gauge_chain
 
@@ -87,7 +87,9 @@ class Trajectory:
         return State(self.amplitudes[-1])
 
 
-def _step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
+def step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
+    """Midpoint steps over schedule: round(T / dt), at least one, and a
+    ValueError for a sweep of fewer than _MIN_STEPS_PER_SWEEP."""
     n = max(1, round(schedule.total_time / cfg.dt))
     if schedule.is_sweep and n < _MIN_STEPS_PER_SWEEP:
         raise ValueError(
@@ -99,7 +101,7 @@ def _step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
 
 def _record_grid(schedule: CouplingSchedule, cfg: PropagatorConfig):
     """Step count, step length and the recorded steps (0, every record_every, the last)."""
-    n_steps = _step_count(schedule, cfg)
+    n_steps = step_count(schedule, cfg)
     rec_idx = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
     return n_steps, schedule.total_time / n_steps, rec_idx
 
@@ -233,7 +235,6 @@ def readout(
 class RoundTrip:
     """Storage plus optimally-rephased retrieval of one input state."""
 
-    total_time: float
     theta_opt: float
     fidelity: float
     storage: Trajectory
@@ -242,9 +243,10 @@ class RoundTrip:
     retrieval_fs: np.ndarray
 
 
-def _roundtrip(
+def roundtrip(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
-    alpha_f: complex, beta_f: complex, theta: float | None, rows: slice | list = slice(None),
+    alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2, theta: float | None = None,
+    rows: slice | list = slice(None),
 ) -> RoundTrip:
     """Write along schedule, read along its reverse, then correct the phase.
 
@@ -289,19 +291,8 @@ def _roundtrip(
     _, fs_s = readout(branch_block(write, params), alpha_f, beta_f, 0.0)
     theta, fs_r = readout(branch_block(read, params), alpha_f, beta_f, theta)
     traj_r = Trajectory(times.copy(), schedule.reversed().coupling_at(times), read)
-    return RoundTrip(schedule.total_time, theta, float(fs_r[-1]),
+    return RoundTrip(theta, float(fs_r[-1]),
                      Trajectory(times, couplings[at], write), fs_s, traj_r, fs_r)
-
-
-def roundtrip_run(
-    params: ModelParams, total_time: float, cfg: PropagatorConfig | None = None,
-    alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2, theta: float | None = None,
-) -> RoundTrip:
-    """Full write-then-read cycle from zero coupling to omega0 and back;
-    theta None means optimize the correction."""
-    if cfg is None:
-        cfg = PropagatorConfig.for_total_time(total_time)
-    return _roundtrip(params, storage_schedule(params, total_time), cfg, alpha_f, beta_f, theta)
 
 
 # --------------------------------------------------------------------------

@@ -117,9 +117,11 @@ class CouplingSchedule:
         return CouplingSchedule(self.omega_end, self.omega_start, self.total_time, self.shape)
 
 
-def storage_schedule(params: ModelParams, total_time: float) -> CouplingSchedule:
-    """Write sweep: ramp the coupling from 0 up to omega0."""
-    return CouplingSchedule(0.0, params.omega0, total_time)
+def storage_schedule(
+    params: ModelParams, total_time: float, omega_start: float = 0.0
+) -> CouplingSchedule:
+    """Write sweep: ramp the coupling from omega_start up to omega0."""
+    return CouplingSchedule(omega_start, params.omega0, total_time)
 
 
 def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:

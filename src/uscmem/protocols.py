@@ -27,11 +27,11 @@ from .dynamics import (
     PropagatorConfig,
     RSQRT2,
     Trajectory,
-    _roundtrip,
     branch_block,
     phase_landscape,
     propagate,
     readout,
+    roundtrip,
     storage_input,
 )
 from .hilbert import TruncationError, fock_annihilation
@@ -166,10 +166,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultBundle:
-    """Outputs of one experiment, all tagged by the spec hash."""
+    """Outputs of one experiment; its spec carries the run's name and hash."""
 
-    name: str
-    spec_hash: str
     curves: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     landscapes: dict[str, PhaseLandscape] = field(default_factory=dict)
     scalars: dict[str, float] = field(default_factory=dict)
@@ -220,7 +218,7 @@ def _run_spectrum(spec: ExperimentSpec) -> ResultBundle:
         "F_G_min": float(f_g.min()),
         "F_E_min": float(f_e.min()),
     }
-    return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
+    return ResultBundle(curves=curves, scalars=scalars)
 
 
 def _storage_curve(
@@ -250,17 +248,17 @@ def _run_storage(spec: ExperimentSpec) -> ResultBundle:
     traj = _stage("storage sweep", propagate, spec.params, spec.schedule, psi0, spec.cfg)
     _, fs = readout(branch_block(traj.amplitudes, spec.params), spec.alpha_f, spec.beta_f, 0.0)
     curve, scalars = _storage_curve(spec, traj, fs)
-    return ResultBundle(spec.name, spec.spec_hash, curves={"storage": curve}, scalars=scalars)
+    return ResultBundle(curves={"storage": curve}, scalars=scalars)
 
 
 def _run_roundtrip(spec: ExperimentSpec, with_storage: bool = True) -> ResultBundle:
     """Write along spec.schedule and read along its reverse. The retrieval
     experiment is the same run reporting only its read leg, of which both
     read the |g,0>, |e,0> amplitudes alone."""
-    rt = _stage("roundtrip", _roundtrip, spec.params, spec.schedule, spec.cfg,
+    rt = _stage("roundtrip", roundtrip, spec.params, spec.schedule, spec.cfg,
                 spec.alpha_f, spec.beta_f, spec.theta, rows=[0])
     curves = {"retrieval": {
-        "t": rt.total_time + rt.retrieval.times,
+        "t": spec.schedule.total_time + rt.retrieval.times,
         "omega": rt.retrieval.couplings,
         "F_s": rt.retrieval_fs,
     }}
@@ -270,7 +268,7 @@ def _run_roundtrip(spec: ExperimentSpec, with_storage: bool = True) -> ResultBun
         curves = {"storage": storage_curve, **curves}
         scalars.update(storage_fidelity=storage_scalars["storage_fidelity"],
                        F_s_storage=storage_scalars["F_s_final"])
-    return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
+    return ResultBundle(curves=curves, scalars=scalars)
 
 
 def _run_phase_map(spec: ExperimentSpec) -> ResultBundle:
@@ -282,8 +280,7 @@ def _run_phase_map(spec: ExperimentSpec) -> ResultBundle:
         "ridge_min": float(ridge.min()),
         "theta_opt_final": float(land.theta_opt[-1]),
     }
-    return ResultBundle(spec.name, spec.spec_hash,
-                        landscapes={"landscape": land}, scalars=scalars)
+    return ResultBundle(landscapes={"landscape": land}, scalars=scalars)
 
 
 def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
@@ -318,12 +315,12 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
     trace_lost = 1.0 - float(np.real(np.trace(mt_r.final)))
     scalars = {"F_s_final": float(f_final), "theta_opt": float(theta),
                "trace_lost": trace_lost}
-    return ResultBundle(spec.name, spec.spec_hash, curves={"noisy": curve}, scalars=scalars)
+    return ResultBundle(curves={"noisy": curve}, scalars=scalars)
 
 
 def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
-    rt = _stage("register round trip", _roundtrip, params, spec.schedule, spec.cfg,
+    rt = _stage("register round trip", roundtrip, params, spec.schedule, spec.cfg,
                 RSQRT2, RSQRT2, 0.0, rows=[0])
     # Exact, not approximate: U|g,0> stays in the P = -1 chain and U|e,0> in the
     # P = +1 chain, so the register state is sqrt(2) times the two sector parts
@@ -340,12 +337,12 @@ def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
             "t": rt.storage.times, "omega": rt.storage.couplings, "F_s": fbar_s,
         },
         "entangled_retrieval": {
-            "t": rt.total_time + rt.retrieval.times, "omega": rt.retrieval.couplings,
+            "t": spec.schedule.total_time + rt.retrieval.times, "omega": rt.retrieval.couplings,
             "F_s": fbar_r,
         },
     }
     scalars = {"storage_fidelity": float(f_store), "roundtrip_fidelity": float(fbar_r[-1])}
-    return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
+    return ResultBundle(curves=curves, scalars=scalars)
 
 
 def _run_convergence(spec: ExperimentSpec) -> ResultBundle:
@@ -366,7 +363,7 @@ def _run_convergence(spec: ExperimentSpec) -> ResultBundle:
         }
     }
     scalars = {"max_abs_delta": float(delta.max())}
-    return ResultBundle(spec.name, spec.spec_hash, curves=curves, scalars=scalars)
+    return ResultBundle(curves=curves, scalars=scalars)
 
 
 @dataclass(frozen=True)

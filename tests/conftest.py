@@ -11,7 +11,7 @@ from uscmem import (
     evolve_master,
     phase_landscape,
     pure_density,
-    roundtrip_run,
+    roundtrip,
     run_experiment,
     storage_input,
     storage_schedule,
@@ -42,12 +42,14 @@ def params30():
 
 @pytest.fixture(scope="session")
 def roundtrip_105(params30):
-    return roundtrip_run(params30, 105.0)
+    return roundtrip(params30, storage_schedule(params30, 105.0),
+                     PropagatorConfig.for_total_time(105.0))
 
 
 @pytest.fixture(scope="session")
 def roundtrip_120(params30):
-    return roundtrip_run(params30, 120.0)
+    return roundtrip(params30, storage_schedule(params30, 120.0),
+                     PropagatorConfig.for_total_time(120.0))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from uscmem.cli import (
     parse_set_flags,
     write_manifest,
 )
-from uscmem.dynamics import _step_count
+from uscmem.dynamics import step_count
 from uscmem.protocols import EXPERIMENTS, ExperimentSpec
 
 GOOD_CONFIG = """\
@@ -183,7 +183,7 @@ def test_build_spec_rejects_coarse_sweep_step():
     # the floor is the propagator's: round(T / dt) steps, at least 500
     total_time = 105.0
     spec = build_spec(RunConfig("storage", {"T": total_time, "dt": total_time / 499.8}))
-    assert _step_count(spec.schedule, spec.cfg) == 500
+    assert step_count(spec.schedule, spec.cfg) == 500
     with pytest.raises(ConfigError, match="499 steps"):
         build_spec(RunConfig("storage", {"T": total_time, "dt": total_time / 499.4}))
 
@@ -294,7 +294,6 @@ def test_emit_csv_matches_per_value_formatting(tmp_path):
         theta_opt=np.array([np.inf, -0.0, 1 / 3, 3.0]),
     )
     bundle = ResultBundle(
-        "probe", "0" * 64,
         curves={"probe": {"x": awkward, "n": np.arange(8), "y": awkward[::-1]}},
         landscapes={"landscape": land},
     )
@@ -311,13 +310,21 @@ def test_manifest_contents(tmp_path):
     manifest_path = write_manifest(bundle, spec, paths, tmp_path)
     doc = json.loads(manifest_path.read_text())
     assert doc["experiment"] == "storage"
-    assert doc["spec_hash"] == bundle.spec_hash
+    assert doc["spec_hash"] == spec.spec_hash
     assert doc["parameters"]["params"]["n_fock"] == 12
     assert doc["parameters"]["schedule"]["total_time"] == 12.0
     assert set(doc["outputs"]) == {"storage.csv"}
     digest = hashlib.sha256((tmp_path / "storage.csv").read_bytes()).hexdigest()
     assert doc["outputs"]["storage.csv"] == digest
     assert doc["scalars"]["F_s_final"] == bundle.scalars["F_s_final"]
+    # the name and hash come from the spec written with, never from the
+    # bundle, so the hash always matches the recorded parameters
+    other = replace(spec, name="retrieval", params=ModelParams(n_fock=14))
+    doc = json.loads(write_manifest(bundle, other, paths, tmp_path).read_text())
+    assert doc["experiment"] == "retrieval"
+    assert doc["spec_hash"] == other.spec_hash
+    blob = json.dumps(doc["parameters"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == doc["spec_hash"]
 
 
 @pytest.mark.parametrize("size", [0, 1000, 3 * (1 << 20) + 17])
@@ -528,6 +535,26 @@ def test_main_sweepless_experiments_drop_qubit_and_allow_any_splitting(tmp_path,
 def test_main_missing_config_file(tmp_path, capsys):
     assert main(["storage", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_main_undecodable_config_file(tmp_path, capsys):
+    # a UTF-16 byte-order mark is no UTF-8: a config error, not a traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe")
+    assert _run(tmp_path, "convergence", "--config", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {bad}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_verbosity_zero_prints_nothing(tmp_path, capsys):
+    code = _run(tmp_path, "storage", "--set", "n_fock=12", "--set", "T=12",
+                "--set", "dt=0.024", "--set", "verbosity=0")
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    names = sorted(path.name for path in (tmp_path / "out").iterdir())
+    assert names == ["manifest.json", "storage.csv"]
 
 
 def test_main_runtime_failure_exit_code(tmp_path, capsys):

@@ -23,14 +23,14 @@ from uscmem import (
     physical_time,
     propagate,
     readout,
-    roundtrip_run,
+    roundtrip,
     run_experiment,
     sector_spectra,
     storage_input,
     storage_schedule,
 )
 from uscmem import dynamics
-from uscmem.dynamics import NormDriftError, _roundtrip, _sweep
+from uscmem.dynamics import NormDriftError, _sweep
 from uscmem.model import SECTOR_BATCH, sector_eigh, sector_levels
 
 from reference import basis_state, corrected_fidelity, parity_op, site
@@ -134,7 +134,7 @@ def test_norm_leak_is_caught_not_rescaled(monkeypatch):
     with pytest.raises(NormDriftError, match="at step 50 "):
         propagate(params, storage_schedule(params, 10.0), storage_input(params), cfg)
     with pytest.raises(NormDriftError, match="at step 50 "):
-        roundtrip_run(params, 10.0, cfg)
+        roundtrip(params, storage_schedule(params, 10.0), cfg)
     for name in ("roundtrip", "entangled"):
         spec = ExperimentSpec(name, params, storage_schedule(params, 10.0), cfg)
         with pytest.raises(ExperimentError) as caught:
@@ -301,7 +301,8 @@ def test_adiabatic_following_improves_with_sweep_time():
 def test_roundtrip_frozen_values(roundtrip_105, roundtrip_120):
     params = ModelParams()
     results = {
-        45.0: roundtrip_run(params, 45.0),
+        45.0: roundtrip(params, storage_schedule(params, 45.0),
+                        PropagatorConfig.for_total_time(45.0)),
         105.0: roundtrip_105,
         120.0: roundtrip_120,
     }
@@ -340,7 +341,8 @@ def test_optimized_phase_agrees_with_grid_scan(params30, roundtrip_105):
 def test_single_branch_needs_no_correction():
     # storing only the ground branch, the readout is theta independent
     params = ModelParams(n_fock=20)
-    rt = roundtrip_run(params, 60.0, alpha_f=1.0, beta_f=0.0)
+    rt = roundtrip(params, storage_schedule(params, 60.0), PropagatorConfig.for_total_time(60.0),
+                   alpha_f=1.0, beta_f=0.0)
     f0 = corrected_fidelity(rt.retrieval.final, 0.0, 1.0, 0.0)
     f1 = corrected_fidelity(rt.retrieval.final, 2.2, 1.0, 0.0)
     assert abs(f0 - f1) < 1e-12
@@ -351,12 +353,13 @@ def test_roundtrip_is_closed_form_in_branch_return_amplitudes():
     # U|g,0> and U|e,0> lie in different parity chains, so every input's
     # round trip follows from q_g = <g,0|U|g,0> and q_e = <e,0|U|e,0>
     params = ModelParams(n_fock=12)
+    schedule = storage_schedule(params, 12.0)
     cfg = PropagatorConfig.for_total_time(12.0, steps=500)
-    final = roundtrip_run(params, 12.0, cfg).retrieval.final.amplitudes
+    final = roundtrip(params, schedule, cfg).retrieval.final.amplitudes
     q_g, q_e = np.sqrt(2.0) * final[[site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)]]
     inputs = [(1.0, 0.0), (0.0, 1.0), (0.6j, 0.8 * np.exp(0.7j)), (RSQRT2, -RSQRT2)]
     for alpha, beta in inputs:
-        rt = roundtrip_run(params, 12.0, cfg, alpha, beta)
+        rt = roundtrip(params, schedule, cfg, alpha, beta)
         expected = (abs(alpha) ** 2 * abs(q_g) + abs(beta) ** 2 * abs(q_e)) ** 2
         assert abs(rt.fidelity - expected) < 1e-12
         if alpha != 0 and beta != 0:
@@ -380,7 +383,7 @@ def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega
     params = ModelParams(n_fock=n_fock)
     schedule = CouplingSchedule(omega_start, params.omega0, 10.0)
     cfg = PropagatorConfig(dt=0.02, record_every=record_every)
-    rt = _roundtrip(params, schedule, cfg, alpha, beta, None)
+    rt = roundtrip(params, schedule, cfg, alpha, beta)
     write = propagate(params, schedule, storage_input(params, alpha, beta), cfg)
     _, fs = readout(branch_block(write.amplitudes, params), alpha, beta, 0.0)
     read = propagate(params, schedule.reversed(), rt.storage.final, cfg)
@@ -390,7 +393,7 @@ def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega
         assert np.abs(got.amplitudes - ref.amplitudes).max() < 1e-12
     assert np.abs(rt.storage_fs - fs).max() < 1e-12
     # the two-row path keeps |g,0> and |e,0> of the same read leg, NaN elsewhere
-    branch = _roundtrip(params, schedule, cfg, alpha, beta, None, rows=[0])
+    branch = roundtrip(params, schedule, cfg, alpha, beta, rows=[0])
     g0e0 = [site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)]
     kept = branch.retrieval.amplitudes[:, g0e0]
     assert np.abs(kept - rt.retrieval.amplitudes[:, g0e0]).max() < 1e-12
@@ -411,7 +414,8 @@ def test_roundtrip_diagonalizes_one_leg(monkeypatch, steps):
 
     monkeypatch.setattr(dynamics, "sector_eigh", counting)
     params = ModelParams(n_fock=8)
-    roundtrip_run(params, 20.0, PropagatorConfig.for_total_time(20.0, steps=steps))
+    roundtrip(params, storage_schedule(params, 20.0),
+              PropagatorConfig.for_total_time(20.0, steps=steps))
     assert len(calls) == -(-steps // SECTOR_BATCH)
     assert sum(calls) == steps
 

@@ -265,7 +265,6 @@ def test_experiment_names_are_registered():
 def test_spectrum_experiment_bundle():
     spec = _tiny_spec("spectrum", omega_points=7)
     bundle = run_experiment(spec)
-    assert bundle.name == "spectrum"
     curve = bundle.curves["spectrum"]
     assert len(curve["omega"]) == 7
     # energies come in doublets with alternating parity labels
@@ -356,7 +355,6 @@ def test_noisy_legs_are_not_held_at_once():
 def test_run_experiment_is_deterministic():
     a = run_experiment(_tiny_spec("storage"))
     b = run_experiment(_tiny_spec("storage"))
-    assert a.spec_hash == b.spec_hash
     for key in a.curves["storage"]:
         assert np.array_equal(a.curves["storage"][key], b.curves["storage"][key])
     assert a.scalars == b.scalars

@@ -5,18 +5,21 @@ be referenced somewhere in the package, or be one of the few library entry
 points below. A function counts when it is loaded as a name or read as an
 attribute; a method only when it is read as an attribute of something
 other than an imported module. A helper only tests call
-belongs in ``tests/reference.py``, not in the package.
+belongs in ``tests/reference.py``, not in the package. The top layers,
+``protocols`` and ``cli``, import only public names from the layers below
+them, and the README's library examples run as written.
 """
 import ast
+import re
 from pathlib import Path
 
 import uscmem
 
 PACKAGE = Path(uscmem.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Entry points the package itself never calls, each with its consumer.
 LIBRARY_ENTRY_POINTS = {
-    "roundtrip_run": "the library round trip; README usage and the acceptance fixtures",
     "physical_time": "protocol time in seconds; an acceptance criterion",
     "beam_splitter": "two-mode interference; an acceptance criterion",
 }
@@ -80,3 +83,22 @@ def test_every_public_function_is_consumed():
 def test_library_entry_points_exist():
     for name in LIBRARY_ENTRY_POINTS:
         assert callable(getattr(uscmem, name)), name
+
+
+def test_top_layers_import_only_public_names():
+    private = []
+    for module in ("protocols", "cli"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        private.extend(f"{module}: {alias.name} from .{node.module}"
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level > 0
+                       for alias in node.names if alias.name.startswith("_"))
+    assert not private, "private imports: " + ", ".join(private)
+
+
+def test_readme_library_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks, "no python examples in the README"
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
