@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {}
         if args.config:
             path = Path(args.config)
-            if not path.is_file():
+            if not path.exists():
                 print(f"error: config file {path} not found", file=sys.stderr)
                 return 1
             try:

@@ -4,9 +4,10 @@ coherent states.
 A cell of n_fock Fock levels has 2 * n_fock basis states, laid out by
 :class:`~uscmem.model.ParityChains`; the Hamiltonian and the noise
 channels of :mod:`uscmem.lindblad` act on those chains. What remains here
-are the Fock-factor ladder operator, which the standalone two-mode
-interference check :func:`~uscmem.protocols.beam_splitter` uses, and
-coherent states with truncation guards for the cat approximants.
+are the Fock-factor ladder operator, from which the chains take their hop
+matrix a + a^dag and which the standalone two-mode interference check
+:func:`~uscmem.protocols.beam_splitter` uses, and coherent states with
+truncation guards for the cat approximants.
 """
 from __future__ import annotations
 
@@ -64,6 +65,8 @@ def _coherent_terms(alpha: complex, n_fock: int) -> np.ndarray:
 
 def coherent_truncation_weight(alpha: complex, n_fock: int) -> float:
     """Probability weight of a coherent state beyond the kept Fock levels."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     kept = float(np.sum(np.abs(_coherent_terms(alpha, n_fock)) ** 2))
     return max(0.0, 1.0 - kept)
 
@@ -76,6 +79,8 @@ def coherent_state(alpha: complex, n_fock: int) -> np.ndarray:
     """
     if n_fock < 2:
         raise ValueError(f"n_fock must be >= 2, got {n_fock}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if abs(alpha) ** 2 > n_fock / 4:
         raise TruncationError(
             f"|alpha|^2 = {abs(alpha)**2:.4f} exceeds n_fock/4 = {n_fock / 4:.4f}"

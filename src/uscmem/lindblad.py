@@ -101,10 +101,7 @@ def _rate_table(
     sector, rank = np.divmod(labels, nf)
     u = v[sector, :, rank]
     su = (2 * (params.chains.index // nf) - 1)[sector] * u
-    hop = params.chains.hop
-    hu = np.zeros_like(u)
-    hu[:, 1:] = hop * u[:, :-1]
-    hu[:, :-1] += hop * u[:, 1:]
+    hu = u @ params.chains.hop
     cross = sector[:, None] != sector[None, :]
     signed = u @ su.T
     elems = (cross * (u @ u.T), cross * signed, ~cross * signed, cross * (u @ hu.T))

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .hilbert import fock_annihilation
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -43,16 +45,17 @@ class ModelParams:
 
     @cached_property
     def chains(self) -> "ParityChains":
-        """The two parity chains of H(Omega), computed once per instance."""
+        """The two parity chains of H(Omega), computed once per instance; read-only."""
         n = np.arange(self.n_fock)
         qubit = np.array([n % 2, 1 - n % 2])
-        index = qubit * self.n_fock + n
+        diag = np.where(qubit, 0.5, -0.5) * self.omega_eg + self.omega_cav * n
+        a = fock_annihilation(self.n_fock).real
         chains = ParityChains(
-            index=index,
-            diag=np.where(qubit, 0.5, -0.5) * self.omega_eg + self.omega_cav * n,
-            hop=np.sqrt(np.arange(1, self.n_fock, dtype=np.float64)),
+            index=qubit * self.n_fock + n,
+            bare=np.stack([np.diag(d) for d in diag]),
+            hop=a + a.T,
         )
-        for arr in (chains.index, chains.diag, chains.hop):
+        for arr in (chains.index, chains.bare, chains.hop):
             arr.flags.writeable = False
         return chains
 
@@ -63,25 +66,25 @@ class ParityChains:
     layout of the cell basis.
 
     P commutes with H(Omega), which is therefore two real tridiagonal
-    chains with no element between them. Row s of each array describes
-    chain (sector) s in site order, in the qubit's order: chain 0 is
-    P = -1, |g,0>, |e,1>, |g,2>, ..., and carries G and the alpha branch
-    of a stored qubit; chain 1 is P = +1, |e,0>, |g,1>, |e,2>, ..., and
-    carries E and beta. So index[:, 0] is (|g,0>, |e,0>).
+    chains with no element between them, H_s(Omega) = bare[s] + Omega * hop.
+    Row s of index and bare is chain (sector) s in site order, in the
+    qubit's order: chain 0 is P = -1, |g,0>, |e,1>, |g,2>, ..., and carries
+    G and the alpha branch of a stored qubit; chain 1 is P = +1, |e,0>,
+    |g,1>, |e,2>, ..., and carries E and beta. So index[:, 0] is
+    (|g,0>, |e,0>).
 
     index
         (2, n_fock) cell-basis indices of the chain sites, and the one
         record of the cell layout: |q, n> sits at q * n_fock + n, with
         q = 0 for |g> and 1 for |e>.
-    diag
-        (2, n_fock) bare energies of the sites, which Omega leaves alone.
+    bare
+        (2, n_fock, n_fock) the chains at Omega = 0: the sites' bare energies.
     hop
-        (n_fock - 1,) couplings sqrt(n + 1) between sites n and n + 1 of
-        either chain; H(Omega) has Omega * hop beside its diagonal.
+        (n_fock, n_fock) a + a^dag on the Fock sites of either chain.
     """
 
     index: np.ndarray
-    diag: np.ndarray
+    bare: np.ndarray
     hop: np.ndarray
 
 
@@ -128,12 +131,8 @@ def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:
     """Dense cell Hamiltonian at a fixed coupling, scattered from the parity
     chains, so it is the same matrix the sweeps diagonalize per sector."""
     chains = params.chains
-    index = chains.index
     h = np.zeros((2 * params.n_fock,) * 2, dtype=np.complex128)
-    h[index, index] = chains.diag
-    hop = coupling * chains.hop
-    h[index[:, 1:], index[:, :-1]] = hop
-    h[index[:, :-1], index[:, 1:]] = hop
+    h[chains.index[:, :, None], chains.index[:, None, :]] = chains.bare + coupling * chains.hop
     return h
 
 
@@ -150,14 +149,11 @@ def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray,
     order (:class:`ParityChains`). Callers pass at most SECTOR_BATCH
     couplings: the batch holds two n_fock x n_fock matrices per coupling.
     """
+    couplings = np.asarray(couplings, dtype=np.float64)
+    if not np.isfinite(couplings).all():
+        raise ValueError(f"couplings must be finite, got {couplings}")
     chains = params.chains
-    site = np.arange(params.n_fock)
-    blocks = np.zeros((len(couplings), 2, params.n_fock, params.n_fock))
-    blocks[:, :, site, site] = chains.diag
-    hop = np.asarray(couplings)[:, None, None] * chains.hop
-    blocks[:, :, site[1:], site[:-1]] = hop
-    blocks[:, :, site[:-1], site[1:]] = hop
-    return np.linalg.eigh(blocks)
+    return np.linalg.eigh(chains.bare + couplings[:, None, None, None] * chains.hop)
 
 
 def sector_levels(

@@ -70,14 +70,9 @@ def _check_sectors(
     params: ModelParams, couplings: np.ndarray, w: np.ndarray, v: np.ndarray
 ) -> None:
     """Residual and orthonormality of chain eigenpairs, over a batch of couplings."""
-    chains = params.chains
-    hop = couplings[:, None, None, None] * chains.hop[:, None]
-    hv = chains.diag[..., None] * v
-    hv[:, :, 1:] += hop * v[:, :, :-1]
-    hv[:, :, :-1] += hop * v[:, :, 1:]
-    scale = np.maximum(1.0, np.maximum(np.abs(chains.diag).max(),
-                                       np.abs(couplings) * chains.hop.max()))
-    residual = np.abs(hv - v * w[:, :, None, :]).max(axis=(1, 2, 3))
+    h = params.chains.bare + couplings[:, None, None, None] * params.chains.hop
+    residual = np.abs(h @ v - v * w[:, :, None, :]).max(axis=(1, 2, 3))
+    scale = np.maximum(1.0, np.abs(h, out=h).max(axis=(1, 2, 3)))
     if np.any(residual > _RESIDUAL_TOL * scale):
         raise RuntimeError("eigenpair residual above tolerance")
     gram = np.swapaxes(v, -1, -2) @ v

@@ -535,6 +535,11 @@ def test_main_sweepless_experiments_drop_qubit_and_allow_any_splitting(tmp_path,
 def test_main_missing_config_file(tmp_path, capsys):
     assert main(["storage", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "not found" in capsys.readouterr().err
+    # a directory exists but cannot be read as a config file
+    assert _run(tmp_path, "convergence", "--config", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {tmp_path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_undecodable_config_file(tmp_path, capsys):

@@ -12,8 +12,13 @@ from uscmem import (
     ModelParams,
     NoiseRates,
     PropagatorConfig,
+    build_gauge_chain,
     build_rabi,
+    coherent_state,
+    coherent_truncation_weight,
+    fock_annihilation,
     physical_time,
+    sector_spectra,
     storage_schedule,
 )
 
@@ -147,6 +152,35 @@ def test_parity_chains_lay_out_the_cell():
     assert index[1, 3] == 3 and index[1, 0] == 5 and index[1, 4] == 9
 
 
+def test_parity_chains_are_the_hamiltonian_blocks():
+    # chain s at coupling Omega is bare[s] + Omega * hop: the operator
+    # formula restricted to the chain's sites, entry for entry
+    n_fock = 7
+    params = ModelParams(omega_cav=1.3, omega_eg=0.1, n_fock=n_fock)
+    chains = params.chains
+    a = annihilation_op(n_fock)
+    h0 = params.omega_eg / 2 * pauli_op("z", n_fock) + params.omega_cav * number_op(n_fock)
+    x = pauli_op("x", n_fock) @ (a + a.conj().T)
+    for om in (0.0, 0.7):
+        h = h0 + om * x
+        for s in (0, 1):
+            block = h[np.ix_(chains.index[s], chains.index[s])]
+            assert np.array_equal(chains.bare[s] + om * chains.hop, block)
+    a = fock_annihilation(n_fock)
+    assert np.array_equal(chains.hop, a + a.T)
+    assert not chains.bare[:, ~np.eye(n_fock, dtype=bool)].any()
+
+
+@pytest.mark.parametrize("name", ["index", "bare", "hop"])
+def test_parity_chains_are_read_only(name):
+    # every sweep of one ModelParams shares the cached chain arrays
+    params = ModelParams(n_fock=4)
+    assert params.chains is params.chains
+    arr = getattr(params.chains, name)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[(0,) * arr.ndim] = 1
+
+
 # --------------------------------------------------------------------------
 # coupling schedules
 # --------------------------------------------------------------------------
@@ -205,6 +239,10 @@ NON_FINITE_GUARDS = {
     "gamma_z": lambda x: NoiseRates(0.0, 0.0, x, 0.0),
     "gamma_r": lambda x: NoiseRates(0.0, 0.0, 0.0, x),
     "f_cav_hz": lambda x: physical_time(105.0, x),
+    "alpha_weight": lambda x: coherent_truncation_weight(x, 10),
+    "alpha_state": lambda x: coherent_state(x, 10),
+    "spectra_coupling": lambda x: sector_spectra(ModelParams(n_fock=4), [x], 2),
+    "gauge_coupling": lambda x: build_gauge_chain(ModelParams(n_fock=4), np.array([x])),
 }
 
 
@@ -212,6 +250,7 @@ NON_FINITE_GUARDS = {
 @pytest.mark.parametrize("field", NON_FINITE_GUARDS)
 def test_parameter_records_reject_non_finite(field, value):
     # an inf norm_tol would switch the drift check off; nan and inf elsewhere
-    # fail far from their cause, inside an eigensolver or as a nan duration
-    with pytest.raises(ValueError):
+    # fail far from their cause, inside an eigensolver or as a nan duration;
+    # the eigensolver's LinAlgError is a ValueError too, hence the match
+    with pytest.raises(ValueError, match="finite"):
         NON_FINITE_GUARDS[field](value)
