@@ -12,7 +12,6 @@ from .hilbert import (
     State,
     TruncationError,
     coherent_state,
-    coherent_truncation_weight,
     fock_annihilation,
 )
 from .model import (

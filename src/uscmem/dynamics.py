@@ -82,10 +82,6 @@ class Trajectory:
     couplings: np.ndarray
     amplitudes: np.ndarray
 
-    @property
-    def final(self) -> State:
-        return State(self.amplitudes[-1])
-
 
 def step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
     """Midpoint steps over schedule: round(T / dt), at least one, and a

@@ -63,14 +63,6 @@ def _coherent_terms(alpha: complex, n_fock: int) -> np.ndarray:
     return np.exp(np.cumsum(logs)) * phase ** n
 
 
-def coherent_truncation_weight(alpha: complex, n_fock: int) -> float:
-    """Probability weight of a coherent state beyond the kept Fock levels."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    kept = float(np.sum(np.abs(_coherent_terms(alpha, n_fock)) ** 2))
-    return max(0.0, 1.0 - kept)
-
-
 def coherent_state(alpha: complex, n_fock: int) -> np.ndarray:
     """Fock-factor amplitudes of |alpha>, renormalized after truncation.
 
@@ -85,8 +77,8 @@ def coherent_state(alpha: complex, n_fock: int) -> np.ndarray:
         raise TruncationError(
             f"|alpha|^2 = {abs(alpha)**2:.4f} exceeds n_fock/4 = {n_fock / 4:.4f}"
         )
-    tail = coherent_truncation_weight(alpha, n_fock)
+    amps = _coherent_terms(alpha, n_fock)
+    tail = 1.0 - np.sum(np.abs(amps) ** 2)
     if tail >= 1e-8:
         raise TruncationError(f"discarded coherent weight {tail:.3e} >= 1e-8")
-    amps = _coherent_terms(alpha, n_fock)
     return amps / np.linalg.norm(amps)

@@ -83,24 +83,23 @@ class NoiseRates:
 #---------------------------------------------------------------------------
 
 def _rate_table(
-    energies: np.ndarray, labels: np.ndarray, v: np.ndarray,
+    energies: np.ndarray, sector: np.ndarray, basis: np.ndarray,
     rates: NoiseRates, params: ModelParams, rate_model: str,
 ) -> np.ndarray:
     """Downward transition rates among the lowest levels of a step.
 
-    energies and labels (k,) are levels of :func:`~uscmem.model.sector_levels`,
-    v (2, n_fock, depth) the step's chain eigenvectors. Each level is a
-    vector u on its chain's sites, and every channel element is a product of
-    two of them: sigma_x pairs site n of one chain with site n of the other,
-    sigma_y and sigma_z weight that pairing by the site's sigma_z sign s
-    (across and within the chains), and a + a^dag moves u along the hops to
-    the other chain. Returns gain (k, k), gain[j, k] the rate of the jump
+    energies, sector (k,) and the first k columns of basis are levels of
+    :func:`~uscmem.model.sector_levels`. Each level is a vector u on its
+    chain's sites, and every channel element is a product of two of them:
+    sigma_x pairs site n of one chain with site n of the other, sigma_y
+    and sigma_z weight that pairing by the site's sigma_z sign s (across
+    and within the chains), and a + a^dag moves u along the hops to the
+    other chain. Returns gain (k, k), gain[j, k] the rate of the jump
     |j><k|, with the channels merged in the order x, y, z, r.
     """
-    nf = params.n_fock
-    sector, rank = np.divmod(labels, nf)
-    u = v[sector, :, rank]
-    su = (2 * (params.chains.index // nf) - 1)[sector] * u
+    index = params.chains.index
+    u = basis[index[sector], np.arange(len(sector))[:, None]]
+    su = (2 * (index // params.n_fock) - 1)[sector] * u
     hu = u @ params.chains.hop
     cross = sector[:, None] != sector[None, :]
     signed = u @ su.T
@@ -108,7 +107,7 @@ def _rate_table(
     delta = energies[None, :] - energies[:, None]
     down = delta > 0.0
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
-    gain = np.zeros((len(labels), len(labels)))
+    gain = np.zeros(delta.shape)
     for elem, gamma in zip(elems, base):
         scale = gamma * delta[down] / params.omega_cav if rate_model == "ohmic" else gamma
         rate = scale * elem[down] ** 2
@@ -214,13 +213,13 @@ def _evolve_frame(params, schedule, rho0, rates, cfg, k_levels, refresh_every, r
     def step(rho_f, w, v, dt, i):
         nonlocal frame, sites, gain, decay
         if i % refresh_every == 0:
-            (evals,), (labels,), (basis,) = sector_levels(params, w[None], v[None], width)
+            (evals,), (sector,), (basis,) = sector_levels(params, w[None], v[None], width)
             r = basis.T @ frame
             rho_f = r @ rho_f @ r.T
             frame, sites = basis, basis[index]
             gain = np.zeros((width, width))
             gain[:k_levels, :k_levels] = _rate_table(
-                evals[:k_levels], labels[:k_levels], v, rates, params, rate_model)
+                evals[:k_levels], sector[:k_levels], basis, rates, params, rate_model)
             out_rate = gain.sum(axis=0)
             decay = -0.5 * (out_rate[:, None] + out_rate[None, :])
         # M^T = V^T B per sector: row (s, r) is level r of sector s in the frame

@@ -95,15 +95,12 @@ class CouplingSchedule:
     omega_start: float
     omega_end: float
     total_time: float
-    shape: str = "linear"
 
     def __post_init__(self) -> None:
         if not 0 < self.total_time < np.inf:
             raise ValueError(f"total_time must be finite and > 0, got {self.total_time}")
         if not np.isfinite([self.omega_start, self.omega_end]).all():
             raise ValueError(f"couplings must be finite, got {self.omega_start}, {self.omega_end}")
-        if self.shape != "linear":
-            raise ValueError(f"unsupported schedule shape {self.shape!r}")
 
     @property
     def is_sweep(self) -> bool:
@@ -117,7 +114,7 @@ class CouplingSchedule:
         return self.omega_start + (self.omega_end - self.omega_start) * frac
 
     def reversed(self) -> "CouplingSchedule":
-        return CouplingSchedule(self.omega_end, self.omega_start, self.total_time, self.shape)
+        return CouplingSchedule(self.omega_end, self.omega_start, self.total_time)
 
 
 def storage_schedule(
@@ -164,21 +161,19 @@ def sector_levels(
 
     Returns energies (m, k) ascending, with the P = -1 level first on an
     exact tie by convention (for omega_eg > 0 it is the lower level of
-    the ground doublet), chain labels (m, k), sector * n_fock + rank, and
-    full-basis real states (m, 2 * n_fock, k).
+    the ground doublet), each level's sector (m, k), 0 for P = -1 and 1
+    for P = +1, and full-basis real states (m, 2 * n_fock, k).
     """
     m, _, depth = w.shape
     nf = params.n_fock
     # chain 0 (P = -1) comes first, so a stable sort puts it first on ties
     flat_w = w.reshape(m, 2 * depth)
-    label = (nf * np.arange(2)[:, None] + np.arange(depth)).reshape(-1)
     order = np.argsort(flat_w, axis=1, kind="stable")[:, :k]
     energies = np.take_along_axis(flat_w, order, axis=1)
-    labels = label[order]
-    sector, rank = np.divmod(labels, nf)
+    sector, rank = np.divmod(order, depth)
     states = np.zeros((m, 2 * nf, k))
     rows = np.arange(m)[:, None, None]
     cols = np.arange(k)[None, :, None]
     states[rows, params.chains.index[sector], cols] = v[rows, sector[..., None],
                                                       np.arange(nf), rank[..., None]]
-    return energies, labels, states
+    return energies, sector, states

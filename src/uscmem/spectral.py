@@ -11,7 +11,7 @@ The qubit is stored in the ground doublet: G is the ground state of the
 P = -1 chain and E that of the P = +1 chain. Its order and signs are
 fixed at each coupling on its own (:func:`build_gauge_chain`), so
 protocol targets need no tracking along a sweep. The cat approximants
-lie on the same two chains.
+lie on the same two chains, with the sector as an array axis.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import State, coherent_state
+from .hilbert import coherent_state
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
     SECTOR_BATCH, ModelParams, build_rabi, sector_eigh, sector_levels,
@@ -88,8 +88,8 @@ def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> Spectr
     couplings = np.asarray(couplings, dtype=np.float64)
     # no sector contributes more than k levels
     w, v = _chain_levels(params, couplings, min(k, params.n_fock))
-    energies, labels, states = sector_levels(params, w, v, k)
-    return Spectrum(couplings, energies, states, 2.0 * (labels // params.n_fock) - 1)
+    energies, sector, states = sector_levels(params, w, v, k)
+    return Spectrum(couplings, energies, states, 2.0 * sector - 1)
 
 
 def build_gauge_chain(params: ModelParams, couplings: np.ndarray) -> Spectrum:
@@ -123,27 +123,27 @@ def build_gauge_chain(params: ModelParams, couplings: np.ndarray) -> Spectrum:
 # cat-state approximants of the ground doublet
 # --------------------------------------------------------------------------
 
-def cat_approximant(params: ModelParams, coupling: float, which: str) -> State:
+def cat_approximant(params: ModelParams, couplings: np.ndarray) -> np.ndarray:
     """Closed-form approximation of the lowest doublet deep in the
-    ultrastrong regime.
+    ultrastrong regime, at each coupling.
 
     With alpha = coupling / omega_cav and |+-> the sigma_x eigenstates,
 
-        which = "G":  (|-alpha>|+> - |alpha>|->) / sqrt(2)
-        which = "E":  (|-alpha>|+> + |alpha>|->) / sqrt(2)
+        G = (|-alpha>|+> - |alpha>|->) / sqrt(2)
+        E = (|-alpha>|+> + |alpha>|->) / sqrt(2)
 
     Since <n|alpha> = (-1)^n <n|-alpha>, either cat is |-alpha> laid on
     one parity chain: site n carries <n|-alpha>, G on the P = -1 chain
-    and E on the P = +1 chain. The pair is exactly orthogonal for every
-    alpha and approaches the bare states |g, 0> and |e, 0> as the
-    coupling vanishes. It is an accurate model of the true eigenstates
-    once coupling / omega_cav is around 0.8 or larger.
+    and E on the P = +1 chain. Returns the complex (m, 2, 2 * n_fock)
+    stack of the pair, each row a cell vector: G, then E. The pair is
+    exactly orthogonal for every alpha and approaches the bare states
+    |g, 0> and |e, 0> as the coupling vanishes. It is an accurate model of
+    the true eigenstates once coupling / omega_cav is around 0.8 or larger.
     """
-    if coupling < 0:
-        raise ValueError(f"coupling must be >= 0, got {coupling}")
-    if which not in ("G", "E"):
-        raise ValueError(f"which must be 'G' or 'E', got {which!r}")
-    amps = np.zeros(2 * params.n_fock, dtype=np.complex128)
-    amps[params.chains.index["GE".index(which)]] = coherent_state(
-        -coupling / params.omega_cav, params.n_fock)
-    return State(amps)
+    if np.any(np.asarray(couplings) < 0):
+        raise ValueError(f"couplings must be >= 0, got {couplings}")
+    cats = np.zeros((len(couplings), 2, 2 * params.n_fock), dtype=np.complex128)
+    for cat, coupling in zip(cats, couplings):
+        cat[np.arange(2)[:, None], params.chains.index] = coherent_state(
+            -coupling / params.omega_cav, params.n_fock)
+    return cats

@@ -9,6 +9,7 @@ test can compare a chain-level result with its dense counterpart.
 import numpy as np
 
 from uscmem import ModelParams, State, coherent_state, fock_annihilation
+from uscmem.hilbert import _coherent_terms
 
 RSQRT2 = 2 ** -0.5
 
@@ -20,6 +21,12 @@ def normalized(amplitudes: np.ndarray) -> State:
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return State(amps / nrm)
+
+
+def coherent_truncation_weight(alpha: complex, n_fock: int) -> float:
+    """Probability weight of a coherent state beyond the kept Fock levels."""
+    kept = float(np.sum(np.abs(_coherent_terms(alpha, n_fock)) ** 2))
+    return max(0.0, 1.0 - kept)
 
 
 def site(n_fock: int, qubit: int, n: int) -> int:

@@ -64,7 +64,7 @@ def test_constant_hamiltonian_is_exact():
     sched = CouplingSchedule(1.0, 1.0, total_time=5.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(5.0, steps=50))
     expected = np.exp(-1j * spec.energies[0, 0] * 5.0) * psi0.amplitudes
-    assert np.abs(traj.final.amplitudes - expected).max() < 1e-9
+    assert np.abs(traj.amplitudes[-1] - expected).max() < 1e-9
 
 
 def test_zero_coupling_is_pure_phase():
@@ -74,7 +74,7 @@ def test_zero_coupling_is_pure_phase():
     sched = CouplingSchedule(0.0, 0.0, total_time=12.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(12.0, steps=500))
     expected = np.exp(-1j * params.omega_eg * 12.0 / 2.0) * psi0.amplitudes
-    assert np.abs(traj.final.amplitudes - expected).max() < 1e-10
+    assert np.abs(traj.amplitudes[-1] - expected).max() < 1e-10
 
 
 def test_exchange_oscillation_against_expm_oracle():
@@ -90,8 +90,8 @@ def test_exchange_oscillation_against_expm_oracle():
     sched = CouplingSchedule(coupling, coupling, t_half)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(t_half))
 
-    assert np.abs(traj.final.amplitudes - one_shot).max() < 1e-6
-    pop = abs(traj.final.amplitudes[site(params.n_fock, 0, 1)]) ** 2
+    assert np.abs(traj.amplitudes[-1] - one_shot).max() < 1e-6
+    pop = abs(traj.amplitudes[-1, site(params.n_fock, 0, 1)]) ** 2
     assert abs(pop - 0.999925) < 1e-4
 
 
@@ -103,9 +103,9 @@ def test_propagation_is_linear():
     psi1 = basis_state(params.n_fock, 0, 0)
     psi2 = basis_state(params.n_fock, 1, 0)
     combo = State(a * psi1.amplitudes + b * psi2.amplitudes)
-    out1 = propagate(params, sched, psi1, cfg).final.amplitudes
-    out2 = propagate(params, sched, psi2, cfg).final.amplitudes
-    out = propagate(params, sched, combo, cfg).final.amplitudes
+    out1 = propagate(params, sched, psi1, cfg).amplitudes[-1]
+    out2 = propagate(params, sched, psi2, cfg).amplitudes[-1]
+    out = propagate(params, sched, combo, cfg).amplitudes[-1]
     assert np.abs(out - (a * out1 + b * out2)).max() < 1e-9
 
 
@@ -193,7 +193,7 @@ def test_sector_unitary_matches_expm(omega_eg):
     for om in (0.0, 0.3, 1.0, 1.4):
         sched = CouplingSchedule(om, om, dt)
         step = np.array([
-            propagate(params, sched, basis_state(params.n_fock, q, n), cfg).final.amplitudes
+            propagate(params, sched, basis_state(params.n_fock, q, n), cfg).amplitudes[-1]
             for q in (0, 1) for n in range(params.n_fock)
         ]).T
         exact = scipy.linalg.expm(-1j * dt * build_rabi(params, om))
@@ -208,7 +208,7 @@ def test_integrator_is_second_order():
 
     def final_at(steps):
         cfg = PropagatorConfig.for_total_time(10.0, steps=steps)
-        return propagate(params, sched, psi0, cfg).final.amplitudes
+        return propagate(params, sched, psi0, cfg).amplitudes[-1]
 
     ref = final_at(8000)
     err_coarse = np.linalg.norm(final_at(500) - ref)
@@ -287,7 +287,7 @@ def test_adiabatic_following_improves_with_sweep_time():
                          storage_input(params, 1.0, 0.0), cfg)
         _, fs = readout(branch_block(traj.amplitudes, params), 1.0, 0.0, 0.0)
         assert abs(fs[0] - 1.0) < 1e-9
-        got[total_time] = abs(np.vdot(v0, traj.final.amplitudes)) ** 2
+        got[total_time] = abs(np.vdot(v0, traj.amplitudes[-1])) ** 2
     for total_time, expected in STORAGE_GROUND.items():
         assert abs(got[total_time] - expected) < 1e-6
     values = [got[t] for t in sorted(got)]
@@ -316,7 +316,7 @@ def test_roundtrip_frozen_values(roundtrip_105, roundtrip_120):
 def test_phase_correction_matters(roundtrip_105):
     # applying the correction pi away from the optimum nearly destroys the
     # readout for the equal superposition
-    final = roundtrip_105.retrieval.final
+    final = State(roundtrip_105.retrieval.amplitudes[-1])
     bad = corrected_fidelity(final, roundtrip_105.theta_opt + np.pi)
     assert bad < 0.1
     assert roundtrip_105.fidelity > 0.99
@@ -327,7 +327,7 @@ def test_phase_correction_matters(roundtrip_105):
 
 
 def test_optimized_phase_agrees_with_grid_scan(params30, roundtrip_105):
-    final = roundtrip_105.retrieval.final
+    final = State(roundtrip_105.retrieval.amplitudes[-1])
     theta, f_best = readout(branch_block(final.amplitudes, params30), RSQRT2, RSQRT2, None)
     grid = np.linspace(0.0, 2 * np.pi, 20001)
     vals = [corrected_fidelity(final, th) for th in grid]
@@ -343,8 +343,9 @@ def test_single_branch_needs_no_correction():
     params = ModelParams(n_fock=20)
     rt = roundtrip(params, storage_schedule(params, 60.0), PropagatorConfig.for_total_time(60.0),
                    alpha_f=1.0, beta_f=0.0)
-    f0 = corrected_fidelity(rt.retrieval.final, 0.0, 1.0, 0.0)
-    f1 = corrected_fidelity(rt.retrieval.final, 2.2, 1.0, 0.0)
+    final = State(rt.retrieval.amplitudes[-1])
+    f0 = corrected_fidelity(final, 0.0, 1.0, 0.0)
+    f1 = corrected_fidelity(final, 2.2, 1.0, 0.0)
     assert abs(f0 - f1) < 1e-12
     assert rt.fidelity > 0.995
 
@@ -355,7 +356,7 @@ def test_roundtrip_is_closed_form_in_branch_return_amplitudes():
     params = ModelParams(n_fock=12)
     schedule = storage_schedule(params, 12.0)
     cfg = PropagatorConfig.for_total_time(12.0, steps=500)
-    final = roundtrip(params, schedule, cfg).retrieval.final.amplitudes
+    final = roundtrip(params, schedule, cfg).retrieval.amplitudes[-1]
     q_g, q_e = np.sqrt(2.0) * final[[site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)]]
     inputs = [(1.0, 0.0), (0.0, 1.0), (0.6j, 0.8 * np.exp(0.7j)), (RSQRT2, -RSQRT2)]
     for alpha, beta in inputs:
@@ -386,7 +387,7 @@ def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega
     rt = roundtrip(params, schedule, cfg, alpha, beta)
     write = propagate(params, schedule, storage_input(params, alpha, beta), cfg)
     _, fs = readout(branch_block(write.amplitudes, params), alpha, beta, 0.0)
-    read = propagate(params, schedule.reversed(), rt.storage.final, cfg)
+    read = propagate(params, schedule.reversed(), State(rt.storage.amplitudes[-1]), cfg)
     for got, ref in ((rt.storage, write), (rt.retrieval, read)):
         assert np.array_equal(got.times, ref.times)
         assert np.array_equal(got.couplings, ref.couplings)
@@ -426,7 +427,8 @@ def test_retrieval_from_exact_eigenstate():
     params = ModelParams()
     stored = State(sector_spectra(params, [params.omega0], 1).states[0, :, 0])
     cfg = PropagatorConfig.for_total_time(105.0)
-    final = propagate(params, storage_schedule(params, 105.0).reversed(), stored, cfg).final
+    read = propagate(params, storage_schedule(params, 105.0).reversed(), stored, cfg)
+    final = State(read.amplitudes[-1])
     f = corrected_fidelity(final, 0.0, 1.0, 0.0)
     assert f > 0.999
     assert abs(f - corrected_fidelity(final, 1.9, 1.0, 0.0)) < 1e-12

@@ -13,12 +13,12 @@ from uscmem import (
     State,
     TruncationError,
     coherent_state,
-    coherent_truncation_weight,
     fock_annihilation,
 )
 
 from reference import (
-    annihilation_op, basis_state, normalized, number_op, pauli_op, product_state, site,
+    annihilation_op, basis_state, coherent_truncation_weight, normalized, number_op, pauli_op,
+    product_state, site,
 )
 
 

@@ -62,17 +62,16 @@ CHANNEL_MIXES = [NoiseRates.for_qubit_splitting(0.1)] + [
 
 def _chain_levels(params, coupling, k_levels):
     """The k_levels lowest levels at one coupling as a sweep step sees them:
-    energies, chain labels, full-basis states and the chain eigenvectors."""
+    energies, sectors and full-basis states."""
     w, v = sector_eigh(params, np.array([coupling]))
-    (energies,), (labels,), (states,) = sector_levels(params, w, v, k_levels)
-    return energies, labels, states, v[0]
+    (energies,), (sector,), (states,) = sector_levels(params, w, v, k_levels)
+    return energies, sector, states
 
 
 def _labelled_rates(params, coupling, rates, k_levels=12, rate_model="flat"):
     """Nonzero rates of the jumps |j><k| among the dressed levels at one
     coupling, keyed by (j, k)."""
-    energies, labels, _, v = _chain_levels(params, coupling, k_levels)
-    gain = _rate_table(energies, labels, v, rates, params, rate_model)
+    gain = _rate_table(*_chain_levels(params, coupling, k_levels), rates, params, rate_model)
     return {(int(j), int(k)): float(gain[j, k]) for j, k in zip(*np.nonzero(gain))}
 
 
@@ -176,26 +175,25 @@ def test_ohmic_rescales_by_transition_energy():
         assert ohm[(j, k)] == pytest.approx(rate * (e[k] - e[j]), rel=1e-9)
 
 
-def _chain_elements(labels, v, params):
+def _chain_elements(sector, basis, params):
     """sigma_x, sigma_y, sigma_z and a + a^dag between the levels, built
     from their chain vectors exactly as the rate table builds them."""
-    nf = params.n_fock
-    sector, rank = np.divmod(labels, nf)
-    u = v[sector, :, rank]
-    su = (2 * (params.chains.index // nf) - 1)[sector] * u
+    index = params.chains.index
+    u = basis[index[sector], np.arange(len(sector))[:, None]]
+    su = (2 * (index // params.n_fock) - 1)[sector] * u
     hu = u @ params.chains.hop
     cross = sector[:, None] != sector[None, :]
     signed = u @ su.T
     return cross * (u @ u.T), cross * signed, ~cross * signed, cross * (u @ hu.T)
 
 
-def _loop_rate_table(energies, labels, v, rates, params, model):
+def _loop_rate_table(energies, sector, basis, rates, params, model):
     """Per-pair double loop over the levels: the oracle for the vectorized
     merge, floor and ohmic scale, as [(j, k, merged rate)] in ascending (j, k)."""
-    k_levels = len(labels)
+    k_levels = len(sector)
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
     merged = {}
-    for elem, gamma in zip(_chain_elements(labels, v, params), base):
+    for elem, gamma in zip(_chain_elements(sector, basis, params), base):
         if gamma == 0.0:
             continue
         for k in range(k_levels):
@@ -216,12 +214,12 @@ def test_rate_table_matches_the_double_loop():
     params = ModelParams(n_fock=10)
     for coupling in (0.0, 0.4, 1.0):
         for k_levels in (2, 7, 20):
-            energies, labels, _, v = _chain_levels(params, coupling, k_levels)
+            levels = _chain_levels(params, coupling, k_levels)
             for model in ("flat", "ohmic"):
                 for rates in CHANNEL_MIXES:
-                    got = _rate_table(energies, labels, v, rates, params, model)
+                    got = _rate_table(*levels, rates, params, model)
                     want = np.zeros((k_levels, k_levels))
-                    table = _loop_rate_table(energies, labels, v, rates, params, model)
+                    table = _loop_rate_table(*levels, rates, params, model)
                     for j, k, rate in table:
                         want[j, k] = rate
                     np.testing.assert_array_max_ulp(got, want, maxulp=2)
@@ -251,12 +249,12 @@ def test_chain_rate_table_matches_dense_operators():
         params = ModelParams(n_fock=n_fock)
         for coupling in (0.0, 0.4, 1.0, 1.5):
             depth = min(20, 2 * n_fock)
-            energies, labels, states, v = _chain_levels(params, coupling, depth)
+            energies, sector, states = _chain_levels(params, coupling, depth)
             for k_levels in range(2, depth + 1):
-                e, lab, st = energies[:k_levels], labels[:k_levels], states[:, :k_levels]
+                e, sec, st = energies[:k_levels], sector[:k_levels], states[:, :k_levels]
                 for model in ("flat", "ohmic"):
                     for rates in CHANNEL_MIXES:
-                        got = _rate_table(e, lab, v, rates, params, model)
+                        got = _rate_table(e, sec, st, rates, params, model)
                         want = _dense_rate_table(e, st, rates, params, model)
                         assert np.array_equal(got != 0.0, want != 0.0)
                         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
@@ -314,7 +312,7 @@ def test_zero_rates_reduce_to_closed_dynamics():
     sched = storage_schedule(params, 20.0)
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
     psi0 = storage_input(params)
-    pure = propagate(params, sched, psi0, cfg).final
+    pure = State(propagate(params, sched, psi0, cfg).amplitudes[-1])
     mt = evolve_master(params, sched, pure_density(psi0), NoiseRates(0, 0, 0, 0), cfg)
     assert state_fidelity(mt.final, pure) > 1 - 1e-8
     assert mt.times[-1] == 20.0
@@ -411,10 +409,10 @@ def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_ever
         u = (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
         rho = u @ rho @ u.conj().T
         if i % refresh_every == 0:
-            levels, labels, basis, v = _chain_levels(params, coupling, d)
+            levels, sector, basis = _chain_levels(params, coupling, d)
             gain = np.zeros((d, d))
-            for j, k, rate in _loop_rate_table(
-                    levels[:k_levels], labels[:k_levels], v, rates, params, model):
+            for j, k, rate in _loop_rate_table(levels[:k_levels], sector[:k_levels],
+                                               basis[:, :k_levels], rates, params, model):
                 gain[j, k] = rate
             out_rate = gain.sum(axis=0)
         rho_d = basis.conj().T @ rho @ basis

@@ -15,7 +15,6 @@ from uscmem import (
     build_gauge_chain,
     build_rabi,
     coherent_state,
-    coherent_truncation_weight,
     fock_annihilation,
     physical_time,
     sector_spectra,
@@ -221,8 +220,6 @@ def test_storage_and_retrieval_directions():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         CouplingSchedule(0.0, 1.0, total_time=0.0)
-    with pytest.raises(ValueError):
-        CouplingSchedule(0.0, 1.0, 5.0, shape="cubic")
 
 
 NON_FINITE_GUARDS = {
@@ -239,7 +236,6 @@ NON_FINITE_GUARDS = {
     "gamma_z": lambda x: NoiseRates(0.0, 0.0, x, 0.0),
     "gamma_r": lambda x: NoiseRates(0.0, 0.0, 0.0, x),
     "f_cav_hz": lambda x: physical_time(105.0, x),
-    "alpha_weight": lambda x: coherent_truncation_weight(x, 10),
     "alpha_state": lambda x: coherent_state(x, 10),
     "spectra_coupling": lambda x: sector_spectra(ModelParams(n_fock=4), [x], 2),
     "gauge_coupling": lambda x: build_gauge_chain(ModelParams(n_fock=4), np.array([x])),

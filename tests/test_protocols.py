@@ -22,7 +22,7 @@ from uscmem import (
     storage_schedule,
 )
 
-from reference import parity_op, site
+from reference import kron_cat, parity_op, site
 
 RSQRT2 = 2 ** -0.5
 
@@ -283,6 +283,22 @@ def test_storage_experiment_curve_layout():
     assert curve["t"][0] == 0.0
     assert curve["F_s"][0] == pytest.approx(1.0, abs=1e-12)
     assert "F_s_final" in bundle.scalars
+
+
+def test_storage_cat_columns_match_dense_doublet():
+    # F_G and F_E against the textbook cats and the lowest dense eigenvector
+    # of each parity sector, told apart by the parity operator
+    spec = _tiny_spec("storage")
+    curve = run_experiment(spec).curves["storage"]
+    params = spec.params
+    parity = np.real(np.diag(parity_op(params.n_fock)))
+    for c, f_g, f_e in zip(curve["omega"], curve["F_G"], curve["F_E"]):
+        vectors = np.linalg.eigh(build_rabi(params, float(c)))[1]
+        sector = parity @ np.abs(vectors) ** 2  # <P> of each eigenvector
+        for which, sign, got in (("G", -1.0, f_g), ("E", 1.0, f_e)):
+            v = vectors[:, np.flatnonzero(sector * sign > 0)[0]]
+            want = abs(np.vdot(kron_cat(params, float(c), which).amplitudes, v)) ** 2
+            assert abs(got - want) < 1e-12, (c, which)
 
 
 def test_roundtrip_experiment_times_concatenate():

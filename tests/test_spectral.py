@@ -217,19 +217,18 @@ def test_sector_spectra_match_eigendecompose(omega_eg):
 # --------------------------------------------------------------------------
 
 def test_cat_pair_is_orthonormal():
-    params = ModelParams()
-    cat_g = cat_approximant(params, 1.0, "G")
-    cat_e = cat_approximant(params, 1.0, "E")
-    assert abs(np.linalg.norm(cat_g.amplitudes) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(cat_e.amplitudes) - 1.0) < 1e-12
-    assert abs(np.vdot(cat_g.amplitudes, cat_e.amplitudes)) < 1e-12
+    (cat_g, cat_e), = cat_approximant(ModelParams(), [1.0])
+    assert abs(np.linalg.norm(cat_g) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(cat_e) - 1.0) < 1e-12
+    assert abs(np.vdot(cat_g, cat_e)) < 1e-12
 
 
 def test_cat_matches_exact_doublet():
     params = ModelParams()
     _, states, _ = _levels(params, 1.0, k=2)
-    f_g = abs(np.vdot(states[:, 0], cat_approximant(params, 1.0, "G").amplitudes)) ** 2
-    f_e = abs(np.vdot(states[:, 1], cat_approximant(params, 1.0, "E").amplitudes)) ** 2
+    (cat_g, cat_e), = cat_approximant(params, [1.0])
+    f_g = abs(np.vdot(states[:, 0], cat_g)) ** 2
+    f_e = abs(np.vdot(states[:, 1], cat_e)) ** 2
     assert abs(f_g - CAT_G_OVERLAP) < 1e-4
     assert abs(f_e - CAT_E_OVERLAP) < 1e-4
     assert f_g > 0.98 and f_e > 0.98
@@ -239,18 +238,23 @@ def test_cat_parity_sectors():
     params = ModelParams()
     p = parity_op(params.n_fock)
     plus = np.real(np.diag(p)) > 0
-    cat_g = cat_approximant(params, 1.0, "G").amplitudes
-    cat_e = cat_approximant(params, 1.0, "E").amplitudes
+    cats = cat_approximant(params, np.linspace(0.0, 1.0, 11))
+    cat_g, cat_e = cats[-1]
     assert abs(np.vdot(cat_g, p @ cat_g) + 1.0) < 1e-12
     assert abs(np.vdot(cat_e, p @ cat_e) - 1.0) < 1e-12
-    # by construction, not up to roundoff
-    assert np.all(cat_g[plus] == 0.0) and np.all(cat_e[~plus] == 0.0)
+    # row s is zero off chain s at every coupling, by construction, not up to roundoff
+    assert np.all(cats[:, 0, plus] == 0.0) and np.all(cats[:, 1, ~plus] == 0.0)
+
+
+KRON_GRID = (0.0, 0.3, 1.0, 1.5)
 
 
 @pytest.mark.parametrize("which", ["G", "E"])
-@pytest.mark.parametrize("coupling", [0.0, 0.3, 1.0, 1.5])
+@pytest.mark.parametrize("coupling", KRON_GRID)
 def test_cat_matches_textbook_kron_form(coupling, which):
-    cat = cat_approximant(ModelParams(), coupling, which).amplitudes
+    # the stack over the whole grid in one call; row 0 is G and row 1 is E
+    cats = cat_approximant(ModelParams(), KRON_GRID)
+    cat = cats[KRON_GRID.index(coupling), "GE".index(which)]
     assert np.abs(cat - kron_cat(ModelParams(), coupling, which).amplitudes).max() < 1e-15
 
 
@@ -258,15 +262,9 @@ def test_cat_zero_coupling_limit():
     # alpha -> 0 collapses the cats onto the bare states
     params = ModelParams()
     g0 = basis_state(params.n_fock, 0, 0).amplitudes
-    cat_g0 = cat_approximant(params, 0.0, "G").amplitudes
+    cat_g0, near = cat_approximant(params, [0.0, 0.01])[:, 0]
     assert abs(abs(np.vdot(cat_g0, g0)) - 1.0) < 1e-12
-    near = cat_approximant(params, 0.01, "G").amplitudes
     assert abs(np.vdot(near, g0)) > 0.9999
-
-
-def test_cat_rejects_unknown_branch():
-    with pytest.raises(ValueError):
-        cat_approximant(ModelParams(), 1.0, "X")
 
 
 # --------------------------------------------------------------------------
