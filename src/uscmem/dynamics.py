@@ -328,17 +328,20 @@ def phase_landscape(
     if theta_points < 32:
         raise ValueError(f"theta_points must be >= 32, got {theta_points}")
     traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg)
-    doublets = build_gauge_chain(params, traj.couplings).states
+    times, couplings = traj.times, traj.couplings
+    doublets = build_gauge_chain(params, couplings).states
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
 
-    # the state in the doublet basis, (n, 2), and its block there
+    # the state in the doublet basis, (n, 2), and its block there; the
+    # amplitudes and the doublets are freed before the landscape is allocated
     c = _real_matmul(np.swapaxes(doublets, 1, 2), traj.amplitudes[..., None])[..., 0]
+    del traj, doublets
     block = c[:, :, None] * c[:, None, :].conj()
-    fid = np.empty((len(traj.times), theta_points))
+    fid = np.empty((len(times), theta_points))
     for j, theta in enumerate(thetas):
         _, fid[:, j] = readout(block, alpha_f, beta_f, theta)
     theta_opt = thetas[np.argmax(fid, axis=1)]
-    return PhaseLandscape(traj.times, traj.couplings, thetas, fid, theta_opt)
+    return PhaseLandscape(times, couplings, thetas, fid, theta_opt)
 
 
 # --------------------------------------------------------------------------

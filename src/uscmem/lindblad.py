@@ -136,15 +136,14 @@ def validate_density(rho: np.ndarray, where: str = "rho") -> None:
 
 @dataclass(frozen=True)
 class MasterTrajectory:
-    """Recorded open-system sweep: times, couplings, density matrices."""
+    """Recorded open-system sweep: times, couplings, the recorded block of
+    each sample's lab-frame density matrix, and the full lab-frame density
+    matrix after the last step."""
 
     times: np.ndarray
     couplings: np.ndarray
     rhos: np.ndarray
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.rhos[-1]
+    final: np.ndarray
 
 
 #---------------------------------------------------------------------------
@@ -154,7 +153,7 @@ class MasterTrajectory:
 def evolve_master(
     params: ModelParams, schedule: CouplingSchedule, rho0: np.ndarray, rates: NoiseRates,
     cfg: PropagatorConfig, k_levels: int = 12, refresh_every: int = 20,
-    rate_model: str = "flat",
+    rate_model: str = "flat", cells: slice | np.ndarray = slice(None),
 ) -> MasterTrajectory:
     """Sweep a cell under the dressed-basis master equation.
 
@@ -176,8 +175,12 @@ def evolve_master(
     else; the trace check of :func:`validate_density` on each recorded
     rho_f, rho0 included, is the budget for that loss. If a sample's trace
     fails while K < d, the sweep is rerun once on all d levels; any other
-    failure raises, as does any failure of that rerun. Recorded samples
-    are the lab-frame B rho_f B^T.
+    failure raises, as does any failure of that rerun. Each recorded
+    sample is the block B[cells] rho_f B[cells]^T of the lab-frame
+    B rho_f B^T on the cell-basis indices cells, every cell by default;
+    params.chains.index[:, 0] keeps the |g,0>, |e,0> block that
+    :func:`~uscmem.dynamics.readout` reads. The trajectory's final is the
+    full lab-frame matrix after the last step, whatever cells is.
     """
     d = 2 * params.n_fock
     if rho0.shape != (d, d):
@@ -189,7 +192,7 @@ def evolve_master(
     if not 2 <= k_levels <= d:
         raise ValueError(f"k_levels must be in [2, {d}], got {k_levels}")
 
-    args = (params, schedule, rho0, rates, cfg, k_levels, refresh_every, rate_model)
+    args = (params, schedule, rho0, rates, cfg, k_levels, refresh_every, rate_model, cells)
     width = min(d, k_levels + _FRAME_MARGIN)
     if width < d:
         try:
@@ -200,15 +203,18 @@ def evolve_master(
 
 
 def _evolve_frame(params, schedule, rho0, rates, cfg, k_levels, refresh_every, rate_model,
-                  width):
+                  cells, width):
     """The sweep of :func:`evolve_master` with rho_f carried on the width
-    lowest levels of each refresh."""
+    lowest levels of each refresh. Each recorded rho_f is validated and
+    kept as its lab-frame block on cells; the last one, rotated back in
+    full, is the trajectory's final."""
     d = 2 * params.n_fock
     index = params.chains.index
     frame = np.eye(d)     # dressed basis B of the last refresh, levels as columns
     sites = frame[index]  # (2, n_fock, K): the rows of B at each chain's sites
     gain = None           # gain[j, k] = rate of |k> feeding |j>
     decay = None          # decay[j, k] = -(Gamma_j + Gamma_k) / 2
+    last = None           # rho_f at the last recorded step
 
     def step(rho_f, w, v, dt, i):
         nonlocal frame, sites, gain, decay
@@ -231,10 +237,14 @@ def _evolve_frame(params, schedule, rho0, rates, cfg, k_levels, refresh_every, r
         return rho_f + dt * drho
 
     def record(rho_f, n):
+        nonlocal last
         # B has orthonormal columns, so B rho_f B^T has rho_f's trace and
         # Hermiticity, and its lowest eigenvalue is min(that of rho_f, 0)
         validate_density(rho_f, f"rho at step {n}" if n else "rho0")
-        return frame @ rho_f @ frame.T
+        last = rho_f
+        rows = frame[cells]
+        return rows @ rho_f @ rows.T
 
     rho = np.array(rho0, dtype=np.complex128)
-    return MasterTrajectory(*_sweep(params, schedule, cfg, rho, step, record))
+    times, couplings, rhos = _sweep(params, schedule, cfg, rho, step, record)
+    return MasterTrajectory(times, couplings, rhos, frame @ last @ frame.T)

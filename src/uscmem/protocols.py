@@ -286,30 +286,23 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     rates = spec.noise or NoiseRates.for_qubit_splitting(params.omega_eg)
     rho0 = pure_density(storage_input(params, spec.alpha_f, spec.beta_f))
-    idx = params.chains.index[:, 0]  # |g,0>, |e,0>
-
-    def read(rhos, theta):
-        return readout(rhos[..., idx[:, None], idx], spec.alpha_f, spec.beta_f, theta)
-
+    # each leg records only the |g,0>, |e,0> block that readout reads
+    cells = params.chains.index[:, 0]
     mt_s = _stage("noisy storage", evolve_master,
                   params, spec.schedule, rho0, rates, spec.cfg,
-                  spec.k_levels, spec.refresh_every, spec.rate_model)
-    _, fs_s = read(mt_s.rhos, 0.0)
-    # keep what the curve reads of the write leg and free its samples, so the
-    # two legs' stacks are never held at once (final is a view into them)
-    times_s, couplings_s, stored = mt_s.times, mt_s.couplings, mt_s.final.copy()
-    del mt_s
+                  spec.k_levels, spec.refresh_every, spec.rate_model, cells)
     mt_r = _stage("noisy retrieval", evolve_master,
-                  params, spec.schedule.reversed(), stored, rates, spec.cfg,
-                  spec.k_levels, spec.refresh_every, spec.rate_model)
+                  params, spec.schedule.reversed(), mt_s.final, rates, spec.cfg,
+                  spec.k_levels, spec.refresh_every, spec.rate_model, cells)
     total_time = spec.schedule.total_time
-    _, fs_r = read(mt_r.rhos, 0.0)
+    _, fs_s = readout(mt_s.rhos, spec.alpha_f, spec.beta_f, 0.0)
+    _, fs_r = readout(mt_r.rhos, spec.alpha_f, spec.beta_f, 0.0)
     curve = {
-        "t": np.concatenate([times_s, total_time + mt_r.times[1:]]),
-        "omega": np.concatenate([couplings_s, mt_r.couplings[1:]]),
+        "t": np.concatenate([mt_s.times, total_time + mt_r.times[1:]]),
+        "omega": np.concatenate([mt_s.couplings, mt_r.couplings[1:]]),
         "F_s": np.concatenate([fs_s, fs_r[1:]]),
     }
-    theta, f_final = read(mt_r.final, spec.theta)
+    theta, f_final = readout(mt_r.rhos[-1], spec.alpha_f, spec.beta_f, spec.theta)
     # weight that left the carried dressed levels, over both legs
     trace_lost = 1.0 - float(np.real(np.trace(mt_r.final)))
     scalars = {"F_s_final": float(f_final), "theta_opt": float(theta),

@@ -92,6 +92,16 @@ def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> Spectr
     return Spectrum(couplings, energies, states, 2.0 * sector - 1)
 
 
+def _checked_couplings(couplings) -> np.ndarray:
+    """couplings as a float array, which must be nonempty, 1-d and >= 0."""
+    couplings = np.asarray(couplings, dtype=np.float64)
+    if couplings.ndim != 1 or len(couplings) == 0:
+        raise ValueError("couplings must be a nonempty 1-d array")
+    if np.any(couplings < 0):
+        raise ValueError("couplings must be >= 0")
+    return couplings
+
+
 def build_gauge_chain(params: ModelParams, couplings: np.ndarray) -> Spectrum:
     """The ground doublet at each coupling: G, the lowest level of the
     P = -1 chain, then E, the lowest of the P = +1 chain.
@@ -105,11 +115,7 @@ def build_gauge_chain(params: ModelParams, couplings: np.ndarray) -> Spectrum:
     coupling on its own, and any grid, however coarse, gives the same
     states there.
     """
-    couplings = np.asarray(couplings, dtype=np.float64)
-    if couplings.ndim != 1 or len(couplings) == 0:
-        raise ValueError("couplings must be a nonempty 1-d array")
-    if np.any(couplings < 0):
-        raise ValueError("couplings must be >= 0")
+    couplings = _checked_couplings(couplings)
     w, v = _chain_levels(params, couplings, 1)
     energies, ground = w[..., 0], v[..., 0]
     alternating = (-1.0) ** np.arange(params.n_fock)
@@ -139,9 +145,10 @@ def cat_approximant(params: ModelParams, couplings: np.ndarray) -> np.ndarray:
     exactly orthogonal for every alpha and approaches the bare states
     |g, 0> and |e, 0> as the coupling vanishes. It is an accurate model of
     the true eigenstates once coupling / omega_cav is around 0.8 or larger.
+    couplings must be a nonempty 1-d array of values >= 0, as for
+    :func:`build_gauge_chain`.
     """
-    if np.any(np.asarray(couplings) < 0):
-        raise ValueError(f"couplings must be >= 0, got {couplings}")
+    couplings = _checked_couplings(couplings)
     cats = np.zeros((len(couplings), 2, 2 * params.n_fock), dtype=np.complex128)
     for cat, coupling in zip(cats, couplings):
         cat[np.arange(2)[:, None], params.chains.index] = coherent_state(

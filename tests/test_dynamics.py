@@ -5,6 +5,8 @@ Hamiltonian assembly, scipy-based propagation) at the default operating
 point. Dynamical tests that admit a closed-form or scipy oracle carry it
 inline.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -487,6 +489,24 @@ def test_landscape_rows_match_dense_targets():
                  for th in land.theta_grid]
         assert np.abs(row - dense).max() < 1e-14
     assert np.array_equal(land.theta_opt, land.theta_grid[land.fidelity.argmax(axis=1)])
+
+
+def test_landscape_frees_its_temporaries():
+    # the sweep's amplitudes and doublets are gone before the landscape is
+    # allocated, so the landscape itself is nearly all of the peak
+    params = ModelParams(n_fock=30)
+    sched = storage_schedule(params, 20.0)
+    cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=1)
+    args = (params, RSQRT2, RSQRT2, sched, cfg, 1024)
+    phase_landscape(*args)  # warm the per-params caches
+    tracemalloc.start()
+    try:
+        land = phase_landscape(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert land.fidelity.shape == (501, 1024)
+    assert peak < 1.1 * land.fidelity.nbytes, peak / land.fidelity.nbytes
 
 
 def test_landscape_rejects_coarse_theta_grid():

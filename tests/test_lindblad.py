@@ -461,7 +461,7 @@ def test_truncated_frame_matches_lab_frame_reference():
     args, mt, want = _truncated_frame_run(1.0)
     params = args[0]
     # the 24-level sweep passed every check, so it is the one returned
-    assert np.array_equal(mt.rhos, _evolve_frame(*args, 24).rhos)
+    assert np.array_equal(mt.rhos, _evolve_frame(*args, slice(None), 24).rhos)
     idx = np.array([site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)])
     got_block, want_block = mt.rhos[:, idx[:, None], idx], want[:, idx[:, None], idx]
     assert np.abs(got_block - want_block).max() < 1e-9
@@ -480,8 +480,22 @@ def test_truncated_frame_falls_back_to_every_level():
     # budget by step 300, so the sweep reruns on all 40 and is exact
     args, mt, want = _truncated_frame_run(3.0)
     with pytest.raises(ValueError, match="rho at step 300 trace"):
-        _evolve_frame(*args, 24)
+        _evolve_frame(*args, slice(None), 24)
     assert np.abs(mt.rhos - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("omega0", [1.0, 3.0])
+def test_block_records_match_the_full_samples(omega0):
+    # omega0 = 1 keeps the 24-level sweep and omega0 = 3 reruns on all 40
+    # levels; either way the block records are the full samples' blocks,
+    # and final is the full last sample
+    args, mt, _ = _truncated_frame_run(omega0)
+    idx = args[0].chains.index[:, 0]
+    block = evolve_master(*args, cells=idx)
+    assert block.rhos.shape == (51, 2, 2)
+    assert np.array_equal(block.rhos, mt.rhos[:, idx[:, None], idx])
+    assert np.array_equal(block.final, mt.rhos[-1])
+    assert np.array_equal(mt.final, mt.rhos[-1])
 
 
 def test_only_trace_loss_reruns_on_every_level(monkeypatch):

@@ -368,6 +368,24 @@ def test_noisy_legs_are_not_held_at_once():
     assert peak < 1.5 * leg_bytes, peak / leg_bytes
 
 
+def test_noisy_records_only_the_qubit_block():
+    # every step recorded at n_fock = 20: each leg keeps its 2 x 2 qubit
+    # blocks and its final state, far less than one leg of full samples
+    params = ModelParams(n_fock=20)
+    spec = replace(_tiny_spec("noisy", params=params, total_time=20.0),
+                   cfg=PropagatorConfig.for_total_time(20.0, steps=500, record_every=1))
+    run_experiment(spec)  # warm the per-params caches
+    tracemalloc.start()
+    try:
+        bundle = run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    leg_bytes = 501 * 40 * 40 * np.dtype(np.complex128).itemsize
+    assert len(bundle.curves["noisy"]["t"]) == 2 * 501 - 1
+    assert peak < 0.25 * leg_bytes, peak / leg_bytes
+
+
 def test_run_experiment_is_deterministic():
     a = run_experiment(_tiny_spec("storage"))
     b = run_experiment(_tiny_spec("storage"))

@@ -165,11 +165,13 @@ def test_sector_gauge_chain_takes_coarse_grids():
     assert np.array_equal(coarse.energies, fine.energies[[0, -1]])
 
 
-def test_gauge_chain_rejects_bad_couplings():
+@pytest.mark.parametrize("fn", [build_gauge_chain, cat_approximant],
+                         ids=["build_gauge_chain", "cat_approximant"])
+def test_gauge_chain_rejects_bad_couplings(fn):
     params = ModelParams(n_fock=8)
-    for couplings in ([], [[0.5]], [0.5, -0.1]):
+    for couplings in (0.5, [], [[0.5]], [0.5, -0.1]):
         with pytest.raises(ValueError, match="couplings"):
-            build_gauge_chain(params, np.array(couplings))
+            fn(params, np.array(couplings))
 
 
 def _shift_level(w, v):
