@@ -3,7 +3,7 @@ qubit-resonator coupling regime.
 
 A logical qubit alpha |g,0> + beta |e,0> is written into the degenerate
 cat-like ground doublet of the quantum Rabi model by sweeping the coupling
-up, held, and read back by the reverse sweep plus one phase correction.
+up, and read back by the reverse sweep plus one phase correction.
 The package covers the closed-system protocol, its dressed-basis open
 dynamics, a two-cell entangled register computed from one cell's sweep,
 and a CLI that emits the standard curves as CSV.

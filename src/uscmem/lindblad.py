@@ -18,11 +18,12 @@ is refreshed quasi-statically every few steps by
 :func:`~uscmem.model.sector_levels` from the step's sector eigensystems,
 and the density matrix is carried in the frame of the last refresh: there
 every jump is |j><k|, so the dissipator acts elementwise, and the frame
-changes only when the basis is refreshed. The frame holds only the
+changes only when the basis is refreshed. The frame starts on the
 k_levels + 12 lowest levels (all of them in a smaller space). Weight that
 leaves them is lost from the trace, about 3e-11 per leg at the ``noisy``
-defaults; the 1e-8 trace check bounds it, and a sweep that loses more is
-rerun on every level.
+defaults. Once a leg has lost a tenth of the 1e-8 trace budget, the frame
+widens in place to every level of the last refresh and the leg goes on
+there, so ``noisy`` at omega0 = 2 loses 2.1e-9 over both legs.
 """
 from __future__ import annotations
 
@@ -45,10 +46,6 @@ _FRAME_MARGIN = 12
 
 class PositivityError(RuntimeError):
     """Density matrix developed a meaningful negative eigenvalue."""
-
-
-class TraceError(ValueError):
-    """Density matrix trace deviates from 1 beyond tolerance."""
 
 
 # bath spectral densities: "flat" keeps each base rate, "ohmic" scales it by
@@ -128,7 +125,7 @@ def validate_density(rho: np.ndarray, where: str = "rho") -> None:
         raise ValueError(f"{where} is not Hermitian within {_HERM_TOL}")
     tr = float(np.real(np.trace(rho)))
     if not (abs(tr - 1.0) <= _TRACE_TOL):
-        raise TraceError(f"{where} trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
+        raise ValueError(f"{where} trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
     lowest = float(np.linalg.eigvalsh(rho)[0])
     if not (_EIG_FLOOR_HARD <= lowest):
         raise PositivityError(f"{where} eigenvalue {lowest:.3e} below {_EIG_FLOOR_HARD}")
@@ -162,23 +159,24 @@ def evolve_master(
     eigensystems every refresh_every steps (quasi-static approximation),
     with the bath model rate_model, one of :data:`RATE_MODELS`.
 
-    The state is carried on the K = min(d, k_levels + 12) lowest
-    levels of the last refresh, rho_f = B^T rho B with B the real d x K
-    dressed basis of :func:`~uscmem.model.sector_levels` (the full identity
-    before the first refresh). There every jump is |j><k|, so the
-    dissipator acts elementwise. A refresh rotates rho_f once by
-    R = B_new^T B_old; each step applies the K x K block
-    U_f = M exp(-i w dt) M^T of the midpoint unitary, with M = B^T V and V
-    the step's eigenvectors, so one K x K sandwich U_f rho_f U_f^dag
-    remains per step. U_f is a contraction, so weight that reaches the
-    levels above K is lost from the trace and truncation breaks nothing
-    else; the trace check of :func:`validate_density` on each recorded
-    rho_f, rho0 included, is the budget for that loss. If a sample's trace
-    fails while K < d, the sweep is rerun once on all d levels; any other
-    failure raises, as does any failure of that rerun. Each recorded
-    sample is the block B[cells] rho_f B[cells]^T of the lab-frame
-    B rho_f B^T on the cell-basis indices cells, every cell by default;
-    params.chains.index[:, 0] keeps the |g,0>, |e,0> block that
+    The state is carried on the K lowest levels of the last refresh,
+    rho_f = B^T rho B with B the real d x K dressed basis of
+    :func:`~uscmem.model.sector_levels` (the full identity before the
+    first refresh). There every jump is |j><k|, so the dissipator acts
+    elementwise. A refresh rotates rho_f once by R = B_new^T B_old; each
+    step applies the K x K block U_f = M exp(-i w dt) M^T of the midpoint
+    unitary, with M = B^T V and V the step's eigenvectors, so one K x K
+    sandwich U_f rho_f U_f^dag remains per step. U_f is a contraction, so
+    weight that reaches the levels above K is lost from the trace and
+    truncation breaks nothing else. K starts at min(d, k_levels + 12).
+    Once a step's trace, the sum of the populations the dissipator reads,
+    falls below trace(rho0) by a tenth of the 1e-8 budget, the next step
+    redoes the last scheduled refresh on all d levels, on the same
+    schedule. The trace check of :func:`validate_density` on each
+    recorded rho_f, rho0 included, bounds the loss; a failed check raises.
+    Each recorded sample is the block B[cells] rho_f B[cells]^T of the
+    lab-frame B rho_f B^T on the cell-basis indices cells, every cell by
+    default; params.chains.index[:, 0] keeps the |g,0>, |e,0> block that
     :func:`~uscmem.dynamics.readout` reads. The trajectory's final is the
     full lab-frame matrix after the last step, whatever cells is.
     """
@@ -192,34 +190,23 @@ def evolve_master(
     if not 2 <= k_levels <= d:
         raise ValueError(f"k_levels must be in [2, {d}], got {k_levels}")
 
-    args = (params, schedule, rho0, rates, cfg, k_levels, refresh_every, rate_model, cells)
-    width = min(d, k_levels + _FRAME_MARGIN)
-    if width < d:
-        try:
-            return _evolve_frame(*args, width)
-        except TraceError:
-            pass  # too much weight left the K levels: redo the leg on all of them
-    return _evolve_frame(*args, d)
-
-
-def _evolve_frame(params, schedule, rho0, rates, cfg, k_levels, refresh_every, rate_model,
-                  cells, width):
-    """The sweep of :func:`evolve_master` with rho_f carried on the width
-    lowest levels of each refresh. Each recorded rho_f is validated and
-    kept as its lab-frame block on cells; the last one, rotated back in
-    full, is the trajectory's final."""
-    d = 2 * params.n_fock
     index = params.chains.index
+    width = min(d, k_levels + _FRAME_MARGIN)
+    # a step that leaves less trace than this widens the frame
+    floor = float(np.real(np.trace(rho0))) - _TRACE_TOL / 10
     frame = np.eye(d)     # dressed basis B of the last refresh, levels as columns
     sites = frame[index]  # (2, n_fock, K): the rows of B at each chain's sites
+    levels = None         # (w, v) of the last scheduled refresh
     gain = None           # gain[j, k] = rate of |k> feeding |j>
     decay = None          # decay[j, k] = -(Gamma_j + Gamma_k) / 2
     last = None           # rho_f at the last recorded step
 
     def step(rho_f, w, v, dt, i):
-        nonlocal frame, sites, gain, decay
+        nonlocal width, frame, sites, levels, gain, decay
         if i % refresh_every == 0:
-            (evals,), (sector,), (basis,) = sector_levels(params, w[None], v[None], width)
+            levels = w[None], v[None]
+        if i % refresh_every == 0 or frame.shape[1] < width:
+            (evals,), (sector,), (basis,) = sector_levels(params, *levels, width)
             r = basis.T @ frame
             rho_f = r @ rho_f @ r.T
             frame, sites = basis, basis[index]
@@ -232,8 +219,11 @@ def _evolve_frame(params, schedule, rho0, rates, cfg, k_levels, refresh_every, r
         mt = (np.swapaxes(v, 1, 2) @ sites).reshape(d, width)
         u = _real_matmul(mt.T, np.exp(-1j * w * dt).reshape(d, 1) * mt)
         rho_f = u @ rho_f @ u.conj().T
+        pop = np.real(np.diagonal(rho_f))
+        if pop.sum() < floor:
+            width = d  # the next step widens the frame in the last refresh's basis
         drho = decay * rho_f
-        np.fill_diagonal(drho, np.diagonal(drho) + gain @ np.real(np.diagonal(rho_f)))
+        np.fill_diagonal(drho, np.diagonal(drho) + gain @ pop)
         return rho_f + dt * drho
 
     def record(rho_f, n):

@@ -31,7 +31,7 @@ from uscmem import (
     validate_density,
 )
 from uscmem import dynamics, lindblad
-from uscmem.lindblad import _evolve_frame, _rate_table
+from uscmem.lindblad import _rate_table
 from uscmem.model import sector_levels
 
 from reference import (
@@ -457,11 +457,25 @@ def _truncated_frame_run(omega0):
     return (params, sched, rho0, rates, cfg, 12, 3, "flat"), mt, want
 
 
-def test_truncated_frame_matches_lab_frame_reference():
+def _spy_widths(monkeypatch):
+    """The width of every frame refresh of evolve_master, in call order."""
+    widths = []
+
+    def spy(params, w, v, k):
+        widths.append(k)
+        return sector_levels(params, w, v, k)
+
+    monkeypatch.setattr(lindblad, "sector_levels", spy)
+    return widths
+
+
+def test_truncated_frame_matches_lab_frame_reference(monkeypatch):
+    widths = _spy_widths(monkeypatch)
     args, mt, want = _truncated_frame_run(1.0)
     params = args[0]
-    # the 24-level sweep passed every check, so it is the one returned
-    assert np.array_equal(mt.rhos, _evolve_frame(*args, slice(None), 24).rhos)
+    # the 24 carried levels lose less than a tenth of the trace budget, so
+    # the frame never widens: each of the 167 refreshes is 24 levels wide
+    assert widths == [24] * 167
     idx = np.array([site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)])
     got_block, want_block = mt.rhos[:, idx[:, None], idx], want[:, idx[:, None], idx]
     assert np.abs(got_block - want_block).max() < 1e-9
@@ -475,20 +489,27 @@ def test_truncated_frame_matches_lab_frame_reference():
     # 1.2e-7 here, while every populated level agrees to roundoff.
 
 
-def test_truncated_frame_falls_back_to_every_level():
-    # at omega0 = 3 the 24 carried levels lose more than the 1e-8 trace
-    # budget by step 300, so the sweep reruns on all 40 and is exact
+def test_truncated_frame_widens_to_every_level(monkeypatch):
+    # at omega0 = 3 the 24 carried levels would lose more than the 1e-8
+    # trace budget, so once they have lost a tenth of it the frame widens
+    # to all 40 levels of the last refresh and the sweep goes on there
+    widths = _spy_widths(monkeypatch)
     args, mt, want = _truncated_frame_run(3.0)
-    with pytest.raises(ValueError, match="rho at step 300 trace"):
-        _evolve_frame(*args, slice(None), 24)
-    assert np.abs(mt.rhos - want).max() < 1e-12
+    params = args[0]
+    wide = widths.index(40)
+    assert 0 < wide and widths == [24] * wide + [40] * (len(widths) - wide)
+    lost = 1.0 - np.real(np.trace(mt.rhos, axis1=1, axis2=2))
+    assert lost.max() <= 1e-8
+    idx = np.array([site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)])
+    got_block, want_block = mt.rhos[:, idx[:, None], idx], want[:, idx[:, None], idx]
+    assert np.abs(got_block - want_block).max() < 2e-8
 
 
 @pytest.mark.parametrize("omega0", [1.0, 3.0])
 def test_block_records_match_the_full_samples(omega0):
-    # omega0 = 1 keeps the 24-level sweep and omega0 = 3 reruns on all 40
-    # levels; either way the block records are the full samples' blocks,
-    # and final is the full last sample
+    # omega0 = 1 keeps the 24-level frame and omega0 = 3 widens it to all
+    # 40 levels mid-sweep; either way the block records are the full
+    # samples' blocks, and final is the full last sample
     args, mt, _ = _truncated_frame_run(omega0)
     idx = args[0].chains.index[:, 0]
     block = evolve_master(*args, cells=idx)
@@ -498,22 +519,24 @@ def test_block_records_match_the_full_samples(omega0):
     assert np.array_equal(mt.final, mt.rhos[-1])
 
 
-def test_only_trace_loss_reruns_on_every_level(monkeypatch):
-    # gamma_x = 50 breaks positivity at step 1. Truncating to 24 levels can
-    # only lose trace, so the 24-level attempt's error is final: no rerun
+def test_a_failed_check_ends_the_one_sweep(monkeypatch):
+    # gamma_x = 50 breaks positivity at step 1. The check fails in the one
+    # 24-level sweep, and its error is final: no second sweep runs
     params = ModelParams(n_fock=20)
     sched = storage_schedule(params, 20.0)
     cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=1)
     rates = replace(NoiseRates.for_qubit_splitting(params.omega_eg), gamma_x=50.0)
-    widths = []
+    widths = _spy_widths(monkeypatch)
+    sweeps = []
 
     def spy(*args):
-        widths.append(args[-1])
-        return _evolve_frame(*args)
+        sweeps.append(args)
+        return dynamics._sweep(*args)
 
-    monkeypatch.setattr(lindblad, "_evolve_frame", spy)
+    monkeypatch.setattr(lindblad, "_sweep", spy)
     with pytest.raises(PositivityError, match="rho at step 1 "):
         evolve_master(params, sched, pure_density(storage_input(params)), rates, cfg)
+    assert len(sweeps) == 1
     assert widths == [24]
 
 

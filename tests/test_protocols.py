@@ -344,15 +344,23 @@ def test_noisy_fixed_theta_reproduces_the_optimum():
 
 def test_noisy_reports_the_trace_its_frame_lost():
     # n_fock = 20 carries 24 of its 40 dressed levels and loses a little
-    # weight above them; n_fock = 12 carries all 24, so it loses roundoff
-    for n_fock, low, high in ((20, 1e-11, 1e-8), (12, -1e-12, 1e-12)):
-        bundle = run_experiment(_tiny_spec("noisy", params=ModelParams(n_fock=n_fock)))
-        assert low < bundle.scalars["trace_lost"] < high, n_fock
+    # weight above them; n_fock = 12 carries all 24, so it loses roundoff.
+    # At omega0 = 2 and 3 (T = 20) each leg loses a tenth of the trace
+    # budget and then widens to all 40 levels; at omega0 = 3 the read leg
+    # does so within its first 20 steps, before its first scheduled refresh
+    rows = ((ModelParams(n_fock=20), 12.0, 1e-11, 1e-8),
+            (ModelParams(n_fock=12), 12.0, -1e-12, 1e-12),
+            (ModelParams(omega0=2.0, n_fock=20), 20.0, 1e-10, 1e-8),
+            (ModelParams(omega0=3.0, n_fock=20), 20.0, 1e-10, 1e-8))
+    for params, total_time, low, high in rows:
+        bundle = run_experiment(_tiny_spec("noisy", params=params, total_time=total_time))
+        assert low < bundle.scalars["trace_lost"] < high, params
 
 
 def test_noisy_legs_are_not_held_at_once():
-    # every step recorded: each leg's samples dominate the run's memory, and
-    # the write leg's are freed before the read leg records its own
+    # every step recorded at n_fock = 12, where the frame carries all 24
+    # levels: each leg keeps only its 2 x 2 qubit blocks and its final
+    # state, so the run stays well under one leg of full samples
     spec = replace(_tiny_spec("noisy"),
                    cfg=PropagatorConfig.for_total_time(12.0, steps=500, record_every=1))
     run_experiment(spec)  # warm the per-params caches
