@@ -18,6 +18,7 @@ from .model import (
     CouplingSchedule,
     ModelParams,
     build_rabi,
+    chain_ground,
     sector_eigh,
     storage_schedule,
 )

@@ -153,6 +153,143 @@ def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray,
     return np.linalg.eigh(chains.bare + couplings[:, None, None, None] * chains.hop)
 
 
+def chain_ground(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest eigenpair of both parity chains at each coupling, without
+    a dense eigensolver.
+
+    Returns energies (m, 2) and states (m, 2, n_fock): the ground state of
+    chain s in chain-site order (:class:`ParityChains`), normalized and
+    signed so that sum_n (-1)^n v_n > 0 at every coupling >= 0.
+
+    Flipping the sign of every other site turns chain s into H~ with
+    diagonal bare[s] and hops -Omega sqrt(k), <= 0 at a coupling >= 0.
+    Then, per chain and coupling (Parlett, The Symmetric Eigenvalue
+    Problem, 1998):
+
+    - shift: Newton's method on det(H~ - sigma), started below the
+      Gershgorin bound. From below the lowest root of a real-rooted
+      polynomial it never steps past that root, and every trial shift is
+      kept only if its Sturm count, the LDL^T pivots of H~ - sigma, says
+      so (every pivot > 0). It stops once the step is at roundoff.
+    - vector: inverse iteration at the last shift kept, from the unit
+      vector at the chain's lowest bare site, until the iterate stops
+      moving. Below the lowest level H~ - sigma is an M-matrix, so
+      (H~ - sigma)^-1 and every iterate are entrywise >= 0: the gauge holds
+      by construction, and at a coupling of 0 the state stays that unit
+      vector, the first lowest site on a tie.
+    - energy: the Rayleigh quotient.
+
+    The ops run on whole (couplings, chains) arrays, and only the n_fock-site
+    recurrences loop. Each pair depends on its own coupling alone, so any
+    grid gives the same pair there, bit for bit.
+    """
+    couplings = np.asarray(couplings, dtype=np.float64)
+    if not np.isfinite(couplings).all():
+        raise ValueError(f"couplings must be finite, got {couplings}")
+    energies = np.empty((len(couplings), 2))
+    states = np.empty((len(couplings), 2, params.n_fock))
+    # a batch's few (batch, 2, n_fock) temporaries stay within one
+    # sector_eigh batch, (SECTOR_BATCH, 2, n_fock, n_fock) in and out
+    size = SECTOR_BATCH * params.n_fock // 4
+    for start in range(0, len(couplings), size):
+        batch = slice(start, start + size)
+        energies[batch], states[batch] = _ground_batch(params, couplings[batch])
+    return energies, states
+
+
+_EPS = np.finfo(np.float64).eps
+# an iterate still moving after this many inverse steps has a second level
+# within the shift's roundoff; it then lies in that pair's span
+_INVERSE_STEPS = 32
+
+
+def _ground_batch(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`chain_ground` on one batch of couplings."""
+    n = params.n_fock
+    diag = np.diagonal(params.chains.bare, axis1=1, axis2=2)  # (2, n)
+    hop = -couplings[:, None, None] * np.diagonal(params.chains.hop, 1)  # (m, 1, n - 1)
+    pivots = _pivots_below_ground(diag, hop)
+
+    # vector: H~ - shift = L D L^T, L unit lower bidiagonal with entries
+    # hop / D <= 0, so each substitution step below adds terms >= 0 and the
+    # iterate stays >= 0 in floating point too
+    lower = hop / pivots[..., :-1]
+    x = np.zeros((len(couplings), 2, n))
+    x[:, [0, 1], diag.argmin(axis=-1)] = 1.0
+    y, work = np.empty_like(x), np.empty_like(x)
+    moving = np.ones((len(couplings), 2), dtype=bool)
+    for _ in range(_INVERSE_STEPS):
+        np.copyto(y, x)
+        for i in range(1, n):
+            y[..., i] -= lower[..., i - 1] * y[..., i - 1]
+        y /= pivots
+        for i in range(n - 2, -1, -1):
+            y[..., i] -= lower[..., i] * y[..., i + 1]
+        y /= np.sqrt(np.square(y, out=work).sum(axis=-1))[..., None]
+        change = np.abs(np.subtract(y, x, out=work), out=work).max(axis=-1)
+        np.copyto(x, y, where=moving[..., None])
+        moving &= change > 8 * _EPS
+        if not moving.any():
+            break
+
+    # energy: x^T H~ x = sum_i a_i x_i^2 + 2 sum_i b_i x_i x_{i+1}
+    energies = np.multiply(np.square(x, out=work), diag, out=work).sum(axis=-1)
+    bonds = np.multiply(x[..., :-1], x[..., 1:], out=work[..., :-1])
+    bonds *= hop
+    energies += 2 * bonds.sum(axis=-1)
+    x[..., 1::2] *= -1.0  # back to the chain's own sites
+    return energies, x
+
+
+def _pivots_below_ground(diag: np.ndarray, hop: np.ndarray) -> np.ndarray:
+    """The LDL^T pivots, (m, 2, n), of H~ - shift at a shift just below the
+    lowest level of each chain: Newton's method on det(H~ - shift) from
+    below the Gershgorin bound, each trial shift kept only while every
+    pivot stays > 0, until the step is at roundoff."""
+    n = diag.shape[-1]
+    hop2 = hop * hop
+    bound = np.zeros(hop.shape[:-1] + (n,))
+    bound[..., 1:] += np.abs(hop)
+    bound[..., :-1] += np.abs(hop)
+    scale = np.abs(diag).max(axis=-1) + bound.max(axis=-1)  # (m, 2), >= |H~|
+    tol = 2 * _EPS * scale
+    # below the Gershgorin bound, less a margin for roundoff, every pivot is > 0
+    shift = (diag - bound).min(axis=-1) - n * _EPS * scale
+    pivots, step = _sturm(diag, hop2, shift)
+    moving = step > tol
+    while moving.any():
+        trial = shift + step
+        trial_pivots, step = _sturm(diag, hop2, trial)
+        below = moving & (trial_pivots > 0).all(axis=-1)
+        shift = np.where(below, trial, shift)
+        np.copyto(pivots, trial_pivots, where=below[..., None])
+        moving = below & (step > tol)
+    return pivots
+
+
+def _sturm(diag: np.ndarray, hop2: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LDL^T pivots of H~ - shift, (m, 2, n), and the Newton step
+    1 / sum_k 1 / (lambda_k - shift) toward the lowest level, (m, 2).
+
+    The number of negative pivots is the number of levels below the shift
+    (Sylvester's law of inertia), so every pivot > 0 puts the shift below
+    the lowest level. A pivot <= 0 can make the later ones inf or nan, and
+    the step is then meaningless."""
+    pivots = diag - shift[..., None]  # a_i - shift, then d_i site by site
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # d_i = a_i - shift - b_{i-1}^2 / d_{i-1}, and t_i = q_i / d_i with
+        # q_i = -d d_i / d shift = 1 + (b_{i-1}^2 / d_{i-1}) t_{i-1}
+        t = 1.0 / pivots[..., 0]
+        total = t.copy()
+        for i in range(1, diag.shape[-1]):
+            ratio = hop2[..., i - 1] / pivots[..., i - 1]
+            pivots[..., i] -= ratio
+            t = (ratio * t + 1.0) / pivots[..., i]
+            total += t
+        # sum_i t_i = -det' / det = sum_k 1 / (lambda_k - shift)
+        return pivots, 1.0 / total
+
+
 def sector_levels(
     params: ModelParams, w: np.ndarray, v: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

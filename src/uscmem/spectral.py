@@ -5,7 +5,12 @@ as stacked arrays. :func:`sector_spectra` and :func:`build_gauge_chain`
 take them from the two real parity chains of H(Omega)
 (:class:`~uscmem.model.ParityChains`). Each eigenvector lies in one
 sector, so its parity label holds by construction, also inside an
-exactly degenerate doublet.
+exactly degenerate doublet. :func:`sector_spectra` diagonalizes the
+chains in batches (:func:`~uscmem.model.sector_eigh`); the ground doublet
+needs only each chain's lowest level, which
+:func:`~uscmem.model.chain_ground` takes by a Sturm-count shift and
+inverse iteration, with no eigh. Every eigenpair that either function
+returns passes the same residual and orthonormality check.
 
 The qubit is stored in the ground doublet: G is the ground state of the
 P = -1 chain and E that of the P = +1 chain. Its order and signs are
@@ -22,7 +27,7 @@ import numpy as np
 from .hilbert import coherent_state
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
-    SECTOR_BATCH, ModelParams, build_rabi, sector_eigh, sector_levels,
+    SECTOR_BATCH, ModelParams, build_rabi, chain_ground, sector_eigh, sector_levels,
 )
 
 _ORTHO_TOL = 1e-10
@@ -54,7 +59,8 @@ def _chain_levels(
     w (m, 2, depth) and v (m, 2, n_fock, depth) as in
     :func:`~uscmem.model.sector_eigh`, SECTOR_BATCH couplings per batched
     eigh, with the residual and orthonormality of every kept eigenpair
-    checked batch by batch."""
+    checked batch by batch. Serves :func:`sector_spectra`; the ground
+    doublet alone comes from :func:`~uscmem.model.chain_ground`."""
     w = np.empty((len(couplings), 2, depth))
     v = np.empty((len(couplings), 2, params.n_fock, depth))
     for start in range(0, len(couplings), SECTOR_BATCH):
@@ -69,10 +75,27 @@ def _chain_levels(
 def _check_sectors(
     params: ModelParams, couplings: np.ndarray, w: np.ndarray, v: np.ndarray
 ) -> None:
-    """Residual and orthonormality of chain eigenpairs, over a batch of couplings."""
-    h = params.chains.bare + couplings[:, None, None, None] * params.chains.hop
-    residual = np.abs(h @ v - v * w[:, :, None, :]).max(axis=(1, 2, 3))
-    scale = np.maximum(1.0, np.abs(h, out=h).max(axis=(1, 2, 3)))
+    """Residual and orthonormality of chain eigenpairs w (m, 2, depth),
+    v (m, 2, n_fock, depth) over a batch of couplings. H_s v is the
+    three-diagonal product, bare[s] v plus the two shifted
+    coupling * sqrt(k) terms, and the residual bound scales with the
+    largest |element| of the two chains at each coupling."""
+    diag = np.diagonal(params.chains.bare, axis1=1, axis2=2)[..., None]  # (2, n_fock, 1)
+    root = np.diagonal(params.chains.hop, 1)[:, None]  # sqrt(k), (n_fock - 1, 1)
+    coupling = couplings[:, None, None, None]
+    r = diag - w[:, :, None, :]
+    r *= v
+    # one temporary for both hop terms, so the check holds at most two
+    # arrays the size of v besides v
+    term = root * v[:, :, :-1]
+    term *= coupling
+    r[:, :, 1:] += term
+    np.multiply(root, v[:, :, 1:], out=term)
+    term *= coupling
+    r[:, :, :-1] += term
+    del term
+    residual = np.abs(r, out=r).max(axis=(1, 2, 3))
+    scale = np.maximum(1.0, np.maximum(np.abs(diag).max(), np.abs(couplings) * root.max()))
     if np.any(residual > _RESIDUAL_TOL * scale):
         raise RuntimeError("eigenpair residual above tolerance")
     gram = np.swapaxes(v, -1, -2) @ v
@@ -93,10 +116,12 @@ def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> Spectr
 
 
 def _checked_couplings(couplings) -> np.ndarray:
-    """couplings as a float array, which must be nonempty, 1-d and >= 0."""
+    """couplings as a float array, which must be nonempty, 1-d, finite and >= 0."""
     couplings = np.asarray(couplings, dtype=np.float64)
     if couplings.ndim != 1 or len(couplings) == 0:
         raise ValueError("couplings must be a nonempty 1-d array")
+    if not np.isfinite(couplings).all():
+        raise ValueError(f"couplings must be finite, got {couplings}")
     if np.any(couplings < 0):
         raise ValueError("couplings must be >= 0")
     return couplings
@@ -107,19 +132,20 @@ def build_gauge_chain(params: ModelParams, couplings: np.ndarray) -> Spectrum:
     P = -1 chain, then E, the lowest of the P = +1 chain.
 
     The pair is placed by sector, not by energy, so a near-degenerate
-    doublet keeps its order. Each state is signed so that
-    sum_n (-1)^n v_n > 0 along its chain. At a coupling >= 0, flipping
-    every other site's sign turns a chain into one with non-positive hops,
-    so by Perron-Frobenius its ground state alternates in sign and
-    |sum_n (-1)^n v_n| = sum_n |v_n| >= 1: the gauge holds at every
-    coupling on its own, and any grid, however coarse, gives the same
-    states there.
+    doublet keeps its order. Each pair comes from
+    :func:`~uscmem.model.chain_ground`, with no eigh, and its residual and
+    norm are checked at every coupling. Each state has
+    sum_n (-1)^n v_n > 0 along its chain by construction: at a coupling
+    >= 0, flipping every other site's sign turns a chain into one with
+    non-positive hops, and inverse iteration below its lowest level keeps
+    a positive start positive. That is the Perron-Frobenius ground state,
+    with |sum_n (-1)^n v_n| = sum_n |v_n| >= 1. The gauge thus holds at
+    every coupling on its own, and any grid, however coarse, gives the
+    same states there, bit for bit.
     """
     couplings = _checked_couplings(couplings)
-    w, v = _chain_levels(params, couplings, 1)
-    energies, ground = w[..., 0], v[..., 0]
-    alternating = (-1.0) ** np.arange(params.n_fock)
-    ground *= np.where(ground @ alternating < 0, -1.0, 1.0)[..., None]
+    energies, ground = chain_ground(params, couplings)
+    _check_sectors(params, couplings, energies[..., None], ground[..., None])
     states = np.zeros((len(couplings), 2 * params.n_fock, 2))
     states[:, params.chains.index, np.arange(2)[:, None]] = ground
     return Spectrum(couplings, energies, states, np.tile([-1.0, 1.0], (len(couplings), 1)))

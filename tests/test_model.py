@@ -1,4 +1,4 @@
-"""Hamiltonian construction, symmetry, and coupling schedules.
+"""Hamiltonian construction, symmetry, the chains' ground pair, and coupling schedules.
 
 Frozen eigenvalues below were derived with an independent explicit-loop
 builder and direct diagonalization; they pin the default operating point
@@ -14,6 +14,7 @@ from uscmem import (
     PropagatorConfig,
     build_gauge_chain,
     build_rabi,
+    chain_ground,
     coherent_state,
     fock_annihilation,
     physical_time,
@@ -178,6 +179,55 @@ def test_parity_chains_are_read_only(name):
     arr = getattr(params.chains, name)
     with pytest.raises(ValueError, match="read-only"):
         arr[(0,) * arr.ndim] = 1
+
+
+# --------------------------------------------------------------------------
+# the chains' ground pair
+# --------------------------------------------------------------------------
+
+def _dense_ground(params, coupling):
+    """Lowest level and state of each chain by a dense eigh, signed so that
+    the alternating sum over chain sites is positive."""
+    alternating = (-1.0) ** np.arange(params.n_fock)
+    pairs = [np.linalg.eigh(bare + coupling * params.chains.hop) for bare in params.chains.bare]
+    energies = np.array([w[0] for w, _ in pairs])
+    states = np.array([v[:, 0] * np.sign(v[:, 0] @ alternating) for _, v in pairs])
+    return energies, states
+
+
+@pytest.mark.parametrize("omega_eg", [0.0, 0.1, 0.9])
+@pytest.mark.parametrize("n_fock", [2, 3, 12, 30])
+def test_chain_ground_matches_dense_eigh(n_fock, omega_eg):
+    params = ModelParams(omega_eg=omega_eg, n_fock=n_fock)
+    couplings = np.linspace(0.0, 3.0, 31)
+    energies, states = chain_ground(params, couplings)
+    assert energies.shape == (31, 2) and states.shape == (31, 2, n_fock)
+    for coupling, e, v in zip(couplings, energies, states):
+        e_ref, v_ref = _dense_ground(params, coupling)
+        assert np.abs(e - e_ref).max() < 1e-13
+        assert np.abs(v - v_ref).max() < 1e-12
+
+
+def test_chain_ground_takes_the_first_site_of_an_exact_tie():
+    # at coupling 0 and omega_eg = omega_cav, |e,0> and |g,1> tie on chain 1
+    params = ModelParams(omega_eg=1.0, n_fock=12)
+    assert params.chains.bare[1, 0, 0] == params.chains.bare[1, 1, 1]
+    energies, states = chain_ground(params, [0.0])
+    first = np.eye(params.n_fock)[0]
+    assert np.array_equal(states[0], [first, first])
+    assert np.array_equal(energies[0], [-0.5, 0.5])
+    _, v_ref = _dense_ground(params, 0.0)
+    assert np.array_equal(v_ref, states[0])
+
+
+@pytest.mark.parametrize("coupling", [1e-10, 1e-6])
+def test_chain_ground_resolves_a_near_tie(coupling):
+    # chain 1's two lowest bare sites lie 1e-9 apart; the shift must get
+    # within that gap before inverse iteration singles out the lower level
+    params = ModelParams(omega_eg=1 - 1e-9)
+    chain = build_gauge_chain(params, [coupling])  # checks the residuals
+    e_ref, _ = _dense_ground(params, coupling)
+    assert np.abs(chain.energies[0] - e_ref).max() < 1e-14
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from uscmem import (
     coherent_state,
 )
 from uscmem import spectral
-from uscmem.model import SECTOR_BATCH, sector_eigh
+from uscmem.model import SECTOR_BATCH, chain_ground, sector_eigh
 
 from reference import basis_state, kron_cat, mean_photon, parity_op, product_state
 
@@ -201,8 +201,33 @@ def test_every_sector_batch_is_checked(monkeypatch, batch, corrupt, message):
     monkeypatch.setattr(spectral, "sector_eigh", patched)
     couplings = np.linspace(0.0, 1.0, 2 * SECTOR_BATCH + 16)
     with pytest.raises(RuntimeError, match=message):
-        build_gauge_chain(ModelParams(n_fock=12), couplings)
+        sector_spectra(ModelParams(n_fock=12), couplings, 2)
     assert len(calls) == batch + 1  # raised at the corrupted batch
+
+
+def _shift_ground(energies, states, at):
+    energies[at, 0] += 1e-3
+
+
+def _stretch_ground(energies, states, at):
+    states[at, 1] *= 1.1  # still an eigenvector, no longer normalized
+
+
+@pytest.mark.parametrize("at", [0, 37, -1])
+@pytest.mark.parametrize("corrupt, message", [
+    (_shift_ground, "eigenpair residual above tolerance"),
+    (_stretch_ground, "lost orthonormality"),
+])
+def test_every_ground_pair_is_checked(monkeypatch, at, corrupt, message):
+    # one coupling's pair goes bad, anywhere in the grid
+    def patched(params, couplings):
+        energies, states = chain_ground(params, couplings)
+        corrupt(energies, states, at)
+        return energies, states
+
+    monkeypatch.setattr(spectral, "chain_ground", patched)
+    with pytest.raises(RuntimeError, match=message):
+        build_gauge_chain(ModelParams(n_fock=12), np.linspace(0.0, 1.0, 80))
 
 
 @pytest.mark.parametrize("omega_eg", [0.1, 0.0])
