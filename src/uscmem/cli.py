@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -198,11 +199,141 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
 # output emission
 # --------------------------------------------------------------------------
 
-_FMT = "%.17g"  # the same digits as f"{x:.17g}"
+# Every CSV value is written as b"%.17g" % v, so a rerun is byte-identical
+# and a parse gives back the same float. _format_17g makes those bytes a
+# chunk of values at a time: positive values in [1e-4, 1e16), the range
+# %.17g prints in fixed notation, go through the vectorized kernel below;
+# every other value (0, negatives, tiny, huge, inf, nan) through
+# b"%.17g" % v itself.
+
+_CHUNK = 2048  # values per kernel pass; bounds its temporaries
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for Dekker's product
+_P10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
+_P10_LO = _P10 - _P10_HI
+# Text as 64-bit words: the integer whose little-endian bytes spell it.
+_ZEROS = np.uint64(int.from_bytes(b"00000000", "little"))
+_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), "<u2").astype(np.uint64)
+_QUADS = (_PAIRS[:, None] | _PAIRS << 16).ravel()  # "%04d" % k for k < 10**4
 
 
-def _fmt_all(values) -> list[str]:
-    return [_FMT % x for x in np.asarray(values, dtype=np.float64).tolist()]
+def _layout_masks() -> np.ndarray:
+    """Byte masks of a 24-byte string, as (9, 17 * 24) words; column
+    24 * point + length is a value whose last integer digit sits at byte
+    `point` and whose text is `length` bytes long. Words 0-2 keep bytes
+    [0, point], words 3-5 keep bytes [point + 2, length), and words 6-8
+    hold the decimal point at byte point + 1 if a fraction digit follows."""
+    masks = []
+    for point in range(17):
+        for length in range(24):
+            dot = b"." if length > point + 1 else b""
+            masks += [(b"\xff" * (point + 1)).ljust(24, b"\0"),
+                      (b"\0" * (point + 2) + b"\xff" * (length - point - 2)).ljust(24, b"\0"),
+                      (b"\0" * (point + 1) + dot).ljust(24, b"\0")]
+    words = np.frombuffer(b"".join(masks), "<u8").reshape(17 * 24, 9)
+    return words.T.astype(np.uint64, order="C")
+
+
+_MASKS = _layout_masks()
+
+
+def _scaled(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10**p exactly, as hi + lo (Dekker's split product)."""
+    ten, ten_hi, ten_lo = _P10[p], _P10_HI[p], _P10_LO[p]
+    hi = x * ten
+    split = _SPLIT * x
+    x_hi = split - (split - x)
+    x_lo = x - x_hi
+    lo = ((x_hi * ten_hi - hi) + x_hi * ten_lo + x_lo * ten_hi) + x_lo * ten_lo
+    return hi, lo
+
+
+def _significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 significant digits of each x in [1e-4, 1e16) as an integer D
+    in [1e16, 1e17), rounded half to even as %.17g rounds, and the decimal
+    exponent of D's leading digit."""
+    p = 16 - np.floor(np.log10(x)).astype(np.intp)
+    hi, lo = _scaled(x, p)
+    # log10 can miss by one next to a power of ten
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(below | above)
+    if fix.size:
+        p[fix] += below[fix].astype(np.intp) - above[fix]
+        hi[fix], lo[fix] = _scaled(x[fix], p[fix])
+    # hi >= 2**53 is an even integer, so rounding lo half to even rounds
+    # hi + lo half to even. D never rounds up to 1e17: no double in range
+    # lies within 5e-18 (relative) below a power of ten.
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), 16 - p
+
+
+def _digit_words(d: np.ndarray) -> np.ndarray:
+    """(4, n) words spelling 7 '0's, the 17 digits of each d, and 8 '0's."""
+    top = d // 10**8
+    lead = top // 10**8
+    eights = np.stack([top - lead * 10**8, d - top * 10**8])
+    fours = eights // 10**4
+    words = np.empty((4, len(d)), np.uint64)
+    words[0] = _QUADS[0] | _QUADS[lead] << 32
+    words[1:3] = _QUADS[fours] | _QUADS[eights - fours * 10**4] << 32
+    words[3] = _ZEROS
+    return words
+
+
+def _last_byte(words: np.ndarray) -> np.ndarray:
+    """Index of the highest nonzero byte of each word whose bytes are all
+    <= 9 (float rounding cannot carry out of such a byte)."""
+    return (np.frexp(words.astype(np.float64))[1] - 1) // 8
+
+
+def _fixed_text(words: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """(n, 3) little-endian words holding each value's %.17g text in fixed
+    notation, NUL-padded to 24 bytes.
+
+    z is the digit string behind -exponent '0's when exponent < 0 (the
+    "000ddd" of 0.00ddd), so its integer part ends at z[point]; the text is
+    z up to that byte, the point, then the rest of z up to its last
+    nonzero digit.
+    """
+    digits_1_8, digits_9_16 = words[1] ^ _ZEROS, words[2] ^ _ZEROS
+    last = np.where(digits_9_16 != 0, 9 + _last_byte(digits_9_16),
+                    np.where(digits_1_8 != 0, 1 + _last_byte(digits_1_8), 0))
+    zeros = np.minimum(exponent, 0)
+    point = exponent - zeros
+    last -= zeros  # the last nonzero digit's byte in z
+    length = np.maximum(last + 1 + (last > point), point + 1)
+    key = 24 * point + length
+    shift = (8 * (7 + zeros)).astype(np.uint64)  # bits from words to z
+    z = (words[:3] >> shift) | (words[1:] << (np.uint64(64) - shift))
+    shift -= np.uint64(8)
+    z_right = (words[:3] >> shift) | (words[1:] << (np.uint64(64) - shift))
+    z &= np.take(_MASKS[:3], key, axis=1)
+    z_right &= np.take(_MASKS[3:6], key, axis=1)
+    z |= z_right
+    z |= np.take(_MASKS[6:], key, axis=1)
+    text = np.empty((len(exponent), 3), "<u8")
+    text.T[...] = z
+    return text
+
+
+def _format_chunk(v: np.ndarray) -> list[bytes]:
+    fast = (v >= 1e-4) & (v < 1e16)
+    d, exponent = _significand(np.where(fast, v, 1.0))
+    text = _fixed_text(_digit_words(d), exponent)
+    out = text.view("S24").ravel().tolist()  # an S24 item drops its trailing NULs
+    slow = np.flatnonzero(~fast)
+    for i, value in zip(slow.tolist(), v[slow].tolist()):
+        out[i] = b"%.17g" % value
+    return out
+
+
+def _format_17g(values) -> list[bytes]:
+    """b"%.17g" % v for every value, in C order."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    out: list[bytes] = []
+    for start in range(0, flat.size, _CHUNK):
+        out += _format_chunk(flat[start:start + _CHUNK])
+    return out
 
 
 def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
@@ -212,7 +343,8 @@ def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     Landscapes become a long-form omega,theta,fidelity file (rows ordered by
     sweep sample then theta) plus a *_theta_opt companion. Each omega and
     theta is formatted once; a landscape row of the sweep is one
-    %-format of a template that already holds its thetas.
+    %-format of a template that already holds its thetas, and the
+    fidelities are formatted a block of rows at a time.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,27 +356,40 @@ def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
         length = len(arrays[0])
         if any(len(a) != length for a in arrays):
             raise ValueError(f"curve {name!r} has ragged columns")
-        row = ",".join([_FMT] * len(arrays)) + "\n"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(headers) + "\n")
-            fh.writelines(row % values for values in zip(*(a.tolist() for a in arrays)))
+        cells = _format_17g(np.column_stack(arrays))
+        width = len(arrays)
+        row = b",".join([b"%s"] * width) + b"\n"
+        with open(path, "wb") as fh:
+            fh.write(",".join(headers).encode() + b"\n")
+            fh.writelines(row % tuple(cells[i:i + width]) for i in range(0, len(cells), width))
         paths.append(path)
     for name, land in bundle.landscapes.items():
-        path = out / f"{name}.csv"
-        omegas = _fmt_all(land.coupling_grid)
-        # omega.join(cells) puts omega in front of every cell but the first
-        cells = [f",{th},{_FMT}\n" for th in _fmt_all(land.theta_grid)]
         fidelity = np.asarray(land.fidelity, dtype=np.float64)
-        with open(path, "w", newline="\n") as fh:
-            fh.write("omega,theta,fidelity\n")
-            for om, fid in zip(omegas, fidelity):
-                fh.write((om + om.join(cells)) % tuple(fid.tolist()))
+        n_omega, n_theta = len(land.coupling_grid), len(land.theta_grid)
+        if fidelity.shape != (n_omega, n_theta) or n_theta == 0:
+            raise ValueError(
+                f"landscape {name!r}: fidelity has shape {fidelity.shape}, expected"
+                f" ({n_omega}, {n_theta}) with at least one phase")
+        if np.shape(land.theta_opt) != (n_omega,):
+            raise ValueError(f"landscape {name!r}: theta_opt has shape"
+                             f" {np.shape(land.theta_opt)}, expected ({n_omega},)")
+        path = out / f"{name}.csv"
+        omegas = _format_17g(land.coupling_grid)
+        # omega.join(cells) puts omega in front of every cell but the first
+        cells = [b"," + th + b",%s\n" for th in _format_17g(land.theta_grid)]
+        block = max(1, _CHUNK // n_theta)  # rows formatted per kernel pass
+        with open(path, "wb") as fh:
+            fh.write(b"omega,theta,fidelity\n")
+            for start in range(0, n_omega, block):
+                values = iter(_format_17g(fidelity[start:start + block]))
+                for om in omegas[start:start + block]:
+                    fh.write((om + om.join(cells)) % tuple(islice(values, n_theta)))
         paths.append(path)
         companion = out / f"{name}_theta_opt.csv"
-        theta_opt = _fmt_all(land.theta_opt)
-        with open(companion, "w", newline="\n") as fh:
-            fh.write("omega,theta_opt\n")
-            fh.writelines(f"{om},{th}\n" for om, th in zip(omegas, theta_opt))
+        with open(companion, "wb") as fh:
+            fh.write(b"omega,theta_opt\n")
+            fh.writelines(om + b"," + th + b"\n"
+                          for om, th in zip(omegas, _format_17g(land.theta_opt)))
         paths.append(companion)
     return paths
 

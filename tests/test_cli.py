@@ -9,9 +9,11 @@ import pytest
 
 from uscmem import ModelParams, PropagatorConfig, run_experiment, storage_schedule
 from uscmem.cli import (
+    _CHUNK,
     ConfigError,
     RunConfig,
     _file_sha256,
+    _format_17g,
     build_spec,
     emit_csv,
     main,
@@ -293,15 +295,128 @@ def test_emit_csv_matches_per_value_formatting(tmp_path):
         fidelity=np.resize(awkward, (4, 5)),
         theta_opt=np.array([np.inf, -0.0, 1 / 3, 3.0]),
     )
+    # several kernel blocks of rows plus a partial one, fidelities over
+    # four decades with exact 0 and 1
+    rng = np.random.default_rng(5)
+    n_theta = 40
+    n_omega = 3 * (_CHUNK // n_theta) + 7
+    fidelity = 10.0 ** rng.uniform(-4, 0, (n_omega, n_theta))
+    fidelity[rng.random(fidelity.shape) < 0.05] = 0.0
+    fidelity[rng.random(fidelity.shape) < 0.05] = 1.0
+    ridge = PhaseLandscape(
+        times=np.arange(float(n_omega)),
+        coupling_grid=np.linspace(0.0, 1.0, n_omega),
+        theta_grid=np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False),
+        fidelity=fidelity,
+        theta_opt=rng.uniform(0.0, 2 * np.pi, n_omega),
+    )
     bundle = ResultBundle(
         curves={"probe": {"x": awkward, "n": np.arange(8), "y": awkward[::-1]}},
-        landscapes={"landscape": land},
+        landscapes={"landscape": land, "ridge": ridge},
     )
     paths = emit_csv(bundle, tmp_path)
     expected = _per_value_csv(bundle)
     assert sorted(p.name for p in paths) == sorted(expected)
     for path in paths:
         assert path.read_bytes() == expected[path.name], path.name
+
+
+def _mismatches(values) -> list:
+    values = np.asarray(values, dtype=np.float64).ravel()
+    got = _format_17g(values)
+    assert len(got) == values.size
+    return [(x, g) for x, g in zip(values.tolist(), got) if g != b"%.17g" % x]
+
+
+def _tie_values(rng, per_class: int) -> np.ndarray:
+    """x = k * 2**-(p + 1) with k odd: x * 10**p = k * 5**p / 2 ends in
+    exactly one half. p runs over every scale whose 17-digit integer
+    k * 5**p / 2 lies in [1e16, 1e17) with k a double's significand."""
+    ties = []
+    for p in range(1, 23):
+        lo, hi = -(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53)
+        k = 2 * rng.integers(lo // 2, hi // 2, per_class) + 1
+        ties.append(k * 2.0 ** -(p + 1))
+    return np.concatenate(ties)
+
+
+def test_format_17g_matches_cpython():
+    rng = np.random.default_rng(17)
+    powers = 10.0 ** np.arange(-5, 18)
+    fallback = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e-5, 9.9999999999999995e-05, 1e16, 1e308, -0.5, -1.0,
+                         np.inf, -np.inf, np.nan, -np.nan])
+    values = np.concatenate([
+        rng.random(300_000),
+        10.0 ** rng.uniform(-8, 18, 300_000),
+        rng.choice([-1.0, 1.0], 150_000) * np.exp(rng.uniform(-745, 709, 150_000)),
+        rng.integers(0, 2**64, 150_000, dtype=np.uint64).view(np.float64),
+        _tie_values(rng, 5000),
+        # the next decade's first value and the values just below it
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.array([0.099999999999999999, 0.09999999999999999, 9.999999999999999e-05]),
+        np.arange(100_000.0),
+        fallback,
+    ])
+    assert values.size >= 10**6 and values.size % _CHUNK
+    assert _mismatches(values) == []
+
+
+@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_format_17g_takes_any_length(size):
+    rng = np.random.default_rng(size)
+    values = rng.random(size)
+    values[::7] *= -1e-6  # negative and tiny: the per-value path
+    assert _mismatches(values) == []
+
+
+def test_emit_csv_memory_stays_small(tmp_path):
+    from uscmem import PhaseLandscape
+    from uscmem.protocols import ResultBundle
+
+    rng = np.random.default_rng(3)
+    land = PhaseLandscape(
+        times=np.arange(2001.0),
+        coupling_grid=np.linspace(0.0, 1.0, 2001),
+        theta_grid=np.linspace(0.0, 2 * np.pi, 256, endpoint=False),
+        fidelity=rng.random((2001, 256)),
+        theta_opt=rng.uniform(0.0, 2 * np.pi, 2001),
+    )
+    bundle = ResultBundle(landscapes={"landscape": land})
+    tracemalloc.start()
+    try:
+        emit_csv(bundle, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rows are formatted a block at a time, never all at once
+    assert peak < land.fidelity.nbytes / 4, peak
+
+
+def _landscape_bundle(**changes):
+    from uscmem import PhaseLandscape
+    from uscmem.protocols import ResultBundle
+
+    fields = dict(times=np.arange(3.0), coupling_grid=np.array([0.0, 0.5, 1.0]),
+                  theta_grid=np.array([0.0, 1.0]), fidelity=np.full((3, 2), 0.5),
+                  theta_opt=np.array([0.0, 1.0, 0.0]))
+    fields.update(changes)
+    return ResultBundle(landscapes={"landscape": PhaseLandscape(**fields)})
+
+
+@pytest.mark.parametrize("changes", [
+    {"fidelity": np.full((2, 2), 0.5)},       # fewer rows than couplings
+    {"fidelity": np.full((4, 2), 0.5)},       # more rows than couplings
+    {"fidelity": np.full((3, 3), 0.5)},       # more columns than phases
+    {"fidelity": np.full(6, 0.5)},            # flat
+    {"theta_grid": np.array([]), "fidelity": np.empty((3, 0))},  # no phase
+    {"theta_opt": np.array([0.0, 1.0])},      # short ridge
+    {"theta_opt": np.zeros(4)},               # long ridge
+])
+def test_emit_csv_rejects_a_landscape_whose_shapes_disagree(tmp_path, changes):
+    emit_csv(_landscape_bundle(), tmp_path / "good")
+    with pytest.raises(ValueError, match="landscape 'landscape'"):
+        emit_csv(_landscape_bundle(**changes), tmp_path / "bad")
 
 
 def test_manifest_contents(tmp_path):
