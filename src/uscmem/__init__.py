@@ -35,6 +35,7 @@ from .dynamics import (
     RoundTrip,
     Trajectory,
     branch_block,
+    doublet_amplitudes,
     phase_landscape,
     physical_time,
     propagate,

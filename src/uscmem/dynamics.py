@@ -197,6 +197,14 @@ def branch_block(amps: np.ndarray, params: ModelParams) -> np.ndarray:
     return c[..., :, None] * c[..., None, :].conj()
 
 
+def doublet_amplitudes(amps: np.ndarray, pair: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Amplitudes (..., 2) on G and E of the cell states in the rows of amps,
+    pair (..., 2, n_fock) the doublet of :func:`~uscmem.spectral.build_gauge_chain`;
+    one sector at a time, so no chain copy of all of amps is held at once."""
+    return np.stack([_real_matmul(pair[..., s, None, :], amps[..., sites, None])[..., 0, 0]
+                     for s, sites in enumerate(params.chains.index)], axis=-1)
+
+
 def readout(
     block: np.ndarray, alpha_f: complex, beta_f: complex, theta: float | None
 ) -> tuple[float, np.ndarray]:
@@ -319,7 +327,7 @@ def phase_landscape(
     """Map |<target(theta)|psi(t)>|^2 over the sweep and a theta grid.
 
     Targets are alpha_f |G(t)> + beta_f e^{i theta} |E(t)> with |G>, |E> the
-    instantaneous ground doublet of :func:`~uscmem.spectral.build_gauge_chain`.
+    instantaneous ground doublet, read through :func:`doublet_amplitudes`.
     A sweep from omega_start = 0 starts on the bare doublet, where the
     target with theta = 0 is exactly the input state, so its first row
     peaks at fidelity 1. The drift of theta_opt along the sweep is the
@@ -329,13 +337,13 @@ def phase_landscape(
         raise ValueError(f"theta_points must be >= 32, got {theta_points}")
     traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg)
     times, couplings = traj.times, traj.couplings
-    doublets = build_gauge_chain(params, couplings).states
+    _, pairs = build_gauge_chain(params, couplings)
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
 
     # the state in the doublet basis, (n, 2), and its block there; the
     # amplitudes and the doublets are freed before the landscape is allocated
-    c = _real_matmul(np.swapaxes(doublets, 1, 2), traj.amplitudes[..., None])[..., 0]
-    del traj, doublets
+    c = doublet_amplitudes(traj.amplitudes, pairs, params)
+    del traj, pairs
     block = c[:, :, None] * c[:, None, :].conj()
     fid = np.empty((len(times), theta_points))
     for j, theta in enumerate(thetas):

@@ -137,6 +137,16 @@ def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:
 SECTOR_BATCH = 32
 
 
+def _couplings_1d(couplings) -> np.ndarray:
+    """couplings as a float array, which must be 1-d and finite."""
+    couplings = np.asarray(couplings, dtype=np.float64)
+    if couplings.ndim != 1:
+        raise ValueError(f"couplings must be a 1-d array, got shape {couplings.shape}")
+    if not np.isfinite(couplings).all():
+        raise ValueError(f"couplings must be finite, got {couplings}")
+    return couplings
+
+
 def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystems of both parity chains at each coupling, in one batched
     real eigh.
@@ -146,9 +156,7 @@ def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray,
     order (:class:`ParityChains`). Callers pass at most SECTOR_BATCH
     couplings: the batch holds two n_fock x n_fock matrices per coupling.
     """
-    couplings = np.asarray(couplings, dtype=np.float64)
-    if not np.isfinite(couplings).all():
-        raise ValueError(f"couplings must be finite, got {couplings}")
+    couplings = _couplings_1d(couplings)
     chains = params.chains
     return np.linalg.eigh(chains.bare + couplings[:, None, None, None] * chains.hop)
 
@@ -183,9 +191,7 @@ def chain_ground(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray
     recurrences loop. Each pair depends on its own coupling alone, so any
     grid gives the same pair there, bit for bit.
     """
-    couplings = np.asarray(couplings, dtype=np.float64)
-    if not np.isfinite(couplings).all():
-        raise ValueError(f"couplings must be finite, got {couplings}")
+    couplings = _couplings_1d(couplings)
     energies = np.empty((len(couplings), 2))
     states = np.empty((len(couplings), 2, params.n_fock))
     # a batch's few (batch, 2, n_fock) temporaries stay within one

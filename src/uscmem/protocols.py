@@ -28,6 +28,7 @@ from .dynamics import (
     RSQRT2,
     Trajectory,
     branch_block,
+    doublet_amplitudes,
     phase_landscape,
     propagate,
     readout,
@@ -37,7 +38,7 @@ from .dynamics import (
 from .hilbert import TruncationError, fock_annihilation
 from .lindblad import RATE_MODELS, NoiseRates, evolve_master, pure_density
 from .model import CouplingSchedule, ModelParams, build_rabi
-from .spectral import Spectrum, build_gauge_chain, cat_approximant, sector_spectra
+from .spectral import build_gauge_chain, cat_approximant, sector_spectra
 
 
 class ExperimentError(RuntimeError):
@@ -191,19 +192,20 @@ def run_experiment(spec: ExperimentSpec) -> ResultBundle:
     return EXPERIMENTS[spec.name].run(spec)
 
 
-def _cat_overlaps(params: ModelParams, spectrum: Spectrum) -> np.ndarray:
-    """|<cat_G|state 0>|^2 and |<cat_E|state 1>|^2 at each coupling of a
-    spectrum, as rows F_G and F_E of a (2, m) array."""
-    cats = cat_approximant(params, spectrum.couplings)
-    overlaps = cats.conj()[:, :, None, :] @ np.swapaxes(spectrum.states[:, :, :2], 1, 2)[..., None]
-    return np.abs(overlaps[:, :, 0, 0].T) ** 2
+def _cat_overlaps(params: ModelParams, couplings: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """|<cat_G|G>|^2 and |<cat_E|E>|^2 at each coupling, for a chain pair
+    (m, 2, n_fock), G on chain 0 and E on chain 1, as rows F_G and F_E of
+    a (2, m) array. Both cats are one vector, read on either chain."""
+    cat = cat_approximant(params, couplings)
+    return np.abs(pair @ cat.conj()[..., None])[..., 0].T ** 2
 
 
 def _run_spectrum(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     omegas = np.linspace(0.0, params.omega0, spec.omega_points)
     spectrum = _stage("sector spectra", sector_spectra, params, omegas, 4)
-    f_g, f_e = _cat_overlaps(params, spectrum)
+    # levels 0 and 1, each read on its own chain
+    f_g, f_e = _cat_overlaps(params, omegas, spectrum.states[:, params.chains.index, [[0], [1]]])
     curves = {
         "spectrum": {
             "omega": omegas,
@@ -226,10 +228,10 @@ def _storage_curve(
     """Write-leg curve and scalars: F_s plus the cat overlaps along the
     ground doublet, and the storage fidelity at the end of the sweep."""
     params = spec.params
-    chain = _stage("ground doublet", build_gauge_chain, params, traj.couplings)
-    f_g, f_e = _cat_overlaps(params, chain)
+    _, pairs = _stage("ground doublet", build_gauge_chain, params, traj.couplings)
+    f_g, f_e = _cat_overlaps(params, traj.couplings, pairs)
     # the final state in the final doublet's basis, and its block there
-    c = chain.states[-1].T @ traj.amplitudes[-1]
+    c = doublet_amplitudes(traj.amplitudes[-1], pairs[-1], params)
     _, storage_fid = readout(np.outer(c, c.conj()), spec.alpha_f, spec.beta_f, None)
     curve = {
         "t": traj.times,
@@ -321,9 +323,9 @@ def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
     fbar_s, fbar_r = (4 * np.abs(traj.amplitudes[:, g0] * traj.amplitudes[:, e0]) ** 2
                       for traj in (rt.storage, rt.retrieval))
     # the ground doublet where the write leg ends
-    doublet = _stage("register target", build_gauge_chain,
-                     params, rt.storage.couplings[-1:]).states[0]
-    f_store = 4 * np.prod(np.abs(doublet.T @ rt.storage.amplitudes[-1]) ** 2)
+    _, pair = _stage("register target", build_gauge_chain, params, rt.storage.couplings[-1:])
+    c = doublet_amplitudes(rt.storage.amplitudes[-1], pair[0], params)
+    f_store = 4 * np.prod(np.abs(c) ** 2)
     curves = {
         "entangled_storage": {
             "t": rt.storage.times, "omega": rt.storage.couplings, "F_s": fbar_s,

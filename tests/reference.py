@@ -122,6 +122,18 @@ def mean_photon(state: State) -> float:
     return float(np.real(np.vdot(state.amplitudes, n @ state.amplitudes)))
 
 
+def pair_on_cells(params: ModelParams, pair: np.ndarray) -> np.ndarray:
+    """A chain pair (..., 2, n_fock), row s on chain s as build_gauge_chain
+    returns the doublet, laid on the cells: (..., 2, 2 n_fock), row s the
+    chain-s vector at that chain's sites and zero off them. A (..., 1,
+    n_fock) pair, such as cat_approximant(...)[:, None], is one vector laid
+    on both chains: the G cat, then the E cat."""
+    pair = np.asarray(pair)
+    rows = np.zeros(pair.shape[:-2] + (2, 2 * params.n_fock), dtype=pair.dtype)
+    rows[..., np.arange(2)[:, None], params.chains.index] = pair
+    return rows
+
+
 def kron_cat(params: ModelParams, coupling: float, which: str) -> State:
     """Textbook cat (|-alpha>|+> -+ |alpha>|->) / sqrt(2), "G" with the minus
     sign, as two qubit x Fock products; alpha = coupling / omega_cav and

@@ -21,7 +21,7 @@ from uscmem import (
     storage_schedule,
 )
 
-from reference import RSQRT2, density_block, parity_op
+from reference import RSQRT2, density_block, pair_on_cells, parity_op
 
 
 def _check(log, label, ok, detail):
@@ -47,7 +47,7 @@ def test_equal_superposition_roundtrip(acceptance_log, roundtrip_105):
 def test_cat_approximants_track_doublet(acceptance_log, params30):
     worst_g = worst_e = 1.0
     spectrum = sector_spectra(params30, np.linspace(0.8, 1.0, 21), 2)
-    cats = cat_approximant(params30, spectrum.couplings)
+    cats = pair_on_cells(params30, cat_approximant(params30, spectrum.couplings)[:, None])
     for (cat_g, cat_e), states in zip(cats, spectrum.states):
         worst_g = min(worst_g, abs(np.vdot(states[:, 0], cat_g)) ** 2)
         worst_e = min(worst_e, abs(np.vdot(states[:, 1], cat_e)) ** 2)

@@ -35,7 +35,7 @@ from uscmem import dynamics
 from uscmem.dynamics import NormDriftError, _sweep
 from uscmem.model import SECTOR_BATCH, sector_eigh, sector_levels
 
-from reference import basis_state, corrected_fidelity, parity_op, site
+from reference import basis_state, corrected_fidelity, pair_on_cells, parity_op, site
 
 RSQRT2 = 2 ** -0.5
 
@@ -483,8 +483,8 @@ def test_landscape_rows_match_dense_targets():
     alpha, beta = 0.6, 0.8j
     land = phase_landscape(params, alpha, beta, sched, cfg, theta_points=32)
     traj = propagate(params, sched, storage_input(params, alpha, beta), cfg)
-    doublets = build_gauge_chain(params, traj.couplings).states
-    for row, psi, (g, e) in zip(land.fidelity, traj.amplitudes, np.swapaxes(doublets, 1, 2)):
+    _, pairs = build_gauge_chain(params, traj.couplings)
+    for row, psi, (g, e) in zip(land.fidelity, traj.amplitudes, pair_on_cells(params, pairs)):
         dense = [abs(np.vdot(alpha * g + beta * np.exp(1j * th) * e, psi)) ** 2
                  for th in land.theta_grid]
         assert np.abs(row - dense).max() < 1e-14

@@ -16,9 +16,14 @@ from uscmem import (
     PropagatorConfig,
     TruncationError,
     beam_splitter,
+    build_gauge_chain,
     build_rabi,
+    doublet_amplitudes,
+    propagate,
+    readout,
     run_experiment,
     sector_spectra,
+    storage_input,
     storage_schedule,
 )
 
@@ -299,6 +304,29 @@ def test_storage_cat_columns_match_dense_doublet():
             v = vectors[:, np.flatnonzero(sector * sign > 0)[0]]
             want = abs(np.vdot(kron_cat(params, float(c), which).amplitudes, v)) ** 2
             assert abs(got - want) < 1e-12, (c, which)
+
+
+def test_doublet_consumers_share_one_contraction():
+    # storage's storage_fidelity, the last phase-map row and the register's
+    # storage_fidelity all read c, the final write state's amplitudes on
+    # the ground doublet where the write leg ends
+    specs = {name: _tiny_spec(name, total_time=20.0)
+             for name in ("storage", "phase-map", "entangled")}
+    spec = specs["phase-map"]
+    params = spec.params
+    psi = propagate(params, spec.schedule, storage_input(params), spec.cfg).amplitudes[-1]
+    _, pair = build_gauge_chain(params, [params.omega0])
+    c = doublet_amplitudes(psi, pair[0], params)
+    _, f = readout(np.outer(c, c.conj()), RSQRT2, RSQRT2, None)
+    assert abs(run_experiment(specs["storage"]).scalars["storage_fidelity"] - f) < 1e-12
+    # the theta grid comes within pi / theta_points of the optimum, where
+    # F(theta) = w + 2 |z| cos(theta - theta_opt)
+    z = abs(RSQRT2 * RSQRT2 * c[0] * np.conj(c[1]))
+    slack = 2 * z * (1 - np.cos(np.pi / spec.theta_points))
+    top = run_experiment(spec).landscapes["landscape"].fidelity[-1].max()
+    assert f - slack - 1e-12 <= top <= f + 1e-12
+    register = run_experiment(specs["entangled"]).scalars["storage_fidelity"]
+    assert abs(register - 4 * abs(c[0] * c[1]) ** 2) < 1e-12
 
 
 def test_roundtrip_experiment_times_concatenate():

@@ -14,7 +14,9 @@ from uscmem import (
 from uscmem import spectral
 from uscmem.model import SECTOR_BATCH, chain_ground, sector_eigh
 
-from reference import basis_state, kron_cat, mean_photon, parity_op, product_state
+from reference import (
+    basis_state, kron_cat, mean_photon, pair_on_cells, parity_op, product_state,
+)
 
 # independently derived reference values at full coupling, n_fock = 30
 GROUND_PHOTON = 0.972198
@@ -114,34 +116,33 @@ def test_gauge_is_fixed_at_every_sample_on_its_own():
     # on the others: the grid is deliberately unsorted
     params = ModelParams(n_fock=12)
     couplings = np.array([0.7, 0.0, 1.5, 0.3, 0.7])
-    chain = build_gauge_chain(params, couplings)
-    assert np.array_equal(chain.parities, np.tile([-1.0, 1.0], (len(couplings), 1)))
-    sites = params.chains.index  # G's chain, then E's
+    energies, states = build_gauge_chain(params, couplings)  # G's chain, then E's
     alternating = (-1.0) ** np.arange(params.n_fock)
     for j in range(len(couplings)):
         for col in range(2):
-            assert chain.states[j, sites[col], col] @ alternating >= 1 - 1e-12
-        alone = build_gauge_chain(params, couplings[j:j + 1])
-        assert np.array_equal(alone.states[0], chain.states[j])
-        assert np.array_equal(alone.energies[0], chain.energies[j])
+            assert states[j, col] @ alternating >= 1 - 1e-12
+        alone_energies, alone_states = build_gauge_chain(params, couplings[j:j + 1])
+        assert np.array_equal(alone_states[0], states[j])
+        assert np.array_equal(alone_energies[0], energies[j])
 
 
 def test_gauge_chain_is_continuous():
     params = ModelParams(n_fock=14)
     couplings = np.linspace(1.0, 0.0, 41)
-    chain = build_gauge_chain(params, couplings)
-    assert chain.states.shape == (41, 2 * params.n_fock, 2)
-    for prev, cur in zip(chain.states, chain.states[1:]):
+    _, states = build_gauge_chain(params, couplings)
+    assert states.shape == (41, 2, params.n_fock)
+    cells = pair_on_cells(params, states)
+    for prev, cur in zip(cells, cells[1:]):
         for i in range(2):
-            ov = np.vdot(prev[:, i], cur[:, i])
+            ov = np.vdot(prev[i], cur[i])
             assert ov.real > 0.99
             assert abs(ov.imag) < 0.05
     # at zero coupling the tracked doublet lands on the bare qubit states
-    end = chain.states[-1]
+    end = cells[-1]
     g0 = basis_state(params.n_fock, 0, 0).amplitudes
     e0 = basis_state(params.n_fock, 1, 0).amplitudes
-    assert abs(np.vdot(g0, end[:, 0])) > 1 - 1e-9
-    assert abs(np.vdot(e0, end[:, 1])) > 1 - 1e-9
+    assert abs(np.vdot(g0, end[0])) > 1 - 1e-9
+    assert abs(np.vdot(e0, end[1])) > 1 - 1e-9
 
 
 @pytest.mark.parametrize("omega_eg", [0.1, 0.0])
@@ -149,9 +150,12 @@ def test_sector_gauge_chain_matches_dense_chain(omega_eg):
     # omega_eg = 0 makes every doublet exactly degenerate
     params = ModelParams(n_fock=30, omega_eg=omega_eg)
     couplings = np.linspace(0.0, 1.0, 101)
-    chain = build_gauge_chain(params, couplings)
-    _check_against_dense(params, chain)
-    for prev, cur in zip(chain.states, chain.states[1:]):
+    energies, states = build_gauge_chain(params, couplings)
+    # as columns on the cells, G on P = -1 and E on P = +1 by construction
+    cells = np.swapaxes(pair_on_cells(params, states), 1, 2)
+    sectors = np.tile([-1.0, 1.0], (len(couplings), 1))
+    _check_against_dense(params, Spectrum(couplings, energies, cells, sectors))
+    for prev, cur in zip(cells, cells[1:]):
         assert np.all(np.einsum("dk,dk->k", prev.conj(), cur).real > 0)
 
 
@@ -159,19 +163,30 @@ def test_sector_gauge_chain_takes_coarse_grids():
     # the ground doublet changes beyond recognition between 0 and 3, yet
     # each end is bitwise what a fine grid gives there
     params = ModelParams(n_fock=30)
-    coarse = build_gauge_chain(params, np.array([0.0, 3.0]))
-    fine = build_gauge_chain(params, np.linspace(0.0, 3.0, 301))
-    assert np.array_equal(coarse.states, fine.states[[0, -1]])
-    assert np.array_equal(coarse.energies, fine.energies[[0, -1]])
+    coarse_energies, coarse_states = build_gauge_chain(params, np.array([0.0, 3.0]))
+    fine_energies, fine_states = build_gauge_chain(params, np.linspace(0.0, 3.0, 301))
+    assert np.array_equal(coarse_states, fine_states[[0, -1]])
+    assert np.array_equal(coarse_energies, fine_energies[[0, -1]])
 
 
-@pytest.mark.parametrize("fn", [build_gauge_chain, cat_approximant],
-                         ids=["build_gauge_chain", "cat_approximant"])
-def test_gauge_chain_rejects_bad_couplings(fn):
+def _two_levels(params, couplings):
+    return sector_spectra(params, couplings, 2)
+
+
+# every chain solver takes a 1-d array only; the doublet and the cats also
+# want it nonempty and >= 0, while the bare solvers take empty and negative grids
+@pytest.mark.parametrize("fn, bare", [
+    (build_gauge_chain, False), (cat_approximant, False),
+    (sector_eigh, True), (chain_ground, True), (_two_levels, True),
+], ids=["build_gauge_chain", "cat_approximant", "sector_eigh", "chain_ground", "sector_spectra"])
+def test_gauge_chain_rejects_bad_couplings(fn, bare):
     params = ModelParams(n_fock=8)
-    for couplings in (0.5, [], [[0.5]], [0.5, -0.1]):
+    empty_or_negative = ([], [0.5, -0.1])
+    for couplings in (0.5, [[0.5]], *(() if bare else empty_or_negative)):
         with pytest.raises(ValueError, match="couplings"):
             fn(params, np.array(couplings))
+    for couplings in empty_or_negative if bare else ():
+        fn(params, np.array(couplings))
 
 
 def _shift_level(w, v):
@@ -243,8 +258,13 @@ def test_sector_spectra_match_eigendecompose(omega_eg):
 # cat approximants
 # --------------------------------------------------------------------------
 
+def _cat_cells(params: ModelParams, couplings) -> np.ndarray:
+    """The cat pair as cell vectors (m, 2, 2 n_fock): G, then E."""
+    return pair_on_cells(params, cat_approximant(params, couplings)[:, None])
+
+
 def test_cat_pair_is_orthonormal():
-    (cat_g, cat_e), = cat_approximant(ModelParams(), [1.0])
+    (cat_g, cat_e), = _cat_cells(ModelParams(), [1.0])
     assert abs(np.linalg.norm(cat_g) - 1.0) < 1e-12
     assert abs(np.linalg.norm(cat_e) - 1.0) < 1e-12
     assert abs(np.vdot(cat_g, cat_e)) < 1e-12
@@ -253,7 +273,7 @@ def test_cat_pair_is_orthonormal():
 def test_cat_matches_exact_doublet():
     params = ModelParams()
     _, states, _ = _levels(params, 1.0, k=2)
-    (cat_g, cat_e), = cat_approximant(params, [1.0])
+    (cat_g, cat_e), = _cat_cells(params, [1.0])
     f_g = abs(np.vdot(states[:, 0], cat_g)) ** 2
     f_e = abs(np.vdot(states[:, 1], cat_e)) ** 2
     assert abs(f_g - CAT_G_OVERLAP) < 1e-4
@@ -265,7 +285,7 @@ def test_cat_parity_sectors():
     params = ModelParams()
     p = parity_op(params.n_fock)
     plus = np.real(np.diag(p)) > 0
-    cats = cat_approximant(params, np.linspace(0.0, 1.0, 11))
+    cats = _cat_cells(params, np.linspace(0.0, 1.0, 11))
     cat_g, cat_e = cats[-1]
     assert abs(np.vdot(cat_g, p @ cat_g) + 1.0) < 1e-12
     assert abs(np.vdot(cat_e, p @ cat_e) - 1.0) < 1e-12
@@ -280,7 +300,7 @@ KRON_GRID = (0.0, 0.3, 1.0, 1.5)
 @pytest.mark.parametrize("coupling", KRON_GRID)
 def test_cat_matches_textbook_kron_form(coupling, which):
     # the stack over the whole grid in one call; row 0 is G and row 1 is E
-    cats = cat_approximant(ModelParams(), KRON_GRID)
+    cats = _cat_cells(ModelParams(), KRON_GRID)
     cat = cats[KRON_GRID.index(coupling), "GE".index(which)]
     assert np.abs(cat - kron_cat(ModelParams(), coupling, which).amplitudes).max() < 1e-15
 
@@ -289,7 +309,7 @@ def test_cat_zero_coupling_limit():
     # alpha -> 0 collapses the cats onto the bare states
     params = ModelParams()
     g0 = basis_state(params.n_fock, 0, 0).amplitudes
-    cat_g0, near = cat_approximant(params, [0.0, 0.01])[:, 0]
+    cat_g0, near = _cat_cells(params, [0.0, 0.01])[:, 0]
     assert abs(abs(np.vdot(cat_g0, g0)) - 1.0) < 1e-12
     assert abs(np.vdot(near, g0)) > 0.9999
 
