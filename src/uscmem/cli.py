@@ -11,14 +11,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import PropagatorConfig, step_count
-from .lindblad import RATE_MODELS, NoiseRates
+from .lindblad import NoiseRates
 from .model import ModelParams, storage_schedule
 from .protocols import EXPERIMENTS, ExperimentSpec, ResultBundle, run_experiment
 
@@ -35,40 +35,39 @@ class _UsageError(Exception):
     pass
 
 
-# key -> (converter name, predicate, requirement text)
+# key -> (converter name, the one spec input the key sets: params, schedule,
+# cfg, noise, the ExperimentSpec field of the same name, or "cli" for the
+# runner's own key). Each rule on a value lives with the input it sets.
 _KEYS = {
-    "omega_cav": ("float", lambda v: v > 0, "> 0"),
-    "omega_eg": ("float", lambda v: v >= 0, ">= 0"),
-    "omega0": ("float", lambda v: v >= 0, ">= 0"),
-    "omega_start": ("float", lambda v: v >= 0, ">= 0"),
-    "n_fock": ("int", lambda v: v >= 2, ">= 2"),
-    "n_fock_alt": ("int", lambda v: v >= 2, ">= 2"),
-    "T": ("float", lambda v: v > 0, "> 0"),
-    "dt": ("float", lambda v: v > 0, "> 0"),
-    "record_every": ("int", lambda v: v >= 1, ">= 1"),
-    "alpha_f": ("complex", lambda v: True, ""),
-    "beta_f": ("complex", lambda v: True, ""),
-    "theta": ("theta", lambda v: True, ""),
-    "theta_points": ("int", lambda v: v >= 32, ">= 32"),
-    "gamma_x": ("float", lambda v: v >= 0, ">= 0"),
-    "gamma_y": ("float", lambda v: v >= 0, ">= 0"),
-    "gamma_z": ("float", lambda v: v >= 0, ">= 0"),
-    "gamma_r": ("float", lambda v: v >= 0, ">= 0"),
-    "rate_model": ("choice:" + ",".join(RATE_MODELS), lambda v: True, ""),
-    "k_levels": ("int", lambda v: v >= 2, ">= 2"),
-    "refresh_every": ("int", lambda v: v >= 1, ">= 1"),
-    "omega_points": ("int", lambda v: v >= 2, ">= 2"),
-    "verbosity": ("int", lambda v: v >= 0, ">= 0"),
+    "omega_cav": ("float", "params"),
+    "omega_eg": ("float", "params"),
+    "omega0": ("float", "params"),
+    "n_fock": ("int", "params"),
+    "T": ("float", "schedule"),
+    "omega_start": ("float", "schedule"),
+    "dt": ("float", "cfg"),
+    "record_every": ("int", "cfg"),
+    "gamma_x": ("float", "noise"),
+    "gamma_y": ("float", "noise"),
+    "gamma_z": ("float", "noise"),
+    "gamma_r": ("float", "noise"),
+    "alpha_f": ("complex", "alpha_f"),
+    "beta_f": ("complex", "beta_f"),
+    "theta": ("theta", "theta"),
+    "theta_points": ("int", "theta_points"),
+    "k_levels": ("int", "k_levels"),
+    "refresh_every": ("int", "refresh_every"),
+    "rate_model": ("text", "rate_model"),
+    "omega_points": ("int", "omega_points"),
+    "n_fock_alt": ("int", "n_fock_alt"),
+    "verbosity": ("int", "cli"),
 }
 
 
 def _convert(kind: str, raw: str):
     if kind == "int":
         return int(raw)
-    if kind.startswith("choice:"):
-        choices = kind.split(":", 1)[1].split(",")
-        if raw not in choices:
-            raise ValueError(f"expected one of {choices}")
+    if kind == "text":
         return raw
     if kind == "theta" and raw == "optimize":
         return None
@@ -80,7 +79,7 @@ def _convert(kind: str, raw: str):
 
 
 def _parse_entries(entries: list[tuple[str, str, str]]) -> dict:
-    """Validate (where, "key=value" body, expected form) entries.
+    """Convert (where, "key=value" body, expected form) entries.
 
     Collects every problem before raising, so a bad input reports all of
     its mistakes at once.
@@ -96,23 +95,18 @@ def _parse_entries(entries: list[tuple[str, str, str]]) -> dict:
         if key not in _KEYS:
             violations.append(f"{where}: unknown key {key!r}")
             continue
-        kind, check, requirement = _KEYS[key]
+        kind = _KEYS[key][0]
         try:
-            value = _convert(kind, raw)
+            overrides[key] = _convert(kind, raw)
         except ValueError as exc:
             violations.append(f"{where}: {key} = {raw!r} is not a valid {kind} ({exc})")
-            continue
-        if not check(value):
-            violations.append(f"{where}: {key} = {raw!r} violates {key} {requirement}")
-            continue
-        overrides[key] = value
     if violations:
         raise ConfigError(violations)
     return overrides
 
 
 def parse_config(text: str) -> dict:
-    """Parse a config document into validated override values."""
+    """Parse a config document into converted override values."""
     entries = [
         (f"line {lineno}", line.split("#", 1)[0].strip(),
          f"'key = value', got {line.strip()!r}")
@@ -134,20 +128,19 @@ class RunConfig:
     out_dir: str = "out"
 
 
-# ExperimentSpec fields a config may set directly.
-_SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec) if f.name in _KEYS)
+def _spec(name: str, ov: dict) -> ExperimentSpec:
+    """The spec the overrides ov set, every other input at its dataclass's
+    default; the noise rates are always built, and kept where read."""
+    def sets(target: str) -> dict:
+        return {k: v for k, v in ov.items() if _KEYS[k][1] == target}
 
-# The spec input each config key sets where it is not the field of the same
-# name. The model keys are kept for every experiment.
-_GAMMAS = ("gamma_x", "gamma_y", "gamma_z", "gamma_r")
-_SETS = {"T": "schedule", "omega_start": "schedule", "dt": "cfg", "record_every": "cfg",
-         **dict.fromkeys(_GAMMAS, "noise")}
-_ALWAYS_KEPT = ("omega_cav", "omega_eg", "omega0", "n_fock")
-
-
-def _given(ov: dict, keys) -> dict:
-    """The overrides among keys; every other field keeps its declared default."""
-    return {k: ov[k] for k in keys if k in ov}
+    params = ModelParams(**sets("params"))
+    schedule = storage_schedule(params, ov.get("T", 105.0), ov.get("omega_start", 0.0))
+    cfg = replace(PropagatorConfig.for_total_time(schedule.total_time), **sets("cfg"))
+    noise = replace(NoiseRates.for_qubit_splitting(params.omega_eg), **sets("noise"))
+    return ExperimentSpec(name, params, schedule, cfg,
+                          noise=noise if "noise" in EXPERIMENTS[name].reads else None,
+                          **{k: v for k, v in ov.items() if _KEYS[k][1] == k})
 
 
 def build_spec(run: RunConfig) -> ExperimentSpec:
@@ -155,40 +148,39 @@ def build_spec(run: RunConfig) -> ExperimentSpec:
     overridden takes the default its dataclass declares, and ``n_fock``
     the experiment's own default from ``EXPERIMENTS``.
 
-    An override whose spec input the experiment does not read is dropped
-    before validation, so it neither splits the spec hash nor fails a check:
+    Every override first meets its owner's rule, that of the input it
+    sets, whether the experiment reads it or not; each ValueError is one
+    violation naming the key and its value. Then the overrides it does not
+    read are dropped, so they do not split the spec hash, and the rest meet
+    the rules that tie a value to the experiment or to another value:
     ``entangled`` drops the stored qubit and read phase, ``spectrum`` and
-    ``convergence`` the sweep's schedule and step keys (and with them the
-    dt floor), and every experiment but ``noisy`` the noise rates.
+    ``convergence`` the sweep's keys (and with them the dt floor), and
+    every experiment but ``noisy`` the noise rates.
     """
     row = EXPERIMENTS.get(run.experiment)
     if row is None:
         raise ConfigError([f"unknown experiment {run.experiment!r}"])
-    ov = {"n_fock": row.n_fock}
-    ov.update((k, v) for k, v in run.overrides.items()
-              if k in _ALWAYS_KEPT or _SETS.get(k, k) in row.reads)
     violations: list[str] = []
-    params = ModelParams(**_given(ov, ("omega_cav", "omega_eg", "omega0", "n_fock")))
-    schedule = storage_schedule(params, ov.get("T", 105.0), ov.get("omega_start", 0.0))
-    cfg = replace(PropagatorConfig.for_total_time(schedule.total_time),
-                  **_given(ov, ("dt", "record_every")))
-    try:
-        step_count(schedule, cfg)  # the propagator's own step floor
-    except ValueError as exc:
-        violations.append(str(exc))
+    for key, value in run.overrides.items():
+        try:
+            if key == "verbosity" and value < 0:  # read by the CLI alone
+                raise ValueError(f"verbosity must be >= 0, got {value}")
+            _spec(run.experiment, {"n_fock": row.n_fock, key: value})
+        except ValueError as exc:
+            # an owner names its own field; add the key where that differs (T sets total_time)
+            named = str(exc).startswith(f"{key} ")
+            violations.append(str(exc) if named else f"{key} = {value!r}: {exc}")
+    if violations:
+        raise ConfigError(violations)
 
-    noise = None
-    if "noise" in row.reads:
-        noise = replace(NoiseRates.for_qubit_splitting(params.omega_eg),
-                        **_given(ov, _GAMMAS))
-    spec = ExperimentSpec(
-        name=run.experiment,
-        params=params,
-        schedule=schedule,
-        cfg=cfg,
-        noise=noise,
-        **_given(ov, _SPEC_KEYS),
-    )
+    # every owner's rule is on one value, so the overrides that each pass build
+    read = {k: v for k, v in run.overrides.items() if _KEYS[k][1] in ("params", *row.reads)}
+    spec = _spec(run.experiment, {"n_fock": row.n_fock, **read})
+    if "schedule" in row.reads:
+        try:
+            step_count(spec.schedule, spec.cfg)  # the propagator's own step floor
+        except ValueError as exc:
+            violations.append(str(exc))
     violations.extend(spec.validate())
     if violations:
         raise ConfigError(violations)

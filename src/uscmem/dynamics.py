@@ -84,9 +84,13 @@ class Trajectory:
 
 
 def step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
-    """Midpoint steps over schedule: round(T / dt), at least one, and a
-    ValueError for a sweep of fewer than _MIN_STEPS_PER_SWEEP."""
-    n = max(1, round(schedule.total_time / cfg.dt))
+    """Midpoint steps over schedule: round(T / dt), at least one; a ValueError
+    if T / dt overflows or a sweep has fewer than _MIN_STEPS_PER_SWEEP."""
+    steps = schedule.total_time / cfg.dt
+    if not np.isfinite(steps):
+        raise ValueError(f"dt = {cfg.dt} gives T / dt = {steps} steps over "
+                         f"T = {schedule.total_time}")
+    n = max(1, round(steps))
     if schedule.is_sweep and n < _MIN_STEPS_PER_SWEEP:
         raise ValueError(
             f"dt = {cfg.dt} gives {n} steps over T = {schedule.total_time}; "

@@ -64,8 +64,8 @@ class NoiseRates:
 
     def __post_init__(self) -> None:
         for name in ("gamma_x", "gamma_y", "gamma_z", "gamma_r"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+            if not 0 <= (value := getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     @classmethod
     def for_qubit_splitting(cls, omega_eg: float) -> "NoiseRates":

@@ -99,8 +99,9 @@ class CouplingSchedule:
     def __post_init__(self) -> None:
         if not 0 < self.total_time < np.inf:
             raise ValueError(f"total_time must be finite and > 0, got {self.total_time}")
-        if not np.isfinite([self.omega_start, self.omega_end]).all():
-            raise ValueError(f"couplings must be finite, got {self.omega_start}, {self.omega_end}")
+        if not (0 <= self.omega_start < np.inf and 0 <= self.omega_end < np.inf):
+            raise ValueError(f"couplings must be finite and >= 0, got "
+                             f"{self.omega_start}, {self.omega_end}")
 
     @property
     def is_sweep(self) -> bool:

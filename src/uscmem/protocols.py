@@ -108,6 +108,21 @@ class ExperimentSpec:
     omega_points: int = 41
     n_fock_alt: int = 40
 
+    def __post_init__(self) -> None:
+        # each scalar's own range, whichever experiment reads it
+        if self.theta_points < 32:
+            raise ValueError(f"theta_points = {self.theta_points} below minimum 32")
+        if self.k_levels < 2:
+            raise ValueError(f"k_levels = {self.k_levels} must be >= 2")
+        if self.refresh_every < 1:
+            raise ValueError(f"refresh_every = {self.refresh_every} must be >= 1")
+        if self.rate_model not in RATE_MODELS:
+            raise ValueError(f"rate_model = {self.rate_model!r} must be one of {RATE_MODELS}")
+        if self.omega_points < 2:
+            raise ValueError(f"omega_points = {self.omega_points} must be >= 2")
+        if self.n_fock_alt < 2:
+            raise ValueError(f"n_fock_alt = {self.n_fock_alt} must be >= 2")
+
     @property
     def _reads(self) -> tuple[str, ...]:
         """The inputs beyond params the named experiment reads (none if unknown)."""
@@ -115,6 +130,7 @@ class ExperimentSpec:
         return row.reads if row else ()
 
     def validate(self) -> list[str]:
+        """The rules tying a read value to its experiment or to another value."""
         problems = []
         reads = self._reads
         if self.name not in EXPERIMENTS:
@@ -123,25 +139,12 @@ class ExperimentSpec:
             problems.append(f"omega_eg = {self.params.omega_eg} must be below omega_cav = "
                             f"{self.params.omega_cav} for a sweep to write |e,0> into "
                             "the ground doublet")
-        # each scalar is checked only where the row reads it
         weight = abs(self.alpha_f) ** 2 + abs(self.beta_f) ** 2
         if "alpha_f" in reads and not (abs(weight - 1.0) <= 1e-6):
             problems.append(f"|alpha_f|^2 + |beta_f|^2 = {weight:.8f} must be 1")
-        if "theta_points" in reads and self.theta_points < 32:
-            problems.append(f"theta_points = {self.theta_points} below minimum 32")
-        if "k_levels" in reads and self.k_levels < 2:
-            problems.append(f"k_levels = {self.k_levels} must be >= 2")
         if "k_levels" in reads and self.k_levels > 2 * self.params.n_fock:
             problems.append(f"k_levels = {self.k_levels} exceeds 2 * n_fock = "
                             f"{2 * self.params.n_fock}")
-        if "refresh_every" in reads and self.refresh_every < 1:
-            problems.append(f"refresh_every = {self.refresh_every} must be >= 1")
-        if "rate_model" in reads and self.rate_model not in RATE_MODELS:
-            problems.append(f"rate_model must be one of {RATE_MODELS}")
-        if "omega_points" in reads and self.omega_points < 2:
-            problems.append(f"omega_points = {self.omega_points} must be >= 2")
-        if "n_fock_alt" in reads and self.n_fock_alt < 2:
-            problems.append(f"n_fock_alt = {self.n_fock_alt} must be >= 2")
         return problems
 
     def resolved(self) -> dict:

@@ -10,6 +10,7 @@ import pytest
 from uscmem import ModelParams, PropagatorConfig, run_experiment, storage_schedule
 from uscmem.cli import (
     _CHUNK,
+    _KEYS,
     ConfigError,
     RunConfig,
     _file_sha256,
@@ -22,6 +23,7 @@ from uscmem.cli import (
     write_manifest,
 )
 from uscmem.dynamics import step_count
+from uscmem.model import CouplingSchedule
 from uscmem.protocols import EXPERIMENTS, ExperimentSpec
 
 GOOD_CONFIG = """\
@@ -55,10 +57,14 @@ def test_parse_config_collects_all_violations():
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     messages = err.value.violations
-    assert len(messages) == 3
+    assert len(messages) == 2
     assert any("line 1" in m and "n_fock" in m for m in messages)
     assert any("line 2" in m and "bogus_key" in m for m in messages)
-    assert any("line 3" in m and "T" in m for m in messages)
+    # T = -5 parses; its range is the schedule's, checked once the spec is built
+    with pytest.raises(ConfigError) as err:
+        build_spec(RunConfig("storage", parse_config("T = -5\n")))
+    assert err.value.violations == [
+        "T = -5.0: total_time must be finite and > 0, got -5.0"]
 
 
 def test_parse_config_rejects_free_text():
@@ -71,8 +77,10 @@ def test_parse_set_flags():
     assert ov == {"T": 30.0, "rate_model": "ohmic", "theta": 1.5}
     with pytest.raises(ConfigError, match="KEY=VALUE"):
         parse_set_flags(["T:30"])
-    with pytest.raises(ConfigError, match="one of"):
-        parse_set_flags(["rate_model=linear"])
+    # rate_model is text to the parser; the spec holds its choices
+    linear = parse_set_flags(["rate_model=linear"])
+    with pytest.raises(ConfigError, match="rate_model = 'linear'.*one of"):
+        build_spec(RunConfig("noisy", linear))
 
 
 def test_build_spec_defaults():
@@ -604,6 +612,55 @@ def test_main_rejects_k_levels_beyond_the_cell(tmp_path, capsys):
     assert "config error" in err
     assert "k_levels = 100 exceeds" in err and "alpha_f" in err
     assert not (tmp_path / "out").exists()
+
+
+# an out-of-range value for every config key with a range, and an
+# experiment that reads the key, then one that does not where one exists
+_OUT_OF_RANGE = [
+    ("omega_cav", "0", ["storage"]),
+    ("omega_eg", "-0.1", ["storage"]),
+    ("omega0", "-1", ["spectrum"]),
+    ("omega_start", "-0.1", ["storage", "spectrum"]),
+    ("n_fock", "1", ["convergence"]),
+    ("n_fock_alt", "1", ["convergence", "roundtrip"]),
+    ("T", "-5", ["storage", "spectrum"]),
+    ("dt", "0", ["storage", "spectrum"]),
+    ("record_every", "0", ["storage", "convergence"]),
+    ("theta_points", "8", ["phase-map", "roundtrip"]),
+    ("gamma_x", "-1e-4", ["noisy", "roundtrip"]),
+    ("gamma_y", "-1e-4", ["noisy", "roundtrip"]),
+    ("gamma_z", "-1e-4", ["noisy", "roundtrip"]),
+    ("gamma_r", "-1e-4", ["noisy", "roundtrip"]),
+    ("rate_model", "linear", ["noisy", "roundtrip"]),
+    ("k_levels", "1", ["noisy", "roundtrip"]),
+    ("refresh_every", "0", ["noisy", "roundtrip"]),
+    ("omega_points", "1", ["spectrum", "roundtrip"]),
+    ("verbosity", "-1", ["storage"]),
+]
+
+
+def test_out_of_range_walk_covers_every_ranged_key():
+    assert {key for key, _, _ in _OUT_OF_RANGE} == set(_KEYS) - {"alpha_f", "beta_f", "theta"}
+
+
+@pytest.mark.parametrize("key, raw, experiments", _OUT_OF_RANGE)
+def test_main_rejects_every_out_of_range_key(tmp_path, capsys, key, raw, experiments):
+    # whether the experiment reads the key or drops it, its owner's rule holds
+    for experiment in experiments:
+        assert _run(tmp_path, experiment, "--set", f"{key}={raw}") == 1, experiment
+        err = capsys.readouterr().err
+        assert f"config error: {key} " in err, (experiment, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_rejects_a_step_count_that_overflows(tmp_path, capsys):
+    # T / dt is inf: a config error naming dt, not an OverflowError
+    assert _run(tmp_path, "storage", "--set", "dt=1e-320") == 1
+    err = capsys.readouterr().err
+    assert "config error: dt = 1e-320" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="dt = 1e-320"):
+        step_count(CouplingSchedule(0.0, 1.0, 105.0), PropagatorConfig(dt=1e-320))
 
 
 @pytest.mark.parametrize("experiment, pair", [

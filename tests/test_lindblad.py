@@ -443,7 +443,7 @@ def test_master_frame_step_matches_lab_frame_reference():
         assert np.abs(mt.rhos - want).max() < 1e-12
 
 
-def _truncated_frame_run(omega0):
+def _truncated_frame_run(omega0, refresh_every=3):
     """A sweep at n_fock = 20, where 24 of the 40 levels are carried, and
     the lab-frame reference of the same sweep."""
     params = ModelParams(omega0=omega0, n_fock=20)
@@ -451,10 +451,10 @@ def _truncated_frame_run(omega0):
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
     rates = _tenfold_reference_rates()
     rho0 = pure_density(storage_input(params))
-    mt = evolve_master(params, sched, rho0, rates, cfg, refresh_every=3)
-    want = _lab_frame_master(params, sched, rho0, rates, cfg, 12, 3, "flat")
+    mt = evolve_master(params, sched, rho0, rates, cfg, refresh_every=refresh_every)
+    want = _lab_frame_master(params, sched, rho0, rates, cfg, 12, refresh_every, "flat")
     assert mt.rhos.shape == want.shape == (51, 40, 40)
-    return (params, sched, rho0, rates, cfg, 12, 3, "flat"), mt, want
+    return (params, sched, rho0, rates, cfg, 12, refresh_every, "flat"), mt, want
 
 
 def _spy_widths(monkeypatch):
@@ -503,6 +503,21 @@ def test_truncated_frame_widens_to_every_level(monkeypatch):
     idx = np.array([site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)])
     got_block, want_block = mt.rhos[:, idx[:, None], idx], want[:, idx[:, None], idx]
     assert np.abs(got_block - want_block).max() < 2e-8
+
+
+def test_frame_widens_between_refreshes_in_the_last_refresh_basis(monkeypatch):
+    # at omega0 = 2 and refresh_every = 20 the frame widens between two
+    # scheduled refreshes, so the widening must redo the last scheduled
+    # refresh's levels, not take the current step's
+    widths = _spy_widths(monkeypatch)
+    args, mt, want = _truncated_frame_run(2.0, refresh_every=20)
+    params = args[0]
+    # 500 steps give 25 scheduled refreshes; the one more is the widening
+    wide = widths.index(40)
+    assert len(widths) == 26 and widths == [24] * wide + [40] * (26 - wide)
+    idx = params.chains.index[:, 0]
+    got_block, want_block = mt.rhos[:, idx[:, None], idx], want[:, idx[:, None], idx]
+    assert np.abs(got_block - want_block).max() < 1e-7
 
 
 @pytest.mark.parametrize("omega0", [1.0, 3.0])

@@ -270,6 +270,9 @@ def test_storage_and_retrieval_directions():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         CouplingSchedule(0.0, 1.0, total_time=0.0)
+    for start, end in ((-0.1, 1.0), (1.0, -0.1)):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            CouplingSchedule(start, end, total_time=10.0)
 
 
 NON_FINITE_GUARDS = {

@@ -438,26 +438,32 @@ def test_spec_hash_tracks_parameters():
 
 
 def test_spec_validation_collects_problems():
-    params = ModelParams(n_fock=8)
-    spec = ExperimentSpec(
+    params = ModelParams(n_fock=8, omega_eg=1.5)
+    fields = dict(
         name="phase-map",
         params=params,
         schedule=storage_schedule(params, 12.0),
         cfg=PropagatorConfig.for_total_time(12.0, steps=500),
         alpha_f=1.0,
         beta_f=1.0,
-        theta_points=8,
     )
-    problems = spec.validate()
+    # a scalar's own range holds at construction, whatever the experiment
+    with pytest.raises(ValueError, match="theta_points"):
+        ExperimentSpec(**fields, theta_points=8)
+    problems = ExperimentSpec(**fields).validate()
     assert len(problems) >= 2
     joined = " ".join(problems)
-    assert "theta_points" in joined
+    assert "alpha_f" in joined and "omega_eg" in joined
 
 
 def test_spec_validation_skips_unread_scalars():
-    # spectrum reads no qubit and roundtrip no theta grid, so neither fails on them
+    # spectrum reads no qubit and roundtrip no k_levels, so neither fails on
+    # a rule that ties the value to another
     assert _tiny_spec("spectrum", alpha_f=1.0, beta_f=1.0).validate() == []
-    assert _tiny_spec("roundtrip", theta_points=8).validate() == []
+    assert _tiny_spec("roundtrip", k_levels=100).validate() == []
+    # a scalar's own range holds wherever it is read or not
+    with pytest.raises(ValueError, match="theta_points"):
+        _tiny_spec("roundtrip", theta_points=8)
 
 
 def test_unknown_experiment_rejected():
