@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PropagatorConfig, step_count
+from .dynamics import LANDSCAPE_BLOCK, PropagatorConfig, step_count
 from .lindblad import NoiseRates
 from .model import ModelParams, storage_schedule
 from .protocols import EXPERIMENTS, ExperimentSpec, ResultBundle, run_experiment
@@ -335,8 +335,9 @@ def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     Landscapes become a long-form omega,theta,fidelity file (rows ordered by
     sweep sample then theta) plus a *_theta_opt companion. Each omega and
     theta is formatted once; a landscape row of the sweep is one
-    %-format of a template that already holds its thetas, and the
-    fidelities are formatted a block of rows at a time.
+    %-format of a template that already holds its thetas. The fidelities
+    are built as they are written, a few kernel passes of rows per
+    PhaseLandscape.rows call, so the landscape's table is never held.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -356,26 +357,21 @@ def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
             fh.writelines(row % tuple(cells[i:i + width]) for i in range(0, len(cells), width))
         paths.append(path)
     for name, land in bundle.landscapes.items():
-        fidelity = np.asarray(land.fidelity, dtype=np.float64)
         n_omega, n_theta = len(land.coupling_grid), len(land.theta_grid)
-        if fidelity.shape != (n_omega, n_theta) or n_theta == 0:
-            raise ValueError(
-                f"landscape {name!r}: fidelity has shape {fidelity.shape}, expected"
-                f" ({n_omega}, {n_theta}) with at least one phase")
-        if np.shape(land.theta_opt) != (n_omega,):
-            raise ValueError(f"landscape {name!r}: theta_opt has shape"
-                             f" {np.shape(land.theta_opt)}, expected ({n_omega},)")
         path = out / f"{name}.csv"
         omegas = _format_17g(land.coupling_grid)
         # omega.join(cells) puts omega in front of every cell but the first
         cells = [b"," + th + b",%s\n" for th in _format_17g(land.theta_grid)]
         block = max(1, _CHUNK // n_theta)  # rows formatted per kernel pass
+        size = block * (LANDSCAPE_BLOCK // _CHUNK)  # rows built per readout call
         with open(path, "wb") as fh:
             fh.write(b"omega,theta,fidelity\n")
-            for start in range(0, n_omega, block):
-                values = iter(_format_17g(fidelity[start:start + block]))
-                for om in omegas[start:start + block]:
-                    fh.write((om + om.join(cells)) % tuple(islice(values, n_theta)))
+            for start in range(0, n_omega, size):
+                rows = land.rows(start, start + size)
+                for at in range(0, len(rows), block):
+                    values = iter(_format_17g(rows[at:at + block]))
+                    for om in omegas[start + at:start + at + block]:
+                        fh.write((om + om.join(cells)) % tuple(islice(values, n_theta)))
         paths.append(path)
         companion = out / f"{name}_theta_opt.csv"
         with open(companion, "wb") as fh:
@@ -386,7 +382,7 @@ def emit_csv(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     return paths
 
 
-_HASH_CHUNK = 1 << 20
+_HASH_CHUNK = 1 << 16
 
 
 def _file_sha256(path: Path) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 from .hilbert import State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
-    SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, sector_eigh,
+    SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, ground_batch_size, sector_eigh,
 )
 from .spectral import build_gauge_chain
 
@@ -76,7 +76,7 @@ class PropagatorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded sweep samples: times, couplings, and state amplitudes (rows)."""
+    """Recorded sweep samples: times, couplings, and the record hook's samples (rows)."""
 
     times: np.ndarray
     couplings: np.ndarray
@@ -161,21 +161,26 @@ def _unitary_step(x, w, v, dt, i, norm_tol):
 
 def propagate(
     params: ModelParams, schedule: CouplingSchedule, psi0: State, cfg: PropagatorConfig,
+    record: Callable | None = None,
 ) -> Trajectory:
     """Integrate a cell state across a schedule, carried as one column
-    (2, n_fock, 1) of chain slices through :func:`_unitary_step`."""
+    (2, n_fock, 1) of chain slices through :func:`_unitary_step`.
+
+    record(x, n) gives the sample of x after recorded step n, in step
+    order (:func:`_sweep`); by default the cell state (2 * n_fock,).
+    """
     if psi0.amplitudes.shape != (2 * params.n_fock,):
         raise ValueError("state truncation does not match params.n_fock")
     index = params.chains.index
 
-    def record(x, n):
+    def cell_state(x, n):
         psi = np.empty(2 * params.n_fock, dtype=np.complex128)
         psi[index] = x[..., 0]
         return psi
 
     step = partial(_unitary_step, norm_tol=cfg.norm_tol)
     x0 = psi0.amplitudes[index][..., None]
-    return Trajectory(*_sweep(params, schedule, cfg, x0, step, record))
+    return Trajectory(*_sweep(params, schedule, cfg, x0, step, record or cell_state))
 
 
 # --------------------------------------------------------------------------
@@ -223,8 +228,8 @@ def readout(
 
     block is any stack (..., 2, 2) of such blocks, pure (branch_block) or
     mixed. theta None picks the closed-form optimum -arg z of the last
-    block, in [0, 2 pi), and 0 when z = 0. Returns theta and F, one value
-    per block, clipped into [0, 1] after a roundoff check.
+    block, in [0, 2 pi), and 0 when z = 0; an array broadcasts against the
+    stack. Returns theta and F, clipped into [0, 1] after a roundoff check.
     """
     amps = np.array([alpha_f, beta_f], dtype=np.complex128)
     alpha, beta = amps / np.linalg.norm(amps)
@@ -307,21 +312,43 @@ def roundtrip(
 # phase landscape
 # --------------------------------------------------------------------------
 
+# Fidelities per PhaseLandscape.rows block; bounds readout's (rows, phases)
+# temporaries: 32 rows at 256 phases.
+LANDSCAPE_BLOCK = 8192
+
+
 @dataclass(frozen=True)
 class PhaseLandscape:
-    """Fidelity against phase-parameterized doublet targets along a sweep.
-
-    fidelity[i, j] is the overlap-squared of the evolved state at sweep
-    sample i (coupling coupling_grid[i]) with the target built from the
-    instantaneous ground doublet using relative phase theta_grid[j];
-    theta_opt[i] is the grid phase attaining the row maximum.
-    """
+    """Fidelity against phase-parameterized doublet targets along a sweep,
+    in closed form: the evolved state's amplitudes (n, 2) on the ground
+    doublet G, E at each sample. :meth:`rows` builds any block of the
+    (n, phases) table, which is never held whole; row i peaks at ridge[i],
+    at grid phase theta_opt[i]. Shapes that disagree are refused here."""
 
     times: np.ndarray
     coupling_grid: np.ndarray
     theta_grid: np.ndarray
-    fidelity: np.ndarray
+    amplitudes: np.ndarray
+    alpha_f: complex
+    beta_f: complex
     theta_opt: np.ndarray
+    ridge: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.coupling_grid)
+        for name, shape in (("coupling_grid", (n,)), ("times", (n,)), ("amplitudes", (n, 2)),
+                            ("theta_opt", (n,)), ("ridge", (n,))):
+            if (got := np.shape(getattr(self, name))) != shape:
+                raise ValueError(f"landscape {name} has shape {got}, expected {shape}")
+        if np.ndim(self.theta_grid) != 1 or len(self.theta_grid) == 0:
+            raise ValueError(f"landscape theta_grid has shape {np.shape(self.theta_grid)}, "
+                             "expected one or more phases")
+
+    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Fidelity rows start:stop, (rows, phases), from one readout call."""
+        c = self.amplitudes[start:stop, :, None]
+        block = c * c.swapaxes(1, 2).conj()
+        return readout(block[:, None], self.alpha_f, self.beta_f, self.theta_grid)[1]
 
 
 def phase_landscape(
@@ -331,29 +358,33 @@ def phase_landscape(
     """Map |<target(theta)|psi(t)>|^2 over the sweep and a theta grid.
 
     Targets are alpha_f |G(t)> + beta_f e^{i theta} |E(t)> with |G>, |E> the
-    instantaneous ground doublet, read through :func:`doublet_amplitudes`.
-    A sweep from omega_start = 0 starts on the bare doublet, where the
-    target with theta = 0 is exactly the input state, so its first row
-    peaks at fidelity 1. The drift of theta_opt along the sweep is the
-    relative phase a read correction has to undo.
+    instantaneous ground doublet, built a chain_ground batch of record
+    couplings at a time; the sweep records only the state's amplitudes on
+    them. A sweep from omega_start = 0 starts on the bare doublet, where
+    the target with theta = 0 is the input state, so its first row peaks
+    at fidelity 1. The drift of theta_opt along the sweep is the relative
+    phase a read correction has to undo.
     """
     if theta_points < 32:
         raise ValueError(f"theta_points must be >= 32, got {theta_points}")
-    traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg)
-    times, couplings = traj.times, traj.couplings
-    _, pairs = build_gauge_chain(params, couplings)
+    _, dt, steps = _record_grid(schedule, cfg)
+    # the record couplings, at the times _sweep gives them
+    couplings = schedule.coupling_at(np.append(steps[:-1] * dt, schedule.total_time))
+    batch = ground_batch_size(params)
+    pairs = (pair for start in range(0, len(couplings), batch)
+             for pair in build_gauge_chain(params, couplings[start:start + batch])[1])
+    traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg,
+                     lambda x, n: _real_matmul(next(pairs)[:, None, :], x)[:, 0, 0])
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
-
-    # the state in the doublet basis, (n, 2), and its block there; the
-    # amplitudes and the doublets are freed before the landscape is allocated
-    c = doublet_amplitudes(traj.amplitudes, pairs, params)
-    del traj, pairs
-    block = c[:, :, None] * c[:, None, :].conj()
-    fid = np.empty((len(times), theta_points))
-    for j, theta in enumerate(thetas):
-        _, fid[:, j] = readout(block, alpha_f, beta_f, theta)
-    theta_opt = thetas[np.argmax(fid, axis=1)]
-    return PhaseLandscape(times, couplings, thetas, fid, theta_opt)
+    theta_opt, ridge = np.empty(len(couplings)), np.empty(len(couplings))
+    land = PhaseLandscape(traj.times, traj.couplings, thetas, traj.amplitudes,
+                          alpha_f, beta_f, theta_opt, ridge)
+    size = max(1, LANDSCAPE_BLOCK // theta_points)
+    for start in range(0, len(couplings), size):  # fill theta_opt and ridge in
+        rows = land.rows(start, start + size)
+        theta_opt[start:start + size] = thetas[rows.argmax(axis=1)]
+        ridge[start:start + size] = rows.max(axis=1)
+    return land
 
 
 # --------------------------------------------------------------------------

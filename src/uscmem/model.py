@@ -162,6 +162,11 @@ def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray,
     return np.linalg.eigh(chains.bare + couplings[:, None, None, None] * chains.hop)
 
 
+def ground_batch_size(params: ModelParams) -> int:
+    """Couplings per :func:`chain_ground` batch: its temporaries fit one sector_eigh batch."""
+    return SECTOR_BATCH * params.n_fock // 4
+
+
 def chain_ground(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lowest eigenpair of both parity chains at each coupling, without
     a dense eigensolver.
@@ -195,9 +200,7 @@ def chain_ground(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray
     couplings = _couplings_1d(couplings)
     energies = np.empty((len(couplings), 2))
     states = np.empty((len(couplings), 2, params.n_fock))
-    # a batch's few (batch, 2, n_fock) temporaries stay within one
-    # sector_eigh batch, (SECTOR_BATCH, 2, n_fock, n_fock) in and out
-    size = SECTOR_BATCH * params.n_fock // 4
+    size = ground_batch_size(params)
     for start in range(0, len(couplings), size):
         batch = slice(start, start + size)
         energies[batch], states[batch] = _ground_batch(params, couplings[batch])

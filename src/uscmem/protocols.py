@@ -279,9 +279,8 @@ def _run_phase_map(spec: ExperimentSpec) -> ResultBundle:
     land = _stage("phase landscape", phase_landscape,
                   spec.params, spec.alpha_f, spec.beta_f,
                   spec.schedule, spec.cfg, spec.theta_points)
-    ridge = land.fidelity.max(axis=1)
     scalars = {
-        "ridge_min": float(ridge.min()),
+        "ridge_min": float(land.ridge.min()),
         "theta_opt_final": float(land.theta_opt[-1]),
     }
     return ResultBundle(landscapes={"landscape": land}, scalars=scalars)

@@ -60,8 +60,8 @@ def test_cat_approximants_track_doublet(acceptance_log, params30):
 
 
 def test_phase_ridge_high_and_time_dependent(acceptance_log, landscape_105, landscape_120):
-    ridge_a = landscape_105.fidelity.max(axis=1).min()
-    ridge_b = landscape_120.fidelity.max(axis=1).min()
+    ridge_a = landscape_105.rows().max(axis=1).min()
+    ridge_b = landscape_120.rows().max(axis=1).min()
     diff = np.abs(
         (landscape_105.theta_opt - landscape_120.theta_opt + np.pi) % (2 * np.pi) - np.pi
     )

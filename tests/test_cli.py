@@ -22,7 +22,7 @@ from uscmem.cli import (
     parse_set_flags,
     write_manifest,
 )
-from uscmem.dynamics import step_count
+from uscmem.dynamics import LANDSCAPE_BLOCK, step_count
 from uscmem.model import CouplingSchedule
 from uscmem.protocols import EXPERIMENTS, ExperimentSpec
 
@@ -280,8 +280,9 @@ def _per_value_csv(bundle) -> dict[str, bytes]:
             ",".join(f"{a[i]:.17g}" for a in arrays) for i in range(len(arrays[0]))]
         files[f"{name}.csv"] = "".join(line + "\n" for line in lines).encode()
     for name, land in bundle.landscapes.items():
+        fidelity = land.rows()
         lines = ["omega,theta,fidelity"] + [
-            f"{om:.17g},{th:.17g},{land.fidelity[i, j]:.17g}"
+            f"{om:.17g},{th:.17g},{fidelity[i, j]:.17g}"
             for i, om in enumerate(land.coupling_grid)
             for j, th in enumerate(land.theta_grid)]
         files[f"{name}.csv"] = "".join(line + "\n" for line in lines).encode()
@@ -291,32 +292,43 @@ def _per_value_csv(bundle) -> dict[str, bytes]:
     return files
 
 
+def _amplitudes(rng, n: int) -> np.ndarray:
+    """n random doublet amplitudes (n, 2) of norm 10**-2 to 1, a few of
+    them 0, so the fidelities span four decades and hold exact 0s; the
+    first row is (1, 1) / sqrt(2), which peaks at fidelity 1 when
+    alpha_f = beta_f."""
+    c = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    c *= (10.0 ** rng.uniform(-2, 0, n) / np.linalg.norm(c, axis=1))[:, None]
+    c[rng.random(n) < 0.05] = 0.0
+    c[0] = 2 ** -0.5
+    return c
+
+
 def test_emit_csv_matches_per_value_formatting(tmp_path):
     from uscmem import PhaseLandscape
     from uscmem.protocols import ResultBundle
 
+    rng = np.random.default_rng(5)
     awkward = np.array([-0.0, 5e-324, 1e300, 1 / 3, 2.0, -7.0, np.inf, 0.1])
     land = PhaseLandscape(
         times=np.arange(4.0),
         coupling_grid=np.array([0.0, 1 / 3, 1e300, 7.0]),
         theta_grid=np.array([0.0, 5e-324, -0.0, np.pi, 2.0]),
-        fidelity=np.resize(awkward, (4, 5)),
+        amplitudes=_amplitudes(rng, 4), alpha_f=2 ** -0.5, beta_f=2 ** -0.5,
         theta_opt=np.array([np.inf, -0.0, 1 / 3, 3.0]),
+        ridge=np.zeros(4),
     )
-    # several kernel blocks of rows plus a partial one, fidelities over
-    # four decades with exact 0 and 1
-    rng = np.random.default_rng(5)
-    n_theta = 40
-    n_omega = 3 * (_CHUNK // n_theta) + 7
-    fidelity = 10.0 ** rng.uniform(-4, 0, (n_omega, n_theta))
-    fidelity[rng.random(fidelity.shape) < 0.05] = 0.0
-    fidelity[rng.random(fidelity.shape) < 0.05] = 1.0
+    # several blocks of rows, each several kernel passes, plus a partial
+    # block that ends in a partial pass
+    n_theta = 48
+    n_omega = 2 * (LANDSCAPE_BLOCK // n_theta) + 7
     ridge = PhaseLandscape(
         times=np.arange(float(n_omega)),
         coupling_grid=np.linspace(0.0, 1.0, n_omega),
         theta_grid=np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False),
-        fidelity=fidelity,
+        amplitudes=_amplitudes(rng, n_omega), alpha_f=0.6, beta_f=0.8j,
         theta_opt=rng.uniform(0.0, 2 * np.pi, n_omega),
+        ridge=np.zeros(n_omega),
     )
     bundle = ResultBundle(
         curves={"probe": {"x": awkward, "n": np.arange(8), "y": awkward[::-1]}},
@@ -387,8 +399,9 @@ def test_emit_csv_memory_stays_small(tmp_path):
         times=np.arange(2001.0),
         coupling_grid=np.linspace(0.0, 1.0, 2001),
         theta_grid=np.linspace(0.0, 2 * np.pi, 256, endpoint=False),
-        fidelity=rng.random((2001, 256)),
+        amplitudes=_amplitudes(rng, 2001), alpha_f=2 ** -0.5, beta_f=2 ** -0.5,
         theta_opt=rng.uniform(0.0, 2 * np.pi, 2001),
+        ridge=np.zeros(2001),
     )
     bundle = ResultBundle(landscapes={"landscape": land})
     tracemalloc.start()
@@ -397,8 +410,8 @@ def test_emit_csv_memory_stays_small(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the rows are formatted a block at a time, never all at once
-    assert peak < land.fidelity.nbytes / 4, peak
+    # the rows are built and formatted a block at a time, never all at once
+    assert peak < len(land.times) * len(land.theta_grid) * 8 / 4, peak
 
 
 def _landscape_bundle(**changes):
@@ -406,25 +419,30 @@ def _landscape_bundle(**changes):
     from uscmem.protocols import ResultBundle
 
     fields = dict(times=np.arange(3.0), coupling_grid=np.array([0.0, 0.5, 1.0]),
-                  theta_grid=np.array([0.0, 1.0]), fidelity=np.full((3, 2), 0.5),
-                  theta_opt=np.array([0.0, 1.0, 0.0]))
+                  theta_grid=np.array([0.0, 1.0]), amplitudes=np.full((3, 2), 0.5),
+                  alpha_f=1.0, beta_f=0.0, theta_opt=np.array([0.0, 1.0, 0.0]),
+                  ridge=np.full(3, 0.25))
     fields.update(changes)
     return ResultBundle(landscapes={"landscape": PhaseLandscape(**fields)})
 
 
 @pytest.mark.parametrize("changes", [
-    {"fidelity": np.full((2, 2), 0.5)},       # fewer rows than couplings
-    {"fidelity": np.full((4, 2), 0.5)},       # more rows than couplings
-    {"fidelity": np.full((3, 3), 0.5)},       # more columns than phases
-    {"fidelity": np.full(6, 0.5)},            # flat
-    {"theta_grid": np.array([]), "fidelity": np.empty((3, 0))},  # no phase
-    {"theta_opt": np.array([0.0, 1.0])},      # short ridge
-    {"theta_opt": np.zeros(4)},               # long ridge
+    {"amplitudes": np.full((2, 2), 0.5)},     # fewer rows than couplings
+    {"amplitudes": np.full((4, 2), 0.5)},     # more rows than couplings
+    {"amplitudes": np.full((3, 3), 0.5)},     # three amplitudes per sample
+    {"amplitudes": np.full(6, 0.5)},          # flat
+    {"theta_grid": np.array([])},             # no phase
+    {"theta_opt": np.array([0.0, 1.0])},      # short theta_opt
+    {"theta_opt": np.zeros(4)},               # long theta_opt
+    {"theta_grid": np.zeros((2, 1))},         # a 2-d phase grid
+    {"times": np.arange(2.0)},                # short times
+    {"ridge": np.zeros(4)},                   # long ridge
 ])
 def test_emit_csv_rejects_a_landscape_whose_shapes_disagree(tmp_path, changes):
-    emit_csv(_landscape_bundle(), tmp_path / "good")
-    with pytest.raises(ValueError, match="landscape 'landscape'"):
-        emit_csv(_landscape_bundle(**changes), tmp_path / "bad")
+    # the landscape refuses them at construction, so emit_csv never gets one
+    assert len(emit_csv(_landscape_bundle(), tmp_path)) == 2
+    with pytest.raises(ValueError, match=r"landscape \w+ has shape"):
+        _landscape_bundle(**changes)
 
 
 def test_manifest_contents(tmp_path):
@@ -452,7 +470,7 @@ def test_manifest_contents(tmp_path):
 
 @pytest.mark.parametrize("size", [0, 1000, 3 * (1 << 20) + 17])
 def test_manifest_digest_is_streamed_in_chunks(tmp_path, size):
-    # empty, under one chunk, and spanning several 1 MiB chunks
+    # empty, under one chunk, and spanning several 64 KiB chunks
     path = tmp_path / "blob.csv"
     path.write_bytes(np.random.default_rng(size).bytes(size))
     assert _file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()

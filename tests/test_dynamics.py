@@ -17,10 +17,12 @@ from uscmem import (
     ExperimentSpec,
     ModelParams,
     PropagatorConfig,
+    ResultBundle,
     State,
     branch_block,
     build_gauge_chain,
     build_rabi,
+    doublet_amplitudes,
     phase_landscape,
     physical_time,
     propagate,
@@ -32,6 +34,7 @@ from uscmem import (
     storage_schedule,
 )
 from uscmem import dynamics
+from uscmem.cli import emit_csv
 from uscmem.dynamics import NormDriftError, _sweep
 from uscmem.model import SECTOR_BATCH, sector_eigh, sector_levels
 
@@ -443,16 +446,16 @@ def test_retrieval_from_exact_eigenstate():
 def test_landscape_shapes_and_start(landscape_105):
     land = landscape_105
     assert land.theta_grid.shape == (64,)
-    assert land.fidelity.shape == (len(land.times), 64)
+    assert land.rows().shape == (len(land.times), 64)
     # before any coupling the input equals the target at theta = 0
-    assert abs(land.fidelity[0, 0] - 1.0) < 1e-9
+    assert abs(land.rows()[0, 0] - 1.0) < 1e-9
     assert land.theta_opt[0] == 0.0
-    assert int(np.argmax(land.fidelity[0])) == 0
+    assert int(np.argmax(land.rows()[0])) == 0
 
 
 def test_landscape_ridge_frozen_values(landscape_105, landscape_120):
     for land, total_time in ((landscape_105, 105.0), (landscape_120, 120.0)):
-        ridge = land.fidelity.max(axis=1)
+        ridge = land.rows().max(axis=1)
         assert abs(ridge.min() - RIDGE_MIN[total_time]) < 1e-4
         assert ridge.min() > 0.99
 
@@ -484,29 +487,45 @@ def test_landscape_rows_match_dense_targets():
     land = phase_landscape(params, alpha, beta, sched, cfg, theta_points=32)
     traj = propagate(params, sched, storage_input(params, alpha, beta), cfg)
     _, pairs = build_gauge_chain(params, traj.couplings)
-    for row, psi, (g, e) in zip(land.fidelity, traj.amplitudes, pair_on_cells(params, pairs)):
+    for row, psi, (g, e) in zip(land.rows(), traj.amplitudes, pair_on_cells(params, pairs)):
         dense = [abs(np.vdot(alpha * g + beta * np.exp(1j * th) * e, psi)) ** 2
                  for th in land.theta_grid]
         assert np.abs(row - dense).max() < 1e-14
-    assert np.array_equal(land.theta_opt, land.theta_grid[land.fidelity.argmax(axis=1)])
+    assert np.array_equal(land.theta_opt, land.theta_grid[land.rows().argmax(axis=1)])
+    assert np.array_equal(land.ridge, land.rows().max(axis=1))
+    # the hook's amplitudes are the full states' amplitudes on the doublet,
+    # and one readout over every phase is the per-phase loop, bit for bit
+    full = doublet_amplitudes(traj.amplitudes, pairs, params)
+    assert np.abs(land.amplitudes - full).max() < 1e-15
+    c = land.amplitudes
+    block = c[:, :, None] * c[:, None, :].conj()
+    loop = np.column_stack([readout(block, alpha, beta, th)[1] for th in land.theta_grid])
+    assert np.array_equal(land.rows(), loop)
+    assert np.array_equal(land.rows(3, 7), loop[3:7])
 
 
-def test_landscape_frees_its_temporaries():
-    # the sweep's amplitudes and doublets are gone before the landscape is
-    # allocated, so the landscape itself is nearly all of the peak
-    params = ModelParams(n_fock=30)
+@pytest.mark.parametrize("n_fock", [12, 30])
+def test_landscape_memory_does_not_grow_with_the_phase_grid(tmp_path, n_fock):
+    # the landscape keeps two amplitudes per sample and emit_csv builds its
+    # rows a block at a time, so 16 times the phases add less than a quarter
+    # of the growth of the (samples, phases) table that is never held
+    params = ModelParams(n_fock=n_fock)
     sched = storage_schedule(params, 20.0)
     cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=1)
-    args = (params, RSQRT2, RSQRT2, sched, cfg, 1024)
-    phase_landscape(*args)  # warm the per-params caches
-    tracemalloc.start()
-    try:
-        land = phase_landscape(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert land.fidelity.shape == (501, 1024)
-    assert peak < 1.1 * land.fidelity.nbytes, peak / land.fidelity.nbytes
+    peaks = {}
+    for theta_points in (64, 1024):
+        args = (params, RSQRT2, RSQRT2, sched, cfg, theta_points)
+        emit_csv(ResultBundle(landscapes={"landscape": phase_landscape(*args)}), tmp_path)  # warm
+        tracemalloc.start()
+        try:
+            land = phase_landscape(*args)
+            emit_csv(ResultBundle(landscapes={"landscape": land}), tmp_path)
+            peaks[theta_points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(land.times) == 501
+    growth = 501 * (1024 - 64) * 8
+    assert peaks[1024] - peaks[64] < growth / 4, (peaks, growth)
 
 
 def test_landscape_rejects_coarse_theta_grid():

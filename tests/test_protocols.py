@@ -323,7 +323,7 @@ def test_doublet_consumers_share_one_contraction():
     # F(theta) = w + 2 |z| cos(theta - theta_opt)
     z = abs(RSQRT2 * RSQRT2 * c[0] * np.conj(c[1]))
     slack = 2 * z * (1 - np.cos(np.pi / spec.theta_points))
-    top = run_experiment(spec).landscapes["landscape"].fidelity[-1].max()
+    top = run_experiment(spec).landscapes["landscape"].rows()[-1].max()
     assert f - slack - 1e-12 <= top <= f + 1e-12
     register = run_experiment(specs["entangled"]).scalars["storage_fidelity"]
     assert abs(register - 4 * abs(c[0] * c[1]) ** 2) < 1e-12
