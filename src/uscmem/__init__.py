@@ -20,6 +20,7 @@ from .model import (
     build_rabi,
     chain_ground,
     sector_eigh,
+    sector_propagators,
     storage_schedule,
 )
 from .spectral import (

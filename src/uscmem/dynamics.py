@@ -4,18 +4,16 @@ The integrator is a piecewise-exponential midpoint rule,
 
     psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t),
 
-with the exponential taken exactly via diagonalization of the midpoint
-Hamiltonian. Each step is therefore unitary to machine precision and the
-only discretization error is the freezing of H within a step, which is
-second order in dt. The midpoint Hamiltonian is never assembled: parity
-splits it into two real tridiagonal chains
-(:class:`~uscmem.model.ParityChains`), and the midpoints of a run of
-steps are diagonalized together, per parity sector, in one batched real
-eigh. The cell is carried as its two chain slices and stepped sector by
-sector, so parity is conserved by construction; the full cell vector is
-built only for the recorded samples. A round trip diagonalizes only its
-write leg: every step's factor is complex symmetric, so the read leg is
-the transpose P_N^T of the write leg's propagator (:func:`roundtrip`).
+with the exponential taken to roundoff, so each step is unitary to machine
+precision and the only discretization error, the freezing of H within a
+step, is second order in dt. Parity splits H into two real tridiagonal
+chains (:class:`~uscmem.model.ParityChains`), and the exponentials of a
+run of midpoints come per chain from one batched call of
+:func:`~uscmem.model.sector_propagators`, with no eigensolver. The cell is
+carried as its two chain slices, so parity is conserved by construction.
+A round trip propagates only its write leg: every step's factor is
+complex symmetric, so the read leg is the transpose P_N^T of the write
+leg's propagator (:func:`roundtrip`).
 """
 from __future__ import annotations
 
@@ -29,7 +27,8 @@ import numpy as np
 from .hilbert import State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
-    SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, ground_batch_size, sector_eigh,
+    PROPAGATOR_BATCH, CouplingSchedule, ModelParams, build_rabi, ground_batch_size,
+    sector_propagators,
 )
 from .spectral import build_gauge_chain
 
@@ -100,43 +99,46 @@ def step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
 
 
 def _record_grid(schedule: CouplingSchedule, cfg: PropagatorConfig):
-    """Step count, step length and the recorded steps (0, every record_every, the last)."""
+    """The steps' midpoint couplings, the step length and the recorded
+    steps (0, every record_every, the last)."""
     n_steps = step_count(schedule, cfg)
+    dt = schedule.total_time / n_steps
     rec_idx = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
-    return n_steps, schedule.total_time / n_steps, rec_idx
+    return schedule.coupling_at((np.arange(n_steps) + 0.5) * dt), dt, rec_idx
 
 
 def _sweep(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
     x0: np.ndarray, step: Callable, record: Callable, grid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drive x across a schedule with the exact midpoint eigensystem.
+    """Drive x across a schedule with the midpoint propagators, one
+    :func:`sector_propagators` call per PROPAGATOR_BATCH steps.
 
-    The midpoint Hamiltonians of each SECTOR_BATCH consecutive steps are
-    diagonalized per parity sector in one batch (:func:`sector_eigh`).
-    step(x, w, v, dt, i) then gives the state after step i + 1 from step
-    i's chain eigensystems w (2, n_fock) and v (2, n_fock, n_fock).
-    record(x, n) returns the sample of the state x after step n, and is
-    called at each step of grid, which holds 0 and the last step and
-    defaults to the record grid of cfg. The samples land in one
-    preallocated array, shaped and typed after the first sample. Returns
-    the sample times, their couplings and that array.
+    step(x, us, i) gives the state after the factors us (k, 2, n_fock,
+    n_fock) of steps i, ..., i + k - 1, a run that ends at the next recorded
+    step at the latest. record(x, n) returns the sample of the state after
+    step n, at each step of grid (0 and the last step included; the record
+    grid of cfg by default), into one preallocated array shaped and typed
+    after the first sample. Returns the sample times, their couplings and
+    that array.
     """
-    n_steps, dt, rec_idx = _record_grid(schedule, cfg)
+    midpoints, dt, rec_idx = _record_grid(schedule, cfg)
     rec_idx = rec_idx if grid is None else grid
-    midpoints = schedule.coupling_at((np.arange(n_steps) + 0.5) * dt)
     first = record(x0, 0)
     samples = np.empty((len(rec_idx), *first.shape), dtype=first.dtype)
     samples[0] = first
     n_rec = 1
     x = x0
-    for start in range(0, n_steps, SECTOR_BATCH):
-        batch = midpoints[start:start + SECTOR_BATCH]
-        for i, w, v in zip(range(start, n_steps), *sector_eigh(params, batch)):
-            x = step(x, w, v, dt, i)
-            if i + 1 == rec_idx[n_rec]:
-                samples[n_rec] = record(x, i + 1)
+    for start in range(0, len(midpoints), PROPAGATOR_BATCH):
+        us = sector_propagators(params, midpoints[start:start + PROPAGATOR_BATCH], dt)
+        i, stop = start, start + len(us)
+        while i < stop:
+            j = min(stop, rec_idx[n_rec])
+            x = step(x, us[i - start:j - start], i)
+            if j == rec_idx[n_rec]:
+                samples[n_rec] = record(x, j)
                 n_rec += 1
+            i = j
     times = rec_idx * dt
     times[-1] = schedule.total_time
     return times, schedule.coupling_at(times), samples
@@ -148,14 +150,15 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (m @ z.view(np.float64)).view(np.complex128)
 
 
-def _unitary_step(x, w, v, dt, i, norm_tol):
-    """The midpoint step on chain columns x (2, n_fock, c), mapped to
-    v (exp(-i w dt) * v^T x) and never rescaled. The last column is a state,
-    and a norm more than norm_tol from 1 there raises NormDriftError."""
-    x = _real_matmul(v, _real_matmul(np.swapaxes(v, 1, 2), x) * np.exp(-1j * w * dt)[..., None])
-    nrm = np.linalg.norm(x[..., -1])
-    if not (abs(nrm - 1.0) <= norm_tol):
-        raise NormDriftError(f"norm drifted to {nrm!r} at step {i + 1} (tol {norm_tol})")
+def _unitary_steps(x, us, i, norm_tol):
+    """Midpoint steps i + 1, ... on chain columns x (2, n_fock, c): x <- U x
+    for each factor U of us in turn, never rescaled. The last column is a
+    state, and a norm more than norm_tol from 1 there raises NormDriftError."""
+    for n, u in enumerate(us, i + 1):
+        x = u @ x
+        nrm = np.linalg.norm(x[..., -1])
+        if not (abs(nrm - 1.0) <= norm_tol):
+            raise NormDriftError(f"norm drifted to {nrm!r} at step {n} (tol {norm_tol})")
     return x
 
 
@@ -164,7 +167,7 @@ def propagate(
     record: Callable | None = None,
 ) -> Trajectory:
     """Integrate a cell state across a schedule, carried as one column
-    (2, n_fock, 1) of chain slices through :func:`_unitary_step`.
+    (2, n_fock, 1) of chain slices through :func:`_unitary_steps`.
 
     record(x, n) gives the sample of x after recorded step n, in step
     order (:func:`_sweep`); by default the cell state (2 * n_fock,).
@@ -178,7 +181,7 @@ def propagate(
         psi[index] = x[..., 0]
         return psi
 
-    step = partial(_unitary_step, norm_tol=cfg.norm_tol)
+    step = partial(_unitary_steps, norm_tol=cfg.norm_tol)
     x0 = psi0.amplitudes[index][..., None]
     return Trajectory(*_sweep(params, schedule, cfg, x0, step, record or cell_state))
 
@@ -264,17 +267,19 @@ def roundtrip(
     """Write along schedule, read along its reverse, then correct the phase.
 
     Each midpoint factor exp(-i H_i dt) is complex symmetric, as H_i is
-    real symmetric, so the read leg is P_N^T, P_k the product of the write
-    leg's first k factors, and m read steps give conj(P_{N-m}) phi with
-    phi = P_N^T psi_T. One sweep carries [P_k | P_k psi_0] in chain form
-    and records the chain sites rows of P_k at the mirrored steps N - m,
-    so only the write leg is diagonalized. The read leg holds the
+    real symmetric, and :func:`~uscmem.model.sector_propagators` keeps it
+    so up to roundoff, so the read leg is P_N^T, P_k the product of the
+    write leg's first k factors, and m read steps give conj(P_{N-m}) phi
+    with phi = P_N^T psi_T. One sweep carries [P_k | P_k psi_0] in chain
+    form and records the chain sites rows of P_k at the mirrored steps
+    N - m, so only the write leg's factors are computed. The read leg holds the
     amplitudes on those sites and NaN elsewhere; rows [0] gives the
     |g,0>, |e,0> amplitudes. Neither leg depends on theta, which is fixed
     afterwards (the closed-form optimum if None).
     """
     index, nf = params.chains.index, params.n_fock
-    n_steps, _, rec_idx = _record_grid(schedule, cfg)
+    midpoints, _, rec_idx = _record_grid(schedule, cfg)
+    n_steps = len(midpoints)
     # the write leg's record steps and their mirrors, where the read leg records
     grid = np.array(sorted({*rec_idx.tolist(), *(n_steps - rec_idx).tolist()}))
     psi0 = storage_input(params, alpha_f, beta_f).amplitudes[index]
@@ -287,7 +292,7 @@ def roundtrip(
         # the kept rows of P_n, then P_n psi_0 as one more row
         return np.concatenate([x[:, rows, :-1], x[:, None, :, -1]], axis=1)
 
-    step = partial(_unitary_step, norm_tol=cfg.norm_tol)
+    step = partial(_unitary_steps, norm_tol=cfg.norm_tol)
     times, couplings, samples = _sweep(params, schedule, cfg, x0, step, record, grid)
     phi = np.swapaxes(last[..., :-1], 1, 2) @ last[..., -1:]
     nrm = np.linalg.norm(phi)

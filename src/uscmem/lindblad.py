@@ -14,16 +14,13 @@ the parity chains (:class:`~uscmem.model.ParityChains`): sigma_x, sigma_y
 and a + a^dag carry one chain into the other and sigma_z keeps each one,
 so every element <j| s |k> is a product of two chain eigenvectors and no
 operator on the full cell is ever built. During a sweep the dressed basis
-is refreshed quasi-statically every few steps by
-:func:`~uscmem.model.sector_levels` from the step's sector eigensystems,
-and the density matrix is carried in the frame of the last refresh: there
-every jump is |j><k|, so the dissipator acts elementwise, and the frame
-changes only when the basis is refreshed. The frame starts on the
-k_levels + 12 lowest levels (all of them in a smaller space). Weight that
-leaves them is lost from the trace, about 3e-11 per leg at the ``noisy``
-defaults. Once a leg has lost a tenth of the 1e-8 trace budget, the frame
-widens in place to every level of the last refresh and the leg goes on
-there, so ``noisy`` at omega0 = 2 loses 2.1e-9 over both legs.
+is refreshed quasi-statically every few steps, from the sector
+eigensystems at the refresh midpoints alone, and the density matrix is
+carried in the frame of the last refresh (:func:`evolve_master`): there
+every jump is |j><k|, so the dissipator acts elementwise. The frame keeps
+the k_levels + 12 lowest levels and widens to all of them once a leg has
+lost a tenth of the 1e-8 trace budget: ``noisy`` loses about 3e-11 per
+leg at its defaults, and 2.1e-9 over both legs at omega0 = 2.
 """
 from __future__ import annotations
 
@@ -31,10 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PropagatorConfig, _real_matmul, _sweep
+from .dynamics import PropagatorConfig, _real_matmul, _record_grid, _sweep
 from .hilbert import State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
-from .model import CouplingSchedule, ModelParams, build_rabi, sector_levels  # noqa: F401
+from .model import (  # noqa: F401
+    SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, sector_eigh, sector_levels,
+)
 
 _RATE_FLOOR = 1e-14
 _TRACE_TOL = 1e-8
@@ -154,19 +153,21 @@ def evolve_master(
 ) -> MasterTrajectory:
     """Sweep a cell under the dressed-basis master equation.
 
-    Each step applies the exact midpoint unitary followed by a first-order
-    dissipator update. The jump table is rebuilt from the step's sector
-    eigensystems every refresh_every steps (quasi-static approximation),
-    with the bath model rate_model, one of :data:`RATE_MODELS`.
+    Each step applies the sweep's midpoint propagator followed by a
+    first-order dissipator update. Every refresh_every steps the jump table
+    is rebuilt from the sector eigensystems at that step's midpoint
+    (quasi-static approximation), SECTOR_BATCH refreshes per
+    :func:`~uscmem.model.sector_eigh`, with the bath model rate_model, one
+    of :data:`RATE_MODELS`.
 
     The state is carried on the K lowest levels of the last refresh,
     rho_f = B^T rho B with B the real d x K dressed basis of
     :func:`~uscmem.model.sector_levels` (the full identity before the
     first refresh). There every jump is |j><k|, so the dissipator acts
     elementwise. A refresh rotates rho_f once by R = B_new^T B_old; each
-    step applies the K x K block U_f = M exp(-i w dt) M^T of the midpoint
-    unitary, with M = B^T V and V the step's eigenvectors, so one K x K
-    sandwich U_f rho_f U_f^dag remains per step. U_f is a contraction, so
+    step applies the K x K block U_f = B^T U B of the midpoint propagator
+    U, built for the steps up to the next refresh in two batched products,
+    in one K x K sandwich U_f rho_f U_f^dag. U_f is a contraction, so
     weight that reaches the levels above K is lost from the trace and
     truncation breaks nothing else. K starts at min(d, k_levels + 12).
     Once a step's trace, the sum of the populations the dissipator reads,
@@ -194,6 +195,11 @@ def evolve_master(
     width = min(d, k_levels + _FRAME_MARGIN)
     # a step that leaves less trace than this widens the frame
     floor = float(np.real(np.trace(rho0))) - _TRACE_TOL / 10
+    midpoints, dt, _ = _record_grid(schedule, cfg)
+    # the eigensystems (w, v) of the refresh midpoints, SECTOR_BATCH per sector_eigh call
+    at = midpoints[::refresh_every]
+    refreshes = (wv for k in range(0, len(at), SECTOR_BATCH)
+                 for wv in zip(*sector_eigh(params, at[k:k + SECTOR_BATCH])))
     frame = np.eye(d)     # dressed basis B of the last refresh, levels as columns
     sites = frame[index]  # (2, n_fock, K): the rows of B at each chain's sites
     levels = None         # (w, v) of the last scheduled refresh
@@ -201,30 +207,36 @@ def evolve_master(
     decay = None          # decay[j, k] = -(Gamma_j + Gamma_k) / 2
     last = None           # rho_f at the last recorded step
 
-    def step(rho_f, w, v, dt, i):
+    def step(rho_f, us, start):
         nonlocal width, frame, sites, levels, gain, decay
-        if i % refresh_every == 0:
-            levels = w[None], v[None]
-        if i % refresh_every == 0 or frame.shape[1] < width:
-            (evals,), (sector,), (basis,) = sector_levels(params, *levels, width)
-            r = basis.T @ frame
-            rho_f = r @ rho_f @ r.T
-            frame, sites = basis, basis[index]
-            gain = np.zeros((width, width))
-            gain[:k_levels, :k_levels] = _rate_table(
-                evals[:k_levels], sector[:k_levels], basis, rates, params, rate_model)
-            out_rate = gain.sum(axis=0)
-            decay = -0.5 * (out_rate[:, None] + out_rate[None, :])
-        # M^T = V^T B per sector: row (s, r) is level r of sector s in the frame
-        mt = (np.swapaxes(v, 1, 2) @ sites).reshape(d, width)
-        u = _real_matmul(mt.T, np.exp(-1j * w * dt).reshape(d, 1) * mt)
-        rho_f = u @ rho_f @ u.conj().T
-        pop = np.real(np.diagonal(rho_f))
-        if pop.sum() < floor:
-            width = d  # the next step widens the frame in the last refresh's basis
-        drho = decay * rho_f
-        np.fill_diagonal(drho, np.diagonal(drho) + gain @ pop)
-        return rho_f + dt * drho
+        blocks = None  # the next steps' U_f in the current frame
+        for j, i in enumerate(range(start, start + len(us))):
+            if i % refresh_every == 0:
+                levels = tuple(a[None] for a in next(refreshes))
+            if i % refresh_every == 0 or frame.shape[1] < width:
+                (evals,), (sector,), (basis,) = sector_levels(params, *levels, width)
+                r = basis.T @ frame
+                rho_f = r @ rho_f @ r.T
+                frame, sites = basis, basis[index]
+                gain = np.zeros((width, width))
+                gain[:k_levels, :k_levels] = _rate_table(
+                    evals[:k_levels], sector[:k_levels], basis, rates, params, rate_model)
+                out_rate = gain.sum(axis=0)
+                decay = -0.5 * (out_rate[:, None] + out_rate[None, :])
+                blocks = None
+            if blocks is None:  # U_f = B^T U B up to the next refresh
+                segment = us[j:j + refresh_every - i % refresh_every]
+                blocks = iter(_real_matmul(sites.reshape(d, -1).T,
+                                           (segment @ sites).reshape(len(segment), d, -1)))
+            u = next(blocks)
+            rho_f = u @ rho_f @ u.conj().T
+            pop = np.real(np.diagonal(rho_f))
+            if pop.sum() < floor:
+                width = d  # the next step widens the frame in the last refresh's basis
+            drho = decay * rho_f
+            np.fill_diagonal(drho, np.diagonal(drho) + gain @ pop)
+            rho_f = rho_f + dt * drho
+        return rho_f
 
     def record(rho_f, n):
         nonlocal last

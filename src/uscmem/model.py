@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import ceil, factorial, log2
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def storage_schedule(
 
 def build_rabi(params: ModelParams, coupling: float) -> np.ndarray:
     """Dense cell Hamiltonian at a fixed coupling, scattered from the parity
-    chains, so it is the same matrix the sweeps diagonalize per sector."""
+    chains, so it is the same matrix the sweeps exponentiate per sector."""
     chains = params.chains
     h = np.zeros((2 * params.n_fock,) * 2, dtype=np.complex128)
     h[chains.index[:, :, None], chains.index[:, None, :]] = chains.bare + coupling * chains.hop
@@ -162,6 +163,65 @@ def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray,
     return np.linalg.eigh(chains.bare + couplings[:, None, None, None] * chains.hop)
 
 
+PROPAGATOR_BATCH = 8  # couplings per sector_propagators call
+
+# cos x and sin x / x to x^14, as two blocks of four powers of x^2 each;
+# past x^15 the series of exp(-ix) sums to < 2^-53 at |x| <= _THETA
+_TAYLOR = np.array([[(-1) ** j / factorial(2 * j + odd) for j in range(8)]
+                    for odd in (0, 1)]).reshape(4, 4)
+_THETA = (2.0 ** -54 * factorial(16)) ** (1 / 16)
+
+
+def sector_propagators(params: ModelParams, couplings: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H_s(c) dt) of both parity chains at each coupling c, complex
+    (m, 2, n_fock, n_fock) in chain-site order, from real matmuls alone.
+
+    A = (H_s - mu) dt, mu the middle of the chain's Gershgorin interval,
+    is halved the batch's fewest s times to norm <= _THETA; the Taylor
+    series (Paterson-Stockmeyer in B = A^2) give C = cos and S = sin of
+    A / 2^s, and s squarings C' = (C - S)(C + S), S' = 2 C S give cos A
+    and sin A (Moler & Van Loan, SIAM Rev. 45, 3 (2003)). The result,
+    e^{-i mu dt} (cos A - i sin A), is unitary and complex symmetric up to
+    roundoff. All work is in place in eight (m, 2, n_fock, n_fock) slots:
+    fresh temporaries of that size cost more in page faults than in flops.
+    """
+    couplings = _couplings_1d(couplings)
+    chains, m, n = params.chains, len(couplings), params.n_fock
+    diag = np.diagonal(chains.bare, axis1=1, axis2=2)  # (2, n)
+    radius = np.abs(couplings)[:, None, None] * chains.hop.sum(axis=1)  # (m, 1, n)
+    low, high = (diag - radius).min(axis=-1), (diag + radius).max(axis=-1)  # (m, 2)
+    reach = float(dt) * float((high - low).max(initial=0.0)) / 2  # overflows to inf silently
+    if not (0 < dt and reach < np.inf):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    squarings = ceil(log2(max(reach / _THETA, 1.0)))
+    mu = (low + high) / 2
+    work = np.empty((8, m, 2, n, n))  # A, B, B^2, B^3, then the Taylor blocks
+    a, powers, blocks = work[0], work[1:4], work[4:]
+    np.add(np.multiply(couplings[:, None, None, None], chains.hop, out=a), chains.bare, out=a)
+    a.reshape(m, 2, n * n)[..., ::n + 1] -= mu[..., None]
+    a *= dt / 2.0 ** squarings
+    np.matmul(a, a, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    # c_0 + c_1 B + c_2 B^2 + c_3 B^3 per block: cos low, cos high, sin low, sin high
+    np.matmul(_TAYLOR[:, 1:], powers.reshape(3, -1), out=blocks.reshape(4, -1))
+    blocks.reshape(4, m, 2, n * n)[..., ::n + 1] += _TAYLOR[:, :1, None, None]
+    b4, spare = np.matmul(powers[1], powers[1], out=powers[0]), powers[1]
+    cos = np.add(blocks[0], np.matmul(b4, blocks[1], out=spare), out=blocks[0])
+    np.add(blocks[2], np.matmul(b4, blocks[3], out=spare), out=spare)
+    sin = np.matmul(a, spare, out=blocks[1])
+    minus, plus, spare = a, powers[1], powers[2]  # A, B^2 and B^3 are spent
+    for _ in range(squarings):
+        np.subtract(cos, sin, out=minus)
+        np.add(cos, sin, out=plus)
+        sin, spare = np.matmul(cos, sin, out=spare), sin
+        sin *= 2
+        np.matmul(minus, plus, out=cos)
+    u = np.empty(cos.shape, dtype=np.complex128)
+    u.real, u.imag = cos, np.negative(sin, out=sin)
+    return np.multiply(u, np.exp(-1j * dt * mu)[..., None, None], out=u)
+
+
 def ground_batch_size(params: ModelParams) -> int:
     """Couplings per :func:`chain_ground` batch: its temporaries fit one sector_eigh batch."""
     return SECTOR_BATCH * params.n_fock // 4
@@ -180,11 +240,12 @@ def chain_ground(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray
     Then, per chain and coupling (Parlett, The Symmetric Eigenvalue
     Problem, 1998):
 
-    - shift: Newton's method on det(H~ - sigma), started below the
-      Gershgorin bound. From below the lowest root of a real-rooted
-      polynomial it never steps past that root, and every trial shift is
-      kept only if its Sturm count, the LDL^T pivots of H~ - sigma, says
-      so (every pivot > 0). It stops once the step is at roundoff.
+    - shift: Newton's method on det(H~ - sigma), started below the larger
+      of the Gershgorin bound and -Omega^2 / omega_cav - omega_eg / 2.
+      From below the lowest root of a real-rooted polynomial it never
+      steps past that root, and every trial shift is kept only if its
+      Sturm count, the LDL^T pivots of H~ - sigma, says so (every pivot
+      > 0). It stops once the step is at roundoff.
     - vector: inverse iteration at the last shift kept, from the unit
       vector at the chain's lowest bare site, until the iterate stops
       moving. Below the lowest level H~ - sigma is an M-matrix, so
@@ -218,7 +279,8 @@ def _ground_batch(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarra
     n = params.n_fock
     diag = np.diagonal(params.chains.bare, axis1=1, axis2=2)  # (2, n)
     hop = -couplings[:, None, None] * np.diagonal(params.chains.hop, 1)  # (m, 1, n - 1)
-    pivots = _pivots_below_ground(diag, hop)
+    floor = -np.square(couplings)[:, None] / params.omega_cav - params.omega_eg / 2
+    pivots = _pivots_below_ground(diag, hop, floor)
 
     # vector: H~ - shift = L D L^T, L unit lower bidiagonal with entries
     # hop / D <= 0, so each substitution step below adds terms >= 0 and the
@@ -251,11 +313,13 @@ def _ground_batch(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarra
     return energies, x
 
 
-def _pivots_below_ground(diag: np.ndarray, hop: np.ndarray) -> np.ndarray:
+def _pivots_below_ground(diag: np.ndarray, hop: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """The LDL^T pivots, (m, 2, n), of H~ - shift at a shift just below the
     lowest level of each chain: Newton's method on det(H~ - shift) from
-    below the Gershgorin bound, each trial shift kept only while every
-    pivot stays > 0, until the step is at roundoff."""
+    below the larger of the Gershgorin bound and floor, each trial shift
+    kept only while every pivot stays > 0, until the step is at roundoff.
+    H >= floor = -Omega^2 / omega_cav - omega_eg / 2 (complete the square
+    in a), and a truncated chain is a compression of H."""
     n = diag.shape[-1]
     hop2 = hop * hop
     bound = np.zeros(hop.shape[:-1] + (n,))
@@ -263,8 +327,8 @@ def _pivots_below_ground(diag: np.ndarray, hop: np.ndarray) -> np.ndarray:
     bound[..., :-1] += np.abs(hop)
     scale = np.abs(diag).max(axis=-1) + bound.max(axis=-1)  # (m, 2), >= |H~|
     tol = 2 * _EPS * scale
-    # below the Gershgorin bound, less a margin for roundoff, every pivot is > 0
-    shift = (diag - bound).min(axis=-1) - n * _EPS * scale
+    # below both bounds, less a margin for roundoff, every pivot is > 0
+    shift = np.maximum((diag - bound).min(axis=-1), floor) - n * _EPS * scale
     pivots, step = _sturm(diag, hop2, shift)
     moving = step > tol
     while moving.any():

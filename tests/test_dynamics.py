@@ -36,7 +36,7 @@ from uscmem import (
 from uscmem import dynamics
 from uscmem.cli import emit_csv
 from uscmem.dynamics import NormDriftError, _sweep
-from uscmem.model import SECTOR_BATCH, sector_eigh, sector_levels
+from uscmem.model import PROPAGATOR_BATCH, sector_eigh, sector_levels, sector_propagators
 
 from reference import basis_state, corrected_fidelity, pair_on_cells, parity_op, site
 
@@ -125,16 +125,15 @@ def test_norm_is_preserved_tightly():
 
 
 def test_norm_leak_is_caught_not_rescaled(monkeypatch):
-    # nothing rescales the state, so eigenvectors that leak 2e-11 of norm
+    # nothing rescales the state, so propagators that leak 2e-11 of norm
     # per step trip the per-step check at step 50 instead of being hidden,
     # in a lone sweep and on the round trip's write leg alike
     params = ModelParams(n_fock=12)
 
-    def leaky(params, couplings):
-        w, v = sector_eigh(params, couplings)
-        return w, v * (1 + 1e-11)
+    def leaky(params, couplings, dt):
+        return sector_propagators(params, couplings, dt) * (1 + 1e-11) ** 2
 
-    monkeypatch.setattr(dynamics, "sector_eigh", leaky)
+    monkeypatch.setattr(dynamics, "sector_propagators", leaky)
     cfg = PropagatorConfig.for_total_time(10.0, steps=500)
     with pytest.raises(NormDriftError, match="at step 50 "):
         propagate(params, storage_schedule(params, 10.0), storage_input(params), cfg)
@@ -246,17 +245,25 @@ def test_sweep_record_grid(record_every, n_recorded):
     params = ModelParams(n_fock=4)
     sched = storage_schedule(params, 10.0)
     cfg = PropagatorConfig(dt=0.02, record_every=record_every)
-    recorded = []
+    recorded, runs = [], []
 
     def record(x, n):
         recorded.append((float(x), n))
         return -x
 
-    times, couplings, samples = _sweep(
-        params, sched, cfg, np.array(0.0), lambda x, w, v, dt, i: np.array(i + 1.0), record,
-    )
+    def step(x, us, i):
+        assert us.shape == (len(us), 2, 4, 4)
+        runs.append((i, i + len(us)))
+        return np.array(i + len(us) + 0.0)
+
+    times, couplings, samples = _sweep(params, sched, cfg, np.array(0.0), step, record)
     steps = [*range(0, 500, record_every), 500]
     assert len(steps) == n_recorded
+    # the runs tile the steps in order, each inside one propagator batch and
+    # ending at the next recorded step at the latest
+    assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]] and runs[-1][1] == 500
+    assert all(a // PROPAGATOR_BATCH == (b - 1) // PROPAGATOR_BATCH for a, b in runs)
+    assert not any(a < n < b for a, b in runs for n in steps)
     # the hook sees every grid step, 0 included, and the state after step n holds n
     assert recorded == [(float(n), n) for n in steps]
     assert np.array_equal(samples, -np.array(steps))  # the samples are what it returns
@@ -410,20 +417,38 @@ def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega
 
 @pytest.mark.parametrize("steps", [500, 2000])
 def test_roundtrip_diagonalizes_one_leg(monkeypatch, steps):
-    # one batched sector_eigh per SECTOR_BATCH write steps and none for the
-    # read leg: 63 at the default 2000 steps, where two sweeps made 126
+    # one propagator batch per PROPAGATOR_BATCH write steps and none for the
+    # read leg: 250 at the default 2000 steps, where two sweeps made 500;
+    # and no eigensolver at all
     calls = []
 
-    def counting(params, couplings):
+    def counting(params, couplings, dt):
         calls.append(len(couplings))
-        return sector_eigh(params, couplings)
+        return sector_propagators(params, couplings, dt)
 
-    monkeypatch.setattr(dynamics, "sector_eigh", counting)
+    monkeypatch.setattr(dynamics, "sector_propagators", counting)
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolver)
     params = ModelParams(n_fock=8)
     roundtrip(params, storage_schedule(params, 20.0),
               PropagatorConfig.for_total_time(20.0, steps=steps))
-    assert len(calls) == -(-steps // SECTOR_BATCH)
+    assert len(calls) == -(-steps // PROPAGATOR_BATCH)
     assert sum(calls) == steps
+
+
+def _no_eigensolver(*args, **kwargs):
+    raise AssertionError("a closed sweep called an eigensolver")
+
+
+@pytest.mark.parametrize("name", ["storage", "retrieval", "roundtrip", "phase-map", "entangled"])
+def test_closed_sweeps_call_no_eigensolver(monkeypatch, name):
+    # every closed sweep takes its factors from sector_propagators, and the
+    # doublet comes from chain_ground, so no experiment past the spectrum
+    # calls a dense eigensolver
+    for solver in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, solver, _no_eigensolver)
+    params = ModelParams(n_fock=12)
+    sched = storage_schedule(params, 20.0)
+    run_experiment(ExperimentSpec(name, params, sched, PropagatorConfig.for_total_time(20.0, 500)))
 
 
 def test_retrieval_from_exact_eigenstate():

@@ -32,7 +32,7 @@ from uscmem import (
 )
 from uscmem import dynamics, lindblad
 from uscmem.lindblad import _rate_table
-from uscmem.model import sector_levels
+from uscmem.model import SECTOR_BATCH, sector_levels
 
 from reference import (
     RSQRT2, annihilation_op, basis_state, branch_phase_correction, corrected_fidelity,
@@ -366,12 +366,40 @@ def test_master_input_validation(monkeypatch):
         evolve_master(params, sched, rho0, rates, cfg, refresh_every=0)
 
     # rho0 is checked as the step-0 sample, before any step is taken
-    def no_step(params, couplings):
+    def no_step(*args):
         raise AssertionError("stepped before rho0 was checked")
 
-    monkeypatch.setattr(dynamics, "sector_eigh", no_step)
+    monkeypatch.setattr(dynamics, "sector_propagators", no_step)
+    monkeypatch.setattr(lindblad, "sector_eigh", no_step)
     with pytest.raises(ValueError, match="rho0 trace"):
         evolve_master(params, sched, 2 * rho0, rates, cfg)
+
+
+@pytest.mark.parametrize("omega0, refresh_every", [(1.0, 20), (3.0, 7)])
+def test_master_diagonalizes_only_at_refreshes(monkeypatch, omega0, refresh_every):
+    # the only eigensystems are those of the refresh midpoints, SECTOR_BATCH
+    # per call, also when the frame widens (at omega0 3, from the last
+    # refresh's levels)
+    params = ModelParams(n_fock=20, omega0=omega0)
+    sched = storage_schedule(params, 20.0)
+    cfg = PropagatorConfig.for_total_time(20.0, steps=500)
+    calls = []
+
+    def spy(params, couplings):
+        calls.append(couplings)
+        return sector_eigh(params, couplings)
+
+    monkeypatch.setattr(lindblad, "sector_eigh", spy)
+    widths = _spy_widths(monkeypatch)
+    evolve_master(params, sched, pure_density(storage_input(params)),
+                  NoiseRates.for_qubit_splitting(0.1), cfg, refresh_every=refresh_every)
+    refreshes = np.arange(0, 500, refresh_every)
+    dt = 20.0 / 500
+    assert [len(c) for c in calls] == [len(c) for c in np.array_split(
+        refreshes, range(SECTOR_BATCH, len(refreshes), SECTOR_BATCH))]
+    assert np.array_equal(np.concatenate(calls), sched.coupling_at((refreshes + 0.5) * dt))
+    widened = omega0 == 3.0
+    assert len(widths) == len(refreshes) + widened and (40 in widths) == widened
 
 
 def test_master_samples_are_held_once():

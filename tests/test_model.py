@@ -4,6 +4,8 @@ Frozen eigenvalues below were derived with an independent explicit-loop
 builder and direct diagonalization; they pin the default operating point
 omega_cav = 1, omega_eg = 0.1, omega0 = 1, n_fock = 30.
 """
+from math import cos, factorial, sin
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,13 @@ from uscmem import (
     coherent_state,
     fock_annihilation,
     physical_time,
+    sector_eigh,
+    sector_propagators,
     sector_spectra,
     storage_schedule,
 )
+from uscmem import model
+from uscmem.model import _TAYLOR, _THETA, _sturm
 
 from reference import annihilation_op, basis_state, number_op, parity_op, pauli_op, site
 
@@ -228,6 +234,93 @@ def test_chain_ground_resolves_a_near_tie(coupling):
     energies, _ = build_gauge_chain(params, [coupling])  # checks the residuals
     e_ref, _ = _dense_ground(params, coupling)
     assert np.abs(energies[0] - e_ref).max() < 1e-14
+
+
+class _FirstShift(Exception):
+    pass
+
+
+@pytest.mark.parametrize("omega_cav, omega_eg", [(1.0, 0.0), (1.0, 0.1), (1.0, 0.9), (2.0, 0.1)])
+def test_chain_ground_starts_below_every_level(monkeypatch, omega_cav, omega_eg):
+    # Newton's first shift, the larger of the Gershgorin bound and
+    # -Omega^2 / omega_cav - omega_eg / 2, less the roundoff margin, is below
+    # every level: all its pivots are > 0, down to the 2-site chain, up to
+    # coupling 4.5 and n_fock 120
+    starts = []
+
+    def first_sturm(diag, hop2, shift):
+        starts.append(_sturm(diag, hop2, shift)[0])
+        raise _FirstShift
+
+    monkeypatch.setattr(model, "_sturm", first_sturm)
+    couplings = np.linspace(0.0, 4.5, 451)
+    for n_fock in range(2, 121):
+        with pytest.raises(_FirstShift):
+            model._ground_batch(ModelParams(omega_cav, omega_eg, n_fock=n_fock), couplings)
+        assert starts[-1].shape == (451, 2, n_fock) and (starts[-1] > 0).all(), n_fock
+
+
+# --------------------------------------------------------------------------
+# midpoint propagators
+# --------------------------------------------------------------------------
+
+def _eigh_propagators(params, couplings, dt):
+    """V exp(-i w dt) V^T per chain from the batched eigh."""
+    w, v = sector_eigh(params, couplings)
+    return (v * np.exp(-1j * w * dt)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+@pytest.mark.parametrize("n_fock", [2, 15, 30, 80])
+def test_sector_propagators_match_the_eigh_exponential(n_fock):
+    # accurate, unitary and complex symmetric from dt 1e-4, no squaring,
+    # to dt 4, where n_fock 80 at coupling 3 takes nine squarings
+    params = ModelParams(n_fock=n_fock)
+    couplings = np.array([0.0, 1.0, 3.0])
+    eye = np.eye(n_fock)
+    for dt in (1e-4, 1e-3, 0.01, 0.0525, 0.1, 0.5, 1.0, 2.0, 4.0):
+        u = sector_propagators(params, couplings, dt)
+        assert u.shape == (3, 2, n_fock, n_fock) and u.dtype == np.complex128
+        assert np.abs(u - _eigh_propagators(params, couplings, dt)).max() <= 1e-12, dt
+        assert np.abs(u @ np.swapaxes(u, -1, -2).conj() - eye).max() <= 1e-12, dt
+        assert np.abs(u - np.swapaxes(u, -1, -2)).max() <= 1e-12, dt
+
+
+@pytest.mark.parametrize("n_fock", [2, 15, 30, 80])
+def test_sector_propagators_at_zero_coupling_are_the_bare_phases(n_fock):
+    # The chains are diagonal, so every product is too: U is exactly
+    # diagonal, and each entry is the series' cos and sin of one number.
+    # Each phase -E dt carries its own rounding, about 1e-16 per radian, so
+    # the bound is 5e-16 per radian. At `edge`, the largest dt with no
+    # squaring, a series one term short would be off by 1.3e-15.
+    params = ModelParams(n_fock=n_fock)
+    bare = np.diagonal(params.chains.bare, axis1=1, axis2=2)
+    edge = 0.999 * _THETA / (np.ptp(bare, axis=1).max() / 2)
+    off = 1.0 - np.eye(n_fock)
+    for dt in (1e-4, 0.0525, edge, 0.5, 4.0):
+        (u,) = sector_propagators(params, [0.0], dt)
+        assert not (u * off).any()
+        error = np.abs(np.diagonal(u, axis1=1, axis2=2) - np.exp(-1j * bare * dt)).max()
+        assert error <= 5e-16 * max(1.0, np.abs(bare * dt).max()), dt
+
+
+def test_sector_propagator_series_is_taylor_to_roundoff():
+    # cos and sin / x through x^14, and the remainder past x^15 at the
+    # largest scaled ||A|| is below 2^-53
+    x = _THETA
+    series = _TAYLOR.reshape(2, 8)
+    assert abs(sum(c * x ** (2 * j) for j, c in enumerate(series[0])) - cos(x)) < 2e-16
+    assert abs(sum(c * x ** (2 * j + 1) for j, c in enumerate(series[1])) - sin(x)) < 2e-16
+    assert sum(x ** k / factorial(k) for k in range(16, 60)) < 2.0 ** -53
+
+
+def test_sector_propagators_reject_bad_input():
+    params = ModelParams(n_fock=4)
+    for dt in (0.0, -0.1, np.nan, np.inf, 1e308):
+        with pytest.raises(ValueError, match="dt"):
+            sector_propagators(params, [1.0], dt)
+    for couplings in ([[1.0]], [np.nan], [np.inf], 1.0):
+        with pytest.raises(ValueError, match="couplings"):
+            sector_propagators(params, couplings, 0.1)
 
 
 # --------------------------------------------------------------------------
