@@ -8,8 +8,8 @@ with the exponential taken to roundoff, so each step is unitary to machine
 precision and the only discretization error, the freezing of H within a
 step, is second order in dt. Parity splits H into two real tridiagonal
 chains (:class:`~uscmem.model.ParityChains`), and the exponentials of a
-run of midpoints come per chain from one batched call of
-:func:`~uscmem.model.sector_propagators`, with no eigensolver. The cell is
+run of midpoints come per chain from one batch of real matmuls
+(:func:`~uscmem.model.sector_propagators`), with no eigensolver. The cell is
 carried as its two chain slices, so parity is conserved by construction.
 A round trip propagates only its write leg: every step's factor is
 complex symmetric, so the read leg is the transpose P_N^T of the write
@@ -27,8 +27,8 @@ import numpy as np
 from .hilbert import State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
-    PROPAGATOR_BATCH, CouplingSchedule, ModelParams, build_rabi, ground_batch_size,
-    sector_propagators,
+    PROPAGATOR_BATCH, CouplingSchedule, ModelParams, _propagator_batches, build_rabi,
+    ground_batch_size,
 )
 from .spectral import build_gauge_chain
 
@@ -111,16 +111,16 @@ def _sweep(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
     x0: np.ndarray, step: Callable, record: Callable, grid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drive x across a schedule with the midpoint propagators, one
-    :func:`sector_propagators` call per PROPAGATOR_BATCH steps.
+    """Drive x across a schedule with the midpoint propagators, set up once per
+    sweep and made a batch at a time (:func:`~uscmem.model._propagator_batches`).
 
     step(x, us, i) gives the state after the factors us (k, 2, n_fock,
     n_fock) of steps i, ..., i + k - 1, a run that ends at the next recorded
-    step at the latest. record(x, n) returns the sample of the state after
-    step n, at each step of grid (0 and the last step included; the record
-    grid of cfg by default), into one preallocated array shaped and typed
-    after the first sample. Returns the sample times, their couplings and
-    that array.
+    step at the latest; a batch's factors are valid only until the next
+    batch. record(x, n) returns the sample of the state after step n, at
+    each step of grid (0 and the last step included; the record grid of cfg
+    by default), into one preallocated array shaped and typed after the
+    first sample. Returns the sample times, their couplings and that array.
     """
     midpoints, dt, rec_idx = _record_grid(schedule, cfg)
     rec_idx = rec_idx if grid is None else grid
@@ -128,9 +128,8 @@ def _sweep(
     samples = np.empty((len(rec_idx), *first.shape), dtype=first.dtype)
     samples[0] = first
     n_rec = 1
-    x = x0
-    for start in range(0, len(midpoints), PROPAGATOR_BATCH):
-        us = sector_propagators(params, midpoints[start:start + PROPAGATOR_BATCH], dt)
+    x, batches = x0, _propagator_batches(params, midpoints, dt)
+    for start, us in zip(range(0, len(midpoints), PROPAGATOR_BATCH), batches):
         i, stop = start, start + len(us)
         while i < stop:
             j = min(stop, rec_idx[n_rec])
@@ -152,11 +151,11 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _unitary_steps(x, us, i, norm_tol):
     """Midpoint steps i + 1, ... on chain columns x (2, n_fock, c): x <- U x
-    for each factor U of us in turn, never rescaled. The last column is a
-    state, and a norm more than norm_tol from 1 there raises NormDriftError."""
+    for each factor U of us in turn, never rescaled. The last column v is a
+    state: sqrt(<v|v>) off 1 by more than norm_tol, or NaN, raises NormDriftError."""
     for n, u in enumerate(us, i + 1):
         x = u @ x
-        nrm = np.linalg.norm(x[..., -1])
+        nrm = np.vdot(x[..., -1], x[..., -1]).real ** 0.5
         if not (abs(nrm - 1.0) <= norm_tol):
             raise NormDriftError(f"norm drifted to {nrm!r} at step {n} (tol {norm_tol})")
     return x

@@ -84,23 +84,24 @@ def _rate_table(
 ) -> np.ndarray:
     """Downward transition rates among the lowest levels of a step.
 
-    energies, sector (k,) and the first k columns of basis are levels of
-    :func:`~uscmem.model.sector_levels`. Each level is a vector u on its
-    chain's sites, and every channel element is a product of two of them:
-    sigma_x pairs site n of one chain with site n of the other, sigma_y
-    and sigma_z weight that pairing by the site's sigma_z sign s (across
-    and within the chains), and a + a^dag moves u along the hops to the
-    other chain. Returns gain (k, k), gain[j, k] the rate of the jump
-    |j><k|, with the channels merged in the order x, y, z, r.
+    energies, sector (..., k) and the first k columns of basis are levels of
+    :func:`~uscmem.model.sector_levels`, with any leading batch axes. Each
+    level is a vector u on its chain's sites, and every channel element is
+    a product of two of them: sigma_x pairs site n of one chain with site n
+    of the other, sigma_y and sigma_z weight that pairing by the site's
+    sigma_z sign s (across and within the chains), and a + a^dag moves u
+    along the hops to the other chain. Returns gain (..., k, k), gain[j, k]
+    the rate of the jump |j><k|, with the channels merged in the order x, y, z, r.
     """
-    index = params.chains.index
-    u = basis[index[sector], np.arange(len(sector))[:, None]]
+    index, k = params.chains.index, sector.shape[-1]
+    u = np.take_along_axis(np.swapaxes(basis[..., :k], -1, -2), index[sector], axis=-1)
     su = (2 * (index // params.n_fock) - 1)[sector] * u
     hu = u @ params.chains.hop
-    cross = sector[:, None] != sector[None, :]
-    signed = u @ su.T
-    elems = (cross * (u @ u.T), cross * signed, ~cross * signed, cross * (u @ hu.T))
-    delta = energies[None, :] - energies[:, None]
+    cross = sector[..., :, None] != sector[..., None, :]
+    signed = u @ np.swapaxes(su, -1, -2)
+    elems = (cross * (u @ np.swapaxes(u, -1, -2)), cross * signed, ~cross * signed,
+             cross * (u @ np.swapaxes(hu, -1, -2)))
+    delta = energies[..., None, :] - energies[..., :, None]
     down = delta > 0.0
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
     gain = np.zeros(delta.shape)
@@ -156,9 +157,9 @@ def evolve_master(
     Each step applies the sweep's midpoint propagator followed by a
     first-order dissipator update. Every refresh_every steps the jump table
     is rebuilt from the sector eigensystems at that step's midpoint
-    (quasi-static approximation), SECTOR_BATCH refreshes per
-    :func:`~uscmem.model.sector_eigh`, with the bath model rate_model, one
-    of :data:`RATE_MODELS`.
+    (quasi-static approximation), with the bath model rate_model, one of
+    :data:`RATE_MODELS`: SECTOR_BATCH refreshes take one sector_eigh, one
+    sector_levels and one _rate_table call, with dt folded into the tables.
 
     The state is carried on the K lowest levels of the last refresh,
     rho_f = B^T rho B with B the real d x K dressed basis of
@@ -166,10 +167,10 @@ def evolve_master(
     first refresh). There every jump is |j><k|, so the dissipator acts
     elementwise. A refresh rotates rho_f once by R = B_new^T B_old; each
     step applies the K x K block U_f = B^T U B of the midpoint propagator
-    U, built for the steps up to the next refresh in two batched products,
-    in one K x K sandwich U_f rho_f U_f^dag. U_f is a contraction, so
-    weight that reaches the levels above K is lost from the trace and
-    truncation breaks nothing else. K starts at min(d, k_levels + 12).
+    U, made with U_f^dag for the steps up to the next refresh, in one K x K
+    sandwich U_f rho_f U_f^dag, then the dissipator in place. U_f is a
+    contraction, so weight that reaches the levels above K is lost from the
+    trace and truncation breaks nothing else. K starts at min(d, k_levels + 12).
     Once a step's trace, the sum of the populations the dissipator reads,
     falls below trace(rho0) by a tenth of the 1e-8 budget, the next step
     redoes the last scheduled refresh on all d levels, on the same
@@ -196,46 +197,49 @@ def evolve_master(
     # a step that leaves less trace than this widens the frame
     floor = float(np.real(np.trace(rho0))) - _TRACE_TOL / 10
     midpoints, dt, _ = _record_grid(schedule, cfg)
-    # the eigensystems (w, v) of the refresh midpoints, SECTOR_BATCH per sector_eigh call
-    at = midpoints[::refresh_every]
-    refreshes = (wv for k in range(0, len(at), SECTOR_BATCH)
-                 for wv in zip(*sector_eigh(params, at[k:k + SECTOR_BATCH])))
+    at = midpoints[::refresh_every]  # the refresh midpoints, SECTOR_BATCH per sector_eigh call
+    eigs = (sector_eigh(params, at[k:k + SECTOR_BATCH]) for k in range(0, len(at), SECTOR_BATCH))
     frame = np.eye(d)     # dressed basis B of the last refresh, levels as columns
     sites = frame[index]  # (2, n_fock, K): the rows of B at each chain's sites
-    levels = None         # (w, v) of the last scheduled refresh
-    gain = None           # gain[j, k] = rate of |k> feeding |j>
-    decay = None          # decay[j, k] = -(Gamma_j + Gamma_k) / 2
+    gain = decay = None   # the last refresh's dt gain and 1 + dt decay (K, K)
+    wv = tables = None    # (w, v) of a batch and its refreshes' (B, dt gain, 1 + dt decay)
     last = None           # rho_f at the last recorded step
 
     def step(rho_f, us, start):
-        nonlocal width, frame, sites, levels, gain, decay
-        blocks = None  # the next steps' U_f in the current frame
+        nonlocal width, frame, sites, gain, decay, wv, tables
+        blocks = None  # the next steps' U_f and U_f^dag in the current frame
         for j, i in enumerate(range(start, start + len(us))):
-            if i % refresh_every == 0:
-                levels = tuple(a[None] for a in next(refreshes))
-            if i % refresh_every == 0 or frame.shape[1] < width:
-                (evals,), (sector,), (basis,) = sector_levels(params, *levels, width)
-                r = basis.T @ frame
-                rho_f = r @ rho_f @ r.T
+            if (scheduled := i % refresh_every == 0) or frame.shape[1] < width:
+                r = i // refresh_every % SECTOR_BATCH  # the last scheduled refresh, in its batch
+                if scheduled and r == 0:  # a new batch; the spent one goes first
+                    wv = tables = None
+                    wv = next(eigs)
+                if tables is None or tables[0].shape[-1] < width:  # (re)build at this width
+                    levels, sector, basis = sector_levels(params, *wv, width)
+                    gain = np.zeros((len(basis), width, width))  # [j, k]: |k> feeding |j>
+                    gain[:, :k_levels, :k_levels] = _rate_table(
+                        levels[:, :k_levels], sector[:, :k_levels], basis, rates, params,
+                        rate_model)
+                    out_rate = gain.sum(axis=1)
+                    decay = np.add(out_rate[:, :, None], out_rate[:, None, :])  # G_j + G_k
+                    np.add(np.multiply(decay, -0.5 * dt, out=decay), 1.0, out=decay)
+                    tables = (basis, np.multiply(gain, dt, out=gain), decay)
+                basis, gain, decay = (t[r].copy() for t in tables)  # copies let a spent batch go
+                rho_f = _to_basis(rho_f, frame, basis)
                 frame, sites = basis, basis[index]
-                gain = np.zeros((width, width))
-                gain[:k_levels, :k_levels] = _rate_table(
-                    evals[:k_levels], sector[:k_levels], basis, rates, params, rate_model)
-                out_rate = gain.sum(axis=0)
-                decay = -0.5 * (out_rate[:, None] + out_rate[None, :])
                 blocks = None
             if blocks is None:  # U_f = B^T U B up to the next refresh
-                segment = us[j:j + refresh_every - i % refresh_every]
-                blocks = iter(_real_matmul(sites.reshape(d, -1).T,
-                                           (segment @ sites).reshape(len(segment), d, -1)))
-            u = next(blocks)
-            rho_f = u @ rho_f @ u.conj().T
-            pop = np.real(np.diagonal(rho_f))
+                seg = us[j:j + refresh_every - i % refresh_every]
+                fs = _real_matmul(sites.reshape(d, -1).T, (seg @ sites).reshape(len(seg), d, -1))
+                blocks = zip(fs, fs.conj().swapaxes(1, 2))
+            u, u_dag = next(blocks)
+            rho_f = u @ rho_f @ u_dag  # a new array, so the writes below reach no record
+            pop = rho_f.reshape(-1)[::len(rho_f) + 1].real  # a view of the populations
             if pop.sum() < floor:
                 width = d  # the next step widens the frame in the last refresh's basis
-            drho = decay * rho_f
-            np.fill_diagonal(drho, np.diagonal(drho) + gain @ pop)
-            rho_f = rho_f + dt * drho
+            feed = gain @ pop
+            rho_f *= decay
+            pop += feed
         return rho_f
 
     def record(rho_f, n):
@@ -250,3 +254,9 @@ def evolve_master(
     rho = np.array(rho0, dtype=np.complex128)
     times, couplings, rhos = _sweep(params, schedule, cfg, rho, step, record)
     return MasterTrajectory(times, couplings, rhos, frame @ last @ frame.T)
+
+
+def _to_basis(rho_f: np.ndarray, frame: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """rho_f moved from the dressed basis frame into basis: R rho_f R^T, R = basis^T frame."""
+    r = basis.T @ frame
+    return r @ rho_f @ r.T

@@ -182,44 +182,63 @@ def sector_propagators(params: ModelParams, couplings: np.ndarray, dt: float) ->
     A / 2^s, and s squarings C' = (C - S)(C + S), S' = 2 C S give cos A
     and sin A (Moler & Van Loan, SIAM Rev. 45, 3 (2003)). The result,
     e^{-i mu dt} (cos A - i sin A), is unitary and complex symmetric up to
-    roundoff. All work is in place in eight (m, 2, n_fock, n_fock) slots:
-    fresh temporaries of that size cost more in page faults than in flops.
+    roundoff. This is the one-batch case of :func:`_propagator_batches`.
     """
+    return next(_propagator_batches(params, couplings, dt, max(1, np.size(couplings))))
+
+
+def _propagator_batches(params: ModelParams, couplings: np.ndarray, dt: float,
+                        size: int = PROPAGATOR_BATCH):
+    """Yield :func:`sector_propagators` of couplings[k:k + size], k = 0, size,
+    ..., each valid until the next is drawn. mu, e^{-i mu dt} and the
+    half-widths come in one pass; each batch takes the fewest squarings its
+    couplings need, in eight work slots and one output allocated once:
+    fresh temporaries of that size cost more in page faults than in flops."""
     couplings = _couplings_1d(couplings)
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     chains, m, n = params.chains, len(couplings), params.n_fock
     diag = np.diagonal(chains.bare, axis1=1, axis2=2)  # (2, n)
-    radius = np.abs(couplings)[:, None, None] * chains.hop.sum(axis=1)  # (m, 1, n)
-    low, high = (diag - radius).min(axis=-1), (diag + radius).max(axis=-1)  # (m, 2)
-    reach = float(dt) * float((high - low).max(initial=0.0)) / 2  # overflows to inf silently
-    if not (0 < dt and reach < np.inf):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    squarings = ceil(log2(max(reach / _THETA, 1.0)))
+    with np.errstate(over="ignore"):  # an overflow to inf is caught below
+        radius = np.abs(couplings)[:, None, None] * chains.hop.sum(axis=1)  # (m, 1, n)
+        low, high = (diag - radius).min(axis=-1), (diag + radius).max(axis=-1)  # (m, 2)
+        reach = float(dt) * (high - low).max(axis=-1) / 2  # (m,)
+    if not (reach < np.inf).all():
+        raise ValueError(f"couplings {couplings[~(reach < np.inf)]} give a Gershgorin "
+                         f"half-width times dt = {dt} that is not finite")
     mu = (low + high) / 2
-    work = np.empty((8, m, 2, n, n))  # A, B, B^2, B^3, then the Taylor blocks
-    a, powers, blocks = work[0], work[1:4], work[4:]
-    np.add(np.multiply(couplings[:, None, None, None], chains.hop, out=a), chains.bare, out=a)
-    a.reshape(m, 2, n * n)[..., ::n + 1] -= mu[..., None]
-    a *= dt / 2.0 ** squarings
-    np.matmul(a, a, out=powers[0])
-    np.matmul(powers[0], powers[0], out=powers[1])
-    np.matmul(powers[1], powers[0], out=powers[2])
-    # c_0 + c_1 B + c_2 B^2 + c_3 B^3 per block: cos low, cos high, sin low, sin high
-    np.matmul(_TAYLOR[:, 1:], powers.reshape(3, -1), out=blocks.reshape(4, -1))
-    blocks.reshape(4, m, 2, n * n)[..., ::n + 1] += _TAYLOR[:, :1, None, None]
-    b4, spare = np.matmul(powers[1], powers[1], out=powers[0]), powers[1]
-    cos = np.add(blocks[0], np.matmul(b4, blocks[1], out=spare), out=blocks[0])
-    np.add(blocks[2], np.matmul(b4, blocks[3], out=spare), out=spare)
-    sin = np.matmul(a, spare, out=blocks[1])
-    minus, plus, spare = a, powers[1], powers[2]  # A, B^2 and B^3 are spent
-    for _ in range(squarings):
-        np.subtract(cos, sin, out=minus)
-        np.add(cos, sin, out=plus)
-        sin, spare = np.matmul(cos, sin, out=spare), sin
-        sin *= 2
-        np.matmul(minus, plus, out=cos)
-    u = np.empty(cos.shape, dtype=np.complex128)
-    u.real, u.imag = cos, np.negative(sin, out=sin)
-    return np.multiply(u, np.exp(-1j * dt * mu)[..., None, None], out=u)
+    phase = np.exp(-1j * dt * mu)[..., None, None]
+    del radius  # (m, 1, n): only mu, reach and the phases stay for the sweep
+    slots, out = np.empty(8 * size * 2 * n * n), np.empty(size * 2 * n * n, dtype=np.complex128)
+    for start in range(0, max(m, 1), size):  # an empty grid yields one empty batch
+        c = couplings[start:start + size]
+        k, batch = len(c), slice(start, start + size)
+        squarings = ceil(log2(max(reach[batch].max(initial=0.0) / _THETA, 1.0)))
+        work = slots[:8 * k * 2 * n * n].reshape(8, k, 2, n, n)  # A, B, B^2, B^3, Taylor blocks
+        a, powers, blocks = work[0], work[1:4], work[4:]
+        np.add(np.multiply(c[:, None, None, None], chains.hop, out=a), chains.bare, out=a)
+        a.reshape(k, 2, n * n)[..., ::n + 1] -= mu[batch, :, None]
+        a *= dt / 2.0 ** squarings
+        np.matmul(a, a, out=powers[0])
+        np.matmul(powers[0], powers[0], out=powers[1])
+        np.matmul(powers[1], powers[0], out=powers[2])
+        # c_0 + c_1 B + c_2 B^2 + c_3 B^3 per block: cos low, cos high, sin low, sin high
+        np.matmul(_TAYLOR[:, 1:], powers.reshape(3, -1), out=blocks.reshape(4, -1))
+        blocks.reshape(4, k, 2, n * n)[..., ::n + 1] += _TAYLOR[:, :1, None, None]
+        b4, spare = np.matmul(powers[1], powers[1], out=powers[0]), powers[1]
+        cos = np.add(blocks[0], np.matmul(b4, blocks[1], out=spare), out=blocks[0])
+        np.add(blocks[2], np.matmul(b4, blocks[3], out=spare), out=spare)
+        sin = np.matmul(a, spare, out=blocks[1])
+        minus, plus, spare = a, powers[1], powers[2]  # A, B^2 and B^3 are spent
+        for _ in range(squarings):
+            np.subtract(cos, sin, out=minus)
+            np.add(cos, sin, out=plus)
+            sin, spare = np.matmul(cos, sin, out=spare), sin
+            sin *= 2
+            np.matmul(minus, plus, out=cos)
+        u = out[:k * 2 * n * n].reshape(k, 2, n, n)
+        u.real, u.imag = cos, np.negative(sin, out=sin)
+        yield np.multiply(u, phase[batch], out=u)
 
 
 def ground_batch_size(params: ModelParams) -> int:

@@ -36,7 +36,9 @@ from uscmem import (
 from uscmem import dynamics
 from uscmem.cli import emit_csv
 from uscmem.dynamics import NormDriftError, _sweep
-from uscmem.model import PROPAGATOR_BATCH, sector_eigh, sector_levels, sector_propagators
+from uscmem.model import (
+    PROPAGATOR_BATCH, _propagator_batches, sector_eigh, sector_levels, sector_propagators,
+)
 
 from reference import basis_state, corrected_fidelity, pair_on_cells, parity_op, site
 
@@ -131,9 +133,10 @@ def test_norm_leak_is_caught_not_rescaled(monkeypatch):
     params = ModelParams(n_fock=12)
 
     def leaky(params, couplings, dt):
-        return sector_propagators(params, couplings, dt) * (1 + 1e-11) ** 2
+        for us in _propagator_batches(params, couplings, dt):
+            yield us * (1 + 1e-11) ** 2
 
-    monkeypatch.setattr(dynamics, "sector_propagators", leaky)
+    monkeypatch.setattr(dynamics, "_propagator_batches", leaky)
     cfg = PropagatorConfig.for_total_time(10.0, steps=500)
     with pytest.raises(NormDriftError, match="at step 50 "):
         propagate(params, storage_schedule(params, 10.0), storage_input(params), cfg)
@@ -145,6 +148,26 @@ def test_norm_leak_is_caught_not_rescaled(monkeypatch):
             run_experiment(spec)
         assert isinstance(caught.value.__cause__, NormDriftError), name
         assert "at step 50 " in str(caught.value), name
+
+
+def test_a_nan_factor_stops_the_sweep_at_its_step(monkeypatch):
+    # a NaN in step 7's factor reaches the state column in that step, and
+    # the norm check's comparison fails on NaN: the sweep stops there, in a
+    # lone sweep and on the round trip's write leg alike
+    params = ModelParams(n_fock=12)
+
+    def poisoned(params, couplings, dt):
+        for k, us in enumerate(_propagator_batches(params, couplings, dt)):
+            if k == 0:
+                us[6, 0, 0, 0] = np.nan  # factor 6 is step 7's (steps count from 1)
+            yield us
+
+    monkeypatch.setattr(dynamics, "_propagator_batches", poisoned)
+    cfg = PropagatorConfig.for_total_time(10.0, steps=500)
+    with pytest.raises(NormDriftError, match="nan.* at step 7 "):
+        propagate(params, storage_schedule(params, 10.0), storage_input(params), cfg)
+    with pytest.raises(NormDriftError, match="nan.* at step 7 "):
+        roundtrip(params, storage_schedule(params, 10.0), cfg)
 
 
 def test_parity_is_conserved_along_sweep():
@@ -423,10 +446,11 @@ def test_roundtrip_diagonalizes_one_leg(monkeypatch, steps):
     calls = []
 
     def counting(params, couplings, dt):
-        calls.append(len(couplings))
-        return sector_propagators(params, couplings, dt)
+        for us in _propagator_batches(params, couplings, dt):
+            calls.append(len(us))
+            yield us
 
-    monkeypatch.setattr(dynamics, "sector_propagators", counting)
+    monkeypatch.setattr(dynamics, "_propagator_batches", counting)
     monkeypatch.setattr(np.linalg, "eigh", _no_eigensolver)
     params = ModelParams(n_fock=8)
     roundtrip(params, storage_schedule(params, 20.0),

@@ -30,7 +30,8 @@ from uscmem import (
     storage_schedule,
     validate_density,
 )
-from uscmem import dynamics, lindblad
+from uscmem import dynamics, lindblad, run_experiment
+from uscmem.cli import RunConfig, build_spec
 from uscmem.lindblad import _rate_table
 from uscmem.model import SECTOR_BATCH, sector_levels
 
@@ -227,6 +228,27 @@ def test_rate_table_matches_the_double_loop():
                         (j, k) for j, k, _ in table]
 
 
+@pytest.mark.parametrize("model", ["flat", "ohmic"])
+@pytest.mark.parametrize("k_levels", [2, 12, 24])
+def test_batched_refresh_tables_match_single_refreshes(model, k_levels):
+    # evolve_master builds the tables of SECTOR_BATCH refreshes with one
+    # sector_levels and one _rate_table call; each entry is bit for bit the
+    # table of that refresh alone
+    params = ModelParams(n_fock=20)
+    rates = NoiseRates.for_qubit_splitting(params.omega_eg)
+    w, v = sector_eigh(params, np.linspace(0.0, 1.5, SECTOR_BATCH))
+    width = k_levels + 12
+    energies, sector, basis = sector_levels(params, w, v, width)
+    gain = _rate_table(energies[:, :k_levels], sector[:, :k_levels], basis, rates, params, model)
+    assert gain.shape == (SECTOR_BATCH, k_levels, k_levels) and gain.any(axis=(1, 2)).all()
+    for i in range(SECTOR_BATCH):
+        (e,), (s,), (b,) = sector_levels(params, w[i:i + 1], v[i:i + 1], width)
+        assert np.array_equal(e, energies[i]) and np.array_equal(s, sector[i])
+        assert np.array_equal(b, basis[i])
+        one = _rate_table(e[:k_levels], s[:k_levels], b, rates, params, model)
+        assert np.array_equal(one, gain[i]), i
+
+
 def _dense_rate_table(energies, states, rates, params, model):
     """Rate table with the channel operators built densely and sandwiched
     between the full-basis levels (columns of states)."""
@@ -369,7 +391,7 @@ def test_master_input_validation(monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped before rho0 was checked")
 
-    monkeypatch.setattr(dynamics, "sector_propagators", no_step)
+    monkeypatch.setattr(dynamics, "_propagator_batches", no_step)
     monkeypatch.setattr(lindblad, "sector_eigh", no_step)
     with pytest.raises(ValueError, match="rho0 trace"):
         evolve_master(params, sched, 2 * rho0, rates, cfg)
@@ -486,14 +508,17 @@ def _truncated_frame_run(omega0, refresh_every=3):
 
 
 def _spy_widths(monkeypatch):
-    """The width of every frame refresh of evolve_master, in call order."""
+    """The width of every frame refresh of evolve_master, in call order:
+    each refresh moves rho_f into its basis once, whatever batch of
+    refreshes its tables came from."""
     widths = []
+    to_basis = lindblad._to_basis
 
-    def spy(params, w, v, k):
-        widths.append(k)
-        return sector_levels(params, w, v, k)
+    def spy(rho_f, frame, basis):
+        widths.append(basis.shape[1])
+        return to_basis(rho_f, frame, basis)
 
-    monkeypatch.setattr(lindblad, "sector_levels", spy)
+    monkeypatch.setattr(lindblad, "_to_basis", spy)
     return widths
 
 
@@ -546,6 +571,45 @@ def test_frame_widens_between_refreshes_in_the_last_refresh_basis(monkeypatch):
     idx = params.chains.index[:, 0]
     got_block, want_block = mt.rhos[:, idx[:, None], idx], want[:, idx[:, None], idx]
     assert np.abs(got_block - want_block).max() < 1e-7
+
+
+# noisy --set omega0=3 --set T=20 --set dt=0.04 --set refresh_every=7, as
+# computed with one sector_levels and one _rate_table call per refresh
+WIDE_IN_BATCH = {"F_s_final": 0.9644462502446699, "theta_opt": 5.480374610105038,
+                 "trace_lost": 2.4608842741358217e-09}
+
+
+def test_frame_widens_inside_a_table_batch(monkeypatch):
+    # The read leg's frame widens for step 8, at refresh 1 of its first
+    # table batch, so refreshes 1 to 31, built 24 levels wide, must be
+    # rebuilt 40 wide; the write leg widens for step 223, within refresh 31
+    overrides = {"omega0": 3.0, "T": 20.0, "dt": 0.04, "refresh_every": 7}
+    widths = _spy_widths(monkeypatch)
+    scalars = run_experiment(build_spec(RunConfig("noisy", overrides))).scalars
+    # 72 scheduled refreshes per leg and the write leg's widening
+    assert widths == [24] * 32 + [40] * 41 + [24] + [40] * 71
+    for name, want in WIDE_IN_BATCH.items():
+        assert abs(scalars[name] - want) <= 1e-12, name
+
+    widened = []  # per leg, the first step after which the frame is 40 wide
+    sweep = lindblad._sweep
+
+    def spy(params, schedule, cfg, x0, step, record):
+        leg = len(widened)
+        widened.append(None)
+
+        def one_step_at_a_time(x, us, i):
+            for k in range(len(us)):
+                x = step(x, us[k:k + 1], i + k)
+                if widened[leg] is None and len(x) == 40:
+                    widened[leg] = i + k + 1
+            return x
+
+        return sweep(params, schedule, cfg, x0, one_step_at_a_time, record)
+
+    monkeypatch.setattr(lindblad, "_sweep", spy)
+    run_experiment(build_spec(RunConfig("noisy", overrides)))
+    assert widened == [223, 8]
 
 
 @pytest.mark.parametrize("omega0", [1.0, 3.0])

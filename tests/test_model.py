@@ -321,6 +321,13 @@ def test_sector_propagators_reject_bad_input():
     for couplings in ([[1.0]], [np.nan], [np.inf], 1.0):
         with pytest.raises(ValueError, match="couplings"):
             sector_propagators(params, couplings, 0.1)
+    # dt is checked on its own, and a coupling whose Gershgorin half-width
+    # times dt overflows is named as the cause, not dt
+    with pytest.raises(ValueError, match="dt must be finite and > 0, got nan"):
+        sector_propagators(ModelParams(n_fock=12), [1e308], np.nan)
+    with pytest.raises(ValueError, match=r"^couplings \[1\.e\+308\] give") as caught:
+        sector_propagators(ModelParams(n_fock=12), [1e308], 0.04)
+    assert "dt must be" not in str(caught.value)
 
 
 # --------------------------------------------------------------------------

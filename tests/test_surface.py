@@ -22,6 +22,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 LIBRARY_ENTRY_POINTS = {
     "physical_time": "protocol time in seconds; an acceptance criterion",
     "beam_splitter": "two-mode interference; an acceptance criterion",
+    "sector_propagators": "the midpoint propagators at any couplings; the sweeps draw "
+                          "the same kernel in batches, set up once per sweep",
 }
 
 
