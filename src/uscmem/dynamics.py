@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import pi
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -60,8 +61,8 @@ class PropagatorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not (isinstance(self.record_every, Integral) and self.record_every >= 1):
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         if not 0 < self.norm_tol < np.inf:
             raise ValueError(f"norm_tol must be finite and > 0, got {self.norm_tol}")
         if self.method != "midpoint-exponential":

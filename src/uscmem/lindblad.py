@@ -14,26 +14,27 @@ the parity chains (:class:`~uscmem.model.ParityChains`): sigma_x, sigma_y
 and a + a^dag carry one chain into the other and sigma_z keeps each one,
 so every element <j| s |k> is a product of two chain eigenvectors and no
 operator on the full cell is ever built. During a sweep the dressed basis
-is refreshed quasi-statically every few steps, from the sector
-eigensystems at the refresh midpoints alone, and the density matrix is
-carried in the frame of the last refresh (:func:`evolve_master`): there
-every jump is |j><k|, so the dissipator acts elementwise. The frame keeps
-the k_levels + 12 lowest levels and widens to all of them once a leg has
+is refreshed quasi-statically every few steps, from the checked chain
+levels (:func:`~uscmem.spectral.sector_spectra`) at the refresh midpoints
+alone, and the density matrix is carried in the frame of the last refresh
+(:func:`evolve_master`), those levels laid on the cells: there every jump
+is |j><k|, so the dissipator acts elementwise. The frame keeps the
+k_levels + 12 lowest levels and widens to all of them once a leg has
 lost a tenth of the 1e-8 trace budget: ``noisy`` loses about 3e-11 per
 leg at its defaults, and 2.1e-9 over both legs at omega0 = 2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .dynamics import PropagatorConfig, _real_matmul, _record_grid, _sweep
 from .hilbert import State
 # build_rabi is unused here; perfbench's tracer test checks this alias.
-from .model import (  # noqa: F401
-    SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi, sector_eigh, sector_levels,
-)
+from .model import SECTOR_BATCH, CouplingSchedule, ModelParams, build_rabi  # noqa: F401
+from .spectral import sector_spectra
 
 _RATE_FLOOR = 1e-14
 _TRACE_TOL = 1e-8
@@ -79,23 +80,21 @@ class NoiseRates:
 #---------------------------------------------------------------------------
 
 def _rate_table(
-    energies: np.ndarray, sector: np.ndarray, basis: np.ndarray,
+    energies: np.ndarray, sector: np.ndarray, u: np.ndarray,
     rates: NoiseRates, params: ModelParams, rate_model: str,
 ) -> np.ndarray:
     """Downward transition rates among the lowest levels of a step.
 
-    energies, sector (..., k) and the first k columns of basis are levels of
-    :func:`~uscmem.model.sector_levels`, with any leading batch axes. Each
-    level is a vector u on its chain's sites, and every channel element is
-    a product of two of them: sigma_x pairs site n of one chain with site n
-    of the other, sigma_y and sigma_z weight that pairing by the site's
-    sigma_z sign s (across and within the chains), and a + a^dag moves u
-    along the hops to the other chain. Returns gain (..., k, k), gain[j, k]
-    the rate of the jump |j><k|, with the channels merged in the order x, y, z, r.
+    energies, sector (..., k) and the chain vectors u (..., k, n_fock) are
+    levels of a :class:`~uscmem.spectral.Spectrum`, with any leading batch
+    axes. Every channel element is a product of two of them: sigma_x pairs
+    site n of one chain with site n of the other, sigma_y and sigma_z weight
+    that pairing by the site's sigma_z sign s (across and within the
+    chains), and a + a^dag moves u along the hops to the other chain.
+    Returns gain (..., k, k), gain[j, k] the rate of the jump |j><k|, with
+    the channels merged in the order x, y, z, r.
     """
-    index, k = params.chains.index, sector.shape[-1]
-    u = np.take_along_axis(np.swapaxes(basis[..., :k], -1, -2), index[sector], axis=-1)
-    su = (2 * (index // params.n_fock) - 1)[sector] * u
+    su = (2 * (params.chains.index // params.n_fock) - 1)[sector] * u
     hu = u @ params.chains.hop
     cross = sector[..., :, None] != sector[..., None, :]
     signed = u @ np.swapaxes(su, -1, -2)
@@ -158,13 +157,13 @@ def evolve_master(
     first-order dissipator update. Every refresh_every steps the jump table
     is rebuilt from the sector eigensystems at that step's midpoint
     (quasi-static approximation), with the bath model rate_model, one of
-    :data:`RATE_MODELS`: SECTOR_BATCH refreshes take one sector_eigh, one
-    sector_levels and one _rate_table call, with dt folded into the tables.
+    :data:`RATE_MODELS`: SECTOR_BATCH refreshes take one sector_spectra
+    and one _rate_table call, with dt folded into the tables.
 
     The state is carried on the K lowest levels of the last refresh,
-    rho_f = B^T rho B with B the real d x K dressed basis of
-    :func:`~uscmem.model.sector_levels` (the full identity before the
-    first refresh). There every jump is |j><k|, so the dissipator acts
+    rho_f = B^T rho B with B the real d x K dressed basis, those levels'
+    chain vectors laid on the cells (the full identity before the first
+    refresh). There every jump is |j><k|, so the dissipator acts
     elementwise. A refresh rotates rho_f once by R = B_new^T B_old; each
     step applies the K x K block U_f = B^T U B of the midpoint propagator
     U, made with U_f^dag for the steps up to the next refresh, in one K x K
@@ -185,41 +184,46 @@ def evolve_master(
     d = 2 * params.n_fock
     if rho0.shape != (d, d):
         raise ValueError("rho0 shape does not match the model space")
-    if refresh_every < 1:
-        raise ValueError("refresh_every must be >= 1")
+    if not (isinstance(refresh_every, Integral) and refresh_every >= 1):
+        raise ValueError(f"refresh_every must be an integer >= 1, got {refresh_every!r}")
     if rate_model not in RATE_MODELS:
         raise ValueError(f"rate_model must be one of {RATE_MODELS}, got {rate_model!r}")
-    if not 2 <= k_levels <= d:
-        raise ValueError(f"k_levels must be in [2, {d}], got {k_levels}")
+    if not (isinstance(k_levels, Integral) and 2 <= k_levels <= d):
+        raise ValueError(f"k_levels must be an integer in [2, {d}], got {k_levels!r}")
 
     index = params.chains.index
     width = min(d, k_levels + _FRAME_MARGIN)
     # a step that leaves less trace than this widens the frame
     floor = float(np.real(np.trace(rho0))) - _TRACE_TOL / 10
     midpoints, dt, _ = _record_grid(schedule, cfg)
-    at = midpoints[::refresh_every]  # the refresh midpoints, SECTOR_BATCH per sector_eigh call
-    eigs = (sector_eigh(params, at[k:k + SECTOR_BATCH]) for k in range(0, len(at), SECTOR_BATCH))
+    at = midpoints[::refresh_every]  # the refresh midpoints, SECTOR_BATCH per sector_spectra call
+    spectra = (sector_spectra(params, at[k:k + SECTOR_BATCH], d)
+               for k in range(0, len(at), SECTOR_BATCH))
     frame = np.eye(d)     # dressed basis B of the last refresh, levels as columns
     sites = frame[index]  # (2, n_fock, K): the rows of B at each chain's sites
     gain = decay = None   # the last refresh's dt gain and 1 + dt decay (K, K)
-    wv = tables = None    # (w, v) of a batch and its refreshes' (B, dt gain, 1 + dt decay)
+    spectrum = tables = None  # a batch's Spectrum and its refreshes' (B, dt gain, 1 + dt decay)
     last = None           # rho_f at the last recorded step
 
     def step(rho_f, us, start):
-        nonlocal width, frame, sites, gain, decay, wv, tables
+        nonlocal width, frame, sites, gain, decay, spectrum, tables
         blocks = None  # the next steps' U_f and U_f^dag in the current frame
         for j, i in enumerate(range(start, start + len(us))):
             if (scheduled := i % refresh_every == 0) or frame.shape[1] < width:
                 r = i // refresh_every % SECTOR_BATCH  # the last scheduled refresh, in its batch
                 if scheduled and r == 0:  # a new batch; the spent one goes first
-                    wv = tables = None
-                    wv = next(eigs)
+                    spectrum = tables = None
+                    spectrum = next(spectra)
                 if tables is None or tables[0].shape[-1] < width:  # (re)build at this width
-                    levels, sector, basis = sector_levels(params, *wv, width)
-                    gain = np.zeros((len(basis), width, width))  # [j, k]: |k> feeding |j>
+                    sector, states = spectrum.sector[:, :width], spectrum.states[:, :width]
+                    m = len(states)
+                    basis = np.zeros((m, d, width))  # each level's chain vector on the cells
+                    basis[np.arange(m)[:, None, None], index[sector],
+                          np.arange(width)[:, None]] = states
+                    gain = np.zeros((m, width, width))  # [j, k]: |k> feeding |j>
                     gain[:, :k_levels, :k_levels] = _rate_table(
-                        levels[:, :k_levels], sector[:, :k_levels], basis, rates, params,
-                        rate_model)
+                        spectrum.energies[:, :k_levels], sector[:, :k_levels],
+                        states[:, :k_levels], rates, params, rate_model)
                     out_rate = gain.sum(axis=1)
                     decay = np.add(out_rate[:, :, None], out_rate[:, None, :])  # G_j + G_k
                     np.add(np.multiply(decay, -0.5 * dt, out=decay), 1.0, out=decay)

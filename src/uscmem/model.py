@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil, factorial, log2
+from numbers import Integral
 
 import numpy as np
 
@@ -41,8 +42,8 @@ class ModelParams:
             raise ValueError(f"omega_eg must be finite and >= 0, got {self.omega_eg}")
         if not 0 <= self.omega0 < np.inf:
             raise ValueError(f"omega0 must be finite and >= 0, got {self.omega0}")
-        if self.n_fock < 2:
-            raise ValueError(f"n_fock must be >= 2, got {self.n_fock}")
+        if not (isinstance(self.n_fock, Integral) and self.n_fock >= 2):
+            raise ValueError(f"n_fock must be an integer >= 2, got {self.n_fock!r}")
 
     @cached_property
     def chains(self) -> "ParityChains":
@@ -381,29 +382,3 @@ def _sturm(diag: np.ndarray, hop2: np.ndarray, shift: np.ndarray) -> tuple[np.nd
             total += t
         # sum_i t_i = -det' / det = sum_k 1 / (lambda_k - shift)
         return pivots, 1.0 / total
-
-
-def sector_levels(
-    params: ModelParams, w: np.ndarray, v: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k lowest levels over both parity chains, from the eigenpairs
-    w (m, 2, depth), v (m, 2, n_fock, depth) of :func:`sector_eigh`.
-
-    Returns energies (m, k) ascending, with the P = -1 level first on an
-    exact tie by convention (for omega_eg > 0 it is the lower level of
-    the ground doublet), each level's sector (m, k), 0 for P = -1 and 1
-    for P = +1, and full-basis real states (m, 2 * n_fock, k).
-    """
-    m, _, depth = w.shape
-    nf = params.n_fock
-    # chain 0 (P = -1) comes first, so a stable sort puts it first on ties
-    flat_w = w.reshape(m, 2 * depth)
-    order = np.argsort(flat_w, axis=1, kind="stable")[:, :k]
-    energies = np.take_along_axis(flat_w, order, axis=1)
-    sector, rank = np.divmod(order, depth)
-    states = np.zeros((m, 2 * nf, k))
-    rows = np.arange(m)[:, None, None]
-    cols = np.arange(k)[None, :, None]
-    states[rows, params.chains.index[sector], cols] = v[rows, sector[..., None],
-                                                      np.arange(nf), rank[..., None]]
-    return energies, sector, states

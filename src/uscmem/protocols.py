@@ -207,13 +207,13 @@ def _run_spectrum(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     omegas = np.linspace(0.0, params.omega0, spec.omega_points)
     spectrum = _stage("sector spectra", sector_spectra, params, omegas, 4)
-    # levels 0 and 1, each read on its own chain
-    f_g, f_e = _cat_overlaps(params, omegas, spectrum.states[:, params.chains.index, [[0], [1]]])
+    # levels 0 and 1, on chains 0 and 1 at every coupling
+    f_g, f_e = _cat_overlaps(params, omegas, spectrum.states[:, :2])
     curves = {
         "spectrum": {
             "omega": omegas,
             **{f"E{i}": spectrum.energies[:, i] for i in range(4)},
-            **{f"parity{i}": spectrum.parities[:, i] for i in range(4)},
+            **{f"parity{i}": 2.0 * spectrum.sector[:, i] - 1 for i in range(4)},
         },
         "cat_overlap": {"omega": omegas, "F_G": f_g, "F_E": f_e},
     }

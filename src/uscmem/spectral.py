@@ -4,7 +4,8 @@ All come from the two real parity chains of H(Omega)
 (:class:`~uscmem.model.ParityChains`), so each eigenvector lies in one
 sector, also inside an exactly degenerate doublet. :func:`sector_spectra`
 diagonalizes the chains in batches (:func:`~uscmem.model.sector_eigh`)
-and lays the lowest levels on the cell basis as one :class:`Spectrum`.
+and returns the lowest levels as one :class:`Spectrum`, each level's
+state a vector on its own chain.
 The qubit is stored in the ground doublet, G the ground state of the
 P = -1 chain and E that of the P = +1 chain, which
 :func:`build_gauge_chain` keeps in chain form: it takes each chain's
@@ -24,7 +25,6 @@ from .hilbert import coherent_state
 # build_rabi is unused here; perfbench's tracer test checks this alias.
 from .model import (  # noqa: F401
     SECTOR_BATCH, ModelParams, _couplings_1d, build_rabi, chain_ground, sector_eigh,
-    sector_levels,
 )
 
 _ORTHO_TOL = 1e-10
@@ -33,19 +33,19 @@ _RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Lowest-k eigenpairs of a cell Hamiltonian at m couplings, with parity
-    labels, as :func:`sector_spectra` returns them.
+    """Lowest-k levels of a cell at m couplings, each on its own parity
+    chain, as :func:`sector_spectra` returns them.
 
     ``couplings`` (m,) are the sampled couplings, ``energies`` (m, k) the
-    levels in ascending energy order, ``states`` (m, 2 * n_fock, k) real
-    orthonormal eigenvectors as columns and ``parities`` (m, k) their +-1
-    symmetry labels.
+    levels in ascending energy order, ``sector`` (m, k) each level's chain,
+    0 for P = -1 and 1 for P = +1, and ``states`` (m, k, n_fock) its real
+    unit eigenvector in chain-site order (:class:`~uscmem.model.ParityChains`).
     """
 
     couplings: np.ndarray
     energies: np.ndarray
+    sector: np.ndarray
     states: np.ndarray
-    parities: np.ndarray
 
 
 def _check_sectors(
@@ -81,25 +81,28 @@ def _check_sectors(
 
 def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> Spectrum:
     """Lowest-k spectrum of the cell at each coupling, from its parity chains:
-    real states, ascending energies, and parity labels by construction.
-    Each chain's lowest levels come from one batched
-    :func:`~uscmem.model.sector_eigh` per SECTOR_BATCH couplings, and the
-    residual and orthonormality of every kept eigenpair are checked batch
-    by batch."""
+    real chain states and sector labels by construction, and ascending
+    energies, the P = -1 level first on an exact tie. Each chain's lowest
+    levels come from one batched :func:`~uscmem.model.sector_eigh` per
+    SECTOR_BATCH couplings, and the residual and orthonormality of every
+    kept eigenpair are checked batch by batch."""
     if not 1 <= k <= 2 * params.n_fock:
         raise ValueError(f"k must be in [1, {2 * params.n_fock}], got {k}")
     couplings = _couplings_1d(couplings)
-    depth = min(k, params.n_fock)  # no sector contributes more than k levels
-    w = np.empty((len(couplings), 2, depth))
-    v = np.empty((len(couplings), 2, params.n_fock, depth))
-    for start in range(0, len(couplings), SECTOR_BATCH):
+    m, depth = len(couplings), min(k, params.n_fock)  # no sector contributes more than k levels
+    w, v = np.empty((m, 2, depth)), np.empty((m, 2, params.n_fock, depth))
+    for start in range(0, m, SECTOR_BATCH):
         batch = slice(start, start + SECTOR_BATCH)
         cw, cv = sector_eigh(params, couplings[batch])
         w[batch], v[batch] = cw[..., :depth], cv[..., :depth]
         del cw, cv  # free the full batch before the check allocates
         _check_sectors(params, couplings[batch], w[batch], v[batch])
-    energies, sector, states = sector_levels(params, w, v, k)
-    return Spectrum(couplings, energies, states, 2.0 * sector - 1)
+    # chain 0 (P = -1) comes first, so a stable sort puts it first on ties
+    flat_w = w.reshape(m, 2 * depth)
+    order = np.argsort(flat_w, axis=1, kind="stable")[:, :k]
+    sector, rank = np.divmod(order, depth)
+    return Spectrum(couplings, np.take_along_axis(flat_w, order, axis=1), sector,
+                    v[np.arange(m)[:, None], sector, :, rank])
 
 
 def _checked_couplings(couplings) -> np.ndarray:

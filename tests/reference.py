@@ -134,6 +134,15 @@ def pair_on_cells(params: ModelParams, pair: np.ndarray) -> np.ndarray:
     return rows
 
 
+def levels_on_cells(params: ModelParams, sector: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Levels as a Spectrum holds them, sectors (..., k) and chain vectors
+    (..., k, n_fock), laid on the cells: (..., 2 n_fock, k), level i as
+    column i, its chain vector at its chain's sites and zero off them."""
+    cells = np.zeros(states.shape[:-1] + (2 * params.n_fock,))
+    np.put_along_axis(cells, params.chains.index[sector], states, axis=-1)
+    return np.swapaxes(cells, -1, -2)
+
+
 def kron_cat(params: ModelParams, coupling: float, which: str) -> State:
     """Textbook cat (|-alpha>|+> -+ |alpha>|->) / sqrt(2), "G" with the minus
     sign, as two qubit x Fock products; alpha = coupling / omega_cav and

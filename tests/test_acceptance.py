@@ -21,7 +21,7 @@ from uscmem import (
     storage_schedule,
 )
 
-from reference import RSQRT2, density_block, pair_on_cells, parity_op
+from reference import RSQRT2, density_block, levels_on_cells, pair_on_cells, parity_op
 
 
 def _check(log, label, ok, detail):
@@ -48,7 +48,8 @@ def test_cat_approximants_track_doublet(acceptance_log, params30):
     worst_g = worst_e = 1.0
     spectrum = sector_spectra(params30, np.linspace(0.8, 1.0, 21), 2)
     cats = pair_on_cells(params30, cat_approximant(params30, spectrum.couplings)[:, None])
-    for (cat_g, cat_e), states in zip(cats, spectrum.states):
+    cells = levels_on_cells(params30, spectrum.sector, spectrum.states)
+    for (cat_g, cat_e), states in zip(cats, cells):
         worst_g = min(worst_g, abs(np.vdot(states[:, 0], cat_g)) ** 2)
         worst_e = min(worst_e, abs(np.vdot(states[:, 1], cat_e)) ** 2)
     _check(

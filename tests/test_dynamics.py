@@ -36,11 +36,11 @@ from uscmem import (
 from uscmem import dynamics
 from uscmem.cli import emit_csv
 from uscmem.dynamics import NormDriftError, _sweep
-from uscmem.model import (
-    PROPAGATOR_BATCH, _propagator_batches, sector_eigh, sector_levels, sector_propagators,
-)
+from uscmem.model import PROPAGATOR_BATCH, _propagator_batches, sector_propagators
 
-from reference import basis_state, corrected_fidelity, pair_on_cells, parity_op, site
+from reference import (
+    basis_state, corrected_fidelity, levels_on_cells, pair_on_cells, parity_op, site,
+)
 
 RSQRT2 = 2 ** -0.5
 
@@ -67,7 +67,7 @@ def test_constant_hamiltonian_is_exact():
     # an eigenstate only acquires the phase exp(-i E t), to roundoff
     params = ModelParams(n_fock=12)
     spec = sector_spectra(params, [1.0], 1)
-    psi0 = State(spec.states[0, :, 0])
+    psi0 = State(levels_on_cells(params, spec.sector, spec.states)[0, :, 0])
     sched = CouplingSchedule(1.0, 1.0, total_time=5.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(5.0, steps=50))
     expected = np.exp(-1j * spec.energies[0, 0] * 5.0) * psi0.amplitudes
@@ -202,8 +202,9 @@ def test_sector_eigensystems_match_dense_hamiltonian(omega_eg):
     # omega_eg = 0 makes the ground doublet exactly degenerate
     params = ModelParams(n_fock=20, omega_eg=omega_eg)
     couplings = np.array([0.0, 0.05, 0.3, 0.7, 1.0, 1.4])
-    energies, _, states = sector_levels(params, *sector_eigh(params, couplings), 2 * params.n_fock)
-    for om, e, v in zip(couplings, energies, states):
+    spec = sector_spectra(params, couplings, 2 * params.n_fock)
+    cells = levels_on_cells(params, spec.sector, spec.states)
+    for om, e, v in zip(couplings, spec.energies, cells):
         h = build_rabi(params, float(om))
         assert np.abs(e - np.linalg.eigvalsh(h)).max() < 1e-12
         assert np.linalg.norm(h @ v - v * e, axis=0).max() <= 1e-10
@@ -314,7 +315,8 @@ def test_storage_input_validation():
 
 def test_adiabatic_following_improves_with_sweep_time():
     params = ModelParams()
-    v0 = sector_spectra(params, [params.omega0], 1).states[0, :, 0]
+    ground = sector_spectra(params, [params.omega0], 1)
+    v0 = levels_on_cells(params, ground.sector, ground.states)[0, :, 0]
     got = {}
     for total_time in sorted(STORAGE_GROUND):
         cfg = PropagatorConfig.for_total_time(total_time)
@@ -479,7 +481,8 @@ def test_retrieval_from_exact_eigenstate():
     # reading out the exact full-coupling ground state lands on |g,0>
     # regardless of the phase correction
     params = ModelParams()
-    stored = State(sector_spectra(params, [params.omega0], 1).states[0, :, 0])
+    ground = sector_spectra(params, [params.omega0], 1)
+    stored = State(levels_on_cells(params, ground.sector, ground.states)[0, :, 0])
     cfg = PropagatorConfig.for_total_time(105.0)
     read = propagate(params, storage_schedule(params, 105.0).reversed(), stored, cfg)
     final = State(read.amplitudes[-1])

@@ -26,18 +26,19 @@ from uscmem import (
     pure_density,
     readout,
     sector_eigh,
+    sector_spectra,
     storage_input,
     storage_schedule,
     validate_density,
 )
-from uscmem import dynamics, lindblad, run_experiment
+from uscmem import dynamics, lindblad, run_experiment, spectral
 from uscmem.cli import RunConfig, build_spec
 from uscmem.lindblad import _rate_table
-from uscmem.model import SECTOR_BATCH, sector_levels
+from uscmem.model import SECTOR_BATCH
 
 from reference import (
     RSQRT2, annihilation_op, basis_state, branch_phase_correction, corrected_fidelity,
-    density_block, pauli_op, site, state_fidelity,
+    density_block, levels_on_cells, pauli_op, site, state_fidelity,
 )
 
 # per-channel dressed rates at full coupling, n_fock = 20, base rates
@@ -63,10 +64,9 @@ CHANNEL_MIXES = [NoiseRates.for_qubit_splitting(0.1)] + [
 
 def _chain_levels(params, coupling, k_levels):
     """The k_levels lowest levels at one coupling as a sweep step sees them:
-    energies, sectors and full-basis states."""
-    w, v = sector_eigh(params, np.array([coupling]))
-    (energies,), (sector,), (states,) = sector_levels(params, w, v, k_levels)
-    return energies, sector, states
+    energies, sectors and chain vectors (k_levels, n_fock)."""
+    spec = sector_spectra(params, [coupling], k_levels)
+    return spec.energies[0], spec.sector[0], spec.states[0]
 
 
 def _labelled_rates(params, coupling, rates, k_levels=12, rate_model="flat"):
@@ -176,11 +176,10 @@ def test_ohmic_rescales_by_transition_energy():
         assert ohm[(j, k)] == pytest.approx(rate * (e[k] - e[j]), rel=1e-9)
 
 
-def _chain_elements(sector, basis, params):
+def _chain_elements(sector, u, params):
     """sigma_x, sigma_y, sigma_z and a + a^dag between the levels, built
-    from their chain vectors exactly as the rate table builds them."""
+    from their chain vectors u exactly as the rate table builds them."""
     index = params.chains.index
-    u = basis[index[sector], np.arange(len(sector))[:, None]]
     su = (2 * (index // params.n_fock) - 1)[sector] * u
     hu = u @ params.chains.hop
     cross = sector[:, None] != sector[None, :]
@@ -188,13 +187,13 @@ def _chain_elements(sector, basis, params):
     return cross * (u @ u.T), cross * signed, ~cross * signed, cross * (u @ hu.T)
 
 
-def _loop_rate_table(energies, sector, basis, rates, params, model):
+def _loop_rate_table(energies, sector, states, rates, params, model):
     """Per-pair double loop over the levels: the oracle for the vectorized
     merge, floor and ohmic scale, as [(j, k, merged rate)] in ascending (j, k)."""
     k_levels = len(sector)
     base = [rates.gamma_x, rates.gamma_y, rates.gamma_z, rates.gamma_r]
     merged = {}
-    for elem, gamma in zip(_chain_elements(sector, basis, params), base):
+    for elem, gamma in zip(_chain_elements(sector, states, params), base):
         if gamma == 0.0:
             continue
         for k in range(k_levels):
@@ -232,20 +231,27 @@ def test_rate_table_matches_the_double_loop():
 @pytest.mark.parametrize("k_levels", [2, 12, 24])
 def test_batched_refresh_tables_match_single_refreshes(model, k_levels):
     # evolve_master builds the tables of SECTOR_BATCH refreshes with one
-    # sector_levels and one _rate_table call; each entry is bit for bit the
-    # table of that refresh alone
+    # sector_spectra over all levels and one _rate_table call; each entry is
+    # bit for bit the table of that refresh alone, and the first width
+    # levels are bit for bit a spectrum of width levels
     params = ModelParams(n_fock=20)
     rates = NoiseRates.for_qubit_splitting(params.omega_eg)
-    w, v = sector_eigh(params, np.linspace(0.0, 1.5, SECTOR_BATCH))
+    couplings = np.linspace(0.0, 1.5, SECTOR_BATCH)
+    spec = sector_spectra(params, couplings, 2 * params.n_fock)
     width = k_levels + 12
-    energies, sector, basis = sector_levels(params, w, v, width)
-    gain = _rate_table(energies[:, :k_levels], sector[:, :k_levels], basis, rates, params, model)
+    energies, sector, states = (a[:, :width] for a in (spec.energies, spec.sector, spec.states))
+    narrow = sector_spectra(params, couplings, width)
+    assert np.array_equal(narrow.energies, energies) and np.array_equal(narrow.sector, sector)
+    assert np.array_equal(narrow.states, states)
+    gain = _rate_table(energies[:, :k_levels], sector[:, :k_levels], states[:, :k_levels],
+                       rates, params, model)
     assert gain.shape == (SECTOR_BATCH, k_levels, k_levels) and gain.any(axis=(1, 2)).all()
     for i in range(SECTOR_BATCH):
-        (e,), (s,), (b,) = sector_levels(params, w[i:i + 1], v[i:i + 1], width)
+        one_spec = sector_spectra(params, couplings[i:i + 1], 2 * params.n_fock)
+        e, s, b = (a[0, :width] for a in (one_spec.energies, one_spec.sector, one_spec.states))
         assert np.array_equal(e, energies[i]) and np.array_equal(s, sector[i])
-        assert np.array_equal(b, basis[i])
-        one = _rate_table(e[:k_levels], s[:k_levels], b, rates, params, model)
+        assert np.array_equal(b, states[i])
+        one = _rate_table(e[:k_levels], s[:k_levels], b[:k_levels], rates, params, model)
         assert np.array_equal(one, gain[i]), i
 
 
@@ -272,12 +278,13 @@ def test_chain_rate_table_matches_dense_operators():
         for coupling in (0.0, 0.4, 1.0, 1.5):
             depth = min(20, 2 * n_fock)
             energies, sector, states = _chain_levels(params, coupling, depth)
+            cells = levels_on_cells(params, sector, states)
             for k_levels in range(2, depth + 1):
-                e, sec, st = energies[:k_levels], sector[:k_levels], states[:, :k_levels]
+                e, sec, st = energies[:k_levels], sector[:k_levels], states[:k_levels]
                 for model in ("flat", "ohmic"):
                     for rates in CHANNEL_MIXES:
                         got = _rate_table(e, sec, st, rates, params, model)
-                        want = _dense_rate_table(e, st, rates, params, model)
+                        want = _dense_rate_table(e, cells[:, :k_levels], rates, params, model)
                         assert np.array_equal(got != 0.0, want != 0.0)
                         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
@@ -292,6 +299,28 @@ def test_k_levels_bounds():
     for k_levels in (9, 1):
         with pytest.raises(ValueError, match="k_levels"):
             evolve_master(params, sched, rho0, rates, cfg, k_levels=k_levels)
+
+
+def _short_master(**kwargs):
+    params = ModelParams(n_fock=6)
+    cfg = PropagatorConfig.for_total_time(10.0, steps=500)
+    return evolve_master(params, storage_schedule(params, 10.0),
+                         pure_density(storage_input(params)),
+                         NoiseRates.for_qubit_splitting(0.1), cfg, **kwargs)
+
+
+@pytest.mark.parametrize("name, value, build", [
+    ("n_fock", 12.0, lambda n: ModelParams(n_fock=n)),
+    ("record_every", 10.0, lambda n: PropagatorConfig(dt=0.1, record_every=n)),
+    ("k_levels", 4.0, lambda n: _short_master(k_levels=n)),
+    ("refresh_every", 2.5, lambda n: _short_master(refresh_every=n)),
+], ids=["n_fock", "record_every", "k_levels", "refresh_every"])
+def test_counts_must_be_integers(name, value, build):
+    # a float count meets its range check but would fail deep in a sweep
+    # with a TypeError; the guard names it, and a numpy integer is an integer
+    with pytest.raises(ValueError, match=rf"{name} must be an integer.*got {value}"):
+        build(value)
+    build(np.int64(value))
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +421,7 @@ def test_master_input_validation(monkeypatch):
         raise AssertionError("stepped before rho0 was checked")
 
     monkeypatch.setattr(dynamics, "_propagator_batches", no_step)
-    monkeypatch.setattr(lindblad, "sector_eigh", no_step)
+    monkeypatch.setattr(spectral, "sector_eigh", no_step)
     with pytest.raises(ValueError, match="rho0 trace"):
         evolve_master(params, sched, 2 * rho0, rates, cfg)
 
@@ -411,7 +440,7 @@ def test_master_diagonalizes_only_at_refreshes(monkeypatch, omega0, refresh_ever
         calls.append(couplings)
         return sector_eigh(params, couplings)
 
-    monkeypatch.setattr(lindblad, "sector_eigh", spy)
+    monkeypatch.setattr(spectral, "sector_eigh", spy)
     widths = _spy_widths(monkeypatch)
     evolve_master(params, sched, pure_density(storage_input(params)),
                   NoiseRates.for_qubit_splitting(0.1), cfg, refresh_every=refresh_every)
@@ -422,6 +451,23 @@ def test_master_diagonalizes_only_at_refreshes(monkeypatch, omega0, refresh_ever
     assert np.array_equal(np.concatenate(calls), sched.coupling_at((refreshes + 0.5) * dt))
     widened = omega0 == 3.0
     assert len(widths) == len(refreshes) + widened and (40 in widths) == widened
+
+
+def test_refresh_eigensystems_are_checked(monkeypatch):
+    # one eigenvector of the first refresh batch off by 1e-6 at its second
+    # site, where the lowest chain-0 level has next to no weight at the
+    # sweep's small first coupling
+    def perturbed(params, couplings):
+        w, v = sector_eigh(params, couplings)
+        v[0, 0, 1, 0] += 1e-6
+        return w, v
+
+    monkeypatch.setattr(spectral, "sector_eigh", perturbed)
+    params = ModelParams(n_fock=10)
+    cfg = PropagatorConfig.for_total_time(10.0, steps=500)
+    with pytest.raises(RuntimeError, match="eigenpair residual above tolerance"):
+        evolve_master(params, storage_schedule(params, 10.0), pure_density(storage_input(params)),
+                      NoiseRates.for_qubit_splitting(0.1), cfg)
 
 
 def test_master_samples_are_held_once():
@@ -445,8 +491,8 @@ def test_master_samples_are_held_once():
 
 def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_every, model):
     """Reference sweep in the lab frame: dense midpoint eigh, rho <- U rho U^dag,
-    then the dissipator taken into the refresh basis of sector_levels and
-    back on every step.
+    then the dissipator taken into the refresh basis of sector_spectra,
+    laid on the cells, and back on every step.
     Returns the samples at step 0, every record_every steps and the last."""
     d = 2 * params.n_fock
     n_steps = round(schedule.total_time / cfg.dt)
@@ -459,10 +505,11 @@ def _lab_frame_master(params, schedule, rho0, rates, cfg, k_levels, refresh_ever
         u = (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
         rho = u @ rho @ u.conj().T
         if i % refresh_every == 0:
-            levels, sector, basis = _chain_levels(params, coupling, d)
+            levels, sector, states = _chain_levels(params, coupling, d)
+            basis = levels_on_cells(params, sector, states)
             gain = np.zeros((d, d))
             for j, k, rate in _loop_rate_table(levels[:k_levels], sector[:k_levels],
-                                               basis[:, :k_levels], rates, params, model):
+                                               states[:k_levels], rates, params, model):
                 gain[j, k] = rate
             out_rate = gain.sum(axis=0)
         rho_d = basis.conj().T @ rho @ basis
@@ -574,7 +621,7 @@ def test_frame_widens_between_refreshes_in_the_last_refresh_basis(monkeypatch):
 
 
 # noisy --set omega0=3 --set T=20 --set dt=0.04 --set refresh_every=7, as
-# computed with one sector_levels and one _rate_table call per refresh
+# computed with the tables built one refresh at a time
 WIDE_IN_BATCH = {"F_s_final": 0.9644462502446699, "theta_opt": 5.480374610105038,
                  "trace_lost": 2.4608842741358217e-09}
 
@@ -610,6 +657,25 @@ def test_frame_widens_inside_a_table_batch(monkeypatch):
     monkeypatch.setattr(lindblad, "_sweep", spy)
     run_experiment(build_spec(RunConfig("noisy", overrides)))
     assert widened == [223, 8]
+
+
+# noisy --set n_fock=30 --set omega0=3 --set T=20 --set dt=0.04, as
+# computed with every refresh level laid on the cells before its rates
+NARROW_FRAME = {"F_s_final": 0.9613587763966878, "theta_opt": 5.4824846321892,
+                "trace_lost": 2.0789118204689316e-09}
+
+
+def test_frame_narrower_than_a_chain(monkeypatch):
+    # At n_fock 30 the 24-level frame is narrower than one 30-site chain,
+    # so each refresh keeps fewer levels than its spectrum holds. The write
+    # leg widens to all 60 after its tenth refresh, the read leg after its
+    # first
+    widths = _spy_widths(monkeypatch)
+    overrides = {"n_fock": 30, "omega0": 3.0, "T": 20.0, "dt": 0.04}
+    scalars = run_experiment(build_spec(RunConfig("noisy", overrides))).scalars
+    assert widths == [24] * 10 + [60] * 16 + [24] + [60] * 25
+    for name, want in NARROW_FRAME.items():
+        assert abs(scalars[name] - want) <= 1e-12, name
 
 
 @pytest.mark.parametrize("omega0", [1.0, 3.0])

@@ -15,7 +15,8 @@ from uscmem import spectral
 from uscmem.model import SECTOR_BATCH, chain_ground, sector_eigh
 
 from reference import (
-    basis_state, kron_cat, mean_photon, pair_on_cells, parity_op, product_state,
+    basis_state, kron_cat, levels_on_cells, mean_photon, pair_on_cells, parity_op,
+    product_state,
 )
 
 # independently derived reference values at full coupling, n_fock = 30
@@ -27,19 +28,20 @@ CAT_E_OVERLAP = 0.999593
 def _levels(params: ModelParams, coupling: float, k: int = 4):
     """Energies (k,), states (dim, k) and parities (k,) at one coupling."""
     sp = sector_spectra(params, [coupling], k)
-    return sp.energies[0], sp.states[0], sp.parities[0]
+    return sp.energies[0], levels_on_cells(params, sp.sector, sp.states)[0], 2.0 * sp.sector[0] - 1
 
 
 def _check_against_dense(params: ModelParams, sp: Spectrum, zeros_off_sector: bool = True) -> None:
     """The dense reference, build_rabi plus eigh, at every coupling of sp:
     the same lowest energies, the same spanned subspace, and, where the
-    package wrote the cell vectors (zeros_off_sector), each state inside
-    its parity sector. Inside a degenerate doublet only the subspace is
+    package labelled the levels (zeros_off_sector), each state inside the
+    parity sector of its label. Inside a degenerate doublet only the subspace is
     defined, so states are compared through the projector onto their
     span."""
     k = sp.energies.shape[1]
     plus = np.real(np.diag(parity_op(params.n_fock))) > 0
-    for om, levels, states, parities in zip(sp.couplings, sp.energies, sp.states, sp.parities):
+    cells = levels_on_cells(params, sp.sector, sp.states)
+    for om, levels, states, parities in zip(sp.couplings, sp.energies, cells, 2.0 * sp.sector - 1):
         energies, vectors = np.linalg.eigh(build_rabi(params, float(om)))
         assert np.abs(np.sort(levels) - energies[:k]).max() < 1e-12
         projector = vectors[:, :k] @ vectors[:, :k].conj().T
@@ -77,6 +79,15 @@ def test_parity_label_alternation():
     # ground doublet: odd below even; second doublet flips back
     _, _, parities = _levels(ModelParams(), 1.0)
     assert list(parities) == [-1, 1, -1, 1]
+    # the spectrum experiment reads level 0 on chain 0 and level 1 on
+    # chain 1; that holds below, at and above resonance, at every coupling
+    couplings = np.linspace(0.0, 3.0, 61)
+    for omega_eg in (0.0, 0.1, 0.9, 1.5, 3.0):
+        for omega_cav in (0.5, 1.0, 2.0):
+            params = ModelParams(omega_cav=omega_cav, omega_eg=omega_eg)
+            sector = sector_spectra(params, couplings, 2).sector
+            assert np.array_equal(sector, np.tile([0, 1], (len(couplings), 1))), (
+                omega_eg, omega_cav)
 
 
 def test_parity_purity_at_moderate_coupling():
@@ -94,10 +105,11 @@ def test_degenerate_doublet_gets_clean_parity():
     # must still hold parity eigenstates rather than arbitrary mixtures
     params = ModelParams(omega_eg=0.0, n_fock=20)
     spec = sector_spectra(params, [1.0], 2)
-    assert list(spec.parities[0]) == [-1, 1]  # the tie convention of sector_levels
+    assert list(2.0 * spec.sector[0] - 1) == [-1, 1]  # the tie convention of sector_spectra
+    states = levels_on_cells(params, spec.sector, spec.states)
     p = parity_op(params.n_fock)
     for i in range(2):
-        v = spec.states[0, :, i]
+        v = states[0, :, i]
         assert abs(abs(np.vdot(v, p @ v)) - 1.0) < 1e-9
     _check_against_dense(params, spec)
 
@@ -153,11 +165,11 @@ def test_sector_gauge_chain_matches_dense_chain(omega_eg):
     params = ModelParams(n_fock=30, omega_eg=omega_eg)
     couplings = np.linspace(0.0, 1.0, 101)
     energies, states = build_gauge_chain(params, couplings)
-    # as columns on the cells, G on P = -1 and E on P = +1 by construction;
-    # pair_on_cells writes the zeros off each chain, so they are not checked
+    # G on P = -1 and E on P = +1 by construction; levels_on_cells writes
+    # the zeros off each chain from those labels, so they are not checked
     cells = np.swapaxes(pair_on_cells(params, states), 1, 2)
-    sectors = np.tile([-1.0, 1.0], (len(couplings), 1))
-    _check_against_dense(params, Spectrum(couplings, energies, cells, sectors),
+    sectors = np.tile([0, 1], (len(couplings), 1))
+    _check_against_dense(params, Spectrum(couplings, energies, sectors, states),
                          zeros_off_sector=False)
     for prev, cur in zip(cells, cells[1:]):
         assert np.all(np.einsum("dk,dk->k", prev.conj(), cur).real > 0)
