@@ -1,9 +1,10 @@
 """Command-line runner: config parsing, CSV emission, run manifests.
 
 Config documents are flat ``key = value`` text; ``#`` starts a comment and
-blank lines are ignored. Every key is optional and ``--set key=value``
-flags override the file. Numbers in emitted CSV files carry 17 significant
-digits so reruns are byte-identical.
+blank lines are ignored. Every key is optional and given at most once per
+document or set of flags, and ``--set key=value`` flags override the file.
+Numbers in emitted CSV files carry 17 significant digits so reruns are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -79,12 +80,14 @@ def _convert(kind: str, raw: str):
 
 
 def _parse_entries(entries: list[tuple[str, str, str]]) -> dict:
-    """Convert (where, "key=value" body, expected form) entries.
+    """Convert (where, "key=value" body, expected form) entries; a key
+    given twice is an error that names both places.
 
     Collects every problem before raising, so a bad input reports all of
     its mistakes at once.
     """
     overrides: dict = {}
+    given: dict[str, str] = {}  # key -> where it was first given
     violations: list[str] = []
     for where, body, expected in entries:
         key, eq, raw = body.partition("=")
@@ -95,6 +98,9 @@ def _parse_entries(entries: list[tuple[str, str, str]]) -> dict:
         if key not in _KEYS:
             violations.append(f"{where}: unknown key {key!r}")
             continue
+        if key in given:
+            violations.append(f"{where}: {key} repeats {given[key]}")
+        given.setdefault(key, where)
         kind = _KEYS[key][0]
         try:
             overrides[key] = _convert(kind, raw)

@@ -76,7 +76,7 @@ class PropagatorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded sweep samples: times, couplings, and the record hook's samples (rows)."""
+    """Recorded sweep samples: times, couplings and samples, by default chain pairs (2, n_fock)."""
 
     times: np.ndarray
     couplings: np.ndarray
@@ -170,20 +170,14 @@ def propagate(
     (2, n_fock, 1) of chain slices through :func:`_unitary_steps`.
 
     record(x, n) gives the sample of x after recorded step n, in step
-    order (:func:`_sweep`); by default the cell state (2 * n_fock,).
+    order (:func:`_sweep`); by default the state's chain pair (2, n_fock).
     """
     if psi0.amplitudes.shape != (2 * params.n_fock,):
         raise ValueError("state truncation does not match params.n_fock")
-    index = params.chains.index
-
-    def cell_state(x, n):
-        psi = np.empty(2 * params.n_fock, dtype=np.complex128)
-        psi[index] = x[..., 0]
-        return psi
-
     step = partial(_unitary_steps, norm_tol=cfg.norm_tol)
-    x0 = psi0.amplitudes[index][..., None]
-    return Trajectory(*_sweep(params, schedule, cfg, x0, step, record or cell_state))
+    x0 = psi0.amplitudes[params.chains.index][..., None]
+    return Trajectory(*_sweep(params, schedule, cfg, x0, step,
+                              record or (lambda x, n: x[..., 0])))
 
 
 # --------------------------------------------------------------------------
@@ -203,18 +197,16 @@ def storage_input(
     return State(amps)
 
 
-def branch_block(amps: np.ndarray, params: ModelParams) -> np.ndarray:
-    """|g,0>, |e,0> block (..., 2, 2) of the pure cell states in the rows of amps."""
-    c = amps[..., params.chains.index[:, 0]]
+def branch_block(amps: np.ndarray) -> np.ndarray:
+    """|g,0>, |e,0> block (..., 2, 2) of the pure states with chain pairs amps (..., 2, sites)."""
+    c = amps[..., 0]
     return c[..., :, None] * c[..., None, :].conj()
 
 
-def doublet_amplitudes(amps: np.ndarray, pair: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Amplitudes (..., 2) on G and E of the cell states in the rows of amps,
-    pair (..., 2, n_fock) the doublet of :func:`~uscmem.spectral.build_gauge_chain`;
-    one sector at a time, so no chain copy of all of amps is held at once."""
-    return np.stack([_real_matmul(pair[..., s, None, :], amps[..., sites, None])[..., 0, 0]
-                     for s, sites in enumerate(params.chains.index)], axis=-1)
+def doublet_amplitudes(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Amplitudes (..., 2) on G and E of C-contiguous chain pairs amps (..., 2, n_fock),
+    pair (..., 2, n_fock) the doublet of :func:`~uscmem.spectral.build_gauge_chain`."""
+    return _real_matmul(pair[..., None, :], amps[..., None])[..., 0, 0]
 
 
 def readout(
@@ -262,7 +254,7 @@ class RoundTrip:
 def roundtrip(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
     alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2, theta: float | None = None,
-    rows: slice | list = slice(None),
+    sites: int | None = None,
 ) -> RoundTrip:
     """Write along schedule, read along its reverse, then correct the phase.
 
@@ -271,18 +263,20 @@ def roundtrip(
     so up to roundoff, so the read leg is P_N^T, P_k the product of the
     write leg's first k factors, and m read steps give conj(P_{N-m}) phi
     with phi = P_N^T psi_T. One sweep carries [P_k | P_k psi_0] in chain
-    form and records the chain sites rows of P_k at the mirrored steps
-    N - m, so only the write leg's factors are computed. The read leg holds the
-    amplitudes on those sites and NaN elsewhere; rows [0] gives the
-    |g,0>, |e,0> amplitudes. Neither leg depends on theta, which is fixed
-    afterwards (the closed-form optimum if None).
+    form and records the first sites rows of P_k at the mirrored steps
+    N - m, so only the write leg's factors are computed. The legs record chain
+    pairs, (samples, 2, n_fock) and (samples, 2, sites), all sites if None;
+    sites 1 keeps the |g,0>, |e,0> amplitudes alone. Neither leg depends on
+    theta, which is fixed afterwards (the closed-form optimum if None).
     """
-    index, nf = params.chains.index, params.n_fock
+    nf = params.n_fock
+    if sites is not None and not (isinstance(sites, Integral) and 1 <= sites <= nf):
+        raise ValueError(f"sites must be an integer in [1, {nf}], got {sites!r}")
     midpoints, _, rec_idx = _record_grid(schedule, cfg)
     n_steps = len(midpoints)
     # the write leg's record steps and their mirrors, where the read leg records
     grid = np.array(sorted({*rec_idx.tolist(), *(n_steps - rec_idx).tolist()}))
-    psi0 = storage_input(params, alpha_f, beta_f).amplitudes[index]
+    psi0 = storage_input(params, alpha_f, beta_f).amplitudes[params.chains.index]
     x0 = np.concatenate([np.broadcast_to(np.eye(nf), (2, nf, nf)), psi0[..., None]], axis=2)
     last = x0
 
@@ -290,7 +284,7 @@ def roundtrip(
         nonlocal last
         last = x
         # the kept rows of P_n, then P_n psi_0 as one more row
-        return np.concatenate([x[:, rows, :-1], x[:, None, :, -1]], axis=1)
+        return np.concatenate([x[:, :sites, :-1], x[:, None, :, -1]], axis=1)
 
     step = partial(_unitary_steps, norm_tol=cfg.norm_tol)
     times, couplings, samples = _sweep(params, schedule, cfg, x0, step, record, grid)
@@ -301,13 +295,11 @@ def roundtrip(
 
     at = np.searchsorted(grid, rec_idx)
     times = times[at]
-    write = np.empty((len(rec_idx), 2 * nf), dtype=np.complex128)
-    write[:, index] = samples[at, :, -1]
-    read = np.full_like(write, np.nan)
-    mirrored = samples[np.searchsorted(grid, n_steps - rec_idx), :, :-1]
-    read[:, index[:, rows]] = (mirrored.conj() @ phi)[..., 0]
-    _, fs_s = readout(branch_block(write, params), alpha_f, beta_f, 0.0)
-    theta, fs_r = readout(branch_block(read, params), alpha_f, beta_f, theta)
+    write = samples[at, :, -1]
+    mirrored = samples[np.searchsorted(grid, n_steps - rec_idx), :, :-1, None].conj()
+    read = (mirrored @ phi[:, None])[..., 0, 0]  # one dot per site, whatever sites is
+    _, fs_s = readout(branch_block(write), alpha_f, beta_f, 0.0)
+    theta, fs_r = readout(branch_block(read), alpha_f, beta_f, theta)
     traj_r = Trajectory(times.copy(), schedule.reversed().coupling_at(times), read)
     return RoundTrip(theta, float(fs_r[-1]),
                      Trajectory(times, couplings[at], write), fs_s, traj_r, fs_r)
@@ -370,8 +362,8 @@ def phase_landscape(
     at fidelity 1. The drift of theta_opt along the sweep is the relative
     phase a read correction has to undo.
     """
-    if theta_points < 32:
-        raise ValueError(f"theta_points must be >= 32, got {theta_points}")
+    if not (isinstance(theta_points, Integral) and theta_points >= 32):
+        raise ValueError(f"theta_points must be an integer >= 32, got {theta_points!r}")
     _, dt, steps = _record_grid(schedule, cfg)
     # the record couplings, at the times _sweep gives them
     couplings = schedule.coupling_at(np.append(steps[:-1] * dt, schedule.total_time))

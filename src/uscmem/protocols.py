@@ -18,6 +18,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from math import acos, sqrt
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -110,18 +111,15 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         # each scalar's own range, whichever experiment reads it
-        if self.theta_points < 32:
-            raise ValueError(f"theta_points = {self.theta_points} below minimum 32")
-        if self.k_levels < 2:
-            raise ValueError(f"k_levels = {self.k_levels} must be >= 2")
-        if self.refresh_every < 1:
-            raise ValueError(f"refresh_every = {self.refresh_every} must be >= 1")
+        for name, low in (("theta_points", 32), ("k_levels", 2), ("refresh_every", 1),
+                          ("omega_points", 2), ("n_fock_alt", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (self.theta is None or abs(self.theta) < np.inf):
+            raise ValueError(f"theta must be None or finite, got {self.theta!r}")
         if self.rate_model not in RATE_MODELS:
             raise ValueError(f"rate_model = {self.rate_model!r} must be one of {RATE_MODELS}")
-        if self.omega_points < 2:
-            raise ValueError(f"omega_points = {self.omega_points} must be >= 2")
-        if self.n_fock_alt < 2:
-            raise ValueError(f"n_fock_alt = {self.n_fock_alt} must be >= 2")
 
     @property
     def _reads(self) -> tuple[str, ...]:
@@ -234,7 +232,7 @@ def _storage_curve(
     _, pairs = _stage("ground doublet", build_gauge_chain, params, traj.couplings)
     f_g, f_e = _cat_overlaps(params, traj.couplings, pairs)
     # the final state in the final doublet's basis, and its block there
-    c = doublet_amplitudes(traj.amplitudes[-1], pairs[-1], params)
+    c = doublet_amplitudes(traj.amplitudes[-1], pairs[-1])
     _, storage_fid = readout(np.outer(c, c.conj()), spec.alpha_f, spec.beta_f, None)
     curve = {
         "t": traj.times,
@@ -250,7 +248,7 @@ def _storage_curve(
 def _run_storage(spec: ExperimentSpec) -> ResultBundle:
     psi0 = storage_input(spec.params, spec.alpha_f, spec.beta_f)
     traj = _stage("storage sweep", propagate, spec.params, spec.schedule, psi0, spec.cfg)
-    _, fs = readout(branch_block(traj.amplitudes, spec.params), spec.alpha_f, spec.beta_f, 0.0)
+    _, fs = readout(branch_block(traj.amplitudes), spec.alpha_f, spec.beta_f, 0.0)
     curve, scalars = _storage_curve(spec, traj, fs)
     return ResultBundle(curves={"storage": curve}, scalars=scalars)
 
@@ -260,7 +258,7 @@ def _run_roundtrip(spec: ExperimentSpec, with_storage: bool = True) -> ResultBun
     experiment is the same run reporting only its read leg, of which both
     read the |g,0>, |e,0> amplitudes alone."""
     rt = _stage("roundtrip", roundtrip, spec.params, spec.schedule, spec.cfg,
-                spec.alpha_f, spec.beta_f, spec.theta, rows=[0])
+                spec.alpha_f, spec.beta_f, spec.theta, sites=1)
     curves = {"retrieval": {
         "t": spec.schedule.total_time + rt.retrieval.times,
         "omega": rt.retrieval.couplings,
@@ -317,16 +315,15 @@ def _run_noisy(spec: ExperimentSpec) -> ResultBundle:
 def _run_entangled(spec: ExperimentSpec) -> ResultBundle:
     params = spec.params
     rt = _stage("register round trip", roundtrip, params, spec.schedule, spec.cfg,
-                RSQRT2, RSQRT2, 0.0, rows=[0])
+                RSQRT2, RSQRT2, 0.0, sites=1)
     # Exact, not approximate: U|g,0> stays in the P = -1 chain and U|e,0> in the
     # P = +1 chain, so the register state is sqrt(2) times the two sector parts
     # of this cell's state, and each register overlap is a product of two.
-    g0, e0 = params.chains.index[:, 0]
-    fbar_s, fbar_r = (4 * np.abs(traj.amplitudes[:, g0] * traj.amplitudes[:, e0]) ** 2
+    fbar_s, fbar_r = (4 * np.abs(traj.amplitudes[:, 0, 0] * traj.amplitudes[:, 1, 0]) ** 2
                       for traj in (rt.storage, rt.retrieval))
     # the ground doublet where the write leg ends
     _, pair = _stage("register target", build_gauge_chain, params, rt.storage.couplings[-1:])
-    c = doublet_amplitudes(rt.storage.amplitudes[-1], pair[0], params)
+    c = doublet_amplitudes(rt.storage.amplitudes[-1], pair[0])
     f_store = 4 * np.prod(np.abs(c) ** 2)
     curves = {
         "entangled_storage": {

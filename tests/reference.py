@@ -134,6 +134,15 @@ def pair_on_cells(params: ModelParams, pair: np.ndarray) -> np.ndarray:
     return rows
 
 
+def samples_on_cells(params: ModelParams, amps: np.ndarray) -> np.ndarray:
+    """Chain pairs (..., 2, n_fock), as a sweep records its samples, laid on
+    the cells: (..., 2 n_fock), each pair's cell vector."""
+    amps = np.asarray(amps)
+    cells = np.empty(amps.shape[:-2] + (2 * params.n_fock,), dtype=amps.dtype)
+    cells[..., params.chains.index] = amps
+    return cells
+
+
 def levels_on_cells(params: ModelParams, sector: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Levels as a Spectrum holds them, sectors (..., k) and chain vectors
     (..., k, n_fock), laid on the cells: (..., 2 n_fock, k), level i as

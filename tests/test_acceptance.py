@@ -21,7 +21,9 @@ from uscmem import (
     storage_schedule,
 )
 
-from reference import RSQRT2, density_block, levels_on_cells, pair_on_cells, parity_op
+from reference import (
+    RSQRT2, density_block, levels_on_cells, pair_on_cells, parity_op, samples_on_cells,
+)
 
 
 def _check(log, label, ok, detail):
@@ -113,10 +115,10 @@ def test_protocol_duration_in_physical_units(acceptance_log):
 # property guarantees
 # --------------------------------------------------------------------------
 
-def test_property_norm_preservation(acceptance_log, roundtrip_105):
+def test_property_norm_preservation(acceptance_log, roundtrip_105, params30):
     drift = 0.0
     for traj in (roundtrip_105.storage, roundtrip_105.retrieval):
-        norms = np.linalg.norm(traj.amplitudes, axis=1)
+        norms = np.linalg.norm(samples_on_cells(params30, traj.amplitudes), axis=1)
         drift = max(drift, float(np.abs(norms - 1.0).max()))
     # a short fresh run under a far stricter per-step budget must also pass
     params = ModelParams(n_fock=10)
@@ -134,9 +136,8 @@ def test_property_parity_conservation(acceptance_log, roundtrip_105, params30):
     p = parity_op(params30.n_fock)
     drift = 0.0
     for traj in (roundtrip_105.storage, roundtrip_105.retrieval):
-        vals = np.real(
-            np.einsum("ij,jk,ik->i", traj.amplitudes.conj(), p, traj.amplitudes)
-        )
+        psi = samples_on_cells(params30, traj.amplitudes)
+        vals = np.real(np.einsum("ij,jk,ik->i", psi.conj(), p, psi))
         # the equal superposition balances the two parity sectors at zero
         drift = max(drift, float(np.abs(vals).max()))
     _check(

@@ -72,6 +72,24 @@ def test_parse_config_rejects_free_text():
         parse_config("just words\n")
 
 
+def test_a_repeated_key_names_both_places(tmp_path, capsys):
+    # a key given twice in one document, or twice among the flags, is an
+    # error, not silently its last value; --set over the file is no repeat
+    with pytest.raises(ConfigError) as err:
+        parse_config("T = 10\n# the same key again\n\nT = 20\n")
+    assert err.value.violations == ["line 4: T repeats line 1"]
+    with pytest.raises(ConfigError) as err:
+        parse_set_flags(["T=10", "dt=0.1", "T=20"])
+    assert err.value.violations == ["--set 'T=20': T repeats --set 'T=10'"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_fock = 12\nn_fock = 14\n")
+    assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+    assert "config error: line 2: n_fock repeats line 1" in capsys.readouterr().err
+    cfg.write_text("n_fock = 12\n")
+    assert main(["convergence", "--config", str(cfg), "--set", "n_fock=14",
+                 "--out", str(tmp_path / "b")]) == 0
+
+
 def test_parse_set_flags():
     ov = parse_set_flags(["T=30", "rate_model=ohmic", "theta=1.5"])
     assert ov == {"T": 30.0, "rate_model": "ohmic", "theta": 1.5}
@@ -567,8 +585,8 @@ def test_main_reruns_are_byte_identical(tmp_path, experiment):
     assert sorted(path.name for path in (tmp_path / "b").iterdir()) == names
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    # every written value is a finite float: no NaN of the read leg's unkept
-    # sites reaches a CSV, and no scalar reaches the manifest as a NaN token
+    # every written value is a finite float: no NaN reaches a CSV, and no
+    # scalar reaches the manifest as a NaN token
     for path in (tmp_path / "a").glob("*.csv"):
         _, *rows = path.read_text().splitlines()
         cells = [float(cell) for row in rows for cell in row.split(",")]

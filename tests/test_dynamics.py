@@ -39,7 +39,8 @@ from uscmem.dynamics import NormDriftError, _sweep
 from uscmem.model import PROPAGATOR_BATCH, _propagator_batches, sector_propagators
 
 from reference import (
-    basis_state, corrected_fidelity, levels_on_cells, pair_on_cells, parity_op, site,
+    basis_state, corrected_fidelity, levels_on_cells, pair_on_cells, parity_op, samples_on_cells,
+    site,
 )
 
 RSQRT2 = 2 ** -0.5
@@ -71,7 +72,7 @@ def test_constant_hamiltonian_is_exact():
     sched = CouplingSchedule(1.0, 1.0, total_time=5.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(5.0, steps=50))
     expected = np.exp(-1j * spec.energies[0, 0] * 5.0) * psi0.amplitudes
-    assert np.abs(traj.amplitudes[-1] - expected).max() < 1e-9
+    assert np.abs(samples_on_cells(params, traj.amplitudes[-1]) - expected).max() < 1e-9
 
 
 def test_zero_coupling_is_pure_phase():
@@ -81,7 +82,7 @@ def test_zero_coupling_is_pure_phase():
     sched = CouplingSchedule(0.0, 0.0, total_time=12.0)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(12.0, steps=500))
     expected = np.exp(-1j * params.omega_eg * 12.0 / 2.0) * psi0.amplitudes
-    assert np.abs(traj.amplitudes[-1] - expected).max() < 1e-10
+    assert np.abs(samples_on_cells(params, traj.amplitudes[-1]) - expected).max() < 1e-10
 
 
 def test_exchange_oscillation_against_expm_oracle():
@@ -97,8 +98,9 @@ def test_exchange_oscillation_against_expm_oracle():
     sched = CouplingSchedule(coupling, coupling, t_half)
     traj = propagate(params, sched, psi0, PropagatorConfig.for_total_time(t_half))
 
-    assert np.abs(traj.amplitudes[-1] - one_shot).max() < 1e-6
-    pop = abs(traj.amplitudes[-1, site(params.n_fock, 0, 1)]) ** 2
+    final = samples_on_cells(params, traj.amplitudes[-1])
+    assert np.abs(final - one_shot).max() < 1e-6
+    pop = abs(final[site(params.n_fock, 0, 1)]) ** 2
     assert abs(pop - 0.999925) < 1e-4
 
 
@@ -122,7 +124,7 @@ def test_norm_is_preserved_tightly():
     params = ModelParams(n_fock=10)
     cfg = PropagatorConfig(dt=30.0 / 600, norm_tol=1e-12)
     traj = propagate(params, storage_schedule(params, 30.0), storage_input(params), cfg)
-    norms = np.linalg.norm(traj.amplitudes, axis=1)
+    norms = np.linalg.norm(samples_on_cells(params, traj.amplitudes), axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
@@ -178,12 +180,14 @@ def test_parity_is_conserved_along_sweep():
     # odd branch input stays at <P> = -1
     sched = storage_schedule(params, 20.0)
     traj_g = propagate(params, sched, storage_input(params, 1.0, 0.0), cfg)
-    vals = np.real(np.einsum("ij,jk,ik->i", traj_g.amplitudes.conj(), p, traj_g.amplitudes))
+    psi_g = samples_on_cells(params, traj_g.amplitudes)
+    vals = np.real(np.einsum("ij,jk,ik->i", psi_g.conj(), p, psi_g))
     assert np.abs(vals + 1.0).max() < 1e-7
 
     # the equal superposition balances the sectors: <P> stays 0
     traj_s = propagate(params, sched, storage_input(params), cfg)
-    vals = np.real(np.einsum("ij,jk,ik->i", traj_s.amplitudes.conj(), p, traj_s.amplitudes))
+    psi_s = samples_on_cells(params, traj_s.amplitudes)
+    vals = np.real(np.einsum("ij,jk,ik->i", psi_s.conj(), p, psi_s))
     assert np.abs(vals).max() < 1e-7
 
 
@@ -194,7 +198,7 @@ def test_parity_holds_exactly_by_construction(omega_eg):
     plus = np.real(np.diag(parity_op(params.n_fock))) > 0
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
     traj = propagate(params, storage_schedule(params, 20.0), basis_state(params.n_fock, 0, 0), cfg)
-    assert np.all(traj.amplitudes[:, plus] == 0.0)
+    assert np.all(samples_on_cells(params, traj.amplitudes)[:, plus] == 0.0)
 
 
 @pytest.mark.parametrize("omega_eg", [0.1, 0.0])
@@ -220,10 +224,10 @@ def test_sector_unitary_matches_expm(omega_eg):
     cfg = PropagatorConfig(dt=dt)
     for om in (0.0, 0.3, 1.0, 1.4):
         sched = CouplingSchedule(om, om, dt)
-        step = np.array([
+        step = samples_on_cells(params, np.array([
             propagate(params, sched, basis_state(params.n_fock, q, n), cfg).amplitudes[-1]
             for q in (0, 1) for n in range(params.n_fock)
-        ]).T
+        ])).T
         exact = scipy.linalg.expm(-1j * dt * build_rabi(params, om))
         assert np.abs(step - exact).max() < 1e-12
 
@@ -322,9 +326,9 @@ def test_adiabatic_following_improves_with_sweep_time():
         cfg = PropagatorConfig.for_total_time(total_time)
         traj = propagate(params, storage_schedule(params, total_time),
                          storage_input(params, 1.0, 0.0), cfg)
-        _, fs = readout(branch_block(traj.amplitudes, params), 1.0, 0.0, 0.0)
+        _, fs = readout(branch_block(traj.amplitudes), 1.0, 0.0, 0.0)
         assert abs(fs[0] - 1.0) < 1e-9
-        got[total_time] = abs(np.vdot(v0, traj.amplitudes[-1])) ** 2
+        got[total_time] = abs(np.vdot(v0, samples_on_cells(params, traj.amplitudes[-1]))) ** 2
     for total_time, expected in STORAGE_GROUND.items():
         assert abs(got[total_time] - expected) < 1e-6
     values = [got[t] for t in sorted(got)]
@@ -350,22 +354,24 @@ def test_roundtrip_frozen_values(roundtrip_105, roundtrip_120):
     assert results[105.0].fidelity > 0.99
 
 
-def test_phase_correction_matters(roundtrip_105):
+def test_phase_correction_matters(params30, roundtrip_105):
     # applying the correction pi away from the optimum nearly destroys the
     # readout for the equal superposition
-    final = State(roundtrip_105.retrieval.amplitudes[-1])
+    read = samples_on_cells(params30, roundtrip_105.retrieval.amplitudes)
+    final = State(read[-1])
     bad = corrected_fidelity(final, roundtrip_105.theta_opt + np.pi)
     assert bad < 0.1
     assert roundtrip_105.fidelity > 0.99
     # the read curve's branch formula agrees with the dense C(theta) on every sample
     dense = [corrected_fidelity(State(amps), roundtrip_105.theta_opt)
-             for amps in roundtrip_105.retrieval.amplitudes]
+             for amps in read]
     assert np.abs(roundtrip_105.retrieval_fs - dense).max() < 1e-14
 
 
 def test_optimized_phase_agrees_with_grid_scan(params30, roundtrip_105):
-    final = State(roundtrip_105.retrieval.amplitudes[-1])
-    theta, f_best = readout(branch_block(final.amplitudes, params30), RSQRT2, RSQRT2, None)
+    final_pair = roundtrip_105.retrieval.amplitudes[-1]
+    final = State(samples_on_cells(params30, final_pair))
+    theta, f_best = readout(branch_block(final_pair), RSQRT2, RSQRT2, None)
     grid = np.linspace(0.0, 2 * np.pi, 20001)
     vals = [corrected_fidelity(final, th) for th in grid]
     assert f_best >= max(vals) - 1e-9
@@ -380,7 +386,7 @@ def test_single_branch_needs_no_correction():
     params = ModelParams(n_fock=20)
     rt = roundtrip(params, storage_schedule(params, 60.0), PropagatorConfig.for_total_time(60.0),
                    alpha_f=1.0, beta_f=0.0)
-    final = State(rt.retrieval.amplitudes[-1])
+    final = State(samples_on_cells(params, rt.retrieval.amplitudes[-1]))
     f0 = corrected_fidelity(final, 0.0, 1.0, 0.0)
     f1 = corrected_fidelity(final, 2.2, 1.0, 0.0)
     assert abs(f0 - f1) < 1e-12
@@ -393,7 +399,7 @@ def test_roundtrip_is_closed_form_in_branch_return_amplitudes():
     params = ModelParams(n_fock=12)
     schedule = storage_schedule(params, 12.0)
     cfg = PropagatorConfig.for_total_time(12.0, steps=500)
-    final = roundtrip(params, schedule, cfg).retrieval.amplitudes[-1]
+    final = samples_on_cells(params, roundtrip(params, schedule, cfg).retrieval.amplitudes[-1])
     q_g, q_e = np.sqrt(2.0) * final[[site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)]]
     inputs = [(1.0, 0.0), (0.0, 1.0), (0.6j, 0.8 * np.exp(0.7j)), (RSQRT2, -RSQRT2)]
     for alpha, beta in inputs:
@@ -423,21 +429,27 @@ def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega
     cfg = PropagatorConfig(dt=0.02, record_every=record_every)
     rt = roundtrip(params, schedule, cfg, alpha, beta)
     write = propagate(params, schedule, storage_input(params, alpha, beta), cfg)
-    _, fs = readout(branch_block(write.amplitudes, params), alpha, beta, 0.0)
-    read = propagate(params, schedule.reversed(), State(rt.storage.amplitudes[-1]), cfg)
+    _, fs = readout(branch_block(write.amplitudes), alpha, beta, 0.0)
+    stored = State(samples_on_cells(params, rt.storage.amplitudes[-1]))
+    read = propagate(params, schedule.reversed(), stored, cfg)
     for got, ref in ((rt.storage, write), (rt.retrieval, read)):
         assert np.array_equal(got.times, ref.times)
         assert np.array_equal(got.couplings, ref.couplings)
         assert np.abs(got.amplitudes - ref.amplitudes).max() < 1e-12
     assert np.abs(rt.storage_fs - fs).max() < 1e-12
-    # the two-row path keeps |g,0> and |e,0> of the same read leg, NaN elsewhere
-    branch = roundtrip(params, schedule, cfg, alpha, beta, rows=[0])
-    g0e0 = [site(params.n_fock, 0, 0), site(params.n_fock, 1, 0)]
-    kept = branch.retrieval.amplitudes[:, g0e0]
-    assert np.abs(kept - rt.retrieval.amplitudes[:, g0e0]).max() < 1e-12
-    assert np.isnan(np.delete(branch.retrieval.amplitudes, g0e0, axis=1)).all()
+    # one site per chain keeps |g,0> and |e,0> of the same read leg, bit for bit
+    branch = roundtrip(params, schedule, cfg, alpha, beta, sites=1)
+    assert np.array_equal(branch.retrieval.amplitudes, rt.retrieval.amplitudes[:, :, :1])
     assert np.abs(branch.retrieval_fs - rt.retrieval_fs).max() < 1e-12
     assert np.array_equal(branch.storage.amplitudes, rt.storage.amplitudes)
+
+
+@pytest.mark.parametrize("sites", [0, 7, 1.5])
+def test_read_leg_sites_must_be_a_count_of_chain_sites(sites):
+    # n_fock 6: sites counts the leading sites of each chain, 1 to 6
+    params = ModelParams(n_fock=6)
+    with pytest.raises(ValueError, match="sites must be an integer in \\[1, 6\\]"):
+        roundtrip(params, storage_schedule(params, 10.0), PropagatorConfig(dt=0.02), sites=sites)
 
 
 @pytest.mark.parametrize("steps", [500, 2000])
@@ -485,7 +497,7 @@ def test_retrieval_from_exact_eigenstate():
     stored = State(levels_on_cells(params, ground.sector, ground.states)[0, :, 0])
     cfg = PropagatorConfig.for_total_time(105.0)
     read = propagate(params, storage_schedule(params, 105.0).reversed(), stored, cfg)
-    final = State(read.amplitudes[-1])
+    final = State(samples_on_cells(params, read.amplitudes[-1]))
     f = corrected_fidelity(final, 0.0, 1.0, 0.0)
     assert f > 0.999
     assert abs(f - corrected_fidelity(final, 1.9, 1.0, 0.0)) < 1e-12
@@ -539,7 +551,8 @@ def test_landscape_rows_match_dense_targets():
     land = phase_landscape(params, alpha, beta, sched, cfg, theta_points=32)
     traj = propagate(params, sched, storage_input(params, alpha, beta), cfg)
     _, pairs = build_gauge_chain(params, traj.couplings)
-    for row, psi, (g, e) in zip(land.rows(), traj.amplitudes, pair_on_cells(params, pairs)):
+    for row, psi, (g, e) in zip(land.rows(), samples_on_cells(params, traj.amplitudes),
+                                pair_on_cells(params, pairs)):
         dense = [abs(np.vdot(alpha * g + beta * np.exp(1j * th) * e, psi)) ** 2
                  for th in land.theta_grid]
         assert np.abs(row - dense).max() < 1e-14
@@ -547,7 +560,7 @@ def test_landscape_rows_match_dense_targets():
     assert np.array_equal(land.ridge, land.rows().max(axis=1))
     # the hook's amplitudes are the full states' amplitudes on the doublet,
     # and one readout over every phase is the per-phase loop, bit for bit
-    full = doublet_amplitudes(traj.amplitudes, pairs, params)
+    full = doublet_amplitudes(traj.amplitudes, pairs)
     assert np.abs(land.amplitudes - full).max() < 1e-15
     c = land.amplitudes
     block = c[:, :, None] * c[:, None, :].conj()
@@ -586,6 +599,9 @@ def test_landscape_rejects_coarse_theta_grid():
     cfg = PropagatorConfig.for_total_time(10.0, steps=500)
     with pytest.raises(ValueError):
         phase_landscape(params, RSQRT2, RSQRT2, sched, cfg, theta_points=16)
+    # a float count fails here, as ExperimentSpec's does, not deep in the sweep
+    with pytest.raises(ValueError, match="theta_points must be an integer"):
+        phase_landscape(params, RSQRT2, RSQRT2, sched, cfg, theta_points=32.5)
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from uscmem.model import SECTOR_BATCH
 
 from reference import (
     RSQRT2, annihilation_op, basis_state, branch_phase_correction, corrected_fidelity,
-    density_block, levels_on_cells, pauli_op, site, state_fidelity,
+    density_block, levels_on_cells, pauli_op, samples_on_cells, site, state_fidelity,
 )
 
 # per-channel dressed rates at full coupling, n_fock = 20, base rates
@@ -363,7 +363,7 @@ def test_zero_rates_reduce_to_closed_dynamics():
     sched = storage_schedule(params, 20.0)
     cfg = PropagatorConfig.for_total_time(20.0, steps=500)
     psi0 = storage_input(params)
-    pure = State(propagate(params, sched, psi0, cfg).amplitudes[-1])
+    pure = State(samples_on_cells(params, propagate(params, sched, psi0, cfg).amplitudes[-1]))
     mt = evolve_master(params, sched, pure_density(psi0), NoiseRates(0, 0, 0, 0), cfg)
     assert state_fidelity(mt.final, pure) > 1 - 1e-8
     assert mt.times[-1] == 20.0
@@ -738,7 +738,7 @@ def test_mixed_corrected_fidelity_matches_pure_state_formula():
     rng = np.random.default_rng(7)
     amps = rng.normal(size=2 * params.n_fock) + 1j * rng.normal(size=2 * params.n_fock)
     state = State(amps / np.linalg.norm(amps))
-    blocks = (branch_block(state.amplitudes, params),
+    blocks = (branch_block(state.amplitudes[params.chains.index]),
               density_block(pure_density(state), params.n_fock))
     for alpha_f, beta_f in ((2 ** -0.5, 2 ** -0.5), (0.6, 0.8j)):
         for theta in (0.0, 0.7, 2.5, 4.0, 5.9):

@@ -316,7 +316,7 @@ def test_doublet_consumers_share_one_contraction():
     params = spec.params
     psi = propagate(params, spec.schedule, storage_input(params), spec.cfg).amplitudes[-1]
     _, pair = build_gauge_chain(params, [params.omega0])
-    c = doublet_amplitudes(psi, pair[0], params)
+    c = doublet_amplitudes(psi, pair[0])
     _, f = readout(np.outer(c, c.conj()), RSQRT2, RSQRT2, None)
     assert abs(run_experiment(specs["storage"]).scalars["storage_fidelity"] - f) < 1e-12
     # the theta grid comes within pi / theta_points of the optimum, where
@@ -464,6 +464,17 @@ def test_spec_validation_skips_unread_scalars():
     # a scalar's own range holds wherever it is read or not
     with pytest.raises(ValueError, match="theta_points"):
         _tiny_spec("roundtrip", theta_points=8)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("theta_points", 32.5), ("omega_points", 30.5), ("k_levels", 4.5), ("refresh_every", 2.5),
+    ("n_fock_alt", 14.5), ("theta", float("nan")), ("theta", float("inf")),
+])
+def test_spec_scalars_are_checked_for_type_at_construction(field, value):
+    # a library caller's float count or non-finite phase fails at once, naming
+    # its own field, not later inside a stage or under another input's name
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        _tiny_spec("noisy", **{field: value})
 
 
 def test_unknown_experiment_rejected():
