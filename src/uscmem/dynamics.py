@@ -7,9 +7,11 @@ The integrator is a piecewise-exponential midpoint rule,
 with the exponential taken to roundoff, so each step is unitary to machine
 precision and the only discretization error, the freezing of H within a
 step, is second order in dt. Parity splits H into two real tridiagonal
-chains (:class:`~uscmem.model.ParityChains`), and the exponentials of a
-run of midpoints come per chain from one batch of real matmuls
-(:func:`~uscmem.model.sector_propagators`), with no eigensolver. The cell is
+chains (:class:`~uscmem.model.ParityChains`), and the exponentials of the
+midpoints come per chain from real matmuls alone, with no eigensolver: a
+Chebyshev fit in the coupling (:func:`~uscmem.model._propagator_batches`)
+through exact factors (:func:`~uscmem.model.sector_propagators`) at a few
+nodes per run of steps. The cell is
 carried as its two chain slices, so parity is conserved by construction.
 A round trip propagates only its write leg: every step's factor is
 complex symmetric, so the read leg is the transpose P_N^T of the write
@@ -112,8 +114,9 @@ def _sweep(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
     x0: np.ndarray, step: Callable, record: Callable, grid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drive x across a schedule with the midpoint propagators, set up once per
-    sweep and made a batch at a time (:func:`~uscmem.model._propagator_batches`).
+    """Drive x across a schedule with the midpoint propagators, fitted in the
+    coupling once per run of steps and made a batch at a time
+    (:func:`~uscmem.model._propagator_batches`).
 
     step(x, us, i) gives the state after the factors us (k, 2, n_fock,
     n_fock) of steps i, ..., i + k - 1, a run that ends at the next recorded
@@ -259,8 +262,9 @@ def roundtrip(
     """Write along schedule, read along its reverse, then correct the phase.
 
     Each midpoint factor exp(-i H_i dt) is complex symmetric, as H_i is
-    real symmetric, and :func:`~uscmem.model.sector_propagators` keeps it
-    so up to roundoff, so the read leg is P_N^T, P_k the product of the
+    real symmetric, and its fit, real weights on exact factors of
+    :func:`~uscmem.model.sector_propagators`, keeps it so up to roundoff,
+    so the read leg is P_N^T, P_k the product of the
     write leg's first k factors, and m read steps give conj(P_{N-m}) phi
     with phi = P_N^T psi_T. One sweep carries [P_k | P_k psi_0] in chain
     form and records the first sites rows of P_k at the mirrored steps
@@ -371,7 +375,7 @@ def phase_landscape(
     pairs = (pair for start in range(0, len(couplings), batch)
              for pair in build_gauge_chain(params, couplings[start:start + batch])[1])
     traj = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg,
-                     lambda x, n: _real_matmul(next(pairs)[:, None, :], x)[:, 0, 0])
+                     lambda x, n: doublet_amplitudes(x[..., 0], next(pairs)))
     thetas = np.arange(theta_points) * (2 * pi / theta_points)
     theta_opt, ridge = np.empty(len(couplings)), np.empty(len(couplings))
     land = PhaseLandscape(traj.times, traj.couplings, thetas, traj.amplitudes,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, factorial, log2
+from math import ceil, factorial, log, log2, pi
 from numbers import Integral
 
 import numpy as np
@@ -164,7 +164,7 @@ def sector_eigh(params: ModelParams, couplings: np.ndarray) -> tuple[np.ndarray,
     return np.linalg.eigh(chains.bare + couplings[:, None, None, None] * chains.hop)
 
 
-PROPAGATOR_BATCH = 8  # couplings per sector_propagators call
+PROPAGATOR_BATCH = 8  # steps per batch that _propagator_batches yields
 
 # cos x and sin x / x to x^14, as two blocks of four powers of x^2 each;
 # past x^15 the series of exp(-ix) sums to < 2^-53 at |x| <= _THETA
@@ -183,63 +183,127 @@ def sector_propagators(params: ModelParams, couplings: np.ndarray, dt: float) ->
     A / 2^s, and s squarings C' = (C - S)(C + S), S' = 2 C S give cos A
     and sin A (Moler & Van Loan, SIAM Rev. 45, 3 (2003)). The result,
     e^{-i mu dt} (cos A - i sin A), is unitary and complex symmetric up to
-    roundoff. This is the one-batch case of :func:`_propagator_batches`.
+    roundoff. The sweeps take the nodes of their fit in the coupling from
+    it (:func:`_propagator_batches`).
     """
-    return next(_propagator_batches(params, couplings, dt, max(1, np.size(couplings))))
-
-
-def _propagator_batches(params: ModelParams, couplings: np.ndarray, dt: float,
-                        size: int = PROPAGATOR_BATCH):
-    """Yield :func:`sector_propagators` of couplings[k:k + size], k = 0, size,
-    ..., each valid until the next is drawn. mu, e^{-i mu dt} and the
-    half-widths come in one pass; each batch takes the fewest squarings its
-    couplings need, in eight work slots and one output allocated once:
-    fresh temporaries of that size cost more in page faults than in flops."""
     couplings = _couplings_1d(couplings)
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    chains, m, n = params.chains, len(couplings), params.n_fock
+    chains, k, n = params.chains, len(couplings), params.n_fock
     diag = np.diagonal(chains.bare, axis1=1, axis2=2)  # (2, n)
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
-        radius = np.abs(couplings)[:, None, None] * chains.hop.sum(axis=1)  # (m, 1, n)
-        low, high = (diag - radius).min(axis=-1), (diag + radius).max(axis=-1)  # (m, 2)
-        reach = float(dt) * (high - low).max(axis=-1) / 2  # (m,)
+        radius = np.abs(couplings)[:, None, None] * chains.hop.sum(axis=1)  # (k, 1, n)
+        low, high = (diag - radius).min(axis=-1), (diag + radius).max(axis=-1)  # (k, 2)
+        reach = float(dt) * (high - low).max(axis=-1) / 2  # (k,)
     if not (reach < np.inf).all():
         raise ValueError(f"couplings {couplings[~(reach < np.inf)]} give a Gershgorin "
                          f"half-width times dt = {dt} that is not finite")
     mu = (low + high) / 2
-    phase = np.exp(-1j * dt * mu)[..., None, None]
-    del radius  # (m, 1, n): only mu, reach and the phases stay for the sweep
-    slots, out = np.empty(8 * size * 2 * n * n), np.empty(size * 2 * n * n, dtype=np.complex128)
-    for start in range(0, max(m, 1), size):  # an empty grid yields one empty batch
-        c = couplings[start:start + size]
-        k, batch = len(c), slice(start, start + size)
-        squarings = ceil(log2(max(reach[batch].max(initial=0.0) / _THETA, 1.0)))
-        work = slots[:8 * k * 2 * n * n].reshape(8, k, 2, n, n)  # A, B, B^2, B^3, Taylor blocks
-        a, powers, blocks = work[0], work[1:4], work[4:]
-        np.add(np.multiply(c[:, None, None, None], chains.hop, out=a), chains.bare, out=a)
-        a.reshape(k, 2, n * n)[..., ::n + 1] -= mu[batch, :, None]
-        a *= dt / 2.0 ** squarings
-        np.matmul(a, a, out=powers[0])
-        np.matmul(powers[0], powers[0], out=powers[1])
-        np.matmul(powers[1], powers[0], out=powers[2])
-        # c_0 + c_1 B + c_2 B^2 + c_3 B^3 per block: cos low, cos high, sin low, sin high
-        np.matmul(_TAYLOR[:, 1:], powers.reshape(3, -1), out=blocks.reshape(4, -1))
-        blocks.reshape(4, k, 2, n * n)[..., ::n + 1] += _TAYLOR[:, :1, None, None]
-        b4, spare = np.matmul(powers[1], powers[1], out=powers[0]), powers[1]
-        cos = np.add(blocks[0], np.matmul(b4, blocks[1], out=spare), out=blocks[0])
-        np.add(blocks[2], np.matmul(b4, blocks[3], out=spare), out=spare)
-        sin = np.matmul(a, spare, out=blocks[1])
-        minus, plus, spare = a, powers[1], powers[2]  # A, B^2 and B^3 are spent
-        for _ in range(squarings):
-            np.subtract(cos, sin, out=minus)
-            np.add(cos, sin, out=plus)
-            sin, spare = np.matmul(cos, sin, out=spare), sin
-            sin *= 2
-            np.matmul(minus, plus, out=cos)
-        u = out[:k * 2 * n * n].reshape(k, 2, n, n)
-        u.real, u.imag = cos, np.negative(sin, out=sin)
-        yield np.multiply(u, phase[batch], out=u)
+    squarings = ceil(log2(max(reach.max(initial=0.0) / _THETA, 1.0)))
+    work = np.empty((8, k, 2, n, n))  # A, B, B^2, B^3, Taylor blocks
+    a, powers, blocks = work[0], work[1:4], work[4:]
+    np.add(np.multiply(couplings[:, None, None, None], chains.hop, out=a), chains.bare, out=a)
+    a.reshape(k, 2, n * n)[..., ::n + 1] -= mu[..., None]
+    a *= dt / 2.0 ** squarings
+    np.matmul(a, a, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    # c_0 + c_1 B + c_2 B^2 + c_3 B^3 per block: cos low, cos high, sin low, sin high
+    np.matmul(_TAYLOR[:, 1:], powers.reshape(3, -1), out=blocks.reshape(4, -1))
+    blocks.reshape(4, k, 2, n * n)[..., ::n + 1] += _TAYLOR[:, :1, None, None]
+    b4, spare = np.matmul(powers[1], powers[1], out=powers[0]), powers[1]
+    cos = np.add(blocks[0], np.matmul(b4, blocks[1], out=spare), out=blocks[0])
+    np.add(blocks[2], np.matmul(b4, blocks[3], out=spare), out=spare)
+    sin = np.matmul(a, spare, out=blocks[1])
+    minus, plus, spare = a, powers[1], powers[2]  # A, B^2 and B^3 are spent
+    for _ in range(squarings):
+        np.subtract(cos, sin, out=minus)
+        np.add(cos, sin, out=plus)
+        sin, spare = np.matmul(cos, sin, out=spare), sin
+        sin *= 2
+        np.matmul(minus, plus, out=cos)
+    u = np.empty((k, 2, n, n), dtype=np.complex128)
+    u.real, u.imag = cos, np.negative(sin, out=sin)
+    return np.multiply(u, np.exp(-1j * dt * mu)[..., None, None], out=u)
+
+
+# With beta = dt * the largest row sum of |hop| >= dt ||hop||, a factor
+# exp(-i H_s(c) dt) is bounded on the Bernstein ellipse E_rho of a coupling
+# span [mid - h, mid + h] by K = exp(beta h (rho - 1/rho) / 2), so its
+# interpolant through M first-kind Chebyshev nodes is within
+# 4 K rho^(1 - M) / (rho - 1) of it (Trefethen, Approximation Theory and
+# Approximation Practice, SIAM 2013, Thm 8.2). _FIT_REACH[M - 1] is the
+# largest beta h that one rho of the grid puts that bound at 2^-53,
+# for M = 1, ..., PROPAGATOR_BATCH.
+_LOG_RHO = np.linspace(0.0, 45.0, 1025)[1:]
+_FIT_REACH = ((np.arange(PROPAGATOR_BATCH)[:, None] * _LOG_RHO + np.log(np.expm1(_LOG_RHO))
+               - log(2.0 ** 55)) / np.sinh(_LOG_RHO)).max(axis=1)
+
+
+def _fit_runs(couplings: np.ndarray, beta: float):
+    """Yield (start, stop, lo, hi) per run of steps: from start, the most whole
+    PROPAGATOR_BATCH batches (one at least) whose couplings span [lo, hi]
+    with beta (hi - lo) / 2 <= _FIT_REACH[-1]."""
+    starts = range(0, len(couplings), PROPAGATOR_BATCH)
+    lows = np.minimum.reduceat(couplings, starts).tolist()
+    highs = np.maximum.reduceat(couplings, starts).tolist()
+    first, lo, hi = 0, lows[0], highs[0]
+    for b in range(1, len(starts)):
+        low, high = min(lo, lows[b]), max(hi, highs[b])
+        if beta * (high / 2 - low / 2) > _FIT_REACH[-1]:
+            yield first, starts[b], lo, hi
+            first, low, high = starts[b], lows[b], highs[b]
+        lo, hi = low, high
+    yield first, len(couplings), lo, hi
+
+
+def _propagator_batches(params: ModelParams, couplings: np.ndarray, dt: float):
+    """Yield the factors exp(-i H_s(c) dt) of couplings[k:k + PROPAGATOR_BATCH],
+    k = 0, PROPAGATOR_BATCH, ..., each (k, 2, n_fock, n_fock) as from
+    :func:`sector_propagators` and valid until the next is drawn.
+
+    Each factor is entire in c, so a run of steps (:func:`_fit_runs`) whose
+    coupling span [mid - h, mid + h] has beta h <= _FIT_REACH[M - 1] takes
+    exact factors at M first-kind Chebyshev nodes mid + h cos((j + 1/2) pi / M)
+    alone, M the fewest that do. Each batch is then their interpolant in
+    Lagrange form: the barycentric weights (k, M) (Berrut & Trefethen, SIAM
+    Rev. 46, 501 (2004)) times the node factors' real view, in one real
+    matmul. A run with no fewer nodes than steps takes its own couplings as
+    the nodes, and a zero-span run the one node mid; a step at a node gets
+    that node's factor exactly, so those runs get exact factors. The node
+    factors and the output live in two buffers allocated once per sweep, and
+    the nodes come half a batch per :func:`sector_propagators` call, so with
+    that call's work slots the sweep holds less than one Taylor batch of
+    PROPAGATOR_BATCH did."""
+    couplings = _couplings_1d(couplings)
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not len(couplings):
+        return
+    n, size = params.n_fock, PROPAGATOR_BATCH
+    beta = float(dt) * float(np.abs(params.chains.hop).sum(axis=1).max())
+    nodes = np.empty((size, 2, n, n), dtype=np.complex128)
+    out = np.empty_like(nodes)
+    for first, stop, lo, hi in _fit_runs(couplings, beta):
+        c, h = couplings[first:stop], hi / 2 - lo / 2
+        m = min(int(np.searchsorted(_FIT_REACH, beta * h)) + 1, len(c))
+        theta = (np.arange(m) + 0.5) * (pi / m)
+        x = c if m == len(c) else lo + h + h * np.cos(theta)
+        for j in range(0, m, size // 2):
+            part = x[j:j + size // 2]
+            nodes[j:j + len(part)] = sector_propagators(params, part, dt)
+        d = c[:, None] - x
+        hit = d == 0
+        on = hit.any(axis=1)
+        w = np.divide(np.sin(theta) * (-1.0) ** np.arange(m), d,
+                      out=np.zeros_like(d), where=~on[:, None])
+        w /= np.where(on, 1.0, w.sum(axis=1))[:, None]
+        w[on, hit[on].argmax(axis=1)] = 1.0
+        v = nodes[:m].reshape(m, -1).view(np.float64)
+        for i in range(0, len(c), size):
+            k = min(size, len(c) - i)
+            np.matmul(w[i:i + k], v, out=out[:k].reshape(k, -1).view(np.float64))
+            yield out[:k]
 
 
 def ground_batch_size(params: ModelParams) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 
 from uscmem import ModelParams, State, coherent_state, fock_annihilation
 from uscmem.hilbert import _coherent_terms
+from uscmem.model import PROPAGATOR_BATCH
 
 RSQRT2 = 2 ** -0.5
 
@@ -164,3 +165,14 @@ def kron_cat(params: ModelParams, coupling: float, which: str) -> State:
     amps = (np.kron(plus, coherent_state(-alpha, params.n_fock))
             + sign * np.kron(minus, coherent_state(alpha, params.n_fock))) / sqrt2
     return normalized(amps)
+
+
+def eigh_propagator_batches(params: ModelParams, couplings: np.ndarray, dt: float):
+    """The midpoint factors exp(-i H_s(c) dt) from one eigh exponential per
+    step, V exp(-i w dt) V^T per chain, in the batches a sweep draws (a
+    stand-in for uscmem.model._propagator_batches)."""
+    chains = params.chains
+    for start in range(0, len(couplings), PROPAGATOR_BATCH):
+        c = np.asarray(couplings[start:start + PROPAGATOR_BATCH])
+        w, v = np.linalg.eigh(chains.bare + c[:, None, None, None] * chains.hop)
+        yield (v * np.exp(-1j * w * dt)[..., None, :]) @ np.swapaxes(v, -1, -2)

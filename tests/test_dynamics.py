@@ -33,14 +33,14 @@ from uscmem import (
     storage_input,
     storage_schedule,
 )
-from uscmem import dynamics
+from uscmem import dynamics, model
 from uscmem.cli import emit_csv
 from uscmem.dynamics import NormDriftError, _sweep
 from uscmem.model import PROPAGATOR_BATCH, _propagator_batches, sector_propagators
 
 from reference import (
-    basis_state, corrected_fidelity, levels_on_cells, pair_on_cells, parity_op, samples_on_cells,
-    site,
+    basis_state, corrected_fidelity, eigh_propagator_batches, levels_on_cells, pair_on_cells,
+    parity_op, samples_on_cells, site,
 )
 
 RSQRT2 = 2 ** -0.5
@@ -352,6 +352,36 @@ def test_roundtrip_frozen_values(roundtrip_105, roundtrip_120):
         assert abs(rt.fidelity - f_expected) < 1e-5, total_time
         assert abs(rt.theta_opt - theta_expected) < 1e-3, total_time
     assert results[105.0].fidelity > 0.99
+
+
+def test_roundtrip_matches_per_step_eigh_exponentials(monkeypatch, roundtrip_105,
+                                                      roundtrip_120):
+    # the fitted factors share each run's node roundoff, so their errors add
+    # up coherently along a run; over a whole round trip F and theta_opt
+    # still stay far below the midpoint rule's own error (about 2e-7)
+    params = ModelParams()
+    monkeypatch.setattr(dynamics, "_propagator_batches", eigh_propagator_batches)
+    for total_time, fitted in ((105.0, roundtrip_105), (120.0, roundtrip_120)):
+        oracle = roundtrip(params, storage_schedule(params, total_time),
+                           PropagatorConfig.for_total_time(total_time))
+        assert abs(fitted.fidelity - oracle.fidelity) < 2e-12, total_time
+        assert abs(fitted.theta_opt - oracle.theta_opt) < 2e-12, total_time
+
+
+def test_roundtrip_takes_few_exact_factors(monkeypatch):
+    # at the roundtrip defaults the write leg takes its exact factors at the
+    # fit's nodes alone: fewer than one per 16 steps, and no eigensolver
+    nodes = []
+
+    def counting(params, couplings, dt):
+        nodes.extend(couplings)
+        return sector_propagators(params, couplings, dt)
+
+    monkeypatch.setattr(model, "sector_propagators", counting)
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolver)
+    params = ModelParams()
+    roundtrip(params, storage_schedule(params, 105.0), PropagatorConfig.for_total_time(105.0))
+    assert 0 < len(nodes) < 2000 / 16
 
 
 def test_phase_correction_matters(params30, roundtrip_105):

@@ -4,7 +4,8 @@ Frozen eigenvalues below were derived with an independent explicit-loop
 builder and direct diagonalization; they pin the default operating point
 omega_cav = 1, omega_eg = 0.1, omega0 = 1, n_fock = 30.
 """
-from math import cos, factorial, sin
+import warnings
+from math import cos, factorial, log, sin
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from uscmem import (
     storage_schedule,
 )
 from uscmem import model
-from uscmem.model import _TAYLOR, _THETA, _sturm
+from uscmem.model import (
+    _FIT_REACH, _TAYLOR, _THETA, PROPAGATOR_BATCH, _propagator_batches, _sturm,
+)
 
 from reference import annihilation_op, basis_state, number_op, parity_op, pauli_op, site
 
@@ -328,6 +331,76 @@ def test_sector_propagators_reject_bad_input():
     with pytest.raises(ValueError, match=r"^couplings \[1\.e\+308\] give") as caught:
         sector_propagators(ModelParams(n_fock=12), [1e308], 0.04)
     assert "dt must be" not in str(caught.value)
+
+
+def _fitted(params, couplings, dt):
+    """The sweep's factors of couplings, one batch at a time, copied out."""
+    return np.concatenate([us.copy() for us in _propagator_batches(params, couplings, dt)])
+
+
+@pytest.mark.parametrize("n_fock", [2, 15, 30, 80])
+def test_fitted_propagators_match_the_eigh_exponential(n_fock):
+    # 48-step ramps to coupling 3 and over its last tenth, at the dt of the
+    # exact kernel's test: from one run of at most eight nodes (dt 1e-4 and
+    # 1e-3) to one run per batch at its own couplings (dt 4); every third
+    # step, which visits each place in a batch, is accurate, unitary and
+    # complex symmetric
+    params = ModelParams(n_fock=n_fock)
+    ramp = (np.arange(48) + 0.5) / 48
+    eye = np.eye(n_fock)
+    for couplings in (3.0 * ramp, 2.7 + 0.3 * ramp):
+        for dt in (1e-4, 1e-3, 0.01, 0.0525, 0.1, 0.5, 1.0, 2.0, 4.0):
+            u = _fitted(params, couplings, dt)
+            assert u.shape == (48, 2, n_fock, n_fock) and u.dtype == np.complex128
+            u = u[::3]
+            assert np.abs(u - _eigh_propagators(params, couplings[::3], dt)).max() <= 1e-12, dt
+            assert np.abs(u @ np.swapaxes(u, -1, -2).conj() - eye).max() <= 1e-12, dt
+            assert np.abs(u - np.swapaxes(u, -1, -2)).max() <= 1e-12, dt
+
+
+def test_fitted_propagators_at_roundtrip_defaults_match_the_exact_kernel():
+    # n_fock 30, T 105 over 2000 steps from coupling 0 to 1
+    params = ModelParams()
+    couplings = (np.arange(2000) + 0.5) / 2000
+    dt = 105.0 / 2000
+    for start, us in zip(range(0, 2000, PROPAGATOR_BATCH),
+                         _propagator_batches(params, couplings, dt)):
+        exact = sector_propagators(params, couplings[start:start + PROPAGATOR_BATCH], dt)
+        assert np.abs(us - exact).max() <= 1e-14, start
+
+
+def test_fit_node_table_holds_the_bound_at_roundoff():
+    # at each table edge some rho puts the interpolation bound
+    # 4 exp(beta h (rho - 1/rho) / 2) rho^(1 - M) / (rho - 1) below 2^-53, and
+    # one percent further none does: the table is the bound, not a guess
+    log_rho = np.linspace(1e-4, 45.0, 200_001)
+
+    def log_bound(reach, nodes):
+        return (log(4) + reach * np.sinh(log_rho) - (nodes - 1) * log_rho
+                - np.log(np.expm1(log_rho))).min()
+
+    assert len(_FIT_REACH) == PROPAGATOR_BATCH and (np.diff(_FIT_REACH) > 0).all()
+    for nodes, reach in enumerate(_FIT_REACH, 1):
+        assert log_bound(reach, nodes) < -53 * log(2) < log_bound(1.01 * reach, nodes), nodes
+
+
+def test_zero_span_sweep_takes_one_exact_factor(monkeypatch):
+    # a hold at one coupling is one run of zero span: its one node is the
+    # coupling itself, so every step gets that exact factor, and nothing
+    # divides by the zero half-span
+    params = ModelParams(n_fock=12)
+    calls = []
+
+    def counting(params, couplings, dt):
+        calls.append(np.array(couplings))
+        return sector_propagators(params, couplings, dt)
+
+    monkeypatch.setattr(model, "sector_propagators", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _fitted(params, np.full(100, 0.7), 0.1)
+    assert [c.tolist() for c in calls] == [[0.7]]
+    assert np.array_equal(u, np.broadcast_to(sector_propagators(params, [0.7], 0.1), u.shape))
 
 
 # --------------------------------------------------------------------------

@@ -18,12 +18,12 @@ import uscmem
 PACKAGE = Path(uscmem.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# Entry points the package itself never calls, each with its consumer.
+# Library entry points, each with its consumer.
 LIBRARY_ENTRY_POINTS = {
     "physical_time": "protocol time in seconds; an acceptance criterion",
     "beam_splitter": "two-mode interference; an acceptance criterion",
-    "sector_propagators": "the midpoint propagators at any couplings; the sweeps draw "
-                          "the same kernel in batches, set up once per sweep",
+    "sector_propagators": "the midpoint propagators at any couplings; the sweeps take "
+                          "their fit's nodes from it",
 }
 
 
