@@ -58,7 +58,6 @@ class PropagatorConfig:
     dt: float
     record_every: int = 10
     norm_tol: float = 1e-9
-    method: str = "midpoint-exponential"
 
     def __post_init__(self) -> None:
         if not 0 < self.dt < np.inf:
@@ -67,12 +66,12 @@ class PropagatorConfig:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         if not 0 < self.norm_tol < np.inf:
             raise ValueError(f"norm_tol must be finite and > 0, got {self.norm_tol}")
-        if self.method != "midpoint-exponential":
-            raise ValueError(f"unknown method {self.method!r}")
 
     @classmethod
     def for_total_time(cls, total_time: float, steps: int = 2000,
                        record_every: int = 10) -> "PropagatorConfig":
+        if not (isinstance(steps, Integral) and steps >= 1):
+            raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
         return cls(dt=total_time / steps, record_every=record_every)
 
 
@@ -102,49 +101,49 @@ def step_count(schedule: CouplingSchedule, cfg: PropagatorConfig) -> int:
 
 
 def _record_grid(schedule: CouplingSchedule, cfg: PropagatorConfig):
-    """The steps' midpoint couplings, the step length and the recorded
-    steps (0, every record_every, the last)."""
+    """A sweep's grid, decided here alone: the steps' midpoint couplings, the
+    step length dt, the recorded steps (0, every record_every, the last),
+    and their times, the last pinned to T, and couplings."""
     n_steps = step_count(schedule, cfg)
     dt = schedule.total_time / n_steps
-    rec_idx = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
-    return schedule.coupling_at((np.arange(n_steps) + 0.5) * dt), dt, rec_idx
+    steps = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
+    times = steps * dt
+    times[-1] = schedule.total_time
+    return (schedule.coupling_at((np.arange(n_steps) + 0.5) * dt), dt, steps,
+            times, schedule.coupling_at(times))
 
 
 def _sweep(
-    params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
-    x0: np.ndarray, step: Callable, record: Callable, grid: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drive x across a schedule with the midpoint propagators, fitted in the
-    coupling once per run of steps and made a batch at a time
+    params: ModelParams, midpoints: np.ndarray, dt: float, steps: np.ndarray,
+    x0: np.ndarray, step: Callable, record: Callable,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drive x through the midpoint propagators at the couplings midpoints,
+    fitted in the coupling once per run of steps and made a batch at a time
     (:func:`~uscmem.model._propagator_batches`).
 
     step(x, us, i) gives the state after the factors us (k, 2, n_fock,
     n_fock) of steps i, ..., i + k - 1, a run that ends at the next recorded
     step at the latest; a batch's factors are valid only until the next
     batch. record(x, n) returns the sample of the state after step n, at
-    each step of grid (0 and the last step included; the record grid of cfg
-    by default), into one preallocated array shaped and typed after the
-    first sample. Returns the sample times, their couplings and that array.
+    each of steps (0 and the last step included, as :func:`_record_grid`
+    gives them), into one preallocated array shaped and typed after the
+    first sample. Returns that array and the state after the last step.
     """
-    midpoints, dt, rec_idx = _record_grid(schedule, cfg)
-    rec_idx = rec_idx if grid is None else grid
     first = record(x0, 0)
-    samples = np.empty((len(rec_idx), *first.shape), dtype=first.dtype)
+    samples = np.empty((len(steps), *first.shape), dtype=first.dtype)
     samples[0] = first
     n_rec = 1
     x, batches = x0, _propagator_batches(params, midpoints, dt)
     for start, us in zip(range(0, len(midpoints), PROPAGATOR_BATCH), batches):
         i, stop = start, start + len(us)
         while i < stop:
-            j = min(stop, rec_idx[n_rec])
+            j = min(stop, steps[n_rec])
             x = step(x, us[i - start:j - start], i)
-            if j == rec_idx[n_rec]:
+            if j == steps[n_rec]:
                 samples[n_rec] = record(x, j)
                 n_rec += 1
             i = j
-    times = rec_idx * dt
-    times[-1] = schedule.total_time
-    return times, schedule.coupling_at(times), samples
+    return samples, x
 
 
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -174,13 +173,15 @@ def propagate(
 
     record(x, n) gives the sample of x after recorded step n, in step
     order (:func:`_sweep`); by default the state's chain pair (2, n_fock).
+    The sample times and couplings are :func:`_record_grid`'s.
     """
     if psi0.amplitudes.shape != (2 * params.n_fock,):
         raise ValueError("state truncation does not match params.n_fock")
+    midpoints, dt, steps, times, couplings = _record_grid(schedule, cfg)
     step = partial(_unitary_steps, norm_tol=cfg.norm_tol)
     x0 = psi0.amplitudes[params.chains.index][..., None]
-    return Trajectory(*_sweep(params, schedule, cfg, x0, step,
-                              record or (lambda x, n: x[..., 0])))
+    samples, _ = _sweep(params, midpoints, dt, steps, x0, step, record or (lambda x, n: x[..., 0]))
+    return Trajectory(times, couplings, samples)
 
 
 # --------------------------------------------------------------------------
@@ -276,37 +277,32 @@ def roundtrip(
     nf = params.n_fock
     if sites is not None and not (isinstance(sites, Integral) and 1 <= sites <= nf):
         raise ValueError(f"sites must be an integer in [1, {nf}], got {sites!r}")
-    midpoints, _, rec_idx = _record_grid(schedule, cfg)
+    midpoints, dt, rec_idx, times, couplings = _record_grid(schedule, cfg)
     n_steps = len(midpoints)
     # the write leg's record steps and their mirrors, where the read leg records
     grid = np.array(sorted({*rec_idx.tolist(), *(n_steps - rec_idx).tolist()}))
     psi0 = storage_input(params, alpha_f, beta_f).amplitudes[params.chains.index]
     x0 = np.concatenate([np.broadcast_to(np.eye(nf), (2, nf, nf)), psi0[..., None]], axis=2)
-    last = x0
 
     def record(x, n):
-        nonlocal last
-        last = x
         # the kept rows of P_n, then P_n psi_0 as one more row
         return np.concatenate([x[:, :sites, :-1], x[:, None, :, -1]], axis=1)
 
     step = partial(_unitary_steps, norm_tol=cfg.norm_tol)
-    times, couplings, samples = _sweep(params, schedule, cfg, x0, step, record, grid)
+    samples, last = _sweep(params, midpoints, dt, grid, x0, step, record)
     phi = np.swapaxes(last[..., :-1], 1, 2) @ last[..., -1:]
     nrm = np.linalg.norm(phi)
     if not (abs(nrm - 1.0) <= cfg.norm_tol):
         raise NormDriftError(f"read-leg norm {nrm!r} (tol {cfg.norm_tol})")
 
-    at = np.searchsorted(grid, rec_idx)
-    times = times[at]
-    write = samples[at, :, -1]
+    write = samples[np.searchsorted(grid, rec_idx), :, -1]
     mirrored = samples[np.searchsorted(grid, n_steps - rec_idx), :, :-1, None].conj()
     read = (mirrored @ phi[:, None])[..., 0, 0]  # one dot per site, whatever sites is
     _, fs_s = readout(branch_block(write), alpha_f, beta_f, 0.0)
     theta, fs_r = readout(branch_block(read), alpha_f, beta_f, theta)
-    traj_r = Trajectory(times.copy(), schedule.reversed().coupling_at(times), read)
+    traj_r = Trajectory(*_record_grid(schedule.reversed(), cfg)[3:], read)  # the write times
     return RoundTrip(theta, float(fs_r[-1]),
-                     Trajectory(times, couplings[at], write), fs_s, traj_r, fs_r)
+                     Trajectory(times, couplings, write), fs_s, traj_r, fs_r)
 
 
 # --------------------------------------------------------------------------
@@ -368,9 +364,7 @@ def phase_landscape(
     """
     if not (isinstance(theta_points, Integral) and theta_points >= 32):
         raise ValueError(f"theta_points must be an integer >= 32, got {theta_points!r}")
-    _, dt, steps = _record_grid(schedule, cfg)
-    # the record couplings, at the times _sweep gives them
-    couplings = schedule.coupling_at(np.append(steps[:-1] * dt, schedule.total_time))
+    couplings = _record_grid(schedule, cfg)[4]  # propagate's record couplings
     batch = ground_batch_size(params)
     pairs = (pair for start in range(0, len(couplings), batch)
              for pair in build_gauge_chain(params, couplings[start:start + batch])[1])

@@ -178,8 +178,10 @@ def evolve_master(
     Each recorded sample is the block B[cells] rho_f B[cells]^T of the
     lab-frame B rho_f B^T on the cell-basis indices cells, every cell by
     default; params.chains.index[:, 0] keeps the |g,0>, |e,0> block that
-    :func:`~uscmem.dynamics.readout` reads. The trajectory's final is the
-    full lab-frame matrix after the last step, whatever cells is.
+    :func:`~uscmem.dynamics.readout` reads. The trajectory's times and
+    couplings are :func:`~uscmem.dynamics._record_grid`'s, and its final
+    is the full lab-frame matrix of the rho_f that ``_sweep`` returns
+    after the last step, whatever cells is.
     """
     d = 2 * params.n_fock
     if rho0.shape != (d, d):
@@ -195,7 +197,7 @@ def evolve_master(
     width = min(d, k_levels + _FRAME_MARGIN)
     # a step that leaves less trace than this widens the frame
     floor = float(np.real(np.trace(rho0))) - _TRACE_TOL / 10
-    midpoints, dt, _ = _record_grid(schedule, cfg)
+    midpoints, dt, steps, times, couplings = _record_grid(schedule, cfg)
     at = midpoints[::refresh_every]  # the refresh midpoints, SECTOR_BATCH per sector_spectra call
     spectra = (sector_spectra(params, at[k:k + SECTOR_BATCH], d)
                for k in range(0, len(at), SECTOR_BATCH))
@@ -203,7 +205,6 @@ def evolve_master(
     sites = frame[index]  # (2, n_fock, K): the rows of B at each chain's sites
     gain = decay = None   # the last refresh's dt gain and 1 + dt decay (K, K)
     spectrum = tables = None  # a batch's Spectrum and its refreshes' (B, dt gain, 1 + dt decay)
-    last = None           # rho_f at the last recorded step
 
     def step(rho_f, us, start):
         nonlocal width, frame, sites, gain, decay, spectrum, tables
@@ -247,17 +248,15 @@ def evolve_master(
         return rho_f
 
     def record(rho_f, n):
-        nonlocal last
         # B has orthonormal columns, so B rho_f B^T has rho_f's trace and
         # Hermiticity, and its lowest eigenvalue is min(that of rho_f, 0)
         validate_density(rho_f, f"rho at step {n}" if n else "rho0")
-        last = rho_f
         rows = frame[cells]
         return rows @ rho_f @ rows.T
 
     rho = np.array(rho0, dtype=np.complex128)
-    times, couplings, rhos = _sweep(params, schedule, cfg, rho, step, record)
-    return MasterTrajectory(times, couplings, rhos, frame @ last @ frame.T)
+    rhos, rho_f = _sweep(params, midpoints, dt, steps, rho, step, record)
+    return MasterTrajectory(times, couplings, rhos, frame @ rho_f @ frame.T)
 
 
 def _to_basis(rho_f: np.ndarray, frame: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -153,6 +153,7 @@ class ExperimentSpec:
         """
         out = asdict(self)
         out["schedule"]["shape"] = "linear"  # the only ramp; keeps the spec hashes
+        out["cfg"]["method"] = "midpoint-exponential"  # the only integrator; likewise
         reads = self._reads
         for f in fields(self):
             if f.default is not MISSING and f.name not in reads:

@@ -18,6 +18,7 @@ coherent vector, read on chain 0 for G and on chain 1 for E.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -86,8 +87,8 @@ def sector_spectra(params: ModelParams, couplings: np.ndarray, k: int) -> Spectr
     levels come from one batched :func:`~uscmem.model.sector_eigh` per
     SECTOR_BATCH couplings, and the residual and orthonormality of every
     kept eigenpair are checked batch by batch."""
-    if not 1 <= k <= 2 * params.n_fock:
-        raise ValueError(f"k must be in [1, {2 * params.n_fock}], got {k}")
+    if not (isinstance(k, Integral) and 1 <= k <= 2 * params.n_fock):
+        raise ValueError(f"k must be an integer in [1, {2 * params.n_fock}], got {k!r}")
     couplings = _couplings_1d(couplings)
     m, depth = len(couplings), min(k, params.n_fock)  # no sector contributes more than k levels
     w, v = np.empty((m, 2, depth)), np.empty((m, 2, params.n_fock, depth))

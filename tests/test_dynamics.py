@@ -35,7 +35,7 @@ from uscmem import (
 )
 from uscmem import dynamics, model
 from uscmem.cli import emit_csv
-from uscmem.dynamics import NormDriftError, _sweep
+from uscmem.dynamics import NormDriftError, _record_grid, _sweep
 from uscmem.model import PROPAGATOR_BATCH, _propagator_batches, sector_propagators
 
 from reference import (
@@ -284,7 +284,8 @@ def test_sweep_record_grid(record_every, n_recorded):
         runs.append((i, i + len(us)))
         return np.array(i + len(us) + 0.0)
 
-    times, couplings, samples = _sweep(params, sched, cfg, np.array(0.0), step, record)
+    midpoints, dt, grid, times, couplings = _record_grid(sched, cfg)
+    samples, last = _sweep(params, midpoints, dt, grid, np.array(0.0), step, record)
     steps = [*range(0, 500, record_every), 500]
     assert len(steps) == n_recorded
     # the runs tile the steps in order, each inside one propagator batch and
@@ -295,6 +296,7 @@ def test_sweep_record_grid(record_every, n_recorded):
     # the hook sees every grid step, 0 included, and the state after step n holds n
     assert recorded == [(float(n), n) for n in steps]
     assert np.array_equal(samples, -np.array(steps))  # the samples are what it returns
+    assert last == 500.0  # and the state it returns is the one after step 500
     expected = np.array(steps) * 0.02
     expected[-1] = 10.0
     assert np.array_equal(times, expected)
@@ -573,30 +575,35 @@ def test_landscape_endpoint_matches_closed_form(landscape_105, roundtrip_105):
 
 
 def test_landscape_rows_match_dense_targets():
-    # every row is |<target(theta)|psi>|^2 with target = alpha |G> + beta e^{i theta} |E>
+    # every row is |<target(theta)|psi>|^2 with target = alpha |G> + beta e^{i theta} |E>,
+    # on a record grid that divides the 500 steps and on one, every 7, that does not
     params = ModelParams(n_fock=8)
     sched = storage_schedule(params, 20.0)
-    cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=25)
     alpha, beta = 0.6, 0.8j
-    land = phase_landscape(params, alpha, beta, sched, cfg, theta_points=32)
-    traj = propagate(params, sched, storage_input(params, alpha, beta), cfg)
-    _, pairs = build_gauge_chain(params, traj.couplings)
-    for row, psi, (g, e) in zip(land.rows(), samples_on_cells(params, traj.amplitudes),
-                                pair_on_cells(params, pairs)):
-        dense = [abs(np.vdot(alpha * g + beta * np.exp(1j * th) * e, psi)) ** 2
-                 for th in land.theta_grid]
-        assert np.abs(row - dense).max() < 1e-14
-    assert np.array_equal(land.theta_opt, land.theta_grid[land.rows().argmax(axis=1)])
-    assert np.array_equal(land.ridge, land.rows().max(axis=1))
-    # the hook's amplitudes are the full states' amplitudes on the doublet,
-    # and one readout over every phase is the per-phase loop, bit for bit
-    full = doublet_amplitudes(traj.amplitudes, pairs)
-    assert np.abs(land.amplitudes - full).max() < 1e-15
-    c = land.amplitudes
-    block = c[:, :, None] * c[:, None, :].conj()
-    loop = np.column_stack([readout(block, alpha, beta, th)[1] for th in land.theta_grid])
-    assert np.array_equal(land.rows(), loop)
-    assert np.array_equal(land.rows(3, 7), loop[3:7])
+    for record_every in (25, 7):
+        cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=record_every)
+        land = phase_landscape(params, alpha, beta, sched, cfg, theta_points=32)
+        traj = propagate(params, sched, storage_input(params, alpha, beta), cfg)
+        # the targets sit on the trajectory's own record couplings, the last at T
+        assert np.array_equal(land.coupling_grid, traj.couplings)
+        assert traj.times[-1] == 20.0
+        _, pairs = build_gauge_chain(params, traj.couplings)
+        for row, psi, (g, e) in zip(land.rows(), samples_on_cells(params, traj.amplitudes),
+                                    pair_on_cells(params, pairs)):
+            dense = [abs(np.vdot(alpha * g + beta * np.exp(1j * th) * e, psi)) ** 2
+                     for th in land.theta_grid]
+            assert np.abs(row - dense).max() < 1e-14
+        assert np.array_equal(land.theta_opt, land.theta_grid[land.rows().argmax(axis=1)])
+        assert np.array_equal(land.ridge, land.rows().max(axis=1))
+        # the hook's amplitudes are the full states' amplitudes on the doublet,
+        # and one readout over every phase is the per-phase loop, bit for bit
+        full = doublet_amplitudes(traj.amplitudes, pairs)
+        assert np.abs(land.amplitudes - full).max() < 1e-15
+        c = land.amplitudes
+        block = c[:, :, None] * c[:, None, :].conj()
+        loop = np.column_stack([readout(block, alpha, beta, th)[1] for th in land.theta_grid])
+        assert np.array_equal(land.rows(), loop)
+        assert np.array_equal(land.rows(3, 7), loop[3:7])
 
 
 @pytest.mark.parametrize("n_fock", [12, 30])

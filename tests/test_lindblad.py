@@ -527,17 +527,19 @@ def _tenfold_reference_rates():
 
 
 def test_master_frame_step_matches_lab_frame_reference():
-    # n_fock = 8: the 12 + 12 carried levels cover all 16, so the frame is exact
+    # n_fock = 8: the 12 + 12 carried levels cover all 16, so the frame is exact;
+    # a record every 7 steps does not divide the 500, so the last sample ends a short run
     params = ModelParams(n_fock=8)
     sched = storage_schedule(params, 20.0)
-    cfg = PropagatorConfig.for_total_time(20.0, steps=500)
     rates = _tenfold_reference_rates()
     rho0 = pure_density(storage_input(params))
-    for model in ("flat", "ohmic"):
-        mt = evolve_master(params, sched, rho0, rates, cfg, refresh_every=3, rate_model=model)
-        want = _lab_frame_master(params, sched, rho0, rates, cfg, 12, 3, model)
-        assert mt.rhos.shape == want.shape == (51, 16, 16)
-        assert np.abs(mt.rhos - want).max() < 1e-12
+    for record_every, n_recorded in ((10, 51), (7, 73)):
+        cfg = PropagatorConfig.for_total_time(20.0, steps=500, record_every=record_every)
+        for model in ("flat", "ohmic"):
+            mt = evolve_master(params, sched, rho0, rates, cfg, refresh_every=3, rate_model=model)
+            want = _lab_frame_master(params, sched, rho0, rates, cfg, 12, 3, model)
+            assert mt.rhos.shape == want.shape == (n_recorded, 16, 16)
+            assert np.abs(mt.rhos - want).max() < 1e-12
 
 
 def _truncated_frame_run(omega0, refresh_every=3):
@@ -641,7 +643,7 @@ def test_frame_widens_inside_a_table_batch(monkeypatch):
     widened = []  # per leg, the first step after which the frame is 40 wide
     sweep = lindblad._sweep
 
-    def spy(params, schedule, cfg, x0, step, record):
+    def spy(params, midpoints, dt, steps, x0, step, record):
         leg = len(widened)
         widened.append(None)
 
@@ -652,7 +654,7 @@ def test_frame_widens_inside_a_table_batch(monkeypatch):
                     widened[leg] = i + k + 1
             return x
 
-        return sweep(params, schedule, cfg, x0, one_step_at_a_time, record)
+        return sweep(params, midpoints, dt, steps, x0, one_step_at_a_time, record)
 
     monkeypatch.setattr(lindblad, "_sweep", spy)
     run_experiment(build_spec(RunConfig("noisy", overrides)))

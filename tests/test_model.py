@@ -4,6 +4,7 @@ Frozen eigenvalues below were derived with an independent explicit-loop
 builder and direct diagonalization; they pin the default operating point
 omega_cav = 1, omega_eg = 0.1, omega0 = 1, n_fock = 30.
 """
+import re
 import warnings
 from math import cos, factorial, log, sin
 
@@ -476,3 +477,25 @@ def test_parameter_records_reject_non_finite(field, value):
     # the eigensolver's LinAlgError is a ValueError too, hence the match
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_GUARDS[field](value)
+
+
+COUNT_GUARDS = {
+    "steps": (lambda n: PropagatorConfig.for_total_time(10.0, steps=n),
+              "steps must be an integer >= 1"),
+    "k": (lambda n: sector_spectra(ModelParams(n_fock=4), [1.0], n),
+          r"k must be an integer in \[1, 8\]"),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("steps", 0), ("steps", 2.5), ("steps", np.float64(3.0)),
+    ("k", 0), ("k", 2.5), ("k", np.float64(3.0)), ("k", 9),
+])
+def test_public_counts_must_be_integers(name, value):
+    # a zero, float or out-of-range count is refused by name, not met later
+    # as a ZeroDivisionError, numpy's TypeError or a rounded step count;
+    # a numpy integer is an integer
+    build, message = COUNT_GUARDS[name]
+    with pytest.raises(ValueError, match=rf"{message}, got {re.escape(repr(value))}$"):
+        build(value)
+    build(np.int64(3))
