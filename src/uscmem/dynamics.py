@@ -13,9 +13,9 @@ Chebyshev fit in the coupling (:func:`~uscmem.model._propagator_batches`)
 through exact factors (:func:`~uscmem.model.sector_propagators`) at a few
 nodes per run of steps. The cell is
 carried as its two chain slices, so parity is conserved by construction.
-A round trip propagates only its write leg: every step's factor is
-complex symmetric, so the read leg is the transpose P_N^T of the write
-leg's propagator (:func:`roundtrip`).
+Every closed sweep is one :func:`propagate` call: a round trip
+(:func:`roundtrip`) is a write leg along the schedule and a read leg
+along its reverse from the write leg's final chain pair.
 """
 from __future__ import annotations
 
@@ -70,6 +70,8 @@ class PropagatorConfig:
     @classmethod
     def for_total_time(cls, total_time: float, steps: int = 2000,
                        record_every: int = 10) -> "PropagatorConfig":
+        if not 0 < total_time < np.inf:
+            raise ValueError(f"total_time must be finite and > 0, got {total_time}")
         if not (isinstance(steps, Integral) and steps >= 1):
             raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
         return cls(dt=total_time / steps, record_every=record_every)
@@ -153,33 +155,40 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _unitary_steps(x, us, i, norm_tol):
-    """Midpoint steps i + 1, ... on chain columns x (2, n_fock, c): x <- U x
-    for each factor U of us in turn, never rescaled. The last column v is a
-    state: sqrt(<v|v>) off 1 by more than norm_tol, or NaN, raises NormDriftError."""
+    """Midpoint steps i + 1, ... on a state's chain column x (2, n_fock, 1):
+    x <- U x for each factor U of us in turn, never rescaled. sqrt(<x|x>)
+    off 1 by more than norm_tol, or NaN, raises NormDriftError."""
     for n, u in enumerate(us, i + 1):
         x = u @ x
-        nrm = np.vdot(x[..., -1], x[..., -1]).real ** 0.5
+        nrm = np.vdot(x, x).real ** 0.5
         if not (abs(nrm - 1.0) <= norm_tol):
             raise NormDriftError(f"norm drifted to {nrm!r} at step {n} (tol {norm_tol})")
     return x
 
 
 def propagate(
-    params: ModelParams, schedule: CouplingSchedule, psi0: State, cfg: PropagatorConfig,
-    record: Callable | None = None,
+    params: ModelParams, schedule: CouplingSchedule, psi0: State | np.ndarray,
+    cfg: PropagatorConfig, record: Callable | None = None,
 ) -> Trajectory:
     """Integrate a cell state across a schedule, carried as one column
     (2, n_fock, 1) of chain slices through :func:`_unitary_steps`.
 
-    record(x, n) gives the sample of x after recorded step n, in step
-    order (:func:`_sweep`); by default the state's chain pair (2, n_fock).
-    The sample times and couplings are :func:`_record_grid`'s.
+    psi0 is a :class:`~uscmem.hilbert.State`, or the chain pair (2, n_fock)
+    of one, such as the last sample of an earlier sweep, which is taken as
+    it is: its norm meets cfg.norm_tol from the first step on, as every
+    step's does. record(x, n) gives the sample of x after recorded step n,
+    in step order (:func:`_sweep`); by default the state's chain pair
+    (2, n_fock). The sample times and couplings are :func:`_record_grid`'s.
     """
-    if psi0.amplitudes.shape != (2 * params.n_fock,):
-        raise ValueError("state truncation does not match params.n_fock")
+    if isinstance(psi0, State):
+        if psi0.amplitudes.shape != (2 * params.n_fock,):
+            raise ValueError("state truncation does not match params.n_fock")
+        psi0 = psi0.amplitudes[params.chains.index]
+    elif np.shape(psi0) != (2, params.n_fock):
+        raise ValueError(f"chain pair has shape {np.shape(psi0)}, expected (2, {params.n_fock})")
     midpoints, dt, steps, times, couplings = _record_grid(schedule, cfg)
     step = partial(_unitary_steps, norm_tol=cfg.norm_tol)
-    x0 = psi0.amplitudes[params.chains.index][..., None]
+    x0 = np.asarray(psi0, dtype=np.complex128)[..., None]
     samples, _ = _sweep(params, midpoints, dt, steps, x0, step, record or (lambda x, n: x[..., 0]))
     return Trajectory(times, couplings, samples)
 
@@ -202,7 +211,7 @@ def storage_input(
 
 
 def branch_block(amps: np.ndarray) -> np.ndarray:
-    """|g,0>, |e,0> block (..., 2, 2) of the pure states with chain pairs amps (..., 2, sites)."""
+    """|g,0>, |e,0> block (..., 2, 2) of the pure states with chain pairs amps (..., 2, n_fock)."""
     c = amps[..., 0]
     return c[..., :, None] * c[..., None, :].conj()
 
@@ -258,51 +267,20 @@ class RoundTrip:
 def roundtrip(
     params: ModelParams, schedule: CouplingSchedule, cfg: PropagatorConfig,
     alpha_f: complex = RSQRT2, beta_f: complex = RSQRT2, theta: float | None = None,
-    sites: int | None = None,
 ) -> RoundTrip:
     """Write along schedule, read along its reverse, then correct the phase.
 
-    Each midpoint factor exp(-i H_i dt) is complex symmetric, as H_i is
-    real symmetric, and its fit, real weights on exact factors of
-    :func:`~uscmem.model.sector_propagators`, keeps it so up to roundoff,
-    so the read leg is P_N^T, P_k the product of the
-    write leg's first k factors, and m read steps give conj(P_{N-m}) phi
-    with phi = P_N^T psi_T. One sweep carries [P_k | P_k psi_0] in chain
-    form and records the first sites rows of P_k at the mirrored steps
-    N - m, so only the write leg's factors are computed. The legs record chain
-    pairs, (samples, 2, n_fock) and (samples, 2, sites), all sites if None;
-    sites 1 keeps the |g,0>, |e,0> amplitudes alone. Neither leg depends on
-    theta, which is fixed afterwards (the closed-form optimum if None).
+    Both legs are :func:`propagate` sweeps on their own record grids, each
+    recording chain pairs (samples, 2, n_fock): the write leg of
+    storage_input(alpha_f, beta_f), and the read leg from the write leg's
+    final chain pair. Neither leg depends on theta, which is fixed
+    afterwards (the closed-form optimum if None).
     """
-    nf = params.n_fock
-    if sites is not None and not (isinstance(sites, Integral) and 1 <= sites <= nf):
-        raise ValueError(f"sites must be an integer in [1, {nf}], got {sites!r}")
-    midpoints, dt, rec_idx, times, couplings = _record_grid(schedule, cfg)
-    n_steps = len(midpoints)
-    # the write leg's record steps and their mirrors, where the read leg records
-    grid = np.array(sorted({*rec_idx.tolist(), *(n_steps - rec_idx).tolist()}))
-    psi0 = storage_input(params, alpha_f, beta_f).amplitudes[params.chains.index]
-    x0 = np.concatenate([np.broadcast_to(np.eye(nf), (2, nf, nf)), psi0[..., None]], axis=2)
-
-    def record(x, n):
-        # the kept rows of P_n, then P_n psi_0 as one more row
-        return np.concatenate([x[:, :sites, :-1], x[:, None, :, -1]], axis=1)
-
-    step = partial(_unitary_steps, norm_tol=cfg.norm_tol)
-    samples, last = _sweep(params, midpoints, dt, grid, x0, step, record)
-    phi = np.swapaxes(last[..., :-1], 1, 2) @ last[..., -1:]
-    nrm = np.linalg.norm(phi)
-    if not (abs(nrm - 1.0) <= cfg.norm_tol):
-        raise NormDriftError(f"read-leg norm {nrm!r} (tol {cfg.norm_tol})")
-
-    write = samples[np.searchsorted(grid, rec_idx), :, -1]
-    mirrored = samples[np.searchsorted(grid, n_steps - rec_idx), :, :-1, None].conj()
-    read = (mirrored @ phi[:, None])[..., 0, 0]  # one dot per site, whatever sites is
-    _, fs_s = readout(branch_block(write), alpha_f, beta_f, 0.0)
-    theta, fs_r = readout(branch_block(read), alpha_f, beta_f, theta)
-    traj_r = Trajectory(*_record_grid(schedule.reversed(), cfg)[3:], read)  # the write times
-    return RoundTrip(theta, float(fs_r[-1]),
-                     Trajectory(times, couplings, write), fs_s, traj_r, fs_r)
+    write = propagate(params, schedule, storage_input(params, alpha_f, beta_f), cfg)
+    read = propagate(params, schedule.reversed(), write.amplitudes[-1], cfg)
+    _, fs_s = readout(branch_block(write.amplitudes), alpha_f, beta_f, 0.0)
+    theta, fs_r = readout(branch_block(read.amplitudes), alpha_f, beta_f, theta)
+    return RoundTrip(theta, float(fs_r[-1]), write, fs_s, read, fs_r)
 
 
 # --------------------------------------------------------------------------

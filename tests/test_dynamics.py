@@ -447,15 +447,17 @@ def test_roundtrip_is_closed_form_in_branch_return_amplitudes():
 
 
 @pytest.mark.parametrize("n_fock, record_every, omega_start, alpha, beta", [
-    (10, 7, 0.0, RSQRT2, RSQRT2),   # 7 does not divide 500: mirrored grid off the write grid
+    (10, 7, 0.0, RSQRT2, RSQRT2),   # 7 does not divide 500: each leg ends on a shorter run
     (10, 10, 0.3, 0.6, 0.8j),
     (30, 7, 0.0, 1.0, 0.0),         # one branch
     (30, 10, 0.3, RSQRT2, RSQRT2),
 ])
 def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega_start,
                                                      alpha, beta):
-    # the read leg built from the write leg's rows against an explicit
-    # reverse sweep of the stored state, which diagonalizes every midpoint again
+    # the read leg's factors are the write leg's in reverse order, so up to
+    # roundoff it applies P_N^T; the round trip takes both legs as propagate
+    # sweeps, so each equals an explicit sweep bit for bit: the write leg
+    # from the input state, the read leg along the reverse from the stored state
     params = ModelParams(n_fock=n_fock)
     schedule = CouplingSchedule(omega_start, params.omega0, 10.0)
     cfg = PropagatorConfig(dt=0.02, record_every=record_every)
@@ -467,28 +469,60 @@ def test_read_leg_is_the_transposed_write_propagator(n_fock, record_every, omega
     for got, ref in ((rt.storage, write), (rt.retrieval, read)):
         assert np.array_equal(got.times, ref.times)
         assert np.array_equal(got.couplings, ref.couplings)
-        assert np.abs(got.amplitudes - ref.amplitudes).max() < 1e-12
-    assert np.abs(rt.storage_fs - fs).max() < 1e-12
-    # one site per chain keeps |g,0> and |e,0> of the same read leg, bit for bit
-    branch = roundtrip(params, schedule, cfg, alpha, beta, sites=1)
-    assert np.array_equal(branch.retrieval.amplitudes, rt.retrieval.amplitudes[:, :, :1])
-    assert np.abs(branch.retrieval_fs - rt.retrieval_fs).max() < 1e-12
-    assert np.array_equal(branch.storage.amplitudes, rt.storage.amplitudes)
+        assert np.array_equal(got.amplitudes, ref.amplitudes)
+    assert np.array_equal(rt.storage_fs, fs)
 
 
-@pytest.mark.parametrize("sites", [0, 7, 1.5])
-def test_read_leg_sites_must_be_a_count_of_chain_sites(sites):
-    # n_fock 6: sites counts the leading sites of each chain, 1 to 6
-    params = ModelParams(n_fock=6)
-    with pytest.raises(ValueError, match="sites must be an integer in \\[1, 6\\]"):
-        roundtrip(params, storage_schedule(params, 10.0), PropagatorConfig(dt=0.02), sites=sites)
+def test_roundtrip_write_leg_is_the_storage_sweep(params30, roundtrip_105):
+    # at the defaults the round trip's write leg is the storage experiment's
+    # sweep, bit for bit, so the two experiments write one storage.csv
+    schedule = storage_schedule(params30, 105.0)
+    write = propagate(params30, schedule, storage_input(params30),
+                      PropagatorConfig.for_total_time(105.0))
+    assert np.array_equal(roundtrip_105.storage.amplitudes, write.amplitudes)
+    assert np.array_equal(roundtrip_105.storage.times, write.times)
+
+
+def test_a_read_leg_norm_leak_is_caught_at_its_step(monkeypatch):
+    # propagators that leak 2.02e-11 of norm per step in the second sweep
+    # alone: the write leg's 500 steps pass, and the read leg meets the
+    # per-step check like any sweep, at its own step 50. The leak is a
+    # hair over 2e-11, so step 50 is past norm_tol by more than the 1e-15
+    # of norm the write leg hands over
+    params = ModelParams(n_fock=12)
+    sweeps = []
+
+    def leaky_second(params, couplings, dt):
+        sweeps.append(len(couplings))
+        for us in _propagator_batches(params, couplings, dt):
+            yield us * (1 + 1.01e-11) ** 2 if len(sweeps) == 2 else us
+
+    monkeypatch.setattr(dynamics, "_propagator_batches", leaky_second)
+    cfg = PropagatorConfig.for_total_time(10.0, steps=500)
+    with pytest.raises(NormDriftError, match="at step 50 "):
+        roundtrip(params, storage_schedule(params, 10.0), cfg)
+    assert sweeps == [500, 500]
+
+
+def test_propagate_takes_a_chain_pair():
+    # a chain pair (2, n_fock), such as a leg's last sample, is swept as the
+    # state it holds, and one of another truncation is refused
+    params = ModelParams(n_fock=8)
+    schedule = storage_schedule(params, 10.0)
+    cfg = PropagatorConfig(dt=0.02)
+    psi0 = storage_input(params, 0.6, 0.8j)
+    ref = propagate(params, schedule, psi0, cfg)
+    pair = propagate(params, schedule, psi0.amplitudes[params.chains.index], cfg)
+    assert np.array_equal(pair.amplitudes, ref.amplitudes)
+    with pytest.raises(ValueError, match=r"chain pair has shape \(2, 7\), expected \(2, 8\)"):
+        propagate(params, schedule, np.zeros((2, 7), dtype=np.complex128), cfg)
 
 
 @pytest.mark.parametrize("steps", [500, 2000])
 def test_roundtrip_diagonalizes_one_leg(monkeypatch, steps):
-    # one propagator batch per PROPAGATOR_BATCH write steps and none for the
-    # read leg: 250 at the default 2000 steps, where two sweeps made 500;
-    # and no eigensolver at all
+    # the round trip is two sweeps: one propagator batch per
+    # PROPAGATOR_BATCH steps of each leg, 2 * 250 at the default 2000
+    # steps, and no eigensolver at all
     calls = []
 
     def counting(params, couplings, dt):
@@ -501,8 +535,8 @@ def test_roundtrip_diagonalizes_one_leg(monkeypatch, steps):
     params = ModelParams(n_fock=8)
     roundtrip(params, storage_schedule(params, 20.0),
               PropagatorConfig.for_total_time(20.0, steps=steps))
-    assert len(calls) == -(-steps // PROPAGATOR_BATCH)
-    assert sum(calls) == steps
+    assert len(calls) == 2 * -(-steps // PROPAGATOR_BATCH)
+    assert sum(calls) == 2 * steps
 
 
 def _no_eigensolver(*args, **kwargs):
@@ -652,6 +686,14 @@ def test_physical_time_conversion():
     # linear in t, inverse in frequency
     assert physical_time(210.0, 5e9) == pytest.approx(2 * physical_time(105.0, 5e9))
     assert physical_time(105.0, 10e9) == pytest.approx(physical_time(105.0, 5e9) / 2)
+
+
+@pytest.mark.parametrize("total_time", [-10.0, 0.0, float("inf"), float("nan")])
+def test_for_total_time_names_a_bad_total_time(total_time):
+    # the duration the caller passed is named, not the dt derived from it
+    with pytest.raises(ValueError,
+                       match=rf"^total_time must be finite and > 0, got {total_time}$"):
+        PropagatorConfig.for_total_time(total_time)
 
 
 def test_propagator_config_validation():
